@@ -45,7 +45,7 @@ from .measure import (
     linear_combination,
     scalar_product,
 )
-from .piecewise import proportional_subintervals
+from .piecewise import append_piece, proportional_subintervals
 from .rational_geometry import (
     dedupe_points,
     extreme_points,
@@ -367,25 +367,15 @@ def _proportional_blend(F, s1, s2, alpha, cells) -> Selection:
             k1 = s1.branch_at(c, lo)
             k2 = s2.branch_at(c, lo)
             if k1 == k2 or alpha == 1:
-                pieces.append((hi, k1))
+                append_piece(pieces, hi, k1)
             elif alpha == 0:
-                pieces.append((hi, k2))
+                append_piece(pieces, hi, k2)
             else:
                 cut = lo + alpha * (hi - lo)
-                pieces.append((cut, k1))
-                pieces.append((hi, k2))
-        assignments[c.id] = tuple(_merge_pieces(pieces))
+                append_piece(pieces, cut, k1)
+                append_piece(pieces, hi, k2)
+        assignments[c.id] = tuple(pieces)
     return Selection(assignments)
-
-
-def _merge_pieces(pieces):
-    merged = []
-    for upto, payload in pieces:
-        if merged and merged[-1][1] == payload:
-            merged[-1] = (upto, payload)
-        else:
-            merged.append((upto, payload))
-    return merged
 
 
 def _saturated_blend(F, cell, blend_fn, alpha):
@@ -401,8 +391,8 @@ def _saturated_blend(F, cell, blend_fn, alpha):
                 "saturated cell: blend is not a pointwise splice",
                 _splice_defect(F, cell, blend_fn),
             )
-        pieces.append((hi, match))
-    return tuple(_merge_pieces(pieces))
+        append_piece(pieces, hi, match)
+    return tuple(pieces)
 
 
 def _branch_mixture(F, rich_pieces, residual: Vec):
@@ -460,8 +450,8 @@ def _mixed_block_blend(F, label, cells, value, alpha):
                 weights = mixture[idx]
                 idx += 1
                 for _a, b, k in proportional_subintervals(lo, hi, weights):
-                    pieces.append((b, k))
-            assignments[c.id] = tuple(_merge_pieces(pieces))
+                    append_piece(pieces, b, k)
+            assignments[c.id] = tuple(pieces)
         return assignments
     atom = point_cells[0]
     dist = None
@@ -509,11 +499,11 @@ def derandomize_selection(F: FiniteIndexedCorrespondence, m: MixedSelection) -> 
                             c.id, None, "saturated cell carries a non-degenerate mixture"
                         )
                     )
-                pieces.append((hi, hot[0]))
+                append_piece(pieces, hi, hot[0])
                 continue
             for _a, b, k in proportional_subintervals(lo, hi, w):
-                pieces.append((b, k))
-        assignments[c.id] = tuple(_merge_pieces(pieces))
+                append_piece(pieces, b, k)
+        assignments[c.id] = tuple(pieces)
     s = Selection(assignments)
     expected = F.space.conditional_expectation(mixed_value(F, m))
     achieved = F.space.conditional_expectation(selection_value(F, s))

@@ -316,7 +316,7 @@ def cmd_audit_equivalence(args) -> int:
 def cmd_pennies(args) -> int:
     game = pennies.PenniesGame(args.m, args.variant)
     report = pennies.no_pure_equilibrium_search(
-        game, budget=args.budget, grid=args.grid, epsilon=args.epsilon
+        game, budget=args.budget, grid=args.grid, epsilon=args.epsilon, seed=args.seed
     )
     payload = {
         "m": report.m,

@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .errors import DimensionMismatch, IndexOutOfRange, SchemaError, WeightInvalid
 from .measure import Cell, MeasureSpaceModel, StepFunction
-from .piecewise import common_refinement, merged_pieces, piece_bounds, piece_payload
+from .piecewise import check_pieces, common_refinement, merged_pieces, piece_bounds, piece_payload
 from .rationals import Vec, vec_add, vec_scale, zero_vec
 
 
@@ -58,23 +58,19 @@ class Selection:
 
     def validate(self, F: FiniteIndexedCorrespondence) -> None:
         K = F.branch_count
+
+        def check_branch(k):
+            if not 0 <= k < K:
+                raise IndexOutOfRange(f"cell {c.id}: branch {k} out of range")
+
         for c in F.space.cells:
             if c.id not in self.assignments:
                 raise SchemaError(f"selection[{c.id}]", "missing cell entry")
             entry = self.assignments[c.id]
             if c.has_inner:
-                prev = Fraction(0)
-                for upto, k in entry:
-                    if upto <= prev:
-                        raise SchemaError(f"selection[{c.id}]", "breakpoints must increase")
-                    if not 0 <= k < K:
-                        raise IndexOutOfRange(f"cell {c.id}: branch {k} out of range")
-                    prev = upto
-                if prev != 1:
-                    raise SchemaError(f"selection[{c.id}]", "pieces must end at 1")
+                check_pieces(f"selection[{c.id}]", entry, check_branch)
             else:
-                if not 0 <= entry < K:
-                    raise IndexOutOfRange(f"cell {c.id}: branch {entry} out of range")
+                check_branch(entry)
 
     def branch_at(self, cell: Cell, t: Fraction) -> int:
         entry = self.assignments[cell.id]
@@ -102,13 +98,7 @@ class MixedSelection:
             entry = self.weights[c.id]
             rows = [w for _, w in entry] if c.has_inner else [entry]
             if c.has_inner:
-                prev = Fraction(0)
-                for upto, _ in entry:
-                    if upto <= prev:
-                        raise SchemaError(f"mixed[{c.id}]", "breakpoints must increase")
-                    prev = upto
-                if prev != 1:
-                    raise SchemaError(f"mixed[{c.id}]", "pieces must end at 1")
+                check_pieces(f"mixed[{c.id}]", entry)
             for w in rows:
                 if len(w) != K:
                     raise WeightInvalid(f"cell {c.id}: expected {K} weights")

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .attainable import AtomObstruction
-from .errors import AtomObstructionError
 from .games import (
     BayesianGame,
     BehavioralStrategy,
@@ -34,12 +32,8 @@ from .games import (
     _opponent_moments,
     strategy_moments,
 )
-from .piecewise import (
-    argmax_segments,
-    common_refinement,
-    integrate_envelope,
-    proportional_subintervals,
-)
+from .piecewise import append_piece, argmax_segments, clip_pieces, integrate_envelope
+from .purification import purify_player, require_coarser
 from .rational_geometry import feasible_combination, simplex_min
 
 ZERO = Fraction(0)
@@ -106,18 +100,6 @@ class AgentForm:
     def action_counts(self) -> list[int]:
         return [len(p.actions) for p in self.game.players]
 
-    def agent_action_value(self, i: int, b: int, a: int, mixtures) -> Fraction:
-        """Mass-weighted payoff of agent (i, b) playing action a."""
-        total = ZERO
-        for (opp_blocks, opp_actions), c in self.coeff[i].get((b, a), {}).items():
-            w = c
-            for j, bj, aj in zip(self.others[i], opp_blocks, opp_actions):
-                w *= mixtures[j][bj][aj]
-                if w == 0:
-                    break
-            total += w
-        return total
-
     def agent_action_value_float(self, i: int, b: int, a: int, mixtures) -> float:
         total = 0.0
         for (opp_blocks, opp_actions), c in self.coeff[i].get((b, a), {}).items():
@@ -146,11 +128,7 @@ def mixtures_to_profile(
                 continue
             pieces = []
             for idx, u in cell_units:
-                w = tuple(mixtures[i][part.block_of_unit[idx]])
-                if pieces and pieces[-1][1] == w:
-                    pieces[-1] = (u.hi, w)
-                else:
-                    pieces.append((u.hi, w))
+                append_piece(pieces, u.hi, tuple(mixtures[i][part.block_of_unit[idx]]))
             plan[cell.id] = tuple(pieces)
         out.append(BehavioralStrategy(plan))
     return tuple(out)
@@ -179,15 +157,7 @@ def verify_equilibrium(game: BayesianGame, profile: Sequence[Strategy]) -> tuple
                 continue
             best_int = integrate_envelope(forms, unit.lo, unit.hi)
             played_int = ZERO
-            bounds = [unit.lo, unit.hi] if unit.lo > 0 else [unit.hi]
-            cuts = common_refinement(fb.breakpoints(cell), bounds)
-            prev = ZERO
-            for hi in cuts:
-                lo = prev
-                prev = hi
-                if hi <= unit.lo or lo >= unit.hi:
-                    continue
-                w = fb.weights_at(cell, lo)
+            for lo, hi, w in clip_pieces(fb.plan[cell.id], unit.lo, unit.hi):
                 mid = (lo + hi) / 2
                 played_int += (hi - lo) * sum(
                     w[a] * (forms[a][0] + forms[a][1] * mid) for a in range(m)
@@ -219,11 +189,7 @@ def improving_deviation(
         for idx, u in cell_units:
             forms = [interim_affine(game, i, a, idx, profile, moments) for a in range(m)]
             for _lo, hi, winners in argmax_segments(forms, u.lo, u.hi):
-                k = winners[0]
-                if pieces and pieces[-1][1] == k:
-                    pieces[-1] = (hi, k)
-                else:
-                    pieces.append((hi, k))
+                append_piece(pieces, hi, winners[0])
         plan[cell.id] = tuple(pieces)
     deviation = PureStrategy(plan)
     swapped = list(profile)
@@ -544,40 +510,9 @@ def purify_equilibrium(
     payoff is affine in the own coordinate get the centroid-preserving
     symmetric split so the own payoff integral survives unchanged.
     """
-    info = derive_interplayer_info(game)
-    checks = coarser_info_check(game, info)
-    for i, c in enumerate(checks):
-        if not c.passes:
-            raise AtomObstructionError(
-                AtomObstruction(c.witness or f"player {i}", None, "coarser information fails")
-            )
+    info = require_coarser(game)
     behavioral = report.profile
-    pures = []
-    for i, spec in enumerate(game.players):
-        part = info[i]
-        m = len(spec.actions)
-        moments = _opponent_moments(game, i, behavioral)
-        plan: dict[str, object] = {}
-        for ci, cell in enumerate(spec.cells):
-            cell_units = [
-                (idx, u) for idx, u in enumerate(game.units[i]) if u.cell_index == ci
-            ]
-            pieces: list[tuple[Fraction, int]] = []
-            for idx, u in cell_units:
-                weights = report.mixtures[i][part.block_of_unit[idx]]
-                forms = [
-                    interim_affine(game, i, a, idx, behavioral, moments)
-                    for a in range(m)
-                ]
-                symmetric = any(f[1] != 0 for f in forms)
-                for _a, hi, k in proportional_subintervals(u.lo, u.hi, weights, symmetric):
-                    if pieces and pieces[-1][1] == k:
-                        pieces[-1] = (hi, k)
-                    else:
-                        pieces.append((hi, k))
-            plan[cell.id] = tuple(pieces)
-        pures.append(PureStrategy(plan))
-    pures = tuple(pures)
+    pures = tuple(purify_player(game, i, behavioral) for i in range(len(game.players)))
     eps = verify_equilibrium(game, pures)
     mixtures_ok = True
     for i, spec in enumerate(game.players):

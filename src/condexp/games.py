@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import SchemaError, WeightInvalid
-from .piecewise import common_refinement, piece_payload
+from .piecewise import append_piece, check_pieces, clip_pieces, piece_payload
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -293,13 +293,7 @@ class BehavioralStrategy:
             entry = self.plan[cell.id]
             rows = [entry] if cell.point else [w for _, w in entry]
             if not cell.point:
-                prev = ZERO
-                for upto, _ in entry:
-                    if upto <= prev:
-                        raise SchemaError(f"strategy[{cell.id}]", "breakpoints must increase")
-                    prev = upto
-                if prev != 1:
-                    raise SchemaError(f"strategy[{cell.id}]", "pieces must end at 1")
+                check_pieces(f"strategy[{cell.id}]", entry)
             for w in rows:
                 if len(w) != m:
                     raise WeightInvalid(f"cell {cell.id}: expected {m} weights")
@@ -326,23 +320,19 @@ class PureStrategy:
 
     def validate(self, spec: PlayerSpec) -> None:
         m = len(spec.actions)
+
+        def check_action(k):
+            if not 0 <= k < m:
+                raise SchemaError(f"strategy[{cell.id}]", "action out of range")
+
         for cell in spec.cells:
             if cell.id not in self.plan:
                 raise SchemaError(f"strategy[{cell.id}]", "missing cell entry")
             entry = self.plan[cell.id]
             if cell.point:
-                if not 0 <= entry < m:
-                    raise SchemaError(f"strategy[{cell.id}]", "action out of range")
-                continue
-            prev = ZERO
-            for upto, k in entry:
-                if upto <= prev:
-                    raise SchemaError(f"strategy[{cell.id}]", "breakpoints must increase")
-                if not 0 <= k < m:
-                    raise SchemaError(f"strategy[{cell.id}]", "action out of range")
-                prev = upto
-            if prev != 1:
-                raise SchemaError(f"strategy[{cell.id}]", "pieces must end at 1")
+                check_action(entry)
+            else:
+                check_pieces(f"strategy[{cell.id}]", entry, check_action)
 
     def to_behavioral(self, spec: PlayerSpec) -> BehavioralStrategy:
         m = len(spec.actions)
@@ -399,14 +389,7 @@ def strategy_moments(spec: PlayerSpec, units: Sequence[Unit], f: Strategy):
             continue
         w0 = [ZERO] * m
         w1 = [ZERO] * m
-        cuts = common_refinement(fb.breakpoints(cell), [u.lo, u.hi] if u.lo > 0 else [u.hi])
-        prev = ZERO
-        for hi in cuts:
-            lo = prev
-            prev = hi
-            if hi <= u.lo or lo >= u.hi:
-                continue
-            w = fb.weights_at(cell, lo)
+        for lo, hi, w in clip_pieces(fb.plan[cell.id], u.lo, u.hi):
             for a in range(m):
                 w0[a] += cell.mass * (hi - lo) * w[a]
                 w1[a] += cell.mass * (hi * hi - lo * lo) / 2 * w[a]
@@ -533,15 +516,7 @@ def player_payoff(
             w = fb.weights_at(cell, ZERO)
             total += unit.mass * sum(w[a] * forms[a][0] for a in range(len(forms)))
             continue
-        bounds = [unit.lo, unit.hi] if unit.lo > 0 else [unit.hi]
-        cuts = common_refinement(fb.breakpoints(cell), bounds)
-        prev = ZERO
-        for hi in cuts:
-            lo = prev
-            prev = hi
-            if hi <= unit.lo or lo >= unit.hi:
-                continue
-            w = fb.weights_at(cell, lo)
+        for lo, hi, w in clip_pieces(fb.plan[cell.id], unit.lo, unit.hi):
             mid = (lo + hi) / 2
             total += cell.mass * (hi - lo) * sum(
                 w[a] * (forms[a][0] + forms[a][1] * mid) for a in range(len(forms))
@@ -688,24 +663,11 @@ def g_conditional(
         pieces: list[tuple[Fraction, tuple[Fraction, ...]]] = []
         for idx, u in cell_units:
             if part.kinds[idx] == "saturated":
-                bounds = [u.lo, u.hi] if u.lo > 0 else [u.hi]
-                cuts = common_refinement(fb.breakpoints(cell), bounds)
-                prev = ZERO
-                for hi in cuts:
-                    lo = prev
-                    prev = hi
-                    if hi <= u.lo or lo >= u.hi:
-                        continue
-                    pieces.append((hi, fb.weights_at(cell, lo)))
+                for _lo, hi, w in clip_pieces(fb.plan[cell.id], u.lo, u.hi):
+                    append_piece(pieces, hi, tuple(w))
             else:
-                pieces.append((u.hi, block_avg[part.block_of_unit[idx]]))
-        merged: list[tuple[Fraction, tuple[Fraction, ...]]] = []
-        for upto, w in pieces:
-            if merged and merged[-1][1] == w:
-                merged[-1] = (upto, w)
-            else:
-                merged.append((upto, w))
-        plan[cell.id] = tuple(merged)
+                append_piece(pieces, u.hi, block_avg[part.block_of_unit[idx]])
+        plan[cell.id] = tuple(pieces)
     return BehavioralStrategy(plan)
 
 

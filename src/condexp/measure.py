@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, SchemaError
-from .piecewise import merged_pieces, piece_payload
+from .piecewise import check_pieces, merged_pieces, piece_payload
 from .rationals import Vec, vec_add, vec_scale, zero_vec
 
 
@@ -128,6 +128,10 @@ class StepFunction:
     values: Mapping[str, object]
 
     def validate(self, space: MeasureSpaceModel) -> None:
+        def check_dim(value):
+            if len(value) != self.dim:
+                raise DimensionMismatch(f"cell {c.id}: piece dimension != {self.dim}")
+
         for c in space.cells:
             if c.id not in self.values:
                 raise SchemaError(f"values[{c.id}]", "missing cell entry")
@@ -135,15 +139,7 @@ class StepFunction:
             if c.has_inner:
                 if not isinstance(entry, tuple) or not entry or not isinstance(entry[0], tuple):
                     raise SchemaError(f"values[{c.id}]", "expected a piece list")
-                prev = Fraction(0)
-                for upto, value in entry:
-                    if upto <= prev:
-                        raise SchemaError(f"values[{c.id}]", "breakpoints must increase")
-                    if len(value) != self.dim:
-                        raise DimensionMismatch(f"cell {c.id}: piece dimension != {self.dim}")
-                    prev = upto
-                if prev != 1:
-                    raise SchemaError(f"values[{c.id}]", "pieces must end at 1")
+                check_pieces(f"values[{c.id}]", entry, check_dim)
             else:
                 if not isinstance(entry, tuple) or (entry and isinstance(entry[0], tuple)):
                     raise SchemaError(f"values[{c.id}]", "expected a bare vector")

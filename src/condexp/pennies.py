@@ -29,10 +29,13 @@ import numpy as np
 from .errors import BoundaryPoint, BudgetExceeded, SchemaError
 from .factories import cyclic_payoff
 from .piecewise import (
+    append_piece,
+    check_pieces,
     integrate_affine,
     integrate_envelope,
     intervals_clip,
     intervals_measure,
+    merged_pieces,
     normalize_intervals,
 )
 
@@ -131,14 +134,10 @@ class IntervalUnionStrategy:
     @classmethod
     def from_grid(cls, assignment: Sequence[int], m: int):
         r = len(assignment)
-        pieces = [(Fraction(k + 1, r), a) for k, a in enumerate(assignment)]
-        merged: list[tuple[Fraction, int]] = []
-        for upto, a in pieces:
-            if merged and merged[-1][1] == a:
-                merged[-1] = (upto, a)
-            else:
-                merged.append((upto, a))
-        return cls.from_pieces(merged, m)
+        pieces: list[tuple[Fraction, int]] = []
+        for k, a in enumerate(assignment):
+            append_piece(pieces, Fraction(k + 1, r), a)
+        return cls.from_pieces(pieces, m)
 
     def weight_rows(self) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
         """One-hot piecewise weights, [(upto, weights)])."""
@@ -180,22 +179,11 @@ def _as_rows(strategy, m: int) -> BehavioralRows:
 
 
 def _validate_rows(rows: BehavioralRows, m: int) -> None:
-    prev = ZERO
-    for upto, w in rows:
-        if upto <= prev:
-            raise SchemaError("strategy", "breakpoints must increase")
+    def check_weights(w):
         if len(w) != m or any(x < 0 for x in w) or sum(w) != 1:
             raise SchemaError("strategy", "weights must be a distribution")
-        prev = upto
-    if prev != 1:
-        raise SchemaError("strategy", "pieces must end at 1")
 
-
-def _weights_at(rows: BehavioralRows, t: Fraction):
-    for upto, w in rows:
-        if t < upto:
-            return w
-    return rows[-1][1]
+    check_pieces("strategy", rows, check_weights)
 
 
 def _cumulative_segments(rows: BehavioralRows, m: int):
@@ -242,16 +230,6 @@ def interim_weight(
     raise SchemaError("side", "must be 1 or 2")
 
 
-def _refined(segments_a, segments_b):
-    cuts = sorted({hi for _lo, hi, _f in segments_a} | {hi for _lo, hi, _f in segments_b})
-    prev = ZERO
-    for hi in cuts:
-        fa = next(f for lo2, hi2, f in segments_a if lo2 <= prev < hi2)
-        fb = next(f for lo2, hi2, f in segments_b if lo2 <= prev < hi2)
-        yield prev, hi, fa, fb
-        prev = hi
-
-
 def _gain_side2(game: PenniesGame, rows1: BehavioralRows, rows2: BehavioralRows):
     """(best-response value, played value) for player 2, exact.
 
@@ -259,11 +237,10 @@ def _gain_side2(game: PenniesGame, rows1: BehavioralRows, rows2: BehavioralRows)
     2 * (eta_{c-1}(l2) - eta_c(l2)) in player-1 cumulative measures.
     """
     m = game.m
-    segs1, _ = _cumulative_segments(rows1, m)
-    segs2, _ = _cumulative_segments(rows2, m)
+    pieces1 = [(hi, forms) for _lo, hi, forms in _cumulative_segments(rows1, m)[0]]
     best = ZERO
     played = ZERO
-    for lo, hi, forms1, w2forms in _refined(segs1, segs2):
+    for lo, hi, (forms1, w2) in merged_pieces(pieces1, rows2):
         g_forms = [
             (
                 forms1[(c - 1) % m][0] - forms1[c][0],
@@ -272,7 +249,6 @@ def _gain_side2(game: PenniesGame, rows1: BehavioralRows, rows2: BehavioralRows)
             for c in range(m)
         ]
         best += 2 * integrate_envelope(g_forms, lo, hi)
-        w2 = _weights_at(rows2, lo)
         for c in range(m):
             played += 2 * w2[c] * integrate_affine(g_forms[c], lo, hi)
     return best, played
@@ -285,11 +261,10 @@ def _gain_side1(game: PenniesGame, rows1: BehavioralRows, rows2: BehavioralRows)
     2 * (eta'_r(l1) - eta'_{r+1}(l1)) in player-2 above-cumulative measures.
     """
     m = game.m
-    segs2 = _above_segments(rows2, m)
-    segs1 = _above_segments(rows1, m)
+    pieces2 = [(hi, forms) for _lo, hi, forms in _above_segments(rows2, m)]
     best = ZERO
     played = ZERO
-    for lo, hi, forms1, forms2 in _refined(segs1, segs2):
+    for lo, hi, (w1, forms2) in merged_pieces(rows1, pieces2):
         g_forms = [
             (
                 forms2[r][0] - forms2[(r + 1) % m][0],
@@ -298,7 +273,6 @@ def _gain_side1(game: PenniesGame, rows1: BehavioralRows, rows2: BehavioralRows)
             for r in range(m)
         ]
         best += 2 * integrate_envelope(g_forms, lo, hi)
-        w1 = _weights_at(rows1, lo)
         for r in range(m):
             played += 2 * w1[r] * integrate_affine(g_forms[r], lo, hi)
     return best, played
@@ -369,10 +343,7 @@ def cyclic_deviation(game: PenniesGame, opponent: IntervalUnionStrategy, side: i
                 if a + b * mid > 0:
                     action = (j + 1) % m if side == 2 else j
                     break
-            if pieces and pieces[-1][1] == action:
-                pieces[-1] = (s1, action)
-            else:
-                pieces.append((s1, action))
+            append_piece(pieces, s1, action)
     return IntervalUnionStrategy.from_pieces(pieces, m)
 
 

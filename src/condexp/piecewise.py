@@ -4,12 +4,21 @@ Everything here works on partitions of [0, 1] (or a sub-interval) given by
 strictly increasing breakpoints, on affine forms ``A + B*t``, and on finite
 interval unions. These are the workhorses behind step-function refinement,
 proportional splits, and exact envelope integration.
+
+This module owns the piece-list format shared by step functions, selections
+and strategies: a sequence of ``(upto, payload)`` pairs whose uptos increase
+strictly and end at 1, piece k covering ``[upto_{k-1}, upto_k)``.  Walking,
+clipping, merging and checking such lists happens only here.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
+
+from .errors import SchemaError
 
 AffineForm = tuple[Fraction, Fraction]  # (A, B) meaning A + B*t
 
@@ -39,6 +48,45 @@ def piece_payload(pieces: Sequence[tuple[Fraction, object]], lo: Fraction):
         if lo < upto:
             return payload
     return pieces[-1][1]
+
+
+def clip_pieces(pieces: Sequence[tuple[Fraction, object]], lo: Fraction, hi: Fraction):
+    """Yield (a, b, payload) for the pieces that meet [lo, hi), clipped to it."""
+    k = bisect_right(pieces, lo, key=itemgetter(0))
+    while lo < hi and k < len(pieces):
+        upto, payload = pieces[k]
+        yield lo, min(upto, hi), payload
+        lo = upto
+        k += 1
+
+
+def append_piece(pieces: list[tuple[Fraction, object]], upto: Fraction, payload) -> None:
+    """Append a piece, extending the last one instead when the payloads agree."""
+    if pieces and pieces[-1][1] == payload:
+        pieces[-1] = (upto, payload)
+    else:
+        pieces.append((upto, payload))
+
+
+def check_pieces(
+    path: str,
+    pieces: Iterable[tuple[Fraction, object]],
+    check: Callable[[object], None] | None = None,
+) -> None:
+    """Raise SchemaError unless the uptos increase strictly and end at 1.
+
+    ``check`` sees each payload right after its upto passes, so faults are
+    reported in piece order.
+    """
+    prev = Fraction(0)
+    for upto, payload in pieces:
+        if upto <= prev:
+            raise SchemaError(path, "breakpoints must increase")
+        if check is not None:
+            check(payload)
+        prev = upto
+    if prev != 1:
+        raise SchemaError(path, "pieces must end at 1")
 
 
 def merged_pieces(*piece_lists: Sequence[tuple[Fraction, object]]):

@@ -33,7 +33,7 @@ from .games import (
     strategy_moments,
     _opponent_moments,
 )
-from .piecewise import common_refinement, proportional_subintervals
+from .piecewise import append_piece, clip_pieces, merged_pieces, proportional_subintervals
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -73,6 +73,49 @@ class PurificationCertificate:
     block_identity: tuple[bool, ...]  # per player: E(g|blocks) == E(f|blocks)
 
 
+def require_coarser(game: BayesianGame):
+    """The derived information, after checking every player's is coarser.
+
+    Raises AtomObstructionError naming the first player whose information
+    has a saturated unit or a point cell: there a proportional split cannot
+    keep the block conditional expectation.
+    """
+    info = derive_interplayer_info(game)
+    for i, c in enumerate(coarser_info_check(game, info)):
+        if not c.passes:
+            raise AtomObstructionError(
+                AtomObstruction(c.witness or f"player {i}", None, "coarser information fails")
+            )
+    return info
+
+
+def purify_player(
+    game: BayesianGame, i: int, behavioral: Sequence[BehavioralStrategy]
+) -> PureStrategy:
+    """Split player i's behavioral strategy into a pure one, piece by piece.
+
+    Each piece of each unit is cut in proportion to its weights, in action
+    order; units whose interim payoff is affine in the own coordinate get the
+    centroid-preserving symmetric split, so the own payoff integral survives.
+    """
+    spec = game.players[i]
+    m = len(spec.actions)
+    moments = _opponent_moments(game, i, behavioral)
+    plan: dict[str, object] = {}
+    for ci, cell in enumerate(spec.cells):
+        pieces: list[tuple[Fraction, int]] = []
+        for idx, u in enumerate(game.units[i]):
+            if u.cell_index != ci:
+                continue
+            forms = [interim_affine(game, i, a, idx, behavioral, moments) for a in range(m)]
+            symmetric = any(f[1] != 0 for f in forms)
+            for lo, hi, weights in clip_pieces(behavioral[i].plan[cell.id], u.lo, u.hi):
+                for _a, b, k in proportional_subintervals(lo, hi, weights, symmetric):
+                    append_piece(pieces, b, k)
+        plan[cell.id] = tuple(pieces)
+    return PureStrategy(plan)
+
+
 def strong_purify(
     game: BayesianGame,
     profile: Sequence[Strategy],
@@ -80,48 +123,9 @@ def strong_purify(
     seed: int = 0,
 ) -> PurificationCertificate:
     """Purify a behavioral profile and certify the equivalences exactly."""
-    info = derive_interplayer_info(game)
-    checks = coarser_info_check(game, info)
-    for i, c in enumerate(checks):
-        if not c.passes:
-            raise AtomObstructionError(
-                AtomObstruction(c.witness or f"player {i}", None, "coarser information fails")
-            )
+    info = require_coarser(game)
     behavioral = [as_behavioral(game.players[i], f) for i, f in enumerate(profile)]
-    pures = []
-    for i, spec in enumerate(game.players):
-        fb = behavioral[i]
-        m = len(spec.actions)
-        moments = _opponent_moments(game, i, behavioral)
-        plan: dict[str, object] = {}
-        for ci, cell in enumerate(spec.cells):
-            cell_units = [
-                (idx, u) for idx, u in enumerate(game.units[i]) if u.cell_index == ci
-            ]
-            pieces: list[tuple[Fraction, int]] = []
-            for idx, u in cell_units:
-                forms = [
-                    interim_affine(game, i, a, idx, behavioral, moments)
-                    for a in range(m)
-                ]
-                symmetric = any(f[1] != 0 for f in forms)
-                bounds = [u.lo, u.hi] if u.lo > 0 else [u.hi]
-                cuts = common_refinement(fb.breakpoints(cell), bounds)
-                prev = ZERO
-                for hi in cuts:
-                    lo = prev
-                    prev = hi
-                    if hi <= u.lo or lo >= u.hi:
-                        continue
-                    weights = fb.weights_at(cell, lo)
-                    for _a, b, k in proportional_subintervals(lo, hi, weights, symmetric):
-                        if pieces and pieces[-1][1] == k:
-                            pieces[-1] = (b, k)
-                        else:
-                            pieces.append((b, k))
-            plan[cell.id] = tuple(pieces)
-        pures.append(PureStrategy(plan))
-    pures = tuple(pures)
+    pures = tuple(purify_player(game, i, behavioral) for i in range(len(game.players)))
     rng = random.Random(seed)
     deviations = [
         [random_behavioral(game.players[i], rng) for _ in range(deviation_samples)]
@@ -195,15 +199,8 @@ def audit_equivalence(
                         total += cell.mass
                         violations.append(BeliefViolation(i, cell.id, ZERO, ONE, a))
                     continue
-                cuts = common_refinement(
-                    fb[i].breakpoints(cell), strategy_breakpoints(strategy, cell)
-                )
-                prev = ZERO
-                for hi in cuts:
-                    lo = prev
-                    prev = hi
-                    a = strategy.action_at(cell, lo)
-                    if fb[i].weights_at(cell, lo)[a] == 0:
+                for lo, hi, (w, a) in merged_pieces(fb[i].plan[cell.id], strategy.plan[cell.id]):
+                    if w[a] == 0:
                         total += cell.mass * (hi - lo)
                         violations.append(BeliefViolation(i, cell.id, lo, hi, a))
         violation_mass.append(total)
@@ -214,12 +211,6 @@ def audit_equivalence(
         belief_violation_mass=tuple(violation_mass),
         belief_violations=tuple(violations),
     )
-
-
-def strategy_breakpoints(strategy: PureStrategy, cell) -> list[Fraction]:
-    if cell.point:
-        return [ONE]
-    return [upto for upto, _ in strategy.plan[cell.id]]
 
 
 def random_behavioral(spec, rng: random.Random) -> BehavioralStrategy:

@@ -21,10 +21,6 @@ def frac(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def frac_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def vec(values: Iterable) -> Vec:
     return tuple(frac(v) for v in values)
 

@@ -181,6 +181,17 @@ class TestDeterminism:
         _, out2 = run(capsys, *argv)
         assert out1 == out2
 
+    def test_pennies_seed_drives_the_sample(self, capsys):
+        # 16-grid strategies with at most 3 changes exceed the 600 cap, so the
+        # scan is a seeded sample
+        argv = ("pennies", "--m", "2", "--budget", "3", "--grid", "16")
+        _, default = run(capsys, *argv)
+        _, seed0 = run(capsys, *argv, "--seed", "0")
+        _, seed1 = run(capsys, *argv, "--seed", "1")
+        assert seed0 == default
+        assert json.loads(default)["exhaustive"] is False
+        assert json.loads(seed1)["argmin"] != json.loads(seed0)["argmin"]
+
 
 class TestRoundTrip:
     def test_emitted_selection_reloads(self, capsys):

@@ -23,6 +23,7 @@ from condexp.games import (
     expected_payoff,
     uniform_strategy,
 )
+from condexp.purification import purify_player
 
 from game_factories import random_coarser_game, random_dominance_game
 from test_games import pure, saturated_q_game
@@ -223,6 +224,19 @@ class TestPurify:
         purified = purify_equilibrium(game, report)
         assert purified.profile[0].plan["t1"] == ((F(1, 3), 0), (F(1), 1))
         assert purified.mixtures_preserved
+
+    def test_splits_the_solved_profile(self):
+        # the solved profile is constant on each unit, so splitting it piece by
+        # piece is splitting the block mixtures
+        rng = random.Random(13)
+        for own_affine in (False, True):
+            game = random_coarser_game(rng, 2, own_affine=own_affine)
+            report = solve_behavioral(game)
+            purified = purify_equilibrium(game, report)
+            assert purified.profile == tuple(
+                purify_player(game, i, report.profile) for i in range(2)
+            )
+            assert purified.mixtures_preserved
 
     def test_refuses_on_saturated_info(self):
         game = saturated_q_game()

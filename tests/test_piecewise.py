@@ -1,0 +1,124 @@
+"""Piece-list helpers against a brute-force oracle built from the common
+refinement and point lookups."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from condexp.errors import SchemaError
+from condexp.piecewise import (
+    append_piece,
+    check_pieces,
+    clip_pieces,
+    common_refinement,
+    piece_payload,
+)
+
+F = Fraction
+
+grid = st.integers(min_value=0, max_value=24).map(lambda k: F(k, 24))
+
+
+@st.composite
+def piece_lists(draw):
+    """Valid [(upto, payload)] lists on [0, 1]; small payloads repeat often."""
+    cuts = sorted(draw(st.sets(grid.filter(lambda t: 0 < t < 1), max_size=6)))
+    return [(u, draw(st.integers(min_value=0, max_value=2))) for u in cuts + [F(1)]]
+
+
+@st.composite
+def sub_intervals(draw):
+    lo, hi = sorted(draw(st.lists(grid, min_size=2, max_size=2, unique=True)))
+    return lo, hi
+
+
+def oracle_clip(pieces, lo, hi):
+    cuts = common_refinement([u for u, _ in pieces], [lo, hi] if lo > 0 else [hi])
+    out = []
+    prev = F(0)
+    for b in cuts:
+        a, prev = prev, b
+        if b <= lo or a >= hi:
+            continue
+        out.append((a, b, piece_payload(pieces, a)))
+    return out
+
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+class TestClipPieces:
+    @SETTINGS
+    @given(piece_lists(), sub_intervals())
+    def test_matches_refinement(self, pieces, bounds):
+        lo, hi = bounds
+        assert list(clip_pieces(pieces, lo, hi)) == oracle_clip(pieces, lo, hi)
+
+    @SETTINGS
+    @given(piece_lists(), sub_intervals())
+    def test_tuple_input_and_partition(self, pieces, bounds):
+        lo, hi = bounds
+        clipped = list(clip_pieces(tuple(pieces), lo, hi))
+        assert clipped[0][0] == lo and clipped[-1][1] == hi
+        assert all(a < b for a, b, _ in clipped)
+        assert all(b == a2 for (_, b, _), (a2, _, _) in zip(clipped, clipped[1:]))
+
+    def test_empty_interval_yields_nothing(self):
+        assert list(clip_pieces([(F(1), 0)], F(1, 2), F(1, 2))) == []
+
+
+class TestAppendPiece:
+    @SETTINGS
+    @given(piece_lists())
+    def test_merges_and_preserves_function(self, pieces):
+        merged = []
+        for upto, payload in pieces:
+            append_piece(merged, upto, payload)
+        assert all(p[1] != q[1] for p, q in zip(merged, merged[1:]))
+        assert {u for u, _ in merged} <= {u for u, _ in pieces}
+        assert merged[-1][0] == 1
+        for a, _b, payload in oracle_clip(pieces, F(0), F(1)):
+            assert piece_payload(merged, a) == payload
+
+
+class TestCheckPieces:
+    @SETTINGS
+    @given(piece_lists())
+    def test_valid_lists_pass_and_see_every_payload(self, pieces):
+        seen = []
+        check_pieces("p", pieces, seen.append)
+        assert seen == [payload for _, payload in pieces]
+
+    @SETTINGS
+    @given(piece_lists().filter(lambda p: len(p) >= 2))
+    def test_unsorted_uptos_raise(self, pieces):
+        with pytest.raises(SchemaError, match="breakpoints must increase"):
+            check_pieces("p", pieces[::-1])
+        repeated = pieces[:1] + pieces
+        with pytest.raises(SchemaError, match="breakpoints must increase"):
+            check_pieces("p", repeated)
+
+    @SETTINGS
+    @given(piece_lists())
+    def test_uptos_must_end_at_one(self, pieces):
+        with pytest.raises(SchemaError, match="pieces must end at 1"):
+            check_pieces("p", [(u / 2, x) for u, x in pieces])
+        with pytest.raises(SchemaError, match="pieces must end at 1"):
+            check_pieces("p", [])
+
+    def test_faults_reported_in_piece_order(self):
+        def reject_negative(payload):
+            if payload < 0:
+                raise ValueError("bad payload")
+
+        payload_first = [(F(1, 2), -1), (F(1, 4), 0), (F(1), 0)]
+        with pytest.raises(ValueError):
+            check_pieces("p", payload_first, reject_negative)
+        upto_first = [(F(1, 2), 0), (F(1, 4), -1), (F(1), 0)]
+        with pytest.raises(SchemaError, match="breakpoints must increase"):
+            check_pieces("p", upto_first, reject_negative)
+        with pytest.raises(SchemaError) as info:
+            check_pieces("values[c]", [(F(1, 2), 0)])
+        assert info.value.path == "values[c]"
