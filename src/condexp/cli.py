@@ -297,14 +297,18 @@ def cmd_audit_equivalence(args) -> int:
         serialize.load_strategy(sd, spec, f"g[{i}]")
         for i, (sd, spec) in enumerate(zip(doc.get("g", []), game.players))
     ]
+    rows = doc.get("deviations")
+    for name, given in (("f", f), ("g", g), ("deviations", rows)):
+        if given is not None and len(given) != len(game.players):
+            raise SchemaError(name, "one strategy per player required")
     deviations = None
-    if "deviations" in doc:
+    if rows is not None:
         deviations = [
             [
                 serialize.load_strategy(dd, game.players[i], f"deviations[{i}][{k}]")
                 for k, dd in enumerate(row)
             ]
-            for i, row in enumerate(doc["deviations"])
+            for i, row in enumerate(rows)
         ]
     report = purification.audit_equivalence(game, f, g, deviations)
     payload = _dump_equivalence(report)

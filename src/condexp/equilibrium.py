@@ -25,11 +25,10 @@ from .games import (
     as_behavioral,
     coarser_info_check,
     derive_interplayer_info,
-    entry_product,
     expected_payoff,
     g_conditional,
-    interim_affine,
-    _opponent_moments,
+    interim_forms,
+    player_payoff,
     strategy_moments,
 )
 from .piecewise import append_piece, argmax_segments, clip_pieces, integrate_envelope
@@ -82,8 +81,7 @@ class AgentForm:
                         mass *= u.mass
                     if mass == 0:
                         continue
-                    e = entry_product(game.payoffs[i][x][key], game.density[key])
-                    val = mass * e.average(units)
+                    val = mass * game.weighted[i][x][key].average(units)
                     if val == 0:
                         continue
                     b = info[i].block_of_unit[key[i]]
@@ -141,14 +139,10 @@ def verify_equilibrium(game: BayesianGame, profile: Sequence[Strategy]) -> tuple
     for i in range(n):
         spec = game.players[i]
         fb = as_behavioral(spec, profile[i])
-        moments = _opponent_moments(game, i, profile)
         m = len(spec.actions)
         total = ZERO
-        for idx, unit in enumerate(game.units[i]):
+        for unit, forms in zip(game.units[i], interim_forms(game, i, profile)):
             cell = spec.cells[unit.cell_index]
-            forms = [
-                interim_affine(game, i, a, idx, profile, moments) for a in range(m)
-            ]
             if unit.point:
                 w = fb.weights_at(cell, ZERO)
                 best = max(f[0] for f in forms)
@@ -172,7 +166,7 @@ def improving_deviation(
 ) -> tuple[PureStrategy, Fraction]:
     """Pointwise best-response strategy for player i and its exact gain."""
     spec = game.players[i]
-    moments = _opponent_moments(game, i, profile)
+    forms = interim_forms(game, i, profile)
     m = len(spec.actions)
     plan: dict[str, object] = {}
     for ci, cell in enumerate(spec.cells):
@@ -181,21 +175,18 @@ def improving_deviation(
         ]
         if cell.point:
             idx, _u = cell_units[0]
-            forms = [interim_affine(game, i, a, idx, profile, moments) for a in range(m)]
-            values = [f[0] for f in forms]
+            values = [f[0] for f in forms[idx]]
             plan[cell.id] = max(range(m), key=lambda a: (values[a], -a))
             continue
         pieces: list[tuple[Fraction, int]] = []
         for idx, u in cell_units:
-            forms = [interim_affine(game, i, a, idx, profile, moments) for a in range(m)]
-            for _lo, hi, winners in argmax_segments(forms, u.lo, u.hi):
+            for _lo, hi, winners in argmax_segments(forms[idx], u.lo, u.hi):
                 append_piece(pieces, hi, winners[0])
         plan[cell.id] = tuple(pieces)
     deviation = PureStrategy(plan)
-    swapped = list(profile)
-    swapped[i] = deviation
-    gain = expected_payoff(game, swapped)[i] - expected_payoff(game, profile)[i]
-    return deviation, gain
+    # swapping i's own strategy leaves the forms against the others unchanged
+    played = player_payoff(game, i, profile[i], profile, forms=forms)
+    return deviation, player_payoff(game, i, deviation, profile, forms=forms) - played
 
 
 # -- solvers ------------------------------------------------------------------

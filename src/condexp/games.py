@@ -16,6 +16,7 @@ coordinate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -262,6 +263,22 @@ class BayesianGame:
                 a_total += e.average(units) * mass
         return a_total, b_total
 
+    @functools.cached_property
+    def weighted(self) -> tuple[Mapping[tuple[int, ...], EntryTable], ...]:
+        """Density-weighted payoffs: weighted[i][x][key] = payoff * density.
+
+        Compiled on first use and cached on the game, so ``payoffs`` and
+        ``density`` must not be mutated after construction.
+        """
+        keys = list(self.unit_tuples())
+        return tuple(
+            {
+                x: {key: entry_product(table[x][key], self.density[key]) for key in keys}
+                for x in self.action_profiles()
+            }
+            for table in self.payoffs
+        )
+
     def is_zero_sum(self) -> bool:
         if len(self.players) != 2:
             return False
@@ -415,18 +432,13 @@ def interim_affine(
     own_unit: int,
     profile: Sequence[Strategy],
     moments=None,
-    payoff_player: int | None = None,
 ):
-    """Coefficients (A, B) of the interim payoff A + B*t on one own unit.
-
-    ``payoff_player`` evaluates another player's density-weighted payoff along
-    player's i type axis (used by information audits); defaults to i itself.
-    """
+    """Coefficients (A, B) of the interim payoff A + B*t on one own unit."""
     n = len(game.players)
-    target = i if payoff_player is None else payoff_player
     others = [j for j in range(n) if j != i]
     if moments is None:
         moments = _opponent_moments(game, i, profile)
+    weighted = game.weighted[i]
     A = B = ZERO
     action_ranges = [range(len(game.players[j].actions)) for j in others]
     unit_ranges = [range(len(game.units[j])) for j in others]
@@ -435,14 +447,13 @@ def interim_affine(
         x[i] = action
         for j, a in zip(others, x_rest):
             x[j] = a
-        x = tuple(x)
+        table = weighted[tuple(x)]
         for mu in itertools.product(*unit_ranges):
             key = [0] * n
             key[i] = own_unit
             for j, k in zip(others, mu):
                 key[j] = k
-            key = tuple(key)
-            e = entry_product(self_payoff(game, target, x, key), game.density[key])
+            e = table[tuple(key)]
             P0 = ONE
             for j, k, a in zip(others, mu, x_rest):
                 P0 *= moments[j][k][0][a]
@@ -468,8 +479,21 @@ def interim_affine(
     return A, B
 
 
-def self_payoff(game: BayesianGame, i: int, x: tuple[int, ...], key: tuple[int, ...]) -> Entry:
-    return game.payoffs[i][x][key]
+def interim_forms(
+    game: BayesianGame, i: int, profile: Sequence[Strategy], moments=None
+) -> list[list[tuple[Fraction, Fraction]]]:
+    """The (A, B) form of every own unit and action: forms[own_unit][action].
+
+    The forms depend only on the opponents' strategies, so one set serves
+    every own strategy of player i against the same opposing profile.
+    """
+    if moments is None:
+        moments = _opponent_moments(game, i, profile)
+    m = len(game.players[i].actions)
+    return [
+        [interim_affine(game, i, a, idx, profile, moments) for a in range(m)]
+        for idx in range(len(game.units[i]))
+    ]
 
 
 def interim_payoff(
@@ -494,32 +518,28 @@ def player_payoff(
     i: int,
     own: Strategy,
     profile: Sequence[Strategy],
-    moments=None,
+    forms=None,
 ) -> Fraction:
     """Ex-ante payoff of player i playing ``own`` against profile's others.
 
-    Pass precomputed opponent moments to amortize repeated evaluations
-    against the same opposing strategies.
+    Pass the ``interim_forms`` of player i against the profile to amortize
+    repeated evaluations against the same opposing strategies.
     """
     spec = game.players[i]
     fb = as_behavioral(spec, own)
-    if moments is None:
-        moments = _opponent_moments(game, i, profile)
+    if forms is None:
+        forms = interim_forms(game, i, profile)
     total = ZERO
-    for idx, unit in enumerate(game.units[i]):
+    for unit, unit_forms in zip(game.units[i], forms):
         cell = spec.cells[unit.cell_index]
-        forms = [
-            interim_affine(game, i, a, idx, profile, moments)
-            for a in range(len(spec.actions))
-        ]
         if unit.point:
             w = fb.weights_at(cell, ZERO)
-            total += unit.mass * sum(w[a] * forms[a][0] for a in range(len(forms)))
+            total += unit.mass * sum(wa * A for wa, (A, _B) in zip(w, unit_forms))
             continue
         for lo, hi, w in clip_pieces(fb.plan[cell.id], unit.lo, unit.hi):
             mid = (lo + hi) / 2
             total += cell.mass * (hi - lo) * sum(
-                w[a] * (forms[a][0] + forms[a][1] * mid) for a in range(len(forms))
+                wa * (A + B * mid) for wa, (A, B) in zip(w, unit_forms)
             )
     return total
 
@@ -570,13 +590,13 @@ def derive_interplayer_info(game: BayesianGame) -> tuple[InfoPartition, ...]:
             is_sat = False
             for j in others:
                 for x in itertools.product(*action_ranges):
+                    table = game.weighted[j][x]
                     for mu in itertools.product(*unit_ranges):
                         key = [0] * n
                         key[i] = own_idx
                         for jj, k in zip(others, mu):
                             key[jj] = k
-                        key = tuple(key)
-                        e = entry_product(game.payoffs[j][x][key], game.density[key])
+                        e = table[tuple(key)]
                         if e.slope != 0 and e.coord == i:
                             is_sat = True
                         sig.append((j, x, mu, e.const, e.slope, e.coord))

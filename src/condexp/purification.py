@@ -27,11 +27,9 @@ from .games import (
     as_behavioral,
     coarser_info_check,
     derive_interplayer_info,
-    expected_payoff,
-    interim_affine,
+    interim_forms,
     player_payoff,
     strategy_moments,
-    _opponent_moments,
 )
 from .piecewise import append_piece, clip_pieces, merged_pieces, proportional_subintervals
 
@@ -99,16 +97,14 @@ def purify_player(
     centroid-preserving symmetric split, so the own payoff integral survives.
     """
     spec = game.players[i]
-    m = len(spec.actions)
-    moments = _opponent_moments(game, i, behavioral)
+    forms = interim_forms(game, i, behavioral)
     plan: dict[str, object] = {}
     for ci, cell in enumerate(spec.cells):
         pieces: list[tuple[Fraction, int]] = []
         for idx, u in enumerate(game.units[i]):
             if u.cell_index != ci:
                 continue
-            forms = [interim_affine(game, i, a, idx, behavioral, moments) for a in range(m)]
-            symmetric = any(f[1] != 0 for f in forms)
+            symmetric = any(B != 0 for _A, B in forms[idx])
             for lo, hi, weights in clip_pieces(behavioral[i].plan[cell.id], u.lo, u.hi):
                 for _a, b, k in proportional_subintervals(lo, hi, weights, symmetric):
                     append_piece(pieces, b, k)
@@ -154,13 +150,23 @@ def audit_equivalence(
     g: Sequence[Strategy],
     deviations: Sequence[Sequence[Strategy]] | None = None,
 ) -> EquivalenceReport:
-    """Residuals for payoff, strong payoff, distribution, and belief clauses."""
+    """Residuals for payoff, strong payoff, distribution, and belief clauses.
+
+    Each player's interim forms are computed once against f and once against
+    g; the payoff residual and every deviation sample reuse them.
+    """
     n = len(game.players)
     fb = [as_behavioral(game.players[i], s) for i, s in enumerate(f)]
     gb = [as_behavioral(game.players[i], s) for i, s in enumerate(g)]
-    uf = expected_payoff(game, fb)
-    ug = expected_payoff(game, gb)
-    payoff_residuals = tuple(abs(a - b) for a, b in zip(uf, ug))
+    forms_f = [interim_forms(game, i, fb) for i in range(n)]
+    forms_g = [interim_forms(game, i, gb) for i in range(n)]
+    payoff_residuals = tuple(
+        abs(
+            player_payoff(game, i, fb[i], fb, forms=forms_f[i])
+            - player_payoff(game, i, gb[i], gb, forms=forms_g[i])
+        )
+        for i in range(n)
+    )
     dist_defects = []
     for i, spec in enumerate(game.players):
         mom_f = strategy_moments(spec, game.units[i], fb[i])
@@ -176,16 +182,14 @@ def audit_equivalence(
         dist_defects.append(defect)
     strong = []
     for i in range(n):
-        row = []
         devs = deviations[i] if deviations else ()
-        if devs:
-            mom_f = _opponent_moments(game, i, fb)
-            mom_g = _opponent_moments(game, i, gb)
-            for h in devs:
-                u_f = player_payoff(game, i, h, fb, mom_f)
-                u_g = player_payoff(game, i, h, gb, mom_g)
-                row.append(abs(u_f - u_g))
-        strong.append(tuple(row))
+        strong.append(tuple(
+            abs(
+                player_payoff(game, i, h, fb, forms=forms_f[i])
+                - player_payoff(game, i, h, gb, forms=forms_g[i])
+            )
+            for h in devs
+        ))
     violation_mass = []
     violations: list[BeliefViolation] = []
     for i, spec in enumerate(game.players):

@@ -263,6 +263,32 @@ class TestAdditionalPaths:
         assert report["coarser"] == [False, True]
 
 
+class TestAuditEquivalenceInput:
+    @pytest.mark.parametrize("key", ["f", "g", "deviations"])
+    def test_short_list_is_an_input_error(self, capsys, tmp_path, key):
+        doc = json.loads((FIXTURES / "mp_audit.json").read_text())
+        if key == "deviations":
+            doc["deviations"] = [doc["f"][:1]]  # one row for two players
+        else:
+            doc[key] = doc[key][:1]
+        fixture = tmp_path / "short.json"
+        fixture.write_text(json.dumps(doc))
+        code = main(["audit-equivalence", str(fixture)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"input error: {key}: one strategy per player required\n"
+
+    def test_full_deviation_rows_are_audited(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "mp_audit.json").read_text())
+        doc["deviations"] = [[doc["f"][0]], [doc["f"][1], doc["g"][1]]]
+        fixture = tmp_path / "devs.json"
+        fixture.write_text(json.dumps(doc))
+        code, out = run(capsys, "audit-equivalence", fixture)
+        assert code == 0
+        assert json.loads(out)["strong_residuals"] == [["0"], ["0", "0"]]
+
+
 class TestSubprocessDeterminism:
     def test_separate_processes_byte_identical(self, tmp_path):
         # separate interpreter runs rule out per-process ordering effects

@@ -25,7 +25,7 @@ from condexp.games import (
 )
 from condexp.purification import purify_player
 
-from game_factories import random_coarser_game, random_dominance_game
+from game_factories import random_coarser_game, random_dominance_game, random_profile
 from test_games import pure, saturated_q_game
 
 F = Fraction
@@ -365,3 +365,18 @@ class TestNonConvergenceReporting:
 
         uniform = [uniform_strategy(s) for s in game.players]
         assert verify_equilibrium(game, uniform) == (F(0), F(0), F(0))
+
+
+class TestImprovingDeviationGain:
+    def test_gain_is_the_expected_payoff_difference(self):
+        rng = random.Random(23)
+        for n in (2, 2, 3):
+            game = random_coarser_game(rng, n, max_actions=2 if n == 3 else 3)
+            profile = random_profile(rng, game)
+            for i in range(n):
+                dev, gain = improving_deviation(game, profile, i)
+                swapped = list(profile)
+                swapped[i] = dev
+                old = expected_payoff(game, swapped)[i] - expected_payoff(game, profile)[i]
+                assert gain == old
+                assert gain >= 0

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condexp.errors import SchemaError
 from condexp.factories import matching_pennies_game
@@ -14,13 +16,17 @@ from condexp.games import (
     TypeCell,
     coarser_info_check,
     derive_interplayer_info,
+    entry_product,
     expected_payoff,
     g_conditional,
+    interim_forms,
     interim_payoff,
+    player_payoff,
     substitute_conditioned,
     uniform_strategy,
 )
 
+from condexp.purification import random_behavioral
 from game_factories import random_coarser_game, random_profile
 
 F = Fraction
@@ -306,6 +312,33 @@ class TestDummyPlayers:
         assert expected_payoff(base, profile2) == expected_payoff(padded, profile3)[:2]
         checks = coarser_info_check(padded)
         assert all(c.passes for c in checks)
+
+
+class TestCompiledTables:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=2, max_value=3),
+        st.booleans(),
+    )
+    def test_weighted_tables_and_reused_forms(self, seed, n, own_affine):
+        rng = random.Random(seed)
+        game = random_coarser_game(
+            rng, n, own_affine=own_affine, max_actions=2 if n == 3 else 3
+        )
+        for i in range(n):
+            for x in game.action_profiles():
+                for key in game.unit_tuples():
+                    assert game.weighted[i][x][key] == entry_product(
+                        game.payoffs[i][x][key], game.density[key]
+                    )
+        profile = random_profile(rng, game)
+        for i, spec in enumerate(game.players):
+            forms = interim_forms(game, i, profile)
+            for own in (profile[i], random_behavioral(spec, rng)):
+                assert player_payoff(game, i, own, profile, forms=forms) == player_payoff(
+                    game, i, own, profile
+                )
 
 
 class TestInterimSubPiece:

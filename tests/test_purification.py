@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from condexp import games
 from condexp.errors import AtomObstructionError
 from condexp.factories import matching_pennies_game
 from condexp.games import BehavioralStrategy, PureStrategy, uniform_strategy
@@ -74,6 +76,33 @@ class TestStrongPurify:
         seg_s = cert_s.profile[0].plan["t1"]
         assert seg == ((F(1, 4), 0), (F(1), 1))
         assert seg_s == ((F(3, 4), 0), (F(1), 1))
+
+
+class TestInterimFormReuse:
+    def test_strong_purify_builds_three_form_sets(self, monkeypatch):
+        # one set of forms per player for the split, one against f and one
+        # against g for the audit; deviation samples reuse them
+        original = games.interim_affine
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[:4])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "condexp" or name.startswith("condexp."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        rng = random.Random(3)
+        game = random_coarser_game(rng, 2, max_actions=2, max_units=2)
+        assert [len(p.actions) for p in game.players] == [2, 2]
+        assert [len(us) for us in game.units] == [2, 2]
+        profile = random_profile(rng, game)
+        cert = strong_purify(game, profile, deviation_samples=16)
+        assert cert.report.all_zero
+        assert len(cert.report.strong_residuals[0]) == 16
+        assert 0 < len(calls) <= 3 * 2 * 4
 
 
 class TestAuditEquivalence:
