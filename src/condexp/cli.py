@@ -289,18 +289,18 @@ def _dump_equivalence(report) -> dict:
 def cmd_audit_equivalence(args) -> int:
     doc = _read(args.fixture)
     game = serialize.load_game(doc.get("game", doc))
+    rows = doc.get("deviations") or None  # an empty list means no samples
+    for name, given in (("f", doc.get("f", [])), ("g", doc.get("g", [])), ("deviations", rows)):
+        if given is not None and len(given) != len(game.players):
+            raise SchemaError(name, "one strategy per player required")
     f = [
         serialize.load_strategy(sd, spec, f"f[{i}]")
-        for i, (sd, spec) in enumerate(zip(doc.get("f", []), game.players))
+        for i, (sd, spec) in enumerate(zip(doc["f"], game.players))
     ]
     g = [
         serialize.load_strategy(sd, spec, f"g[{i}]")
-        for i, (sd, spec) in enumerate(zip(doc.get("g", []), game.players))
+        for i, (sd, spec) in enumerate(zip(doc["g"], game.players))
     ]
-    rows = doc.get("deviations")
-    for name, given in (("f", f), ("g", g), ("deviations", rows)):
-        if given is not None and len(given) != len(game.players):
-            raise SchemaError(name, "one strategy per player required")
     deviations = None
     if rows is not None:
         deviations = [

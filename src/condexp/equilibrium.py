@@ -22,7 +22,6 @@ from .games import (
     InfoPartition,
     PureStrategy,
     Strategy,
-    as_behavioral,
     coarser_info_check,
     derive_interplayer_info,
     expected_payoff,
@@ -31,7 +30,7 @@ from .games import (
     player_payoff,
     strategy_moments,
 )
-from .piecewise import append_piece, argmax_segments, clip_pieces, integrate_envelope
+from .piecewise import append_piece, argmax_segments, integrate_envelope
 from .purification import purify_player, require_coarser
 from .rational_geometry import feasible_combination, simplex_min
 
@@ -137,27 +136,15 @@ def verify_equilibrium(game: BayesianGame, profile: Sequence[Strategy]) -> tuple
     n = len(game.players)
     eps = []
     for i in range(n):
-        spec = game.players[i]
-        fb = as_behavioral(spec, profile[i])
-        m = len(spec.actions)
-        total = ZERO
-        for unit, forms in zip(game.units[i], interim_forms(game, i, profile)):
-            cell = spec.cells[unit.cell_index]
+        forms = interim_forms(game, i, profile)
+        best = ZERO
+        for unit, unit_forms in zip(game.units[i], forms):
             if unit.point:
-                w = fb.weights_at(cell, ZERO)
-                best = max(f[0] for f in forms)
-                played = sum(w[a] * forms[a][0] for a in range(m))
-                total += unit.mass * (best - played)
-                continue
-            best_int = integrate_envelope(forms, unit.lo, unit.hi)
-            played_int = ZERO
-            for lo, hi, w in clip_pieces(fb.plan[cell.id], unit.lo, unit.hi):
-                mid = (lo + hi) / 2
-                played_int += (hi - lo) * sum(
-                    w[a] * (forms[a][0] + forms[a][1] * mid) for a in range(m)
-                )
-            total += cell.mass * (best_int - played_int)
-        eps.append(total)
+                best += unit.mass * max(A for A, _B in unit_forms)
+            else:
+                cell = game.players[i].cells[unit.cell_index]
+                best += cell.mass * integrate_envelope(unit_forms, unit.lo, unit.hi)
+        eps.append(best - player_payoff(game, i, profile[i], profile, forms=forms))
     return tuple(eps)
 
 

@@ -480,15 +480,14 @@ def interim_affine(
 
 
 def interim_forms(
-    game: BayesianGame, i: int, profile: Sequence[Strategy], moments=None
+    game: BayesianGame, i: int, profile: Sequence[Strategy]
 ) -> list[list[tuple[Fraction, Fraction]]]:
     """The (A, B) form of every own unit and action: forms[own_unit][action].
 
     The forms depend only on the opponents' strategies, so one set serves
     every own strategy of player i against the same opposing profile.
     """
-    if moments is None:
-        moments = _opponent_moments(game, i, profile)
+    moments = _opponent_moments(game, i, profile)
     m = len(game.players[i].actions)
     return [
         [interim_affine(game, i, a, idx, profile, moments) for a in range(m)]

@@ -264,14 +264,13 @@ class TestAdditionalPaths:
 
 
 class TestAuditEquivalenceInput:
+    @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("key", ["f", "g", "deviations"])
-    def test_short_list_is_an_input_error(self, capsys, tmp_path, key):
+    def test_wrong_length_is_an_input_error(self, capsys, tmp_path, key, rows):
         doc = json.loads((FIXTURES / "mp_audit.json").read_text())
-        if key == "deviations":
-            doc["deviations"] = [doc["f"][:1]]  # one row for two players
-        else:
-            doc[key] = doc[key][:1]
-        fixture = tmp_path / "short.json"
+        given = [doc["f"][0], doc["f"][1], doc["f"][0]][:rows]  # two players
+        doc[key] = [[s] for s in given] if key == "deviations" else given
+        fixture = tmp_path / "wrong.json"
         fixture.write_text(json.dumps(doc))
         code = main(["audit-equivalence", str(fixture)])
         captured = capsys.readouterr()
@@ -287,6 +286,16 @@ class TestAuditEquivalenceInput:
         code, out = run(capsys, "audit-equivalence", fixture)
         assert code == 0
         assert json.loads(out)["strong_residuals"] == [["0"], ["0", "0"]]
+
+    def test_empty_deviations_means_no_samples(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "mp_audit.json").read_text())
+        _code, without = run(capsys, "audit-equivalence", FIXTURES / "mp_audit.json")
+        doc["deviations"] = []
+        fixture = tmp_path / "empty.json"
+        fixture.write_text(json.dumps(doc))
+        code, out = run(capsys, "audit-equivalence", fixture)
+        assert code == 0
+        assert out == without
 
 
 class TestSubprocessDeterminism:
