@@ -24,7 +24,6 @@ from .games import (
     Strategy,
     coarser_info_check,
     derive_interplayer_info,
-    expected_payoff,
     g_conditional,
     interim_forms,
     player_payoff,
@@ -131,20 +130,26 @@ def mixtures_to_profile(
     return tuple(out)
 
 
-def verify_equilibrium(game: BayesianGame, profile: Sequence[Strategy]) -> tuple[Fraction, ...]:
-    """Exact per-player gain of the best pure deviation over the played profile."""
+def verify_equilibrium(
+    game: BayesianGame, profile: Sequence[Strategy], forms=None
+) -> tuple[Fraction, ...]:
+    """Exact per-player gain of the best pure deviation over the played profile.
+
+    ``forms[i]``, when given, are player i's ``interim_forms`` against the
+    profile.
+    """
     n = len(game.players)
     eps = []
     for i in range(n):
-        forms = interim_forms(game, i, profile)
+        player_forms = forms[i] if forms is not None else interim_forms(game, i, profile)
         best = ZERO
-        for unit, unit_forms in zip(game.units[i], forms):
+        for unit, unit_forms in zip(game.units[i], player_forms):
             if unit.point:
                 best += unit.mass * max(A for A, _B in unit_forms)
             else:
                 cell = game.players[i].cells[unit.cell_index]
                 best += cell.mass * integrate_envelope(unit_forms, unit.lo, unit.hi)
-        eps.append(best - player_payoff(game, i, profile[i], profile, forms=forms))
+        eps.append(best - player_payoff(game, i, profile[i], profile, forms=player_forms))
     return tuple(eps)
 
 
@@ -490,8 +495,11 @@ def purify_equilibrium(
     """
     info = require_coarser(game)
     behavioral = report.profile
-    pures = tuple(purify_player(game, i, behavioral) for i in range(len(game.players)))
-    eps = verify_equilibrium(game, pures)
+    n = len(game.players)
+    forms = [interim_forms(game, i, behavioral) for i in range(n)]
+    pures = tuple(purify_player(game, i, behavioral, forms[i]) for i in range(n))
+    pure_forms = [interim_forms(game, i, pures) for i in range(n)]
+    eps = verify_equilibrium(game, pures, pure_forms)
     mixtures_ok = True
     for i, spec in enumerate(game.players):
         part = info[i]
@@ -503,7 +511,11 @@ def purify_equilibrium(
                 got = sum((moments[u][0][a] for u in block), ZERO) / mass
                 if got != report.mixtures[i][b][a]:
                     mixtures_ok = False
-    payoffs_ok = expected_payoff(game, pures) == expected_payoff(game, behavioral)
+    payoffs_ok = all(
+        player_payoff(game, i, pures[i], pures, forms=pure_forms[i])
+        == player_payoff(game, i, behavioral[i], behavioral, forms=forms[i])
+        for i in range(n)
+    )
     return PurifiedEquilibrium(
         profile=pures,
         eps=eps,

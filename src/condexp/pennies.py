@@ -18,8 +18,8 @@ entry for entry, so one arithmetic serves both.
 
 from __future__ import annotations
 
-import itertools
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -285,7 +285,8 @@ def profile_values(game: PenniesGame, s1, s2) -> tuple[Fraction, Fraction]:
     _validate_rows(rows2, game.m)
     _b1, played1 = _gain_side1(game, rows1, rows2)
     _b2, played2 = _gain_side2(game, rows1, rows2)
-    assert played1 == -played2
+    if played1 != -played2:
+        raise ArithmeticError(f"zero-sum check failed: U1 = {played1}, U2 = {played2}")
     return played1, played2
 
 
@@ -399,91 +400,181 @@ class SearchReport:
     exhaustive: bool = True
 
 
+def family_size(m: int, r: int, budget: int) -> int:
+    """Number of r-grid step strategies with at most ``budget`` action changes."""
+    return m * _tails(m, r - 1, budget)[r - 1][budget]
+
+
+def _tails(m: int, n: int, budget: int) -> list[list[int]]:
+    """tails[k][c]: continuations of length k after a fixed action with at
+    most c changes."""
+    tails = [[1] * (budget + 1)]
+    for _ in range(n):
+        prev = tails[-1]
+        tails.append([prev[0]] + [prev[c] + (m - 1) * prev[c - 1] for c in range(1, budget + 1)])
+    return tails
+
+
 def grid_strategies(m: int, r: int, budget: int) -> list[tuple[int, ...]]:
-    """All r-grid step strategies with at most ``budget`` action changes."""
-    out = []
-    for nb in range(0, budget + 1):
-        for cuts in itertools.combinations(range(1, r), nb):
-            bounds = (0,) + cuts + (r,)
-            for seq in _changing_sequences(m, nb + 1):
-                arr = []
-                for (a, b), action in zip(zip(bounds, bounds[1:]), seq):
-                    arr.extend([action] * (b - a))
-                out.append(tuple(arr))
-    return sorted(set(out))
+    """All r-grid step strategies with at most ``budget`` action changes, in
+    lexicographic order."""
+    tails = _tails(m, r - 1, budget)
+    return _with_constants(m, r, budget, tails, range(m * tails[r - 1][budget] - m))
 
 
-def _changing_sequences(m: int, length: int):
-    for seq in itertools.product(range(m), repeat=length):
-        if all(seq[i] != seq[i + 1] for i in range(length - 1)):
-            yield seq
+def _unrank_changing(m: int, r: int, budget: int, tails, index: int) -> tuple[int, ...]:
+    """The index-th strategy, in lexicographic order, among the grid
+    strategies with between 1 and ``budget`` action changes.
+
+    At each position the candidates come in action order: every action below
+    the previous one (each a change), the previous action, every action above
+    it.  A change leaves tails[rest][left - 1] continuations; keeping the
+    action leaves tails[rest][left], less the constant strategy while no
+    change has happened yet.
+    """
+    prev, index = divmod(index, tails[r - 1][budget] - 1)
+    seq = [prev]
+    left = budget
+    for p in range(1, r):
+        if not left:
+            seq.extend([prev] * (r - p))
+            break
+        rest = r - 1 - p
+        diff = tails[rest][left - 1]
+        same = tails[rest][left] - (left == budget)
+        below = prev * diff
+        if index < below:
+            a, index = divmod(index, diff)
+        elif index < below + same:
+            a = prev
+            index -= below
+        else:
+            t, index = divmod(index - below - same, diff)
+            a = prev + 1 + t
+        if a != prev:
+            left -= 1
+            prev = a
+        seq.append(a)
+    return tuple(seq)
+
+
+def _sampled_strategies(m: int, r: int, budget: int, count: int, seed: int):
+    """The m constant strategies and a seeded sample of count - m others, sorted.
+
+    random.sample draws only indices, so sampling range(n) and unranking
+    picks exactly the strategies that sampling the built lexicographic list
+    of the n non-constant strategies would pick.
+    """
+    tails = _tails(m, r - 1, budget)
+    picks = _sample_indices(random.Random(seed), m * tails[r - 1][budget] - m, count - m)
+    return _with_constants(m, r, budget, tails, picks)
+
+
+def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
+    """rng.sample(range(n), k), also for n past sys.maxsize, where a range
+    has no len.  There random.sample would take its set branch: draw
+    randrange(n), redrawing repeats, which this loop does with the same
+    draws."""
+    if n <= sys.maxsize:
+        return rng.sample(range(n), k)
+    picks: list[int] = []
+    seen: set[int] = set()
+    while len(picks) < k:
+        j = rng.randrange(n)
+        if j not in seen:
+            seen.add(j)
+            picks.append(j)
+    return picks
+
+
+def _with_constants(m: int, r: int, budget: int, tails, indices) -> list[tuple[int, ...]]:
+    """The m constant strategies and the changing strategies at ``indices``,
+    sorted."""
+    constant = [(a,) * r for a in range(m)]
+    return sorted(constant + [_unrank_changing(m, r, budget, tails, j) for j in indices])
 
 
 def _float_gain_matrices(m: int, r: int, strategies: list[tuple[int, ...]]):
     """gain2[i1, i2] and gain1[i1, i2] for all strategy pairs, float lane."""
     S = len(strategies)
+    actions = np.arange(m)
     arrs = np.array(strategies, dtype=np.int64)  # (S, r)
-    onehot = np.zeros((S, r, m))
-    for j in range(m):
-        onehot[:, :, j] = arrs == j
+    onehot = (arrs[:, :, None] == actions).astype(float)  # (S, r, m)
     cums = np.zeros((S, r + 1, m))
     cums[:, 1:, :] = np.cumsum(onehot, axis=1) / r
+    # player-2 candidate c: eta_{c-1} - eta_c, from below
+    G2 = cums[:, :, (actions - 1) % m] - cums
+    # player-1 candidate r: eta'_r - eta'_{r+1}, from above
+    above = cums[:, -1:, :] - cums
+    G1 = above - above[:, :, (actions + 1) % m]
 
-    def g2_forms(c):  # player-2 candidate c: eta_{c-1} - eta_c, from below
-        return cums[:, :, (c - 1) % m] - cums[:, :, c]
+    def best_and_avg(G):
+        lo, hi = G[:, :-1, :], G[:, 1:, :]
+        # a left-to-right running total (cumsum), not numpy's pairwise sum,
+        # so the value does not depend on how numpy blocks the reduction
+        brv = 2.0 * np.cumsum(_env01(lo, hi) / r, axis=1)[:, -1]
+        return brv, ((lo + hi) / 2.0).reshape(S, r * m)
 
-    def g1_forms(rr):  # player-1 candidate r: eta'_r - eta'_{r+1}, from above
-        above = cums[:, -1:, :] - cums
-        return above[:, :, rr] - above[:, :, (rr + 1) % m]
-
-    def matrices(forms_fn):
-        G = np.stack([forms_fn(c) for c in range(m)], axis=2)  # (S, r+1, m)
-        G_lo = G[:, :-1, :]
-        G_hi = G[:, 1:, :]
-        brv = np.zeros(S)
-        for s in range(S):
-            total = 0.0
-            for cell in range(r):
-                total += _env01(G_lo[s, cell], G_hi[s, cell]) / r
-            brv[s] = 2.0 * total
-        g_avg = (G_lo + G_hi) / 2.0  # (S, r, m)
-        return brv, g_avg
-
-    brv2, g2_avg = matrices(g2_forms)
-    brv1, g1_avg = matrices(g1_forms)
-
-    cells = np.arange(r)
-    gain2 = np.empty((S, S))
-    gain1 = np.empty((S, S))
-    for i1 in range(S):
-        played2 = (2.0 / r) * g2_avg[i1][cells[None, :], arrs].sum(axis=1)
-        gain2[i1, :] = brv2[i1] - played2
-    for i2 in range(S):
-        played1 = (2.0 / r) * g1_avg[i2][cells[None, :], arrs].sum(axis=1)
-        gain1[:, i2] = brv1[i2] - played1
+    brv2, g2_avg = best_and_avg(G2)
+    brv1, g1_avg = best_and_avg(G1)
+    # the played value of a pair picks one averaged form per cell
+    OH = onehot.reshape(S, r * m)
+    gain2 = brv2[:, None] - (2.0 / r) * (g2_avg @ OH.T)
+    gain1 = brv1[None, :] - (2.0 / r) * (OH @ g1_avg.T)
     return gain1, gain2
 
 
-def _env01(lo_vals, hi_vals) -> float:
-    """Integral over [0, 1] of the max of affine forms given endpoint values."""
-    n = len(lo_vals)
-    cuts = {0.0, 1.0}
-    for a in range(n):
-        for b in range(a + 1, n):
-            d0 = lo_vals[a] - lo_vals[b]
-            d1 = hi_vals[a] - hi_vals[b]
-            if d0 * d1 < 0:
-                cuts.add(d0 / (d0 - d1))
-    pts = sorted(cuts)
-    total = 0.0
-    for s0, s1 in zip(pts, pts[1:]):
-        smid = (s0 + s1) / 2
-        vals = lo_vals + smid * (hi_vals - lo_vals)
-        k = int(np.argmax(vals))
-        v0 = lo_vals[k] + s0 * (hi_vals[k] - lo_vals[k])
-        v1 = lo_vals[k] + s1 * (hi_vals[k] - lo_vals[k])
-        total += (s1 - s0) * (v0 + v1) / 2
-    return float(total)
+# cut points per block of cells in _env01; bounds its temporaries at a few
+# MB whatever m is
+ENV_BLOCK = 1 << 18
+
+
+def _env01(lo, hi):
+    """Integral over [0, 1] of the max of affine forms, per cell.
+
+    ``lo`` and ``hi`` are (..., m) arrays of the forms' values at 0 and 1.
+    The cells are done in blocks of at most ENV_BLOCK cut points.
+    """
+    m = lo.shape[-1]
+    lo2, hi2 = lo.reshape(-1, m), hi.reshape(-1, m)
+    out = np.empty(len(lo2))
+    rows = max(1, ENV_BLOCK // (m * (m - 1) // 2 + 2))
+    for j in range(0, len(lo2), rows):
+        out[j : j + rows] = _env01_block(lo2[j : j + rows], hi2[j : j + rows])
+    return out.reshape(lo.shape[:-1])
+
+
+def _env01_block(lo, hi):
+    """_env01 on (n, m) arrays.
+
+    The cut points are 0, 1 and every pairwise crossing inside (0, 1);
+    padding cuts at 1 make zero-length segments, which add exactly 0.  The
+    top form on each segment is a running maximum over the m forms, whose
+    strict ``>`` keeps the first of tied forms, as argmax would.
+    """
+    m = lo.shape[-1]
+    a, b = np.triu_indices(m, 1)
+    d0 = lo[:, a] - lo[:, b]
+    d1 = hi[:, a] - hi[:, b]
+    cuts = np.ones((len(lo), len(a) + 2))
+    cuts[:, 0] = 0.0
+    np.divide(d0, d0 - d1, out=cuts[:, 2:], where=d0 * d1 < 0)
+    cuts.sort(axis=-1)
+    s0, s1 = cuts[:, :-1], cuts[:, 1:]
+    slope = hi - lo
+    mid = (s0 + s1) / 2
+    k = np.zeros(mid.shape, dtype=np.intp)
+    top = lo[:, :1] + mid * slope[:, :1]
+    for form in range(1, m):
+        value = lo[:, form : form + 1] + mid * slope[:, form : form + 1]
+        higher = value > top
+        k[higher] = form
+        np.maximum(top, value, out=top)
+    lo_k = np.take_along_axis(lo, k, axis=-1)
+    slope_k = np.take_along_axis(slope, k, axis=-1)
+    v0 = lo_k + s0 * slope_k
+    v1 = lo_k + s1 * slope_k
+    return np.cumsum((s1 - s0) * (v0 + v1) / 2, axis=-1)[:, -1]
 
 
 def no_pure_equilibrium_search(
@@ -505,15 +596,17 @@ def no_pure_equilibrium_search(
     """
     if budget > 8 or grid > 64:
         raise BudgetExceeded("supported desk scale: budget <= 8, grid <= 64")
+    if budget < 0:
+        raise SchemaError("budget", "must be at least 0")
+    if grid < 1:
+        raise SchemaError("grid", "must be at least 1")
     epsilon = Fraction(epsilon)
-    strategies = grid_strategies(game.m, grid, budget)
-    exhaustive = len(strategies) <= max_strategies
-    if not exhaustive:
-        rng = random.Random(seed)
-        constant = [s for s in strategies if len(set(s)) == 1]
-        rest = [s for s in strategies if len(set(s)) > 1]
-        sampled = rng.sample(rest, max_strategies - len(constant))
-        strategies = sorted(set(constant + sampled))
+    size = family_size(game.m, grid, budget)
+    exhaustive = size <= max_strategies
+    if exhaustive:
+        strategies = grid_strategies(game.m, grid, budget)
+    else:
+        strategies = _sampled_strategies(game.m, grid, budget, max_strategies, seed)
     gain1, gain2 = _float_gain_matrices(game.m, grid, strategies)
     worst = np.maximum(gain1, gain2)
     float_min = float(worst.min())
@@ -529,7 +622,11 @@ def no_pure_equilibrium_search(
         if best_exact is None or exact < best_exact:
             best_exact = exact
             best_pair = (strategies[i1], strategies[i2])
-        assert abs(float(exact) - float(worst[i1, i2])) < 1e-9
+        if not abs(float(exact) - float(worst[i1, i2])) < 1e-9:
+            raise ArithmeticError(
+                f"float lane disagrees on the pair {strategies[i1]}, {strategies[i2]}: "
+                f"exact gain {exact}, float gain {float(worst[i1, i2])!r}"
+            )
     uniform = behavioral_profile_gain(game, uniform_rows(game.m), uniform_rows(game.m))
     return SearchReport(
         m=game.m,

@@ -88,16 +88,16 @@ def require_coarser(game: BayesianGame):
 
 
 def purify_player(
-    game: BayesianGame, i: int, behavioral: Sequence[BehavioralStrategy]
+    game: BayesianGame, i: int, behavioral: Sequence[BehavioralStrategy], forms
 ) -> PureStrategy:
     """Split player i's behavioral strategy into a pure one, piece by piece.
 
     Each piece of each unit is cut in proportion to its weights, in action
     order; units whose interim payoff is affine in the own coordinate get the
     centroid-preserving symmetric split, so the own payoff integral survives.
+    ``forms`` are player i's ``interim_forms`` against ``behavioral``.
     """
     spec = game.players[i]
-    forms = interim_forms(game, i, behavioral)
     plan: dict[str, object] = {}
     for ci, cell in enumerate(spec.cells):
         pieces: list[tuple[Fraction, int]] = []
@@ -121,13 +121,15 @@ def strong_purify(
     """Purify a behavioral profile and certify the equivalences exactly."""
     info = require_coarser(game)
     behavioral = [as_behavioral(game.players[i], f) for i, f in enumerate(profile)]
-    pures = tuple(purify_player(game, i, behavioral) for i in range(len(game.players)))
+    n = len(game.players)
+    forms = [interim_forms(game, i, behavioral) for i in range(n)]
+    pures = tuple(purify_player(game, i, behavioral, forms[i]) for i in range(n))
     rng = random.Random(seed)
     deviations = [
         [random_behavioral(game.players[i], rng) for _ in range(deviation_samples)]
-        for i in range(len(game.players))
+        for i in range(n)
     ]
-    report = audit_equivalence(game, behavioral, pures, deviations)
+    report = audit_equivalence(game, behavioral, pures, deviations, forms_f=forms)
     block_identity = []
     for i, spec in enumerate(game.players):
         part = info[i]
@@ -149,16 +151,19 @@ def audit_equivalence(
     f: Sequence[Strategy],
     g: Sequence[Strategy],
     deviations: Sequence[Sequence[Strategy]] | None = None,
+    forms_f=None,
 ) -> EquivalenceReport:
     """Residuals for payoff, strong payoff, distribution, and belief clauses.
 
-    Each player's interim forms are computed once against f and once against
-    g; the payoff residual and every deviation sample reuse them.
+    Each player's interim forms are computed once against f (unless passed
+    in as ``forms_f``) and once against g; the payoff residual and every
+    deviation sample reuse them.
     """
     n = len(game.players)
     fb = [as_behavioral(game.players[i], s) for i, s in enumerate(f)]
     gb = [as_behavioral(game.players[i], s) for i, s in enumerate(g)]
-    forms_f = [interim_forms(game, i, fb) for i in range(n)]
+    if forms_f is None:
+        forms_f = [interim_forms(game, i, fb) for i in range(n)]
     forms_g = [interim_forms(game, i, gb) for i in range(n)]
     payoff_residuals = tuple(
         abs(

@@ -193,6 +193,25 @@ class TestDeterminism:
         assert json.loads(seed1)["argmin"] != json.loads(seed0)["argmin"]
 
 
+class TestPenniesGuard:
+    @pytest.mark.parametrize("m", ["2", "3"])
+    def test_largest_advertised_request_finishes(self, capsys, m):
+        # budget 8 on the 64-grid: about 9.0e9 (m=2) and 3.2e12 (m=3) strategies,
+        # sampled by index without building the family
+        code, out = run(capsys, "pennies", "--m", m, "--budget", "8", "--grid", "64")
+        report = json.loads(out)
+        assert code == 0
+        assert report["exhaustive"] is False
+        assert report["strategies"] == 600
+        assert report["passed"] is True
+
+    @pytest.mark.parametrize("flag, value", [("--budget", "-1"), ("--grid", "0")])
+    def test_empty_family_is_an_input_error(self, capsys, flag, value):
+        code = main(["pennies", flag, value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"input error: {flag[2:]}: ")
+
+
 class TestRoundTrip:
     def test_emitted_selection_reloads(self, capsys):
         code, out = run(

@@ -21,6 +21,7 @@ from condexp.games import (
     TypeCell,
     derive_interplayer_info,
     expected_payoff,
+    interim_forms,
     uniform_strategy,
 )
 from condexp.purification import purify_player
@@ -234,7 +235,8 @@ class TestPurify:
             report = solve_behavioral(game)
             purified = purify_equilibrium(game, report)
             assert purified.profile == tuple(
-                purify_player(game, i, report.profile) for i in range(2)
+                purify_player(game, i, report.profile, interim_forms(game, i, report.profile))
+                for i in range(2)
             )
             assert purified.mixtures_preserved
 

@@ -1,17 +1,31 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from condexp import pennies
 from condexp.errors import BoundaryPoint, BudgetExceeded
 from condexp.pennies import (
     IntervalUnionStrategy,
     PenniesGame,
     TrianglePrior,
+    _float_gain_matrices,
+    _sampled_strategies,
+    _tails,
+    _unrank_changing,
     balance_defect,
     behavioral_profile_gain,
     cyclic_deviation,
+    family_size,
     grid_strategies,
     interim_weight,
     no_pure_equilibrium_search,
@@ -213,8 +227,6 @@ class TestSearch:
     def test_float_matches_exact_on_sample(self):
         game = PenniesGame(2)
         strategies = grid_strategies(2, 8, 1)
-        from condexp.pennies import _float_gain_matrices
-
         gain1, gain2 = _float_gain_matrices(2, 8, strategies)
         rng = random.Random(9)
         for _ in range(15):
@@ -318,3 +330,219 @@ class TestTriangleGeometryOracle:
                     u2_direct += blend * 2 * area
             _u1, u2 = profile_values(game, rows1, rows2)
             assert u2 == u2_direct
+
+
+# -- strategy family and float lane against reference constructions -----------
+
+
+def reference_family(m, r, budget):
+    """Every cut combination times every changing action sequence, sorted."""
+    out = []
+    for nb in range(budget + 1):
+        for cuts in itertools.combinations(range(1, r), nb):
+            bounds = (0,) + cuts + (r,)
+            for seq in itertools.product(range(m), repeat=nb + 1):
+                if any(seq[i] == seq[i + 1] for i in range(nb)):
+                    continue
+                arr = []
+                for (a, b), action in zip(zip(bounds, bounds[1:]), seq):
+                    arr.extend([action] * (b - a))
+                out.append(tuple(arr))
+    return sorted(set(out))
+
+
+def reference_env01(lo_vals, hi_vals):
+    """Integral over [0, 1] of the max of affine forms, one cell at a time."""
+    n = len(lo_vals)
+    cuts = {0.0, 1.0}
+    for a in range(n):
+        for b in range(a + 1, n):
+            d0 = lo_vals[a] - lo_vals[b]
+            d1 = hi_vals[a] - hi_vals[b]
+            if d0 * d1 < 0:
+                cuts.add(d0 / (d0 - d1))
+    pts = sorted(cuts)
+    total = 0.0
+    for s0, s1 in zip(pts, pts[1:]):
+        smid = (s0 + s1) / 2
+        vals = lo_vals + smid * (hi_vals - lo_vals)
+        k = int(np.argmax(vals))
+        v0 = lo_vals[k] + s0 * (hi_vals[k] - lo_vals[k])
+        v1 = lo_vals[k] + s1 * (hi_vals[k] - lo_vals[k])
+        total += (s1 - s0) * (v0 + v1) / 2
+    return float(total)
+
+
+def reference_gain_matrices(m, r, strategies):
+    """The float lane as scalar loops over strategies, cells and pairs."""
+    S = len(strategies)
+    arrs = np.array(strategies, dtype=np.int64)
+    onehot = np.zeros((S, r, m))
+    for j in range(m):
+        onehot[:, :, j] = arrs == j
+    cums = np.zeros((S, r + 1, m))
+    cums[:, 1:, :] = np.cumsum(onehot, axis=1) / r
+    above = cums[:, -1:, :] - cums
+    G2 = np.stack([cums[:, :, (c - 1) % m] - cums[:, :, c] for c in range(m)], axis=2)
+    G1 = np.stack([above[:, :, c] - above[:, :, (c + 1) % m] for c in range(m)], axis=2)
+
+    def best_and_avg(G):
+        brv = np.zeros(S)
+        for s in range(S):
+            total = 0.0
+            for cell in range(r):
+                total += reference_env01(G[s, cell], G[s, cell + 1]) / r
+            brv[s] = 2.0 * total
+        return brv, (G[:, :-1, :] + G[:, 1:, :]) / 2.0
+
+    brv2, g2_avg = best_and_avg(G2)
+    brv1, g1_avg = best_and_avg(G1)
+    cells = np.arange(r)
+    gain1 = np.empty((S, S))
+    gain2 = np.empty((S, S))
+    for i1 in range(S):
+        gain2[i1, :] = brv2[i1] - (2.0 / r) * g2_avg[i1][cells[None, :], arrs].sum(axis=1)
+    for i2 in range(S):
+        gain1[:, i2] = brv1[i2] - (2.0 / r) * g1_avg[i2][cells[None, :], arrs].sum(axis=1)
+    return gain1, gain2
+
+
+def changes(strategy):
+    return sum(a != b for a, b in zip(strategy, strategy[1:]))
+
+
+@st.composite
+def family_shapes(draw):
+    return draw(st.integers(2, 3)), draw(st.integers(1, 8)), draw(st.integers(0, 4))
+
+
+@st.composite
+def strategy_subsets(draw, max_size):
+    m, r, budget = draw(family_shapes())
+    family = grid_strategies(m, r, budget)
+    picks = draw(
+        st.lists(st.integers(0, len(family) - 1), min_size=1, max_size=max_size, unique=True)
+    )
+    return m, r, [family[i] for i in sorted(picks)]
+
+
+FAMILY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+class TestStrategyFamily:
+    @FAMILY_SETTINGS
+    @given(family_shapes())
+    def test_lexicographic_family_of_the_counted_size(self, shape):
+        m, r, budget = shape
+        family = grid_strategies(m, r, budget)
+        assert len(family) == family_size(m, r, budget)
+        assert all(a < b for a, b in zip(family, family[1:]))
+        assert all(len(s) == r and changes(s) <= budget for s in family)
+        assert family == reference_family(m, r, budget)
+
+    @FAMILY_SETTINGS
+    @given(family_shapes())
+    def test_unranking_every_index_lists_the_changing_strategies(self, shape):
+        m, r, budget = shape
+        rest = [s for s in reference_family(m, r, budget) if len(set(s)) > 1]
+        tails = _tails(m, r - 1, budget)
+        assert [_unrank_changing(m, r, budget, tails, j) for j in range(len(rest))] == rest
+
+    @FAMILY_SETTINGS
+    @given(family_shapes(), st.integers(0, 2**32), st.data())
+    def test_sample_equals_sampling_the_built_family(self, shape, seed, data):
+        m, r, budget = shape
+        family = reference_family(m, r, budget)
+        count = data.draw(st.integers(m, len(family)))
+        constant = [s for s in family if len(set(s)) == 1]
+        rest = [s for s in family if len(set(s)) > 1]
+        sampled = random.Random(seed).sample(rest, count - len(constant))
+        expected = sorted(set(constant + sampled))
+        assert _sampled_strategies(m, r, budget, count, seed) == expected
+
+    def test_sample_from_a_family_past_sys_maxsize(self):
+        # m=16, budget 8 on the 64-grid: about 1.6e20 strategies
+        assert family_size(16, 64, 8) > sys.maxsize
+        sampled = _sampled_strategies(16, 64, 8, 600, 0)
+        assert sampled == _sampled_strategies(16, 64, 8, 600, 0)
+        assert all(a < b for a, b in zip(sampled, sampled[1:]))
+        assert len(sampled) == 600
+        assert all(len(s) == 64 and changes(s) <= 8 for s in sampled)
+        assert [s for s in sampled if len(set(s)) == 1] == [(a,) * 64 for a in range(16)]
+
+
+class TestFloatLane:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(strategy_subsets(max_size=40))
+    def test_matches_scalar_loops(self, case):
+        m, r, strategies = case
+        got = _float_gain_matrices(m, r, strategies)
+        want = reference_gain_matrices(m, r, strategies)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) < 1e-12
+
+    @pytest.mark.parametrize("block", [pennies.ENV_BLOCK, 40])
+    def test_matches_scalar_loops_for_many_actions(self, monkeypatch, block):
+        # m=8 has 28 crossings per cell; a 40-cut block holds one cell, so
+        # every cell is its own block
+        monkeypatch.setattr(pennies, "ENV_BLOCK", block)
+        strategies = _sampled_strategies(8, 6, 3, 60, 4)
+        got = _float_gain_matrices(8, 6, strategies)
+        want = reference_gain_matrices(8, 6, strategies)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) < 1e-12
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(strategy_subsets(max_size=30))
+    def test_every_pair_matches_exact_gains(self, case):
+        m, r, strategies = case
+        game = PenniesGame(m)
+        gain1, gain2 = _float_gain_matrices(m, r, strategies)
+        for i1, s1 in enumerate(strategies):
+            f1 = IntervalUnionStrategy.from_grid(s1, m)
+            for i2, s2 in enumerate(strategies):
+                f2 = IntervalUnionStrategy.from_grid(s2, m)
+                g1, g2 = pure_profile_gain(game, f1, f2)
+                assert abs(float(g1) - gain1[i1, i2]) < 1e-9
+                assert abs(float(g2) - gain2[i1, i2]) < 1e-9
+
+
+OPTIMIZED_CHECKS = """
+from condexp import pennies
+
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+original = pennies._float_gain_matrices
+pennies._float_gain_matrices = lambda m, r, s: [g + 1e-6 for g in original(m, r, s)]
+try:
+    pennies.no_pure_equilibrium_search(pennies.PenniesGame(2), budget=1, grid=4)
+except ArithmeticError as exc:
+    print("search:", exc)
+pennies._float_gain_matrices = original
+
+side1 = pennies._gain_side1
+pennies._gain_side1 = lambda game, r1, r2: (side1(game, r1, r2)[0], side1(game, r1, r2)[1] + 1)
+rows = pennies.uniform_rows(2)
+try:
+    pennies.profile_values(pennies.PenniesGame(2), rows, rows)
+except ArithmeticError as exc:
+    print("values:", exc)
+"""
+
+
+class TestChecksSurviveOptimize:
+    def test_cross_checks_raise_under_dash_o(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        search, values = done.stdout.splitlines()
+        assert search.startswith("search: float lane disagrees on the pair (")
+        assert "exact gain" in search and "float gain" in search
+        assert values.startswith("values: zero-sum check failed: U1 = 1, U2 = 0")

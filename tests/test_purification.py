@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from condexp import games
+from condexp.equilibrium import purify_equilibrium, solve_behavioral
 from condexp.errors import AtomObstructionError
 from condexp.factories import matching_pennies_game
 from condexp.games import BehavioralStrategy, PureStrategy, uniform_strategy
@@ -79,9 +80,8 @@ class TestStrongPurify:
 
 
 class TestInterimFormReuse:
-    def test_strong_purify_builds_three_form_sets(self, monkeypatch):
-        # one set of forms per player for the split, one against f and one
-        # against g for the audit; deviation samples reuse them
+    @staticmethod
+    def count_interim_affine(monkeypatch):
         original = games.interim_affine
         calls = []
 
@@ -94,15 +94,37 @@ class TestInterimFormReuse:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    @staticmethod
+    def two_by_two_game():
         rng = random.Random(3)
         game = random_coarser_game(rng, 2, max_actions=2, max_units=2)
         assert [len(p.actions) for p in game.players] == [2, 2]
         assert [len(us) for us in game.units] == [2, 2]
+        return rng, game
+
+    def test_strong_purify_builds_two_form_sets(self, monkeypatch):
+        # one set of forms per player against f, shared by the split and the
+        # audit, and one against g; deviation samples reuse them
+        calls = self.count_interim_affine(monkeypatch)
+        rng, game = self.two_by_two_game()
         profile = random_profile(rng, game)
         cert = strong_purify(game, profile, deviation_samples=16)
         assert cert.report.all_zero
         assert len(cert.report.strong_residuals[0]) == 16
-        assert 0 < len(calls) <= 3 * 2 * 4
+        assert 0 < len(calls) <= 2 * 2 * 4
+
+    def test_purify_equilibrium_builds_two_form_sets(self, monkeypatch):
+        # one set per player against the solved profile (split and payoff
+        # check) and one against the purified one (verification and payoff
+        # check): 2 sets x 2 players x 4 (unit, action) forms
+        _rng, game = self.two_by_two_game()
+        report = solve_behavioral(game)
+        calls = self.count_interim_affine(monkeypatch)
+        purified = purify_equilibrium(game, report)
+        assert purified.payoffs_preserved and purified.mixtures_preserved
+        assert len(calls) == 2 * 2 * 4
 
 
 class TestAuditEquivalence:
