@@ -45,7 +45,7 @@ from .measure import (
     linear_combination,
     scalar_product,
 )
-from .piecewise import append_piece, proportional_subintervals
+from .piecewise import append_piece, pack_pieces, proportional_subintervals
 from .rational_geometry import (
     dedupe_points,
     extreme_points,
@@ -353,15 +353,15 @@ def convexify_witness(
             assignments.update(result)
     witness = Selection(assignments)
     achieved = space.conditional_expectation(selection_value(F, witness))
-    assert functions_equal(space, achieved, target_fn)
+    if not functions_equal(space, achieved, target_fn):
+        raise ArithmeticError("convexify witness misses the blended conditional expectation")
     return witness
 
 
 def _proportional_blend(F, s1, s2, alpha, cells) -> Selection:
+    """Cut every constancy piece of the (rich) cells at alpha of its length."""
     assignments: dict[str, object] = {}
     for c in cells:
-        if not c.has_inner:
-            raise AssertionError("proportional split needs an inner coordinate")
         pieces: list[tuple[Fraction, int]] = []
         for lo, hi in F.refinement_on(c, s1.breakpoints_on(c), s2.breakpoints_on(c)):
             k1 = s1.branch_at(c, lo)
@@ -374,7 +374,7 @@ def _proportional_blend(F, s1, s2, alpha, cells) -> Selection:
                 cut = lo + alpha * (hi - lo)
                 append_piece(pieces, cut, k1)
                 append_piece(pieces, hi, k2)
-        assignments[c.id] = tuple(pieces)
+        assignments[c.id] = pack_pieces(c, pieces)
     return Selection(assignments)
 
 
@@ -442,7 +442,7 @@ def _mixed_block_blend(F, label, cells, value, alpha):
             mixture = []
         assignments: dict[str, object] = {}
         for c, k in zip(point_cells, choice):
-            assignments[c.id] = k
+            assignments[c.id] = pack_pieces(c, ((Fraction(1), k),))
         idx = 0
         for c in rich_cells:
             pieces: list[tuple[Fraction, int]] = []
@@ -451,7 +451,7 @@ def _mixed_block_blend(F, label, cells, value, alpha):
                 idx += 1
                 for _a, b, k in proportional_subintervals(lo, hi, weights):
                     append_piece(pieces, b, k)
-            assignments[c.id] = tuple(pieces)
+            assignments[c.id] = pack_pieces(c, pieces)
         return assignments
     atom = point_cells[0]
     dist = None
@@ -479,35 +479,27 @@ def derandomize_selection(F: FiniteIndexedCorrespondence, m: MixedSelection) -> 
     m.validate(F)
     assignments: dict[str, object] = {}
     for c in F.space.cells:
-        if not c.has_inner:
-            w = m.weights_at(c, Fraction(0))
-            hot = [k for k, x in enumerate(w) if x > 0]
-            if len(hot) != 1:
-                raise AtomObstructionError(
-                    AtomObstruction(c.id, None, "point cell carries a non-degenerate mixture")
-                )
-            assignments[c.id] = hot[0]
-            continue
         pieces: list[tuple[Fraction, int]] = []
         for lo, hi in F.refinement_on(c, m.breakpoints_on(c)):
             w = m.weights_at(c, lo)
-            if c.kind is CellKind.SATURATED:
+            if c.kind is not CellKind.RICH:
                 hot = [k for k, x in enumerate(w) if x > 0]
                 if len(hot) != 1:
                     raise AtomObstructionError(
                         AtomObstruction(
-                            c.id, None, "saturated cell carries a non-degenerate mixture"
+                            c.id, None, f"{c.kind.value} cell carries a non-degenerate mixture"
                         )
                     )
                 append_piece(pieces, hi, hot[0])
                 continue
             for _a, b, k in proportional_subintervals(lo, hi, w):
                 append_piece(pieces, b, k)
-        assignments[c.id] = tuple(pieces)
+        assignments[c.id] = pack_pieces(c, pieces)
     s = Selection(assignments)
     expected = F.space.conditional_expectation(mixed_value(F, m))
     achieved = F.space.conditional_expectation(selection_value(F, s))
-    assert functions_equal(F.space, achieved, expected)
+    if not functions_equal(F.space, achieved, expected):
+        raise ArithmeticError("derandomized selection misses the mixture's conditional expectation")
     return s
 
 
@@ -533,10 +525,8 @@ def dyadic_selection(space: MeasureSpaceModel, cell_id: str, m: int) -> Selectio
     for c in space.cells:
         if c.id == cell_id:
             assignments[c.id] = pieces
-        elif c.has_inner:
-            assignments[c.id] = ((Fraction(1), 0),)
         else:
-            assignments[c.id] = 0
+            assignments[c.id] = pack_pieces(c, ((Fraction(1), 0),))
     return Selection(assignments)
 
 
@@ -696,18 +686,14 @@ def dyadic_indicator(
     space: MeasureSpaceModel, cell_id: str, lo: Fraction, hi: Fraction
 ) -> StepFunction:
     """Scalar indicator of a sub-interval of one cell's inner coordinate."""
+    pieces = []
+    if lo > 0:
+        pieces.append((lo, (Fraction(0),)))
+    pieces.append((hi, (Fraction(1),)))
+    if hi < 1:
+        pieces.append((Fraction(1), (Fraction(0),)))
+    zero = ((Fraction(1), (Fraction(0),)),)
     values: dict[str, object] = {}
     for c in space.cells:
-        if c.id == cell_id:
-            pieces = []
-            if lo > 0:
-                pieces.append((lo, (Fraction(0),)))
-            pieces.append((hi, (Fraction(1),)))
-            if hi < 1:
-                pieces.append((Fraction(1), (Fraction(0),)))
-            values[c.id] = tuple(pieces)
-        elif c.has_inner:
-            values[c.id] = ((Fraction(1), (Fraction(0),)),)
-        else:
-            values[c.id] = (Fraction(0),)
+        values[c.id] = pack_pieces(c, pieces if c.id == cell_id else zero)
     return StepFunction(1, values)

@@ -181,7 +181,6 @@ def _solve_options(args) -> equilibrium.SolveOptions:
         epsilon=args.epsilon,
         max_iters=args.max_iters,
         damping=args.damping,
-        seed=args.seed,
         method=method,
     )
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping
 
 from .errors import DimensionMismatch, IndexOutOfRange, SchemaError, WeightInvalid
 from .measure import Cell, MeasureSpaceModel, StepFunction
-from .piecewise import check_pieces, common_refinement, merged_pieces, piece_bounds, piece_payload
+from .piecewise import PiecePlan, common_refinement, merged_pieces, pack_pieces, piece_bounds
 from .rationals import Vec, vec_add, vec_scale, zero_vec
 
 
@@ -51,70 +52,47 @@ class FiniteIndexedCorrespondence:
 
 
 @dataclass(frozen=True)
-class Selection:
+class Selection(PiecePlan):
     """Branch index per piece (Rich/Saturated cells) or per cell (points)."""
 
     assignments: Mapping[str, object]  # tuple[(upto, int), ...] | int
 
+    entries = property(attrgetter("assignments"))
+    branch_at = PiecePlan.payload_at
+    breakpoints_on = PiecePlan.breakpoints
+
     def validate(self, F: FiniteIndexedCorrespondence) -> None:
         K = F.branch_count
 
-        def check_branch(k):
+        def check_branch(cell, k):
             if not 0 <= k < K:
-                raise IndexOutOfRange(f"cell {c.id}: branch {k} out of range")
+                raise IndexOutOfRange(f"cell {cell.id}: branch {k} out of range")
 
-        for c in F.space.cells:
-            if c.id not in self.assignments:
-                raise SchemaError(f"selection[{c.id}]", "missing cell entry")
-            entry = self.assignments[c.id]
-            if c.has_inner:
-                check_pieces(f"selection[{c.id}]", entry, check_branch)
-            else:
-                check_branch(entry)
-
-    def branch_at(self, cell: Cell, t: Fraction) -> int:
-        entry = self.assignments[cell.id]
-        if not cell.has_inner:
-            return entry
-        return piece_payload(entry, t)
-
-    def breakpoints_on(self, cell: Cell) -> list[Fraction]:
-        if not cell.has_inner:
-            return [Fraction(1)]
-        return [upto for upto, _ in self.assignments[cell.id]]
+        self.check_cells(F.space.cells, "selection", check_branch)
 
 
 @dataclass(frozen=True)
-class MixedSelection:
+class MixedSelection(PiecePlan):
     """Probability weights over branches, piecewise per cell."""
 
     weights: Mapping[str, object]  # tuple[(upto, tuple[Fraction,...]), ...] | tuple
 
+    entries = property(attrgetter("weights"))
+    breakpoints_on = PiecePlan.breakpoints
+
     def validate(self, F: FiniteIndexedCorrespondence) -> None:
         K = F.branch_count
-        for c in F.space.cells:
-            if c.id not in self.weights:
-                raise SchemaError(f"mixed[{c.id}]", "missing cell entry")
-            entry = self.weights[c.id]
-            rows = [w for _, w in entry] if c.has_inner else [entry]
-            if c.has_inner:
-                check_pieces(f"mixed[{c.id}]", entry)
-            for w in rows:
-                if len(w) != K:
-                    raise WeightInvalid(f"cell {c.id}: expected {K} weights")
-                if any(x < 0 for x in w) or sum(w) != 1:
-                    raise WeightInvalid(f"cell {c.id}: weights must be >= 0 and sum to 1")
+
+        def check_weights(cell, w):
+            if len(w) != K:
+                raise WeightInvalid(f"cell {cell.id}: expected {K} weights")
+            if any(x < 0 for x in w) or sum(w) != 1:
+                raise WeightInvalid(f"cell {cell.id}: weights must be >= 0 and sum to 1")
+
+        self.check_cells(F.space.cells, "mixed", check_weights)
 
     def weights_at(self, cell: Cell, t: Fraction) -> tuple[Fraction, ...]:
-        entry = self.weights[cell.id]
-        if not cell.has_inner:
-            return tuple(entry)
-        return tuple(piece_payload(entry, t))
-
-    def breakpoints_on(self, cell: Cell) -> list[Fraction]:
-        if not cell.has_inner:
-            return [Fraction(1)]
-        return [upto for upto, _ in self.weights[cell.id]]
+        return tuple(self.payload_at(cell, t))
 
 
 def selection_value(F: FiniteIndexedCorrespondence, s: Selection) -> StepFunction:
@@ -122,15 +100,12 @@ def selection_value(F: FiniteIndexedCorrespondence, s: Selection) -> StepFunctio
     s.validate(F)
     values: dict[str, object] = {}
     for c in F.space.cells:
-        if not c.has_inner:
-            values[c.id] = F.branches[s.branch_at(c, Fraction(0))].value_at(c, Fraction(0))
-            continue
         pieces = []
-        lists = [s.assignments[c.id]] + [g.values[c.id] for g in F.branches]
+        lists = [s.pieces(c)] + [g.pieces(c) for g in F.branches]
         for _lo, hi, payloads in merged_pieces(*lists):
             k = payloads[0]
             pieces.append((hi, payloads[1 + k]))
-        values[c.id] = tuple(pieces)
+        values[c.id] = pack_pieces(c, pieces)
     return StepFunction(F.dim, values)
 
 
@@ -139,22 +114,15 @@ def mixed_value(F: FiniteIndexedCorrespondence, m: MixedSelection) -> StepFuncti
     m.validate(F)
     values: dict[str, object] = {}
     for c in F.space.cells:
-        if not c.has_inner:
-            w = m.weights_at(c, Fraction(0))
-            acc = zero_vec(F.dim)
-            for k, g in enumerate(F.branches):
-                acc = vec_add(acc, vec_scale(g.value_at(c, Fraction(0)), w[k]))
-            values[c.id] = acc
-            continue
         pieces = []
-        lists = [m.weights[c.id]] + [g.values[c.id] for g in F.branches]
+        lists = [m.pieces(c)] + [g.pieces(c) for g in F.branches]
         for _lo, hi, payloads in merged_pieces(*lists):
             w = payloads[0]
             acc = zero_vec(F.dim)
             for k in range(F.branch_count):
                 acc = vec_add(acc, vec_scale(payloads[1 + k], w[k]))
             pieces.append((hi, acc))
-        values[c.id] = tuple(pieces)
+        values[c.id] = pack_pieces(c, pieces)
     return StepFunction(F.dim, values)
 
 
@@ -166,11 +134,4 @@ def one_hot(F: FiniteIndexedCorrespondence, s: Selection) -> MixedSelection:
     def unit(k: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(1 if j == k else 0) for j in range(K))
 
-    weights: dict[str, object] = {}
-    for c in F.space.cells:
-        entry = s.assignments[c.id]
-        if not c.has_inner:
-            weights[c.id] = unit(entry)
-        else:
-            weights[c.id] = tuple((upto, unit(k)) for upto, k in entry)
-    return MixedSelection(weights)
+    return MixedSelection({c.id: s.mapped(c, unit) for c in F.space.cells})

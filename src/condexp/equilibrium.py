@@ -12,7 +12,7 @@ space in exact arithmetic and never reuses the solver's internal numbers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,7 +29,7 @@ from .games import (
     player_payoff,
     strategy_moments,
 )
-from .piecewise import append_piece, argmax_segments, integrate_envelope
+from .piecewise import append_piece, argmax_segments, integrate_envelope, pack_pieces
 from .purification import purify_player, require_coarser
 from .rational_geometry import feasible_combination, simplex_min
 
@@ -42,9 +42,10 @@ class SolveOptions:
     epsilon: Fraction = Fraction(1, 10**9)
     max_iters: int = 4000
     damping: float = 0.1
-    seed: int = 0
     method: str = "auto"  # auto | lp | br | enum
-    snap_denominator: int = 64
+
+
+SNAP_DENOMINATOR = 64  # best-response mixtures snap to rationals with this bound
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,9 @@ class EquilibriumReport:
     method: str
     value: Fraction | None
     coarser: tuple[bool, ...]
+    # forms[i]: player i's interim_forms against ``profile``, as verified; None
+    # on a hand-built report, for which purify_equilibrium builds them
+    forms: tuple | None = field(default=None, compare=False, repr=False)
 
 
 class AgentForm:
@@ -115,17 +119,11 @@ def mixtures_to_profile(
         part = info[i]
         plan: dict[str, object] = {}
         for ci, cell in enumerate(spec.cells):
-            cell_units = [
-                (idx, u) for idx, u in enumerate(game.units[i]) if u.cell_index == ci
-            ]
-            if cell.point:
-                idx, _ = cell_units[0]
-                plan[cell.id] = tuple(mixtures[i][part.block_of_unit[idx]])
-                continue
             pieces = []
-            for idx, u in cell_units:
-                append_piece(pieces, u.hi, tuple(mixtures[i][part.block_of_unit[idx]]))
-            plan[cell.id] = tuple(pieces)
+            for idx, u in enumerate(game.units[i]):
+                if u.cell_index == ci:
+                    append_piece(pieces, u.hi, tuple(mixtures[i][part.block_of_unit[idx]]))
+            plan[cell.id] = pack_pieces(cell, pieces)
         out.append(BehavioralStrategy(plan))
     return tuple(out)
 
@@ -144,11 +142,8 @@ def verify_equilibrium(
         player_forms = forms[i] if forms is not None else interim_forms(game, i, profile)
         best = ZERO
         for unit, unit_forms in zip(game.units[i], player_forms):
-            if unit.point:
-                best += unit.mass * max(A for A, _B in unit_forms)
-            else:
-                cell = game.players[i].cells[unit.cell_index]
-                best += cell.mass * integrate_envelope(unit_forms, unit.lo, unit.hi)
+            cell = game.players[i].cells[unit.cell_index]
+            best += cell.mass * integrate_envelope(unit_forms, unit.lo, unit.hi)
         eps.append(best - player_payoff(game, i, profile[i], profile, forms=player_forms))
     return tuple(eps)
 
@@ -159,22 +154,15 @@ def improving_deviation(
     """Pointwise best-response strategy for player i and its exact gain."""
     spec = game.players[i]
     forms = interim_forms(game, i, profile)
-    m = len(spec.actions)
     plan: dict[str, object] = {}
     for ci, cell in enumerate(spec.cells):
-        cell_units = [
-            (idx, u) for idx, u in enumerate(game.units[i]) if u.cell_index == ci
-        ]
-        if cell.point:
-            idx, _u = cell_units[0]
-            values = [f[0] for f in forms[idx]]
-            plan[cell.id] = max(range(m), key=lambda a: (values[a], -a))
-            continue
         pieces: list[tuple[Fraction, int]] = []
-        for idx, u in cell_units:
+        for idx, u in enumerate(game.units[i]):
+            if u.cell_index != ci:
+                continue
             for _lo, hi, winners in argmax_segments(forms[idx], u.lo, u.hi):
                 append_piece(pieces, hi, winners[0])
-        plan[cell.id] = tuple(pieces)
+        plan[cell.id] = pack_pieces(cell, pieces)
     deviation = PureStrategy(plan)
     # swapping i's own strategy leaves the forms against the others unchanged
     played = player_payoff(game, i, profile[i], profile, forms=forms)
@@ -182,14 +170,6 @@ def improving_deviation(
 
 
 # -- solvers ------------------------------------------------------------------
-
-
-def _uniform_mixtures(agent_form: AgentForm):
-    out = []
-    for i, part in enumerate(agent_form.info):
-        m = agent_form.action_counts()[i]
-        out.append([[Fraction(1, m) for _ in range(m)] for _ in part.blocks])
-    return out
 
 
 def _solve_lp_zero_sum(agent_form: AgentForm):
@@ -239,7 +219,8 @@ def _solve_lp_zero_sum(agent_form: AgentForm):
 
     value1, g1 = solve_side(pairs1, pairs2, lambda r, c: M[(r[0], r[1], c[0], c[1])])
     value2, g2 = solve_side(pairs2, pairs1, lambda r, c: -M[(c[0], c[1], r[0], r[1])])
-    assert value1 == -value2
+    if value1 != -value2:
+        raise ArithmeticError(f"zero-sum LP values disagree: {value1} vs {-value2}")
     mixtures = [
         [[g1[(b, a)] for a in range(m1)] for b in range(B1)],
         [[g2[(b, a)] for a in range(m2)] for b in range(B2)],
@@ -312,7 +293,7 @@ def _solve_br(agent_form: AgentForm, options: SolveOptions):
         mixtures = new
         if iterations % 25 == 0 and _br_regret(agent_form, mixtures) < 1e-12:
             break
-    snapped = _snap_mixtures(mixtures, options.snap_denominator)
+    snapped = _snap_mixtures(mixtures, SNAP_DENOMINATOR)
     return snapped, iterations
 
 
@@ -451,13 +432,15 @@ def solve_behavioral(game: BayesianGame, options: SolveOptions | None = None) ->
     else:
         mixtures, iterations = _solve_br(agent_form, options)
     profile = mixtures_to_profile(game, info, mixtures)
-    eps = verify_equilibrium(game, profile)
+    forms = tuple(interim_forms(game, i, profile) for i in range(len(game.players)))
+    eps = verify_equilibrium(game, profile, forms)
     if max(eps) > options.epsilon and method == "br" and len(game.players) == 2:
         mixtures2, extra = _solve_enum(agent_form, options)
         profile2 = mixtures_to_profile(game, info, mixtures2)
-        eps2 = verify_equilibrium(game, profile2)
+        forms2 = tuple(interim_forms(game, i, profile2) for i in range(2))
+        eps2 = verify_equilibrium(game, profile2, forms2)
         if max(eps2) < max(eps):
-            mixtures, profile, eps = mixtures2, profile2, eps2
+            mixtures, profile, eps, forms = mixtures2, profile2, eps2, forms2
             method = "enum"
         iterations += extra
     return EquilibriumReport(
@@ -469,6 +452,7 @@ def solve_behavioral(game: BayesianGame, options: SolveOptions | None = None) ->
         method=method,
         value=value,
         coarser=coarser,
+        forms=forms,
     )
 
 
@@ -496,7 +480,9 @@ def purify_equilibrium(
     info = require_coarser(game)
     behavioral = report.profile
     n = len(game.players)
-    forms = [interim_forms(game, i, behavioral) for i in range(n)]
+    forms = report.forms
+    if forms is None:
+        forms = [interim_forms(game, i, behavioral) for i in range(n)]
     pures = tuple(purify_player(game, i, behavioral, forms[i]) for i in range(n))
     pure_forms = [interim_forms(game, i, pures) for i in range(n)]
     eps = verify_equilibrium(game, pures, pure_forms)

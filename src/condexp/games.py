@@ -20,10 +20,11 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .errors import SchemaError, WeightInvalid
-from .piecewise import append_piece, check_pieces, clip_pieces, piece_payload
+from .piecewise import PiecePlan, append_piece, clip_pieces, pack_pieces
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -53,10 +54,18 @@ class TypeCell:
         if prev != 1:
             raise SchemaError(f"cells[{self.id}].grid", "grid must end at 1")
 
+    @property
+    def has_inner(self) -> bool:
+        return not self.point
+
 
 @dataclass(frozen=True)
 class Unit:
-    """One (cell, piece) atom of a player's unit grid."""
+    """One (cell, piece) atom of a player's unit grid.
+
+    A point cell is one unit spanning [0, 1), the span its single stored
+    piece reads as, so every unit is walked alike.
+    """
 
     player: int
     cell_index: int
@@ -94,13 +103,10 @@ class PlayerSpec:
 def player_units(player: int, spec: PlayerSpec) -> tuple[Unit, ...]:
     units = []
     for ci, cell in enumerate(spec.cells):
-        if cell.point:
-            units.append(Unit(player, ci, cell.id, 0, ZERO, ZERO, cell.mass, True))
-            continue
         lo = ZERO
-        for pi, hi in enumerate(cell.grid):
+        for pi, hi in enumerate(cell.grid if cell.has_inner else (ONE,)):
             units.append(
-                Unit(player, ci, cell.id, pi, lo, hi, cell.mass * (hi - lo), False)
+                Unit(player, ci, cell.id, pi, lo, hi, cell.mass * (hi - lo), cell.point)
             )
             lo = hi
     return tuple(units)
@@ -297,59 +303,45 @@ class BayesianGame:
 
 
 @dataclass(frozen=True)
-class BehavioralStrategy:
+class BehavioralStrategy(PiecePlan):
     """Piecewise probability vectors over actions, per type cell."""
 
     plan: Mapping[str, object]  # tuple[(upto, weights)] | weights (point cells)
 
+    entries = property(attrgetter("plan"))
+
     def validate(self, spec: PlayerSpec) -> None:
         m = len(spec.actions)
-        for cell in spec.cells:
-            if cell.id not in self.plan:
-                raise SchemaError(f"strategy[{cell.id}]", "missing cell entry")
-            entry = self.plan[cell.id]
-            rows = [entry] if cell.point else [w for _, w in entry]
-            if not cell.point:
-                check_pieces(f"strategy[{cell.id}]", entry)
-            for w in rows:
-                if len(w) != m:
-                    raise WeightInvalid(f"cell {cell.id}: expected {m} weights")
-                if any(x < 0 for x in w) or sum(w) != 1:
-                    raise WeightInvalid(f"cell {cell.id}: weights must be >= 0, sum 1")
+
+        def check_weights(cell, w):
+            if len(w) != m:
+                raise WeightInvalid(f"cell {cell.id}: expected {m} weights")
+            if any(x < 0 for x in w) or sum(w) != 1:
+                raise WeightInvalid(f"cell {cell.id}: weights must be >= 0, sum 1")
+
+        self.check_cells(spec.cells, "strategy", check_weights)
 
     def weights_at(self, cell: TypeCell, t: Fraction) -> tuple[Fraction, ...]:
-        entry = self.plan[cell.id]
-        if cell.point:
-            return tuple(entry)
-        return tuple(piece_payload(entry, t))
-
-    def breakpoints(self, cell: TypeCell) -> list[Fraction]:
-        if cell.point:
-            return [ONE]
-        return [upto for upto, _ in self.plan[cell.id]]
+        return tuple(self.payload_at(cell, t))
 
 
 @dataclass(frozen=True)
-class PureStrategy:
+class PureStrategy(PiecePlan):
     """Piecewise action indices, per type cell."""
 
     plan: Mapping[str, object]  # tuple[(upto, action_idx)] | action_idx
 
+    entries = property(attrgetter("plan"))
+    action_at = PiecePlan.payload_at
+
     def validate(self, spec: PlayerSpec) -> None:
         m = len(spec.actions)
 
-        def check_action(k):
+        def check_action(cell, k):
             if not 0 <= k < m:
                 raise SchemaError(f"strategy[{cell.id}]", "action out of range")
 
-        for cell in spec.cells:
-            if cell.id not in self.plan:
-                raise SchemaError(f"strategy[{cell.id}]", "missing cell entry")
-            entry = self.plan[cell.id]
-            if cell.point:
-                check_action(entry)
-            else:
-                check_pieces(f"strategy[{cell.id}]", entry, check_action)
+        self.check_cells(spec.cells, "strategy", check_action)
 
     def to_behavioral(self, spec: PlayerSpec) -> BehavioralStrategy:
         m = len(spec.actions)
@@ -357,20 +349,7 @@ class PureStrategy:
         def unit_vec(k):
             return tuple(ONE if j == k else ZERO for j in range(m))
 
-        plan = {}
-        for cell in spec.cells:
-            entry = self.plan[cell.id]
-            if cell.point:
-                plan[cell.id] = unit_vec(entry)
-            else:
-                plan[cell.id] = tuple((upto, unit_vec(k)) for upto, k in entry)
-        return BehavioralStrategy(plan)
-
-    def action_at(self, cell: TypeCell, t: Fraction) -> int:
-        entry = self.plan[cell.id]
-        if cell.point:
-            return entry
-        return piece_payload(entry, t)
+        return BehavioralStrategy({cell.id: self.mapped(cell, unit_vec) for cell in spec.cells})
 
 
 Strategy = BehavioralStrategy | PureStrategy
@@ -387,10 +366,7 @@ def as_behavioral(spec: PlayerSpec, f: Strategy) -> BehavioralStrategy:
 def uniform_strategy(spec: PlayerSpec) -> BehavioralStrategy:
     m = len(spec.actions)
     w = tuple(Fraction(1, m) for _ in range(m))
-    plan = {}
-    for cell in spec.cells:
-        plan[cell.id] = w if cell.point else ((ONE, w),)
-    return BehavioralStrategy(plan)
+    return BehavioralStrategy({cell.id: pack_pieces(cell, ((ONE, w),)) for cell in spec.cells})
 
 
 def strategy_moments(spec: PlayerSpec, units: Sequence[Unit], f: Strategy):
@@ -400,13 +376,9 @@ def strategy_moments(spec: PlayerSpec, units: Sequence[Unit], f: Strategy):
     out = []
     for u in units:
         cell = spec.cells[u.cell_index]
-        if u.point:
-            w = fb.weights_at(cell, ZERO)
-            out.append(([w[a] * u.mass for a in range(m)], [ZERO] * m))
-            continue
         w0 = [ZERO] * m
         w1 = [ZERO] * m
-        for lo, hi, w in clip_pieces(fb.plan[cell.id], u.lo, u.hi):
+        for lo, hi, w in clip_pieces(fb.pieces(cell), u.lo, u.hi):
             for a in range(m):
                 w0[a] += cell.mass * (hi - lo) * w[a]
                 w1[a] += cell.mass * (hi * hi - lo * lo) / 2 * w[a]
@@ -506,8 +478,6 @@ def interim_payoff(
     """Average interim payoff of one action over an own unit (or sub-piece)."""
     unit = game.units[i][own_unit]
     A, B = interim_affine(game, i, action, own_unit, profile)
-    if unit.point or B == 0:
-        return A
     lo, hi = sub if sub is not None else (unit.lo, unit.hi)
     return A + B * (lo + hi) / 2
 
@@ -531,11 +501,7 @@ def player_payoff(
     total = ZERO
     for unit, unit_forms in zip(game.units[i], forms):
         cell = spec.cells[unit.cell_index]
-        if unit.point:
-            w = fb.weights_at(cell, ZERO)
-            total += unit.mass * sum(wa * A for wa, (A, _B) in zip(w, unit_forms))
-            continue
-        for lo, hi, w in clip_pieces(fb.plan[cell.id], unit.lo, unit.hi):
+        for lo, hi, w in clip_pieces(fb.pieces(cell), unit.lo, unit.hi):
             mid = (lo + hi) / 2
             total += cell.mass * (hi - lo) * sum(
                 wa * (A + B * mid) for wa, (A, B) in zip(w, unit_forms)
@@ -672,21 +638,16 @@ def g_conditional(
         block_avg.append(tuple(t / mass for t in totals))
     plan: dict[str, object] = {}
     for ci, cell in enumerate(spec.cells):
-        cell_units = [
-            (idx, u) for idx, u in enumerate(game.units[i]) if u.cell_index == ci
-        ]
-        if cell.point:
-            (idx, _u) = cell_units[0]
-            plan[cell.id] = block_avg[part.block_of_unit[idx]]
-            continue
         pieces: list[tuple[Fraction, tuple[Fraction, ...]]] = []
-        for idx, u in cell_units:
+        for idx, u in enumerate(game.units[i]):
+            if u.cell_index != ci:
+                continue
             if part.kinds[idx] == "saturated":
-                for _lo, hi, w in clip_pieces(fb.plan[cell.id], u.lo, u.hi):
+                for _lo, hi, w in clip_pieces(fb.pieces(cell), u.lo, u.hi):
                     append_piece(pieces, hi, tuple(w))
             else:
                 append_piece(pieces, u.hi, block_avg[part.block_of_unit[idx]])
-        plan[cell.id] = tuple(pieces)
+        plan[cell.id] = pack_pieces(cell, pieces)
     return BehavioralStrategy(plan)
 
 

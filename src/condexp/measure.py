@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, SchemaError
-from .piecewise import check_pieces, merged_pieces, piece_payload
+from .piecewise import PiecePlan, merged_pieces, pack_pieces
 from .rationals import Vec, vec_add, vec_scale, zero_vec
 
 
@@ -105,10 +106,7 @@ class MeasureSpaceModel:
                 avg = vec_add(avg, vec_scale(f.average_on(c), c.mass))
             avg = vec_scale(avg, Fraction(1) / mass)
             for c in cells:
-                if c.has_inner:
-                    values[c.id] = ((Fraction(1), avg),)
-                else:
-                    values[c.id] = avg
+                values[c.id] = pack_pieces(c, ((Fraction(1), avg),))
         return StepFunction(f.dim, values)
 
 
@@ -116,53 +114,43 @@ Piece = tuple[Fraction, Vec]  # (upto, value): value on [previous upto, upto)
 
 
 @dataclass(frozen=True)
-class StepFunction:
+class StepFunction(PiecePlan):
     """Piecewise-constant vector-valued function on a space.
 
-    ``values`` maps each cell id either to a tuple of (upto, vector) pieces on
-    the cell's inner coordinate (uptos strictly increasing and ending at 1) or,
-    for point cells, to a bare vector.
+    ``values`` maps each cell id to its (upto, vector) pieces on the cell's
+    inner coordinate, stored as ``PiecePlan`` says: a point cell's one vector
+    is stored bare.
     """
 
     dim: int
     values: Mapping[str, object]
 
-    def validate(self, space: MeasureSpaceModel) -> None:
-        def check_dim(value):
-            if len(value) != self.dim:
-                raise DimensionMismatch(f"cell {c.id}: piece dimension != {self.dim}")
+    entries = property(attrgetter("values"))
+    breakpoints_on = PiecePlan.breakpoints
 
-        for c in space.cells:
-            if c.id not in self.values:
-                raise SchemaError(f"values[{c.id}]", "missing cell entry")
-            entry = self.values[c.id]
-            if c.has_inner:
-                if not isinstance(entry, tuple) or not entry or not isinstance(entry[0], tuple):
-                    raise SchemaError(f"values[{c.id}]", "expected a piece list")
-                check_pieces(f"values[{c.id}]", entry, check_dim)
-            else:
-                if not isinstance(entry, tuple) or (entry and isinstance(entry[0], tuple)):
-                    raise SchemaError(f"values[{c.id}]", "expected a bare vector")
-                if len(entry) != self.dim:
-                    raise DimensionMismatch(f"cell {c.id}: vector dimension != {self.dim}")
+    def validate(self, space: MeasureSpaceModel) -> None:
+        def check_value(cell, value):
+            if cell.has_inner:
+                if len(value) != self.dim:
+                    raise DimensionMismatch(f"cell {cell.id}: piece dimension != {self.dim}")
+            elif not isinstance(value, tuple) or (value and isinstance(value[0], tuple)):
+                raise SchemaError(f"values[{cell.id}]", "expected a bare vector")
+            elif len(value) != self.dim:
+                raise DimensionMismatch(f"cell {cell.id}: vector dimension != {self.dim}")
+
+        self.check_cells(space.cells, "values", check_value)
 
     def pieces_on(self, cell: Cell) -> list[tuple[Fraction, Fraction, Vec]]:
         """(lo, hi, value) triples; a point cell reports one unit-length piece."""
-        entry = self.values[cell.id]
-        if not cell.has_inner:
-            return [(Fraction(0), Fraction(1), tuple(entry))]
         out = []
         lo = Fraction(0)
-        for upto, value in entry:
+        for upto, value in self.pieces(cell):
             out.append((lo, upto, tuple(value)))
             lo = upto
         return out
 
     def value_at(self, cell: Cell, t: Fraction) -> Vec:
-        entry = self.values[cell.id]
-        if not cell.has_inner:
-            return tuple(entry)
-        return tuple(piece_payload(entry, t))
+        return tuple(self.payload_at(cell, t))
 
     def average_on(self, cell: Cell) -> Vec:
         """Length-weighted average of the cell's values (the value itself on points)."""
@@ -171,17 +159,12 @@ class StepFunction:
             avg = vec_add(avg, vec_scale(value, hi - lo))
         return avg
 
-    def breakpoints_on(self, cell: Cell) -> list[Fraction]:
-        if not cell.has_inner:
-            return [Fraction(1)]
-        return [upto for upto, _ in self.values[cell.id]]
-
 
 def constant_function(space: MeasureSpaceModel, value: Sequence[Fraction]) -> StepFunction:
     value = tuple(value)
     values: dict[str, object] = {}
     for c in space.cells:
-        values[c.id] = ((Fraction(1), value),) if c.has_inner else value
+        values[c.id] = pack_pieces(c, ((Fraction(1), value),))
     return StepFunction(len(value), values)
 
 
@@ -191,7 +174,7 @@ def indicator_of_cells(space: MeasureSpaceModel, cell_ids: Sequence[str]) -> Ste
     values: dict[str, object] = {}
     for c in space.cells:
         v = (Fraction(1 if c.id in marked else 0),)
-        values[c.id] = ((Fraction(1), v),) if c.has_inner else v
+        values[c.id] = pack_pieces(c, ((Fraction(1), v),))
     return StepFunction(1, values)
 
 
@@ -208,19 +191,13 @@ def linear_combination(
             raise DimensionMismatch("terms disagree on dimension")
     values: dict[str, object] = {}
     for c in space.cells:
-        if not c.has_inner:
-            acc = zero_vec(dim)
-            for coef, f in terms:
-                acc = vec_add(acc, vec_scale(f.value_at(c, Fraction(0)), coef))
-            values[c.id] = acc
-            continue
         pieces = []
-        for _lo, hi, payloads in merged_pieces(*[f.values[c.id] for _, f in terms]):
+        for _lo, hi, payloads in merged_pieces(*[f.pieces(c) for _, f in terms]):
             acc = zero_vec(dim)
             for (coef, _f), v in zip(terms, payloads):
                 acc = vec_add(acc, vec_scale(v, coef))
             pieces.append((hi, acc))
-        values[c.id] = tuple(pieces)
+        values[c.id] = pack_pieces(c, pieces)
     return StepFunction(dim, values)
 
 
@@ -232,13 +209,10 @@ def scalar_product(space: MeasureSpaceModel, f: StepFunction, g: StepFunction) -
     g.validate(space)
     values: dict[str, object] = {}
     for c in space.cells:
-        if not c.has_inner:
-            values[c.id] = (f.value_at(c, Fraction(0))[0] * g.value_at(c, Fraction(0))[0],)
-            continue
         pieces = []
-        for _lo, hi, (fv, gv) in merged_pieces(f.values[c.id], g.values[c.id]):
+        for _lo, hi, (fv, gv) in merged_pieces(f.pieces(c), g.pieces(c)):
             pieces.append((hi, (fv[0] * gv[0],)))
-        values[c.id] = tuple(pieces)
+        values[c.id] = pack_pieces(c, pieces)
     return StepFunction(1, values)
 
 
@@ -249,11 +223,7 @@ def functions_equal(space: MeasureSpaceModel, f: StepFunction, g: StepFunction) 
     f.validate(space)
     g.validate(space)
     for c in space.cells:
-        if not c.has_inner:
-            if f.value_at(c, Fraction(0)) != g.value_at(c, Fraction(0)):
-                return False
-            continue
-        for _lo, _hi, (fv, gv) in merged_pieces(f.values[c.id], g.values[c.id]):
+        for _lo, _hi, (fv, gv) in merged_pieces(f.pieces(c), g.pieces(c)):
             if fv != gv:
                 return False
     return True

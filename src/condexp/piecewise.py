@@ -8,19 +8,22 @@ proportional splits, and exact envelope integration.
 This module owns the piece-list format shared by step functions, selections
 and strategies: a sequence of ``(upto, payload)`` pairs whose uptos increase
 strictly and end at 1, piece k covering ``[upto_{k-1}, upto_k)``.  Walking,
-clipping, merging and checking such lists happens only here.
+clipping, merging and checking such lists happens only here, and so does the
+one storage rule for cells without an inner coordinate (see ``PiecePlan``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import SchemaError
 
 AffineForm = tuple[Fraction, Fraction]  # (A, B) meaning A + B*t
+ONE = Fraction(1)
 
 
 def common_refinement(*upto_lists: Iterable[Fraction]) -> list[Fraction]:
@@ -87,6 +90,69 @@ def check_pieces(
         prev = upto
     if prev != 1:
         raise SchemaError(path, "pieces must end at 1")
+
+
+class PiecePlan:
+    """Per-cell piece lists keyed by cell id, the base of every piecewise plan.
+
+    A cell with an inner coordinate (``cell.has_inner``) stores a tuple of
+    ``(upto, payload)`` pieces; a point cell stores its one payload bare.
+    That rule lives only here, in ``convert_entry``: read through ``pieces``,
+    every cell is a piece list, a point cell's being ``((1, payload),)``, and
+    ``pack_pieces`` turns such a list back into the stored entry.  Subclasses
+    expose their mapping of stored entries as ``entries``.
+    """
+
+    def pieces(self, cell) -> Sequence[tuple[Fraction, object]]:
+        return convert_entry(cell, self.entries[cell.id], _same, _one_piece)
+
+    def payload_at(self, cell, t: Fraction):
+        return piece_payload(self.pieces(cell), t)
+
+    def breakpoints(self, cell) -> list[Fraction]:
+        return [upto for upto, _ in self.pieces(cell)]
+
+    def mapped(self, cell, fn: Callable[[object], object]):
+        """The cell's stored entry with ``fn`` applied to every payload."""
+        return pack_pieces(cell, [(upto, fn(payload)) for upto, payload in self.pieces(cell)])
+
+    def check_cells(self, cells, name: str, check: Callable[[object, object], None]) -> None:
+        """Raise SchemaError at ``name[cell id]`` for a missing entry, a
+        malformed piece list or bad breakpoints; ``check(cell, payload)`` sees
+        each payload in piece order and raises the subclass's own errors."""
+        for cell in cells:
+            path = f"{name}[{cell.id}]"
+            if cell.id not in self.entries:
+                raise SchemaError(path, "missing cell entry")
+            pieces = self.pieces(cell)
+            if not isinstance(pieces, tuple) or not pieces or not isinstance(pieces[0], tuple):
+                raise SchemaError(path, "expected a piece list")
+            check_pieces(path, pieces, partial(check, cell))
+
+
+def convert_entry(cell, entry, on_pieces: Callable, on_payload: Callable):
+    """``on_pieces(entry)`` for a stored piece list, ``on_payload(entry)`` for
+    a point cell's bare payload.  Serialized forms mirror storage, so this
+    one dispatch serves them too."""
+    return on_pieces(entry) if cell.has_inner else on_payload(entry)
+
+
+def pack_pieces(cell, pieces: Iterable[tuple[Fraction, object]]):
+    """The stored entry for a cell's pieces; a point cell keeps its one payload."""
+    return convert_entry(cell, pieces, tuple, _only_payload)
+
+
+def _same(entry):
+    return entry
+
+
+def _one_piece(payload):
+    return ((ONE, payload),)
+
+
+def _only_payload(pieces):
+    ((_upto, payload),) = pieces
+    return payload
 
 
 def merged_pieces(*piece_lists: Sequence[tuple[Fraction, object]]):

@@ -31,7 +31,13 @@ from .games import (
     player_payoff,
     strategy_moments,
 )
-from .piecewise import append_piece, clip_pieces, merged_pieces, proportional_subintervals
+from .piecewise import (
+    append_piece,
+    clip_pieces,
+    merged_pieces,
+    pack_pieces,
+    proportional_subintervals,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -105,10 +111,10 @@ def purify_player(
             if u.cell_index != ci:
                 continue
             symmetric = any(B != 0 for _A, B in forms[idx])
-            for lo, hi, weights in clip_pieces(behavioral[i].plan[cell.id], u.lo, u.hi):
+            for lo, hi, weights in clip_pieces(behavioral[i].pieces(cell), u.lo, u.hi):
                 for _a, b, k in proportional_subintervals(lo, hi, weights, symmetric):
                     append_piece(pieces, b, k)
-        plan[cell.id] = tuple(pieces)
+        plan[cell.id] = pack_pieces(cell, pieces)
     return PureStrategy(plan)
 
 
@@ -202,13 +208,7 @@ def audit_equivalence(
         total = ZERO
         if isinstance(strategy, PureStrategy):
             for cell in spec.cells:
-                if cell.point:
-                    a = strategy.action_at(cell, ZERO)
-                    if fb[i].weights_at(cell, ZERO)[a] == 0:
-                        total += cell.mass
-                        violations.append(BeliefViolation(i, cell.id, ZERO, ONE, a))
-                    continue
-                for lo, hi, (w, a) in merged_pieces(fb[i].plan[cell.id], strategy.plan[cell.id]):
+                for lo, hi, (w, a) in merged_pieces(fb[i].pieces(cell), strategy.pieces(cell)):
                     if w[a] == 0:
                         total += cell.mass * (hi - lo)
                         violations.append(BeliefViolation(i, cell.id, lo, hi, a))
@@ -237,10 +237,8 @@ def random_behavioral(spec, rng: random.Random) -> BehavioralStrategy:
 
     plan = {}
     for cell in spec.cells:
-        if cell.point:
-            plan[cell.id] = random_weights()
-            continue
-        cuts = sorted(set(Fraction(rng.randint(1, 7), 8) for _ in range(rng.randint(0, 2))))
-        uptos = cuts + [ONE]
-        plan[cell.id] = tuple((u, random_weights()) for u in uptos)
+        cuts = []
+        if cell.has_inner:  # a point cell cannot be cut
+            cuts = sorted(set(Fraction(rng.randint(1, 7), 8) for _ in range(rng.randint(0, 2))))
+        plan[cell.id] = pack_pieces(cell, [(u, random_weights()) for u in cuts + [ONE]])
     return BehavioralStrategy(plan)

@@ -114,17 +114,6 @@ def in_hull(x: Vec, points: Sequence[Vec]) -> bool:
     return feasible_combination(A, b) is not None
 
 
-def hull_weights(x: Vec, points: Sequence[Vec]):
-    """Convex weights writing x over the points, or None."""
-    if not points:
-        return None
-    dim = len(x)
-    A = [[p[d] for p in points] for d in range(dim)]
-    A.append([ONE] * len(points))
-    b = list(x) + [ONE]
-    return feasible_combination(A, b)
-
-
 def dedupe_points(points: Sequence[Vec]) -> list[Vec]:
     return sorted(set(tuple(p) for p in points))
 
@@ -143,11 +132,6 @@ def extreme_points(points: Sequence[Vec]) -> list[Vec]:
         if not in_hull(p, others):
             keep.append(p)
     return keep
-
-
-def minkowski_sum(points_a: Sequence[Vec], points_b: Sequence[Vec]) -> list[Vec]:
-    sums = [tuple(x + y for x, y in zip(p, q)) for p in points_a for q in points_b]
-    return extreme_points(sums)
 
 
 def support_value(points: Sequence[Vec], direction: Vec) -> Fraction:

@@ -18,7 +18,7 @@ from .attainable import (
     RademacherReport,
     UhcAuditReport,
 )
-from .correspondences import FiniteIndexedCorrespondence, MixedSelection, Selection
+from .correspondences import FiniteIndexedCorrespondence, Selection
 from .errors import SchemaError
 from .games import (
     BayesianGame,
@@ -29,6 +29,7 @@ from .games import (
     TypeCell,
 )
 from .measure import Cell, CellKind, MeasureSpaceModel, StepFunction
+from .piecewise import PiecePlan, convert_entry
 
 
 def _frac(value: Any, path: str) -> Fraction:
@@ -50,6 +51,62 @@ def _expect(obj: Any, kind: type, path: str):
     if not isinstance(obj, kind):
         raise SchemaError(path, f"expected {kind.__name__}, got {type(obj).__name__}")
     return obj
+
+
+def _int(value: Any, path: str) -> int:
+    """A JSON integer; bools, floats and strings are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _vec(value: Any, path: str) -> tuple[Fraction, ...]:
+    return tuple(_frac(x, path) for x in _expect(value, list, path))
+
+
+# -- piece plans ---------------------------------------------------------------
+#
+# JSON mirrors storage: each cell's entry is a list of {"upto": ..., key: ...}
+# pieces, or on a point cell the bare payload.  ``convert_entry`` makes that
+# one choice for both directions.
+
+
+def _load_plan(doc: dict, cells, path: str, key: str, load) -> dict[str, object]:
+    """Stored entries per cell from ``doc``; ``load(value, path)`` reads a payload."""
+    entries: dict[str, object] = {}
+    for c in cells:
+        p = f"{path}[{c.id}]"
+        if c.id not in doc:
+            raise SchemaError(p, "missing cell entry")
+        entries[c.id] = convert_entry(
+            c, doc[c.id], lambda e: _load_pieces(e, p, key, load), lambda e: load(e, p)
+        )
+    return entries
+
+
+def _load_pieces(entry: Any, path: str, key: str, load) -> tuple:
+    pieces = []
+    for k, pd in enumerate(_expect(entry, list, path)):
+        q = f"{path}[{k}]"
+        _expect(pd, dict, q)
+        pieces.append((_frac(pd.get("upto"), f"{q}.upto"), load(pd.get(key), f"{q}.{key}")))
+    return tuple(pieces)
+
+
+def _dump_plan(plan: PiecePlan, cells, key: str, dump=lambda x: x) -> dict[str, object]:
+    return {
+        c.id: convert_entry(
+            c,
+            plan.entries[c.id],
+            lambda pieces: [{"upto": frac_str(upto), key: dump(x)} for upto, x in pieces],
+            dump,
+        )
+        for c in cells
+    }
+
+
+def _dump_vec(vec) -> list[str]:
+    return [frac_str(x) for x in vec]
 
 
 # -- measure space -------------------------------------------------------------
@@ -98,41 +155,13 @@ def load_step_function(doc: Any, space: MeasureSpaceModel, path: str = "f") -> S
     if not isinstance(dim, int) or dim < 1:
         raise SchemaError(f"{path}.dim", "expected a positive integer")
     values_doc = _expect(doc.get("values"), dict, f"{path}.values")
-    values: dict[str, object] = {}
-    for c in space.cells:
-        p = f"{path}.values[{c.id}]"
-        if c.id not in values_doc:
-            raise SchemaError(p, "missing cell entry")
-        entry = values_doc[c.id]
-        if c.has_inner:
-            _expect(entry, list, p)
-            pieces = []
-            for k, pd in enumerate(entry):
-                _expect(pd, dict, f"{p}[{k}]")
-                upto = _frac(pd.get("upto"), f"{p}[{k}].upto")
-                vec = _expect(pd.get("v"), list, f"{p}[{k}].v")
-                pieces.append((upto, tuple(_frac(x, f"{p}[{k}].v") for x in vec)))
-            values[c.id] = tuple(pieces)
-        else:
-            _expect(entry, list, p)
-            values[c.id] = tuple(_frac(x, p) for x in entry)
-    f = StepFunction(dim, values)
+    f = StepFunction(dim, _load_plan(values_doc, space.cells, f"{path}.values", "v", _vec))
     f.validate(space)
     return f
 
 
 def dump_step_function(f: StepFunction, space: MeasureSpaceModel) -> dict:
-    values: dict[str, object] = {}
-    for c in space.cells:
-        entry = f.values[c.id]
-        if c.has_inner:
-            values[c.id] = [
-                {"upto": frac_str(upto), "v": [frac_str(x) for x in vec]}
-                for upto, vec in entry
-            ]
-        else:
-            values[c.id] = [frac_str(x) for x in entry]
-    return {"dim": f.dim, "values": values}
+    return {"dim": f.dim, "values": _dump_plan(f, space.cells, "v", _dump_vec)}
 
 
 def load_correspondence(doc: Any, path: str = "correspondence") -> FiniteIndexedCorrespondence:
@@ -155,63 +184,11 @@ def dump_correspondence(F: FiniteIndexedCorrespondence) -> dict:
 
 def load_selection(doc: Any, space: MeasureSpaceModel, path: str = "selection") -> Selection:
     _expect(doc, dict, path)
-    assignments: dict[str, object] = {}
-    for c in space.cells:
-        p = f"{path}[{c.id}]"
-        if c.id not in doc:
-            raise SchemaError(p, "missing cell entry")
-        entry = doc[c.id]
-        if c.has_inner:
-            _expect(entry, list, p)
-            pieces = []
-            for k, pd in enumerate(entry):
-                _expect(pd, dict, f"{p}[{k}]")
-                upto = _frac(pd.get("upto"), f"{p}[{k}].upto")
-                branch = pd.get("branch")
-                if not isinstance(branch, int):
-                    raise SchemaError(f"{p}[{k}].branch", "expected an integer")
-                pieces.append((upto, branch))
-            assignments[c.id] = tuple(pieces)
-        else:
-            if not isinstance(entry, int):
-                raise SchemaError(p, "expected an integer branch")
-            assignments[c.id] = entry
-    return Selection(assignments)
+    return Selection(_load_plan(doc, space.cells, path, "branch", _int))
 
 
 def dump_selection(s: Selection, space: MeasureSpaceModel) -> dict:
-    out: dict[str, object] = {}
-    for c in space.cells:
-        entry = s.assignments[c.id]
-        if c.has_inner:
-            out[c.id] = [
-                {"upto": frac_str(upto), "branch": k} for upto, k in entry
-            ]
-        else:
-            out[c.id] = entry
-    return out
-
-
-def load_mixed_selection(doc: Any, space: MeasureSpaceModel, path: str = "mixed") -> MixedSelection:
-    _expect(doc, dict, path)
-    weights: dict[str, object] = {}
-    for c in space.cells:
-        p = f"{path}[{c.id}]"
-        if c.id not in doc:
-            raise SchemaError(p, "missing cell entry")
-        entry = doc[c.id]
-        _expect(entry, list, p)
-        if c.has_inner:
-            pieces = []
-            for k, pd in enumerate(entry):
-                _expect(pd, dict, f"{p}[{k}]")
-                upto = _frac(pd.get("upto"), f"{p}[{k}].upto")
-                row = _expect(pd.get("w"), list, f"{p}[{k}].w")
-                pieces.append((upto, tuple(_frac(x, f"{p}[{k}].w") for x in row)))
-            weights[c.id] = tuple(pieces)
-        else:
-            weights[c.id] = tuple(_frac(x, p) for x in entry)
-    return MixedSelection(weights)
+    return _dump_plan(s, space.cells, "branch")
 
 
 # -- games ---------------------------------------------------------------------
@@ -243,7 +220,7 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
     def load_entry(ed, p) -> tuple[tuple[int, ...], Entry]:
         _expect(ed, dict, p)
         units = _expect(ed.get("units"), list, f"{p}.units")
-        key = tuple(int(u) for u in units)
+        key = tuple(_int(u, f"{p}.units[{k}]") for k, u in enumerate(units))
         const = _frac(ed.get("const", "0"), f"{p}.const")
         slope = _frac(ed.get("slope", "0"), f"{p}.slope") if "slope" in ed else Fraction(0)
         coord = ed.get("coord")
@@ -265,7 +242,8 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
         for k, td in enumerate(tables_doc):
             tp = f"{p}[{k}]"
             _expect(td, dict, tp)
-            profile = tuple(int(a) for a in _expect(td.get("profile"), list, f"{tp}.profile"))
+            profile_doc = _expect(td.get("profile"), list, f"{tp}.profile")
+            profile = tuple(_int(a, f"{tp}.profile[{j}]") for j, a in enumerate(profile_doc))
             entries = {}
             for j, ed in enumerate(_expect(td.get("entries"), list, f"{tp}.entries")):
                 key, entry = load_entry(ed, f"{tp}.entries[{j}]")
@@ -313,65 +291,19 @@ def dump_game(game: BayesianGame) -> dict:
 
 def load_strategy(doc: Any, spec: PlayerSpec, path: str = "strategy"):
     _expect(doc, dict, path)
-    kind = doc.get("type", "behavioral")
     plan_doc = _expect(doc.get("plan"), dict, f"{path}.plan")
-    plan: dict[str, object] = {}
-    for cell in spec.cells:
-        p = f"{path}.plan[{cell.id}]"
-        if cell.id not in plan_doc:
-            raise SchemaError(p, "missing cell entry")
-        entry = plan_doc[cell.id]
-        if kind == "pure":
-            if cell.point:
-                if not isinstance(entry, int):
-                    raise SchemaError(p, "expected an action index")
-                plan[cell.id] = entry
-            else:
-                _expect(entry, list, p)
-                plan[cell.id] = tuple(
-                    (_frac(pd.get("upto"), f"{p}.upto"), int(pd.get("action")))
-                    for pd in entry
-                )
-        else:
-            _expect(entry, list, p)
-            if cell.point:
-                plan[cell.id] = tuple(_frac(x, p) for x in entry)
-            else:
-                plan[cell.id] = tuple(
-                    (
-                        _frac(pd.get("upto"), f"{p}.upto"),
-                        tuple(_frac(x, f"{p}.w") for x in pd.get("w", [])),
-                    )
-                    for pd in entry
-                )
-    strategy = PureStrategy(plan) if kind == "pure" else BehavioralStrategy(plan)
+    if doc.get("type", "behavioral") == "pure":
+        strategy = PureStrategy(_load_plan(plan_doc, spec.cells, f"{path}.plan", "action", _int))
+    else:
+        strategy = BehavioralStrategy(_load_plan(plan_doc, spec.cells, f"{path}.plan", "w", _vec))
     strategy.validate(spec)
     return strategy
 
 
 def dump_strategy(strategy, spec: PlayerSpec) -> dict:
     if isinstance(strategy, PureStrategy):
-        plan: dict[str, object] = {}
-        for cell in spec.cells:
-            entry = strategy.plan[cell.id]
-            if cell.point:
-                plan[cell.id] = entry
-            else:
-                plan[cell.id] = [
-                    {"upto": frac_str(upto), "action": k} for upto, k in entry
-                ]
-        return {"type": "pure", "plan": plan}
-    plan = {}
-    for cell in spec.cells:
-        entry = strategy.plan[cell.id]
-        if cell.point:
-            plan[cell.id] = [frac_str(x) for x in entry]
-        else:
-            plan[cell.id] = [
-                {"upto": frac_str(upto), "w": [frac_str(x) for x in w]}
-                for upto, w in entry
-            ]
-    return {"type": "behavioral", "plan": plan}
+        return {"type": "pure", "plan": _dump_plan(strategy, spec.cells, "action")}
+    return {"type": "behavioral", "plan": _dump_plan(strategy, spec.cells, "w", _dump_vec)}
 
 
 # -- report dumpers ------------------------------------------------------------

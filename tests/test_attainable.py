@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -467,3 +471,71 @@ class TestMembershipAtomDichotomy:
             )
             result = membership(Fc, half)
             assert result.member == (cells[target].kind is CellKind.RICH)
+
+
+# Each certified check is broken at the quantity it checks, under python -O,
+# where a bare assert would be skipped.
+OPTIMIZED_CHECKS = """
+from fractions import Fraction as F
+
+from condexp import attainable, equilibrium
+from condexp.correspondences import FiniteIndexedCorrespondence, MixedSelection, Selection
+from condexp.factories import matching_pennies_game
+from condexp.measure import Cell, CellKind, MeasureSpaceModel, constant_function
+
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+
+def binary(cells):
+    sp = MeasureSpaceModel(tuple(cells))
+    return FiniteIndexedCorrespondence(
+        sp, (constant_function(sp, (F(0),)), constant_function(sp, (F(1),)))
+    )
+
+# convexify: the point cell's choice is flipped, so the witness misses the blend
+Fc = binary([Cell("r", F(1, 2), CellKind.RICH, "g"), Cell("p", F(1, 2), CellKind.POINT_MASS, "g")])
+blend = attainable._mixed_block_blend
+attainable._mixed_block_blend = lambda *args: {
+    cid: 1 - e if cid == "p" else e for cid, e in blend(*args).items()
+}
+s1 = Selection({"r": ((F(1), 0),), "p": 0})
+s2 = Selection({"r": ((F(1), 1),), "p": 1})
+try:
+    attainable.convexify_witness(Fc, s1, s2, F(1, 2))
+except ArithmeticError as exc:
+    print("convexify:", exc)
+
+# derandomize: every piece goes to branch 0, whatever its weights
+Fr = binary([Cell("r", F(1), CellKind.RICH, "r")])
+attainable.proportional_subintervals = lambda lo, hi, w, symmetric=False: [(lo, hi, 0)]
+try:
+    attainable.derandomize_selection(Fr, MixedSelection({"r": ((F(1), (F(1, 2), F(1, 2))),)}))
+except ArithmeticError as exc:
+    print("derandomize:", exc)
+
+# zero-sum LP: each side's optimum is off by one
+simplex_min = equilibrium.simplex_min
+equilibrium.simplex_min = lambda *args: (simplex_min(*args)[0] + 1, simplex_min(*args)[1])
+try:
+    equilibrium.solve_behavioral(matching_pennies_game(2), equilibrium.SolveOptions(method="lp"))
+except ArithmeticError as exc:
+    print("lp:", exc)
+"""
+
+
+class TestChecksSurviveOptimize:
+    def test_certified_checks_raise_under_dash_o(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "convexify: convexify witness misses the blended conditional expectation",
+            "derandomize: derandomized selection misses the mixture's conditional expectation",
+            "lp: zero-sum LP values disagree: -1 vs 1",
+        ]

@@ -317,6 +317,52 @@ class TestAuditEquivalenceInput:
         assert out == without
 
 
+class TestLoaderInput:
+    @staticmethod
+    def purify_with(tmp_path, edit):
+        doc = json.loads((FIXTURES / "mp_purify.json").read_text())
+        edit(doc)
+        fixture = tmp_path / "bad.json"
+        fixture.write_text(json.dumps(doc))
+        return main(["purify", str(fixture)])
+
+    @pytest.mark.parametrize(
+        "edit, err",
+        [
+            (
+                lambda d: d["profile"][0]["plan"].update(t1=["1"]),
+                "profile[0].plan[t1][0]: expected dict, got str",
+            ),
+            (
+                lambda d: d["game"]["density"][0].update(units=["x", 0]),
+                "game.density[0].units[0]: expected an integer, got 'x'",
+            ),
+            (
+                lambda d: d["game"]["payoffs"][0][0].update(profile=[0, "1"]),
+                "game.payoffs[0][0].profile[1]: expected an integer, got '1'",
+            ),
+            (
+                lambda d: d["game"]["density"][0].update(units=[0.7, 0]),
+                "game.density[0].units[0]: expected an integer, got 0.7",
+            ),
+            (
+                lambda d: d["profile"].__setitem__(
+                    0, {"type": "pure", "plan": {"t1": [{"upto": "1", "action": "a1"}]}}
+                ),
+                "profile[0].plan[t1][0].action: expected an integer, got 'a1'",
+            ),
+        ],
+        ids=["piece-not-object", "unit-not-integer", "profile-action-not-integer",
+             "unit-float", "pure-action-not-integer"],
+    )
+    def test_malformed_input_is_an_input_error(self, capsys, tmp_path, edit, err):
+        code = self.purify_with(tmp_path, edit)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"input error: {err}\n"
+
+
 class TestSubprocessDeterminism:
     def test_separate_processes_byte_identical(self, tmp_path):
         # separate interpreter runs rule out per-process ordering effects

@@ -7,14 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condexp.correspondences import Selection
 from condexp.errors import SchemaError
+from condexp.games import PureStrategy, TypeCell
+from condexp.measure import Cell, CellKind
 from condexp.piecewise import (
     append_piece,
     check_pieces,
     clip_pieces,
     common_refinement,
+    pack_pieces,
     piece_payload,
 )
+
+from helpers import binary_F, space
 
 F = Fraction
 
@@ -122,3 +128,36 @@ class TestCheckPieces:
         with pytest.raises(SchemaError) as info:
             check_pieces("values[c]", [(F(1, 2), 0)])
         assert info.value.path == "values[c]"
+
+
+class TestPiecePlan:
+    RICH = Cell("r", F(1, 2), CellKind.RICH, "g")
+    POINT = Cell("p", F(1, 2), CellKind.POINT_MASS, "g")
+
+    @given(piece_lists(), st.integers(min_value=0, max_value=2))
+    def test_pieces_and_pack_invert_each_other(self, pieces, k):
+        plan = Selection({"r": tuple(pieces), "p": k})
+        assert plan.pieces(self.POINT) == ((F(1), k),)
+        assert plan.pieces(self.RICH) == tuple(pieces)
+        for cell in (self.RICH, self.POINT):
+            assert pack_pieces(cell, plan.pieces(cell)) == plan.assignments[cell.id]
+            assert plan.breakpoints(cell) == [u for u, _ in plan.pieces(cell)]
+            for t in (F(0), F(1, 3), F(23, 24)):
+                assert plan.payload_at(cell, t) == piece_payload(plan.pieces(cell), t)
+
+    def test_type_cells_follow_the_same_rule(self):
+        point, interval = TypeCell("p", F(1, 2), (), True), TypeCell("t", F(1, 2), (F(1),))
+        plan = PureStrategy({"p": 1, "t": ((F(1, 2), 0), (F(1), 1))})
+        assert plan.pieces(point) == ((F(1), 1),)
+        assert plan.mapped(point, lambda a: a + 1) == 2
+        assert plan.mapped(interval, lambda a: a + 1) == ((F(1, 2), 1), (F(1), 2))
+
+    def test_point_cell_packs_only_one_piece(self):
+        with pytest.raises(ValueError):
+            pack_pieces(self.POINT, [(F(1, 2), 0), (F(1), 1)])
+
+    @pytest.mark.parametrize("entry", [0, (), (F(1), 0)])
+    def test_malformed_piece_list_is_a_schema_error(self, entry):
+        F01 = binary_F(space(self.RICH, self.POINT))
+        with pytest.raises(SchemaError, match=r"selection\[r\]: expected a piece list"):
+            Selection({"r": entry, "p": 0}).validate(F01)

@@ -116,15 +116,17 @@ class TestInterimFormReuse:
         assert 0 < len(calls) <= 2 * 2 * 4
 
     def test_purify_equilibrium_builds_two_form_sets(self, monkeypatch):
-        # one set per player against the solved profile (split and payoff
-        # check) and one against the purified one (verification and payoff
-        # check): 2 sets x 2 players x 4 (unit, action) forms
+        # across solve and purify: one set per player against the solved
+        # profile (verification, split and payoff check, handed over in the
+        # report) and one against the purified one (verification and payoff
+        # check), each 2 players x 4 (unit, action) forms
         _rng, game = self.two_by_two_game()
-        report = solve_behavioral(game)
         calls = self.count_interim_affine(monkeypatch)
+        report = solve_behavioral(game)
+        assert len(calls) == 2 * 4
         purified = purify_equilibrium(game, report)
         assert purified.payoffs_preserved and purified.mixtures_preserved
-        assert len(calls) == 2 * 2 * 4
+        assert len(calls) == 2 * 4 + 2 * 4
 
 
 class TestAuditEquivalence:

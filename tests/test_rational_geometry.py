@@ -10,7 +10,6 @@ from condexp.rational_geometry import (
     extreme_points,
     feasible_combination,
     in_hull,
-    minkowski_sum,
     nearest_point_in_hull,
     simplex_min,
     support_value,
@@ -89,16 +88,6 @@ class TestHulls:
     def test_extreme_points_collinear(self):
         pts = [V(0, 0), V(1, 1), V(2, 2)]
         assert extreme_points(pts) == [V(0, 0), V(2, 2)]
-
-    def test_minkowski_interval_sum(self):
-        a = [V(0), V(1)]
-        b = [V(0), V("1/2")]
-        assert minkowski_sum(a, b) == [V(0), V("3/2")]
-
-    def test_minkowski_squares(self):
-        sq = [V(0, 0), V(1, 0), V(0, 1), V(1, 1)]
-        out = minkowski_sum(sq, sq)
-        assert out == [V(0, 0), V(0, 2), V(2, 0), V(2, 2)]
 
     def test_support(self):
         sq = [V(0, 0), V(1, 0), V(0, 1), V(1, 1)]
