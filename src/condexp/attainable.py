@@ -50,10 +50,10 @@ from .rational_geometry import (
     dedupe_points,
     extreme_points,
     feasible_combination,
-    nearest_point_in_hull,
+    min_norm_point,
     support_value,
 )
-from .rationals import Vec, vec_add, vec_norm2, vec_scale, vec_sub, zero_vec
+from .rationals import Vec, vec_add, vec_dot, vec_norm2, vec_scale, vec_sub, zero_vec
 
 HALF = Fraction(1, 2)
 
@@ -139,21 +139,44 @@ class CondExpBlockSet:
         """The union as explicit vertex lists (in average scale), dim <= 3."""
         rich = self.rich_vertices()
         inv = Fraction(1) / self.block_mass
-        polys = set()
-        for offset in self.offsets():
-            verts = extreme_points([vec_scale(vec_add(v, offset), inv) for v in rich])
-            polys.add(tuple(verts))
-        return sorted(polys)
+        # a positive scaling plus a translation keeps the vertices and their order
+        return sorted(
+            {tuple(vec_scale(vec_add(v, offset), inv) for v in rich) for offset in self.offsets()}
+        )
 
     def distance(self, value: Vec) -> tuple[Fraction, Vec]:
-        """Min squared Euclidean distance to the union plus a nearest point."""
+        """Min squared Euclidean distance to the union plus a nearest point.
+
+        Per offset, Wolfe's min-norm point of the rich Minkowski sum minus
+        the target, in block-mass scale, through the sum's oracle: the
+        coefficient-scaled minimizing vertex of every summand, plus the
+        offset.  Any dimension, and no vertex enumeration.  Each polytope's
+        nearest point is unique; across offsets the smaller distance, then
+        the smaller point, wins.
+        """
+        target = vec_scale(value, self.block_mass)
+        inv = Fraction(1) / self.block_mass
+        start = self._rich_argmin(zero_vec(self.dim))
         best: tuple[Fraction, Vec] | None = None
-        for poly in self.polytopes():
-            d2, point = nearest_point_in_hull(value, poly)
-            if best is None or d2 < best[0] or (d2 == best[0] and point < best[1]):
-                best = (d2, point)
+        for offset in self.offsets():
+            shift = vec_sub(offset, target)
+            y = min_norm_point(
+                lambda c: vec_add(shift, self._rich_argmin(c)), vec_add(shift, start)
+            )
+            cand = (vec_norm2(y) * inv * inv, vec_scale(vec_add(target, y), inv))
+            if best is None or cand < best:
+                best = cand
         assert best is not None
         return best
+
+    def _rich_argmin(self, c: Vec) -> Vec:
+        """A point of the rich Minkowski sum minimizing c . x: each summand's
+        minimizing vertex (the smallest one on ties), scaled and added up."""
+        acc = zero_vec(self.dim)
+        for coeff, points in self.summands:
+            vertex = min(points, key=lambda q: (vec_dot(c, q), q))
+            acc = vec_add(acc, vec_scale(vertex, coeff))
+        return acc
 
     def support(self, direction: Vec) -> Fraction:
         """Support function of the union in a given direction, any dimension."""
@@ -263,18 +286,16 @@ def membership(
         region = block_set(F, label)
         if region.contains(value, tolerance):
             continue
-        if F.dim <= 3:
-            d2, nearest = region.distance(value)
-            dist = _sqrt_exact(d2)
-            cert = BlockCertificate(
+        d2, nearest = region.distance(value)
+        dist = _sqrt_exact(d2)
+        failures.append(
+            BlockCertificate(
                 label,
                 "region",
                 dist * region.block_mass if isinstance(dist, Fraction) else dist * float(region.block_mass),
                 vec_sub(value, nearest),
             )
-        else:
-            cert = BlockCertificate(label, "region", None, None)
-        failures.append(cert)
+        )
     first = failures[0] if failures else None
     return MembershipResult(not failures, first, tuple(failures))
 
@@ -454,15 +475,13 @@ def _mixed_block_blend(F, label, cells, value, alpha):
             assignments[c.id] = pack_pieces(c, pieces)
         return assignments
     atom = point_cells[0]
-    dist = None
-    if F.dim <= 3:
-        d2, _nearest = region.distance(value)
-        root = _sqrt_exact(d2)
-        dist = (
-            root * region.block_mass
-            if isinstance(root, Fraction)
-            else root * float(region.block_mass)
-        )
+    d2, _nearest = region.distance(value)
+    root = _sqrt_exact(d2)
+    dist = (
+        root * region.block_mass
+        if isinstance(root, Fraction)
+        else root * float(region.block_mass)
+    )
     return AtomObstruction(
         atom.id, alpha, "no point-cell choice makes the blend attainable", dist
     )

@@ -234,12 +234,13 @@ def cmd_solve(args) -> int:
 def cmd_purify(args) -> int:
     doc = _read(args.fixture)
     game = serialize.load_game(doc.get("game", doc))
+    given = doc.get("profile", [])
+    if not isinstance(given, list) or len(given) != len(game.players):
+        raise SchemaError("profile", "one strategy per player required")
     profile = [
         serialize.load_strategy(sd, spec, f"profile[{i}]")
-        for i, (sd, spec) in enumerate(zip(doc.get("profile", []), game.players))
+        for i, (sd, spec) in enumerate(zip(given, game.players))
     ]
-    if len(profile) != len(game.players):
-        raise SchemaError("profile", "one strategy per player required")
     try:
         cert = purification.strong_purify(
             game, profile, deviation_samples=args.samples, seed=args.seed

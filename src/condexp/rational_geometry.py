@@ -1,19 +1,20 @@
 """Exact polytope primitives over rational arithmetic.
 
-Polytopes are carried as finite vertex sets.  Membership and extreme-point
-filtering run through a small exact simplex solver (Bland's rule, so it
-terminates), and nearest-point queries enumerate candidate faces, which is
-plenty at desk scale where vertex counts stay small.
+Polytopes are carried as finite vertex sets or, for Minkowski sums, through
+a linear-minimization oracle.  Membership and the dimension-3 extreme-point
+filter run through a small exact simplex solver (Bland's rule, so it
+terminates); planar hulls come from Andrew's monotone chain.  Nearest points
+come from Wolfe's min-norm-point algorithm, which needs only the oracle and
+is exact and finite in any dimension.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .errors import InfeasibleProgram, UnboundedProgram, UnsupportedDimension
-from .rationals import Vec, vec_dot, vec_norm2, vec_sub
+from .errors import InfeasibleProgram, UnboundedProgram
+from .rationals import Vec, vec_add, vec_dot, vec_norm2, vec_sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -119,13 +120,20 @@ def dedupe_points(points: Sequence[Vec]) -> list[Vec]:
 
 
 def extreme_points(points: Sequence[Vec]) -> list[Vec]:
-    """Vertices of the convex hull of a finite point set, sorted."""
+    """Vertices of the convex hull of a finite point set, sorted.
+
+    Dimension 2 uses Andrew's monotone chain; dimension 3 drops every point
+    lying in the hull of the others (one exact LP each).  Points in the
+    relative interior of an edge are not vertices and are dropped.
+    """
     pts = dedupe_points(points)
     if len(pts) <= 1:
         return pts
     dim = len(pts[0])
     if dim == 1:
         return sorted({min(pts), max(pts)})
+    if dim == 2:
+        return sorted(_half_hull(pts) + _half_hull(reversed(pts)))
     keep = []
     for i, p in enumerate(pts):
         others = pts[:i] + pts[i + 1 :]
@@ -134,18 +142,30 @@ def extreme_points(points: Sequence[Vec]) -> list[Vec]:
     return keep
 
 
+def _half_hull(pts) -> list[Vec]:
+    """One monotone chain over lexicographically ordered planar points,
+    without its last point; a non-left turn (cross <= 0) pops."""
+    chain: list[Vec] = []
+    for p in pts:
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain[:-1]
+
+
 def support_value(points: Sequence[Vec], direction: Vec) -> Fraction:
     return max(vec_dot(p, direction) for p in points)
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination; returns solution or None when singular."""
+def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Gauss-Jordan elimination on a nonsingular square system."""
     n = len(matrix)
     aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            return None
+        pivot_row = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         inv = aug[col][col]
         aug[col] = [v / inv for v in aug[col]]
@@ -156,49 +176,72 @@ def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]):
     return [aug[r][-1] for r in range(n)]
 
 
+def _affine_minimizer(corral: list[Vec]) -> list[Fraction]:
+    """Weights, summing to 1, of the least-norm point of aff(corral).
+
+    Writing the point as s0 + sum c_i (s_i - s0), the c_i solve the Gram
+    system of the differences; it is nonsingular because a corral is affinely
+    independent.
+    """
+    base = corral[0]
+    dirs = [vec_sub(p, base) for p in corral[1:]]
+    gram = [[vec_dot(u, v) for v in dirs] for u in dirs]
+    coeffs = _solve_linear(gram, [-vec_dot(u, base) for u in dirs])
+    return [ONE - sum(coeffs, ZERO)] + coeffs
+
+
+def _combine(corral: list[Vec], weights: list[Fraction]) -> Vec:
+    return tuple(
+        sum((w * p[d] for w, p in zip(weights, corral)), ZERO) for d in range(len(corral[0]))
+    )
+
+
+def min_norm_point(oracle: Callable[[Vec], Vec], start: Vec) -> Vec:
+    """The least-norm point of a polytope, exactly (Wolfe 1976).
+
+    ``oracle(c)`` returns a vertex of the polytope minimizing ``c . p``, and
+    ``start`` is any of its vertices.  The iterate y is always the least-norm
+    point of the affine hull of its corral, an affinely independent vertex
+    set carrying it with positive weights; y is optimal once no vertex p has
+    y.p < y.y.  Each major cycle strictly lowers |y| and no corral repeats, so
+    over rationals the loop is finite in any dimension.
+    """
+    corral = [tuple(start)]
+    weights = [ONE]
+    y = corral[0]
+    while True:
+        p = oracle(y)
+        if vec_dot(y, y) - vec_dot(y, p) <= 0:
+            return y
+        corral.append(tuple(p))
+        weights.append(ZERO)
+        while True:
+            alpha = _affine_minimizer(corral)
+            if all(a > 0 for a in alpha):
+                weights = alpha
+                break
+            # step from the weights toward alpha until a weight hits zero,
+            # then drop the vertices whose weight did
+            theta = min(w / (w - a) for w, a in zip(weights, alpha) if a <= 0)
+            mixed = [(ONE - theta) * w + theta * a for w, a in zip(weights, alpha)]
+            kept = [i for i, w in enumerate(mixed) if w > 0]
+            corral = [corral[i] for i in kept]
+            weights = [mixed[i] for i in kept]
+        y = _combine(corral, weights)
+
+
 def nearest_point_in_hull(x: Vec, points: Sequence[Vec]) -> tuple[Fraction, Vec]:
     """Squared distance and nearest point of conv(points) from x, exact.
 
-    The nearest point lies in the convex hull of at most dim+1 vertices and is
-    the orthogonal projection of x onto their affine span, so enumerating
-    small vertex subsets finds it.  Intended for dimension <= 3.
+    Wolfe's min-norm point of conv(points) - x, with the explicit points as
+    the oracle (ties to the smallest point); any dimension.
     """
-    pts = extreme_points(points)
-    if not pts:
+    shifted = [vec_sub(p, x) for p in points]
+    if not shifted:
         raise ValueError("empty point set")
-    dim = len(x)
-    if dim > 3:
-        raise UnsupportedDimension("nearest-point queries need dimension <= 3")
-    if in_hull(x, pts):
-        return ZERO, tuple(x)
-    best: tuple[Fraction, Vec] | None = None
-    for size in range(1, min(len(pts), dim + 1) + 1):
-        for subset in itertools.combinations(pts, size):
-            cand = _project_on_simplex(x, subset)
-            if cand is None:
-                continue
-            d2 = vec_norm2(vec_sub(x, cand))
-            if best is None or d2 < best[0] or (d2 == best[0] and cand < best[1]):
-                best = (d2, cand)
-    assert best is not None
-    return best
 
+    def oracle(c: Vec) -> Vec:
+        return min(shifted, key=lambda q: (vec_dot(c, q), q))
 
-def _project_on_simplex(x: Vec, subset: Sequence[Vec]):
-    """Project x onto aff(subset); return the point if it lands in conv(subset)."""
-    base = subset[0]
-    if len(subset) == 1:
-        return tuple(base)
-    dirs = [vec_sub(p, base) for p in subset[1:]]
-    gram = [[vec_dot(u, v) for v in dirs] for u in dirs]
-    rhs = [vec_dot(u, vec_sub(x, base)) for u in dirs]
-    coeffs = _solve_linear(gram, rhs)
-    if coeffs is None:
-        return None
-    if any(c < 0 for c in coeffs) or sum(coeffs) > 1:
-        return None
-    point = list(base)
-    for c, u in zip(coeffs, dirs):
-        for d in range(len(point)):
-            point[d] += c * u[d]
-    return tuple(point)
+    y = min_norm_point(oracle, shifted[0])
+    return vec_norm2(y), vec_add(x, y)

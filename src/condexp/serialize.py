@@ -207,7 +207,7 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
         for k, cd in enumerate(cells_doc):
             cp = f"{p}.cells[{k}]"
             _expect(cd, dict, cp)
-            point = bool(cd.get("point", False))
+            point = _expect(cd.get("point", False), bool, f"{cp}.point")
             grid = ()
             if not point:
                 grid_doc = _expect(cd.get("grid"), list, f"{cp}.grid")

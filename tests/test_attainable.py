@@ -7,9 +7,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from condexp.attainable import (
     AtomObstruction,
+    CondExpBlockSet,
     block_set,
     cond_exp_set,
     convexify_witness,
@@ -40,6 +43,7 @@ from helpers import (
     unit_rich_space,
 )
 from test_correspondences import mix, sel
+from test_rational_geometry import reference_nearest_point
 
 F = Fraction
 
@@ -437,6 +441,19 @@ class TestHighDimension:
         with pytest.raises(UnsupportedDimension):
             bs.polytopes()
 
+    def test_certificates_beyond_vertex_dimension(self):
+        sp = unit_rich_space()
+        Fc = FiniteIndexedCorrespondence(
+            sp,
+            tuple(step(sp, {"c": v}, dim=4) for v in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0))),
+        )
+        ones = (F(1),) * 4
+        # nearest point 1/3 e1 + 2/3 (0, 1, 1, 0) on the edge between them
+        assert block_set(Fc, "c").distance(ones) == (F(5, 3), (F(1, 3), F(2, 3), F(2, 3), F(0)))
+        cert = membership(Fc, step(sp, {"c": ones}, dim=4)).certificate
+        assert cert.direction == (F(2, 3), F(1, 3), F(1, 3), F(1))
+        assert cert.distance == pytest.approx((5 / 3) ** 0.5, abs=1e-15)
+
 
 class TestMembershipAtomDichotomy:
     def test_half_indicator_membership_iff_target_rich(self):
@@ -539,3 +556,40 @@ class TestChecksSurviveOptimize:
             "derandomize: derandomized selection misses the mixture's conditional expectation",
             "lp: zero-sum LP values disagree: -1 vs 1",
         ]
+
+
+# -- Minkowski-sum distance against the polytopes one at a time ----------------
+
+
+@st.composite
+def block_sets(draw):
+    """A block set in dimension 1-3 from small lattice summands and point
+    sets, and a half-integer query point."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 2).map(F)] * dim)
+
+    def vertex_set(max_size):
+        return tuple(sorted(set(draw(st.lists(point, min_size=1, max_size=max_size)))))
+
+    coeff = st.sampled_from([F(1, 4), F(1, 2), F(1)])
+    bs = CondExpBlockSet(
+        block="g",
+        dim=dim,
+        block_mass=draw(st.sampled_from([F(1), F(1, 2), F(3, 4)])),
+        summands=tuple((draw(coeff), vertex_set(3)) for _ in range(draw(st.integers(0, 2)))),
+        point_sets=tuple(vertex_set(2) for _ in range(draw(st.integers(0, 2)))),
+    )
+    return bs, draw(st.tuples(*[st.integers(-6, 6).map(lambda k: F(k, 2))] * dim))
+
+
+class TestBlockSetDistance:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(block_sets())
+    @example(  # two equidistant points: the smaller one is reported
+        (CondExpBlockSet("g", 1, F(1), (), (((F(0),), (F(1),)),)), (F(1, 2),))
+    )
+    def test_distance_is_the_least_over_the_polytopes(self, case):
+        bs, value = case
+        assert bs.distance(value) == min(
+            reference_nearest_point(value, poly) for poly in bs.polytopes()
+        )

@@ -282,6 +282,49 @@ class TestAdditionalPaths:
         assert report["coarser"] == [False, True]
 
 
+def dim4_fixture(tmp_path, kind, vertices, **extra):
+    """One-cell block g in dimension 4 with one constant branch per vertex."""
+    def value(v):
+        vec = [str(x) for x in v]
+        return [{"upto": "1", "v": vec}] if kind == "rich" else vec
+
+    doc = {
+        "correspondence": {
+            "space": {"cells": [{"id": "c", "kind": kind, "mass": "1", "g_block": "g"}]},
+            "branches": [{"dim": 4, "values": {"c": value(v)}} for v in vertices],
+        },
+        **extra,
+    }
+    fixture = tmp_path / f"{kind}4.json"
+    fixture.write_text(json.dumps(doc))
+    return fixture
+
+
+class TestHighDimensionCertificates:
+    def test_outside_point_gets_a_certificate_in_both_modes(self, capsys, tmp_path):
+        h = {"dim": 4, "values": {"c": [{"upto": "1", "v": ["1", "1", "1", "1"]}]}}
+        fixture = dim4_fixture(tmp_path, "rich", [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0)], h=h)
+        code, out = run(capsys, "condexp-set", fixture)
+        assert code == 2
+        report = json.loads(out)
+        assert report["blocks"]["g"]["polytopes"] is None
+        cert = report["membership"]["certificate"]
+        # nearest point (1/3, 2/3, 2/3, 0); squared distance 5/3 is not a square
+        assert cert["direction"] == ["2/3", "1/3", "1/3", "1"]
+        assert cert["distance"] == pytest.approx((5 / 3) ** 0.5, abs=1e-15)
+        code, out_float = run(capsys, "condexp-set", fixture, "--mode", "float")
+        assert code == 2
+        assert out_float == out
+
+    def test_convexify_obstruction_carries_its_defect(self, capsys, tmp_path):
+        fixture = dim4_fixture(
+            tmp_path, "point", [(0, 0, 0, 0), (1, 0, 0, 0)], s1={"c": 0}, s2={"c": 1}
+        )
+        code, out = run(capsys, "convexify", fixture, "--alpha", "1/2")
+        assert code == 2
+        assert json.loads(out)["obstruction"]["distance"] == "1/2"
+
+
 class TestAuditEquivalenceInput:
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("key", ["f", "g", "deviations"])
@@ -351,9 +394,22 @@ class TestLoaderInput:
                 ),
                 "profile[0].plan[t1][0].action: expected an integer, got 'a1'",
             ),
+            (
+                lambda d: d["game"]["players"][0]["cells"][0].update(point="no"),
+                "game.players[0].cells[0].point: expected bool, got str",
+            ),
+            (
+                lambda d: d["profile"].append({"type": "pure", "plan": {"zz": 7}}),
+                "profile: one strategy per player required",
+            ),
+            (
+                lambda d: d["profile"].pop(),
+                "profile: one strategy per player required",
+            ),
         ],
         ids=["piece-not-object", "unit-not-integer", "profile-action-not-integer",
-             "unit-float", "pure-action-not-integer"],
+             "unit-float", "pure-action-not-integer", "point-not-bool",
+             "profile-extra-entry", "profile-short"],
     )
     def test_malformed_input_is_an_input_error(self, capsys, tmp_path, edit, err):
         code = self.purify_with(tmp_path, edit)

@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from condexp.errors import InfeasibleProgram, UnboundedProgram
 from condexp.rational_geometry import (
@@ -14,6 +17,7 @@ from condexp.rational_geometry import (
     simplex_min,
     support_value,
 )
+from condexp.rationals import vec_dot, vec_sub
 
 F = Fraction
 
@@ -219,3 +223,134 @@ class TestAgainstScipy:
             assert best is not None
             assert float(d2) <= best + 1e-7
             assert float(d2) >= best - 1e-7
+
+
+# -- hull and nearest point against the reference constructions ----------------
+
+
+def reference_extreme_points(points):
+    """The points not in the hull of the others (one exact LP each), sorted."""
+    pts = sorted(set(points))
+    return [p for i, p in enumerate(pts) if not in_hull(p, pts[:i] + pts[i + 1 :])]
+
+
+def reference_nearest_point(x, points):
+    """Project x on the affine span of every vertex subset of size <= dim+1;
+    of the projections landing in their subset's hull, the nearest wins
+    (then the smallest).  Dimension <= 3 keeps the enumeration small."""
+    pts = reference_extreme_points(points)
+    if in_hull(x, pts):
+        return F(0), tuple(x)
+    best = None
+    for size in range(1, min(len(pts), len(x) + 1) + 1):
+        for subset in itertools.combinations(pts, size):
+            cand = _project_on_simplex(x, subset)
+            if cand is None:
+                continue
+            d2 = sum((a - b) ** 2 for a, b in zip(x, cand))
+            if best is None or (d2, cand) < best:
+                best = (d2, cand)
+    return best
+
+
+def _project_on_simplex(x, subset):
+    """Project x onto aff(subset); the point if it lands in conv(subset)."""
+    base = subset[0]
+    dirs = [vec_sub(p, base) for p in subset[1:]]
+    coeffs = _solve_or_none(
+        [[vec_dot(u, v) for v in dirs] for u in dirs],
+        [vec_dot(u, vec_sub(x, base)) for u in dirs],
+    )
+    if coeffs is None or any(c < 0 for c in coeffs) or sum(coeffs) > 1:
+        return None
+    return tuple(
+        base[d] + sum(c * u[d] for c, u in zip(coeffs, dirs)) for d in range(len(base))
+    )
+
+
+def _solve_or_none(matrix, rhs):
+    n = len(matrix)
+    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][-1] for r in range(n)]
+
+
+coords = st.integers(-3, 3).map(F)
+
+
+def points(dim, max_size):
+    return st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=max_size)
+
+
+@st.composite
+def planar_clouds(draw):
+    """Lattice points plus points on segments between them and repeats."""
+    pts = draw(points(2, 8))
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=3)):
+        t = draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 3)]))
+        pts.append(tuple(u + t * (v - u) for u, v in zip(a, b)))
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=2))
+
+
+@st.composite
+def queries(draw, dims, max_size):
+    dim = draw(st.sampled_from(dims))
+    x = draw(st.tuples(*[st.integers(-10, 10).map(lambda k: F(k, 2))] * dim))
+    return x, draw(points(dim, max_size))
+
+
+GEOMETRY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestAgainstReference:
+    @GEOMETRY_SETTINGS
+    @given(planar_clouds())
+    @example([V(0, 0), V(1, 1), V(2, 2), V(1, 1)])
+    @example([V(0, 0), V(2, 0), V(1, 0), V(0, 2), V(0, 1), V(1, 1)])
+    def test_planar_hull_matches_the_lp_filter(self, pts):
+        assert extreme_points(pts) == reference_extreme_points(pts)
+
+    @GEOMETRY_SETTINGS
+    @given(queries((1, 2, 3), 6))
+    @example((V(2, 2), [V(0, 0), V(2, 0), V(0, 2)]))
+    def test_nearest_point_matches_subset_enumeration(self, query):
+        x, pts = query
+        assert nearest_point_in_hull(x, pts) == reference_nearest_point(x, pts)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(queries((4, 5), 7))
+    def test_nearest_point_beyond_dimension_three(self, query):
+        from scipy.optimize import minimize
+
+        x, pts = query
+        d2, y = nearest_point_in_hull(x, pts)
+        # exact certificate: y is in the hull and no point lies beyond the
+        # hyperplane through y normal to x - y
+        assert d2 == sum((a - b) ** 2 for a, b in zip(x, y))
+        assert in_hull(y, pts)
+        assert all(
+            sum((a - b) * (c - b) for a, b, c in zip(x, y, p)) <= 0 for p in pts
+        )
+        P = np.array([[float(v) for v in p] for p in pts])
+        xf = np.array([float(v) for v in x])
+        n = len(pts)
+        res = minimize(
+            lambda w: (w @ P - xf) @ (w @ P - xf),
+            np.full(n, 1 / n),
+            jac=lambda w: 2 * P @ (w @ P - xf),
+            bounds=[(0, 1)] * n,
+            constraints={"type": "eq", "fun": lambda w: w.sum() - 1, "jac": lambda w: np.ones(n)},
+            method="SLSQP",
+            options={"ftol": 1e-15, "maxiter": 500},
+        )
+        # SLSQP stops about 3e-11 short in relative terms on distances near 40
+        assert abs(res.fun - float(d2)) <= 1e-9 * max(1.0, float(d2))
