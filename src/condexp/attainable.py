@@ -96,34 +96,9 @@ class CondExpBlockSet:
         return acc
 
     def contains(self, value: Vec, tolerance=Fraction(0)) -> bool:
-        """Exact membership of a candidate block average; tolerance in L2."""
-        target = vec_scale(value, self.block_mass)
-        for offset in self.offsets():
-            residual = vec_sub(target, offset)
-            if self._rich_feasible(residual):
-                return True
-        if tolerance and tolerance > 0:
-            d2, _ = self.distance(value)
-            return d2 <= tolerance * tolerance
-        return False
-
-    def _rich_feasible(self, residual: Vec) -> bool:
-        if not self.summands:
-            return all(v == 0 for v in residual)
-        cols: list[list[Fraction]] = []
-        groups: list[tuple[int, int]] = []
-        start = 0
-        for coeff, points in self.summands:
-            for p in points:
-                cols.append([coeff * x for x in p])
-            groups.append((start, start + len(points)))
-            start += len(points)
-        nvars = len(cols)
-        A = [[cols[j][d] for j in range(nvars)] for d in range(self.dim)]
-        for lo, hi in groups:
-            A.append([Fraction(1) if lo <= j < hi else Fraction(0) for j in range(nvars)])
-        b = list(residual) + [Fraction(1)] * len(groups)
-        return feasible_combination(A, b) is not None
+        """Membership of a candidate block average, decided by ``distance``:
+        exact for a tolerance <= 0, else within that L2 tolerance."""
+        return self.distance(value)[0] <= _squared(tolerance)
 
     def rich_vertices(self) -> list[Vec]:
         """Vertices of the rich Minkowski sum (before offsets), dim <= 3."""
@@ -284,20 +259,27 @@ def membership(
             continue
         value = _block_value(space, h, cells)
         region = block_set(F, label)
-        if region.contains(value, tolerance):
-            continue
         d2, nearest = region.distance(value)
-        dist = _sqrt_exact(d2)
-        failures.append(
-            BlockCertificate(
-                label,
-                "region",
-                dist * region.block_mass if isinstance(dist, Fraction) else dist * float(region.block_mass),
-                vec_sub(value, nearest),
+        if d2 > _squared(tolerance):
+            failures.append(
+                BlockCertificate(label, "region", _mass_distance(region, d2), vec_sub(value, nearest))
             )
-        )
     first = failures[0] if failures else None
     return MembershipResult(not failures, first, tuple(failures))
+
+
+def _squared(tolerance) -> Fraction:
+    """The squared-distance bound of a tolerance; one <= 0 means exact."""
+    return tolerance * tolerance if tolerance > 0 else Fraction(0)
+
+
+def _mass_distance(region: CondExpBlockSet, d2: Fraction):
+    """A block's certificate distance: the Euclidean distance of its squared
+    distance ``d2``, weighted by the block mass; exact when rational."""
+    root = _sqrt_exact(d2)
+    if isinstance(root, Fraction):
+        return root * region.block_mass
+    return root * float(region.block_mass)
 
 
 def _sqrt_exact(d2: Fraction):
@@ -442,9 +424,17 @@ def _branch_mixture(F, rich_pieces, residual: Vec):
 
 
 def _mixed_block_blend(F, label, cells, value, alpha):
-    region = block_set(F, label)
-    target = vec_scale(value, region.block_mass)
     point_cells = [c for c in cells if c.kind is CellKind.POINT_MASS]
+    region = block_set(F, label)
+    d2, _nearest = region.distance(value)
+    if d2 > 0:
+        return AtomObstruction(
+            point_cells[0].id,
+            alpha,
+            "no point-cell choice makes the blend attainable",
+            _mass_distance(region, d2),
+        )
+    target = vec_scale(value, region.block_mass)
     rich_cells = [c for c in cells if c.kind is CellKind.RICH]
     rich_pieces = [(c, lo, hi) for c in rich_cells for lo, hi in F.refinement_on(c)]
     choice_sets = [range(F.branch_count) for _ in point_cells]
@@ -474,17 +464,7 @@ def _mixed_block_blend(F, label, cells, value, alpha):
                     append_piece(pieces, b, k)
             assignments[c.id] = pack_pieces(c, pieces)
         return assignments
-    atom = point_cells[0]
-    d2, _nearest = region.distance(value)
-    root = _sqrt_exact(d2)
-    dist = (
-        root * region.block_mass
-        if isinstance(root, Fraction)
-        else root * float(region.block_mass)
-    )
-    return AtomObstruction(
-        atom.id, alpha, "no point-cell choice makes the blend attainable", dist
-    )
+    raise ArithmeticError(f"block {label} is at distance 0 but no point-cell choice attains it")
 
 
 def derandomize_selection(F: FiniteIndexedCorrespondence, m: MixedSelection) -> Selection:

@@ -364,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["rational", "float"],
         default="rational",
-        help="numeric mode: exact membership / LP (rational) or tolerant (float)",
+        help="numeric mode: exact membership (rational) or membership within 1e-9 "
+        "and the best-response solver for --method auto (float)",
     )
     common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,6 +29,7 @@ import numpy as np
 from .errors import BoundaryPoint, BudgetExceeded, SchemaError
 from .factories import cyclic_payoff
 from .piecewise import (
+    affine_at,
     append_piece,
     check_pieces,
     integrate_affine,
@@ -105,21 +106,32 @@ class PenniesGame:
 
 @dataclass(frozen=True)
 class IntervalUnionStrategy:
-    """A pure strategy on [0, 1]: per action, a finite union of intervals."""
+    """A pure strategy on [0, 1]: per action, a finite union of intervals.
+
+    ``pieces`` holds the same strategy in ``(upto, action)`` step form, with
+    adjacent pieces of one action merged.
+    """
 
     actions: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
+    pieces: tuple[tuple[Fraction, int], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        cover = []
-        for intervals in self.actions:
-            cover.extend(intervals)
-        merged = normalize_intervals(cover)
-        total = intervals_measure(merged)
-        raw_total = sum(
-            (hi - lo for intervals in self.actions for lo, hi in intervals), ZERO
+        spans = sorted(
+            (lo, hi, a)
+            for a, intervals in enumerate(self.actions)
+            for lo, hi in intervals
+            if lo != hi
         )
-        if merged != ((ZERO, ONE),) or raw_total != 1:
+        pieces: list[tuple[Fraction, int]] = []
+        prev = ZERO
+        for lo, hi, a in spans:
+            if lo != prev or hi < lo:
+                raise SchemaError("actions", "interval unions must partition [0, 1]")
+            append_piece(pieces, hi, a)
+            prev = hi
+        if prev != ONE:
             raise SchemaError("actions", "interval unions must partition [0, 1]")
+        object.__setattr__(self, "pieces", tuple(pieces))
 
     @classmethod
     def from_pieces(cls, pieces: Sequence[tuple[Fraction, int]], m: int):
@@ -140,29 +152,11 @@ class IntervalUnionStrategy:
         return cls.from_pieces(pieces, m)
 
     def weight_rows(self) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-        """One-hot piecewise weights, [(upto, weights)])."""
+        """One-hot piecewise weights, [(upto, weights)]."""
         m = len(self.actions)
-        points = {ONE}
-        for intervals in self.actions:
-            for lo, hi in intervals:
-                points.update((lo, hi))
-        points.discard(ZERO)
-        rows = []
-        prev = ZERO
-        for upto in sorted(points):
-            a = self.action_at(prev)
-            rows.append(
-                (upto, tuple(ONE if j == a else ZERO for j in range(m)))
-            )
-            prev = upto
-        return rows
-
-    def action_at(self, t: Fraction) -> int:
-        for a, intervals in enumerate(self.actions):
-            for lo, hi in intervals:
-                if lo <= t < hi:
-                    return a
-        return len(self.actions) - 1
+        return [
+            (upto, tuple(ONE if j == a else ZERO for j in range(m))) for upto, a in self.pieces
+        ]
 
 
 BehavioralRows = Sequence[tuple[Fraction, tuple[Fraction, ...]]]
@@ -172,7 +166,7 @@ def uniform_rows(m: int) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
     return ((ONE, tuple(Fraction(1, m) for _ in range(m))),)
 
 
-def _as_rows(strategy, m: int) -> BehavioralRows:
+def _as_rows(strategy) -> BehavioralRows:
     if isinstance(strategy, IntervalUnionStrategy):
         return strategy.weight_rows()
     return strategy
@@ -186,28 +180,40 @@ def _validate_rows(rows: BehavioralRows, m: int) -> None:
     check_pieces("strategy", rows, check_weights)
 
 
-def _cumulative_segments(rows: BehavioralRows, m: int):
-    """Affine forms of eta_j(l) = integral_0^l weight_j on each segment."""
+def _opposing_segments(rows: BehavioralRows, m: int, side: int):
+    """(lo, hi, forms) per piece: affine forms of the opposing measures that
+    condition the player on ``side``.
+
+    Player 2 at l2 sees eta_j(l2) = integral_0^l2 weight_j of player 1's rows;
+    player 1 at l1 sees eta'_j(l1) = integral_l1^1 weight_j of player 2's.
+    """
+    if side not in (1, 2):
+        raise SchemaError("side", "must be 1 or 2")
     segments = []
     acc = [ZERO] * m
     prev = ZERO
     for upto, w in rows:
-        forms = tuple((acc[j] - w[j] * prev, w[j]) for j in range(m))
-        segments.append((prev, upto, forms))
+        segments.append((prev, upto, tuple((acc[j] - w[j] * prev, w[j]) for j in range(m))))
         for j in range(m):
             acc[j] += w[j] * (upto - prev)
         prev = upto
-    return segments, acc
+    if side == 2:
+        return segments
+    return [
+        (lo, hi, tuple((acc[j] - a, -b) for j, (a, b) in enumerate(forms)))
+        for lo, hi, forms in segments
+    ]
 
 
-def _above_segments(rows: BehavioralRows, m: int):
-    """Affine forms of eta'_j(l) = integral_l^1 weight_j on each segment."""
-    segments, totals = _cumulative_segments(rows, m)
+def _value_forms(forms, side: int):
+    """Own action j's value against the opposing measures, scaled by the
+    marginal density and halved: column c of player 2 earns eta_{c-1} - eta_c,
+    row r of player 1 earns eta'_r - eta'_{r+1}."""
+    m = len(forms)
     out = []
-    for lo, hi, forms in segments:
-        out.append(
-            (lo, hi, tuple((totals[j] - a, -b) for j, (a, b) in enumerate(forms)))
-        )
+    for j in range(m):
+        (a0, b0), (a1, b1) = forms[(j - side + 1) % m], forms[(j - side + 2) % m]
+        out.append((a0 - a1, b0 - b1))
     return out
 
 
@@ -230,61 +236,34 @@ def interim_weight(
     raise SchemaError("side", "must be 1 or 2")
 
 
-def _gain_side2(game: PenniesGame, rows1: BehavioralRows, rows2: BehavioralRows):
-    """(best-response value, played value) for player 2, exact.
-
-    V_2(column c, l2) scaled by the marginal density is
-    2 * (eta_{c-1}(l2) - eta_c(l2)) in player-1 cumulative measures.
-    """
+def _gain_side(game: PenniesGame, side: int, rows1: BehavioralRows, rows2: BehavioralRows):
+    """(best-response value, played value) for the player on ``side``, exact:
+    twice the integrals of the envelope and of the played mix of the value
+    forms."""
     m = game.m
-    pieces1 = [(hi, forms) for _lo, hi, forms in _cumulative_segments(rows1, m)[0]]
+    own, opposing = (rows1, rows2) if side == 1 else (rows2, rows1)
+    measures = [(hi, forms) for _lo, hi, forms in _opposing_segments(opposing, m, side)]
     best = ZERO
     played = ZERO
-    for lo, hi, (forms1, w2) in merged_pieces(pieces1, rows2):
-        g_forms = [
-            (
-                forms1[(c - 1) % m][0] - forms1[c][0],
-                forms1[(c - 1) % m][1] - forms1[c][1],
-            )
-            for c in range(m)
-        ]
-        best += 2 * integrate_envelope(g_forms, lo, hi)
-        for c in range(m):
-            played += 2 * w2[c] * integrate_affine(g_forms[c], lo, hi)
+    for lo, hi, (w, forms) in merged_pieces(own, measures):
+        values = _value_forms(forms, side)
+        best += 2 * integrate_envelope(values, lo, hi)
+        for j in range(m):
+            played += 2 * w[j] * integrate_affine(values[j], lo, hi)
     return best, played
 
 
-def _gain_side1(game: PenniesGame, rows1: BehavioralRows, rows2: BehavioralRows):
-    """(best-response value, played value) for player 1, exact.
-
-    V_1(row r, l1) scaled by the marginal density is
-    2 * (eta'_r(l1) - eta'_{r+1}(l1)) in player-2 above-cumulative measures.
-    """
-    m = game.m
-    pieces2 = [(hi, forms) for _lo, hi, forms in _above_segments(rows2, m)]
-    best = ZERO
-    played = ZERO
-    for lo, hi, (w1, forms2) in merged_pieces(rows1, pieces2):
-        g_forms = [
-            (
-                forms2[r][0] - forms2[(r + 1) % m][0],
-                forms2[r][1] - forms2[(r + 1) % m][1],
-            )
-            for r in range(m)
-        ]
-        best += 2 * integrate_envelope(g_forms, lo, hi)
-        for r in range(m):
-            played += 2 * w1[r] * integrate_affine(g_forms[r], lo, hi)
-    return best, played
+def _both_sides(game: PenniesGame, s1, s2):
+    """_gain_side of player 1, then of player 2, on validated rows."""
+    rows1, rows2 = _as_rows(s1), _as_rows(s2)
+    _validate_rows(rows1, game.m)
+    _validate_rows(rows2, game.m)
+    return _gain_side(game, 1, rows1, rows2), _gain_side(game, 2, rows1, rows2)
 
 
 def profile_values(game: PenniesGame, s1, s2) -> tuple[Fraction, Fraction]:
     """Ex-ante payoffs (U1, U2); the game is zero sum."""
-    rows1, rows2 = _as_rows(s1, game.m), _as_rows(s2, game.m)
-    _validate_rows(rows1, game.m)
-    _validate_rows(rows2, game.m)
-    _b1, played1 = _gain_side1(game, rows1, rows2)
-    _b2, played2 = _gain_side2(game, rows1, rows2)
+    (_b1, played1), (_b2, played2) = _both_sides(game, s1, s2)
     if played1 != -played2:
         raise ArithmeticError(f"zero-sum check failed: U1 = {played1}, U2 = {played2}")
     return played1, played2
@@ -292,11 +271,7 @@ def profile_values(game: PenniesGame, s1, s2) -> tuple[Fraction, Fraction]:
 
 def behavioral_profile_gain(game: PenniesGame, s1, s2) -> tuple[Fraction, Fraction]:
     """Exact best-deviation gains of a (possibly behavioral) profile."""
-    rows1, rows2 = _as_rows(s1, game.m), _as_rows(s2, game.m)
-    _validate_rows(rows1, game.m)
-    _validate_rows(rows2, game.m)
-    best1, played1 = _gain_side1(game, rows1, rows2)
-    best2, played2 = _gain_side2(game, rows1, rows2)
+    (best1, played1), (best2, played2) = _both_sides(game, s1, s2)
     return best1 - played1, best2 - played2
 
 
@@ -315,22 +290,12 @@ def cyclic_deviation(game: PenniesGame, opponent: IntervalUnionStrategy, side: i
     This guarantees a pointwise nonnegative payoff for the deviator.
     """
     m = game.m
-    rows = _as_rows(opponent, m)
-    if side == 2:
-        segs, _ = _cumulative_segments(rows, m)
-    else:
-        segs = _above_segments(rows, m)
+    order = [(j + side - 1) % m for j in range(m)]
     pieces: list[tuple[Fraction, int]] = []
-    for lo, hi, forms in segs:
-        diffs = [
-            (
-                forms[j][0] - forms[(j + 1) % m][0],
-                forms[j][1] - forms[(j + 1) % m][1],
-            )
-            for j in range(m)
-        ]
+    for lo, hi, forms in _opposing_segments(_as_rows(opponent), m, side):
+        values = _value_forms(forms, side)
         cuts = {lo, hi}
-        for a, b in diffs:
+        for a, b in values:
             if b != 0:
                 t = -a / b
                 if lo < t < hi:
@@ -338,12 +303,7 @@ def cyclic_deviation(game: PenniesGame, opponent: IntervalUnionStrategy, side: i
         points = sorted(cuts)
         for s0, s1 in zip(points, points[1:]):
             mid = (s0 + s1) / 2
-            action = 0
-            for j in range(m):
-                a, b = diffs[j]
-                if a + b * mid > 0:
-                    action = (j + 1) % m if side == 2 else j
-                    break
+            action = next((c for c in order if affine_at(values[c], mid) > 0), 0)
             append_piece(pieces, s1, action)
     return IntervalUnionStrategy.from_pieces(pieces, m)
 
@@ -352,29 +312,21 @@ def balance_defect(partition, side: int = 2, m: int | None = None) -> Fraction:
     """L1 defect of the equal-conditional-weights identity, exact.
 
     Zero only when every set carries conditional weight 1/m at almost every
-    opposing type; for interval unions with m >= 2 it is strictly positive
-    because near the relevant endpoint each set has conditional weight 0 or 1.
+    opposing type, as under the uniform rows; for interval unions with m >= 2
+    it is strictly positive because near the relevant endpoint each set has
+    conditional weight 0 or 1.
     """
     if isinstance(partition, IntervalUnionStrategy):
-        rows = partition.weight_rows()
         m = len(partition.actions)
-    else:
-        rows = partition
-        if m is None:
-            m = len(rows[0][1])
+    elif m is None:
+        m = len(partition[0][1]) if partition else 0  # empty rows fail below
+    rows = _as_rows(partition)
     _validate_rows(rows, m)
-    target = Fraction(1, m)
-    if side == 2:
-        segs, _ = _cumulative_segments(rows, m)
-        baseline = lambda: (ZERO, target)  # l/m
-    else:
-        segs = _above_segments(rows, m)
-        baseline = lambda: (target, -target)  # (1-l)/m
+    ((_lo, _hi, uniform),) = _opposing_segments(uniform_rows(m), m, side)
     total = ZERO
-    for lo, hi, forms in segs:
-        base_a, base_b = baseline()
+    for lo, hi, forms in _opposing_segments(rows, m, side):
         abs_forms = []
-        for a, b in forms:
+        for (a, b), (base_a, base_b) in zip(forms, uniform):
             abs_forms.append((a - base_a, b - base_b))
             abs_forms.append((base_a - a, base_b - b))
         total += 2 * integrate_envelope(abs_forms, lo, hi)

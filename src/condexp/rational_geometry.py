@@ -1,11 +1,12 @@
 """Exact polytope primitives over rational arithmetic.
 
 Polytopes are carried as finite vertex sets or, for Minkowski sums, through
-a linear-minimization oracle.  Membership and the dimension-3 extreme-point
-filter run through a small exact simplex solver (Bland's rule, so it
-terminates); planar hulls come from Andrew's monotone chain.  Nearest points
-come from Wolfe's min-norm-point algorithm, which needs only the oracle and
-is exact and finite in any dimension.
+a linear-minimization oracle.  Nearest points come from Wolfe's
+min-norm-point algorithm, which needs only the oracle and is exact and
+finite in any dimension; a zero distance decides membership.  The
+dimension-3 extreme-point filter and the callers' linear programs run
+through a small exact simplex solver (Bland's rule, so it terminates);
+planar hulls come from Andrew's monotone chain.
 """
 
 from __future__ import annotations

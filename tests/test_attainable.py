@@ -32,6 +32,7 @@ from condexp.correspondences import (
 )
 from condexp.errors import AtomObstructionError, NotSaturated, SaturatedBlock
 from condexp.measure import Cell, functions_equal, linear_combination
+from condexp.rational_geometry import feasible_combination
 
 from helpers import (
     binary_F,
@@ -593,3 +594,72 @@ class TestBlockSetDistance:
         assert bs.distance(value) == min(
             reference_nearest_point(value, poly) for poly in bs.polytopes()
         )
+
+
+# -- membership by distance against the LP feasibility test --------------------
+
+
+def reference_contains(bs, value):
+    """One exact LP per point-cell offset: is the mass-scaled value minus the
+    offset a sum, over the summands, of coefficient times a convex
+    combination of the summand's points?"""
+    target = [x * bs.block_mass for x in value]
+    for offset in bs.offsets():
+        residual = [t - o for t, o in zip(target, offset)]
+        if not bs.summands:
+            if all(v == 0 for v in residual):
+                return True
+            continue
+        cols = [[coeff * x for x in p] for coeff, points in bs.summands for p in points]
+        A = [[col[d] for col in cols] for d in range(bs.dim)]
+        start = 0
+        for _coeff, points in bs.summands:
+            A.append([F(int(start <= j < start + len(points))) for j in range(len(cols))])
+            start += len(points)
+        if feasible_combination(A, residual + [F(1)] * len(bs.summands)) is not None:
+            return True
+    return False
+
+
+@st.composite
+def point_cell_blocks(draw):
+    """A correspondence in dimension 1-4 on one block of one or two point
+    cells and, mostly, a rich cell with one or two constancy pieces, and a
+    block-constant candidate: a lattice point or an attained average."""
+    dim = draw(st.integers(1, 4))
+    n_points = draw(st.integers(1, 2))
+    rich = draw(st.booleans()) or draw(st.booleans())
+    point_mass = F(1, 2 * n_points) if rich else F(1, n_points)
+    cells = [point_cell(f"p{i}", point_mass, block="g") for i in range(n_points)]
+    if rich:
+        cells.append(rich_cell("r", F(1, 2), block="g"))
+    sp = space(*cells)
+    vec = st.tuples(*[st.integers(-2, 2)] * dim)
+
+    def branch():
+        per_cell = {c.id: draw(vec) for c in cells}
+        if rich and draw(st.booleans()):
+            per_cell["r"] = [(F(1, 2), draw(vec)), (1, draw(vec))]
+        return step(sp, per_cell, dim)
+
+    Fc = FiniteIndexedCorrespondence(sp, tuple(branch() for _ in range(draw(st.integers(1, 3)))))
+    if draw(st.booleans()):
+        picks = st.integers(0, Fc.branch_count - 1)
+        s = Selection({c.id: draw(picks) if not c.has_inner else ((F(1), draw(picks)),) for c in cells})
+        value = sp.conditional_expectation(selection_value(Fc, s)).value_at(cells[0], F(0))
+    else:
+        value = draw(st.tuples(*[st.integers(-4, 4).map(lambda k: F(k, 2))] * dim))
+    return Fc, value
+
+
+class TestMembershipByDistance:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(point_cell_blocks())
+    def test_contains_matches_the_lp_and_failures_carry_a_distance(self, case):
+        Fc, value = case
+        region = block_set(Fc, "g")
+        expected = reference_contains(region, value)
+        assert region.contains(value) == expected
+        result = membership(Fc, step(Fc.space, {c.id: value for c in Fc.space.cells}, Fc.dim))
+        assert result.member == expected
+        assert all(cert.distance > 0 for cert in result.failures)

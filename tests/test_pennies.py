@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from condexp import pennies
-from condexp.errors import BoundaryPoint, BudgetExceeded
+from condexp.errors import BoundaryPoint, BudgetExceeded, SchemaError
 from condexp.pennies import (
     IntervalUnionStrategy,
     PenniesGame,
@@ -123,6 +123,39 @@ class TestInterimWeight:
             assert abs(float(got) - expected) < 1e-10
 
 
+class TestIntervalUnionStrategy:
+    def test_pieces_merge_adjacent_intervals_of_one_action(self):
+        part = strategy(2, [("1/2", "3/4"), (0, "1/4"), ("1/4", "1/2")], [("3/4", 1)])
+        assert part.pieces == ((F(3, 4), 0), (F(1), 1))
+        assert part.weight_rows() == [(F(3, 4), (F(1), F(0))), (F(1), (F(0), F(1)))]
+
+    def test_empty_intervals_are_skipped(self):
+        part = strategy(2, [(0, 1), ("1/2", "1/2")], [(2, 2)])
+        assert part.pieces == ((F(1), 0),)
+
+    def test_from_grid_round_trips_through_pieces(self):
+        part = IntervalUnionStrategy.from_grid([1, 1, 0, 2], 3)
+        assert part.pieces == ((F(1, 2), 1), (F(3, 4), 0), (F(1), 2))
+        assert IntervalUnionStrategy.from_pieces(part.pieces, 3) == part
+
+    @pytest.mark.parametrize(
+        "unions",
+        [
+            # a reversed interval whose negative length hid an overlap: once
+            # accepted, with interim weights 6/7 and 3/7 at 7/8
+            ([(0, "3/4")], [("1/2", 1), ("1/4", 0)]),
+            ([(0, "1/2")], [("1/4", 1)]),  # overlapping
+            ([(0, "1/4")], [("1/2", 1)]),  # gapped
+            ([("1/4", "1/2")], [("1/2", 1)]),  # not starting at 0
+            ([(0, "1/2")], [("1/2", "3/4")]),  # not reaching 1
+            ([(0, "1/2")], [("1/2", 2)]),  # past 1
+        ],
+    )
+    def test_non_partitions_raise(self, unions):
+        with pytest.raises(SchemaError, match="interval unions must partition"):
+            strategy(2, *unions)
+
+
 class TestBalanceDefect:
     def test_halves_for_two_actions(self):
         part = strategy(2, [(0, "1/2")], [("1/2", 1)])
@@ -138,6 +171,17 @@ class TestBalanceDefect:
         part = IntervalUnionStrategy((iv((0, 1)),))
         assert balance_defect(part, side=2) == 0
         assert balance_defect(part, side=1) == 0
+
+    def test_side_other_than_one_or_two_raises(self):
+        part = strategy(2, [(0, "1/2")], [("1/2", 1)])
+        with pytest.raises(SchemaError, match="side"):
+            balance_defect(part, side=3)
+        with pytest.raises(SchemaError, match="side"):
+            cyclic_deviation(PenniesGame(2), part, side=3)
+
+    def test_empty_rows_raise(self):
+        with pytest.raises(SchemaError):
+            balance_defect([])
 
     def test_strict_positivity_random(self):
         rng = random.Random(12)
@@ -521,8 +565,13 @@ except ArithmeticError as exc:
     print("search:", exc)
 pennies._float_gain_matrices = original
 
-side1 = pennies._gain_side1
-pennies._gain_side1 = lambda game, r1, r2: (side1(game, r1, r2)[0], side1(game, r1, r2)[1] + 1)
+gain_side = pennies._gain_side
+
+def broken_side(game, side, rows1, rows2):
+    best, played = gain_side(game, side, rows1, rows2)
+    return best, played + (side == 1)  # only player 1's played value is off
+
+pennies._gain_side = broken_side
 rows = pennies.uniform_rows(2)
 try:
     pennies.profile_values(pennies.PenniesGame(2), rows, rows)
