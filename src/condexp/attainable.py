@@ -43,7 +43,6 @@ from .measure import (
     functions_equal,
     indicator_of_cells,
     linear_combination,
-    scalar_product,
 )
 from .piecewise import append_piece, pack_pieces, proportional_subintervals
 from .rational_geometry import (
@@ -579,11 +578,10 @@ def rademacher_escape(
     val = selection_value(F, phi)
     integral = space.integrate(val)[0]
     ind = indicator_of_cells(space, [cell_id])
-    entries = []
-    for psi in tests:
-        lhs = space.integrate(scalar_product(space, psi, val))[0]
-        rhs = HALF * space.integrate(scalar_product(space, psi, ind))[0]
-        entries.append(RademacherTestEntry(_dyadic_level(psi, cell), lhs, rhs))
+    entries = [
+        RademacherTestEntry(_dyadic_level(psi, cell), lhs, rhs)
+        for psi, (lhs, rhs) in zip(tests, _escape_sides(space, val, ind, tests))
+    ]
     report = RademacherReport(
         cell=cell_id,
         m=m,
@@ -592,6 +590,14 @@ def rademacher_escape(
         tests=tuple(entries),
     )
     return phi, report
+
+
+def _escape_sides(
+    space: MeasureSpaceModel, val: StepFunction, ind: StepFunction, tests: Sequence[StepFunction]
+) -> list[tuple[Fraction, Fraction]]:
+    """(integral of psi * val, half the integral of psi * ind) for each test psi."""
+    rhs = [HALF * r for r in space.inner_products(ind, tests)]
+    return list(zip(space.inner_products(val, tests), rhs))
 
 
 def limit_escape_certificate(space: MeasureSpaceModel, cell_id: str) -> Fraction:
@@ -604,7 +610,8 @@ def limit_escape_certificate(space: MeasureSpaceModel, cell_id: str) -> Fraction
     total = Fraction(0)
     for c in space.cells:
         defect = _splice_defect(F, c, half)
-        assert isinstance(defect, Fraction)
+        if not isinstance(defect, Fraction):
+            raise ArithmeticError(f"escape certificate is not exact on cell {c.id}: {defect!r}")
         total += defect
     return total
 
@@ -641,17 +648,13 @@ def uhc_audit(space: MeasureSpaceModel, cell_id: str, depth: int = 8) -> UhcAudi
     for m in range(1, depth + 1):
         phi = dyadic_selection(space, cell_id, m)
         val = selection_value(F0, phi)
-        e_m = space.conditional_expectation(val)
         if cell.kind is CellKind.RICH:
-            if not functions_equal(space, e_m, limit_g):
+            if not functions_equal(space, space.conditional_expectation(val), limit_g):
                 averages_constant = False
         else:
             tests = _canonical_dyadic_tests(space, cell_id, min(3, m - 1))
-            for psi in tests:
-                lhs = space.integrate(scalar_product(space, psi, val))[0]
-                rhs = HALF * space.integrate(scalar_product(space, psi, ind))[0]
-                if lhs != rhs:
-                    identities_ok = False
+            if any(lhs != rhs for lhs, rhs in _escape_sides(space, val, ind, tests)):
+                identities_ok = False
 
     result = membership(F0, limit_g)
     if result.member:

@@ -17,7 +17,7 @@ from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, SchemaError
-from .piecewise import PiecePlan, merged_pieces, pack_pieces
+from .piecewise import PiecePlan, merged_pieces, pack_pieces, prefix_integral
 from .rationals import Vec, vec_add, vec_scale, zero_vec
 
 
@@ -90,6 +90,34 @@ class MeasureSpaceModel:
         for c in self.cells:
             total = vec_add(total, vec_scale(f.average_on(c), c.mass))
         return total
+
+    def inner_products(self, f: "StepFunction", tests: Sequence["StepFunction"]) -> list[Fraction]:
+        """Exact integral of psi * f for each scalar test psi.
+
+        ``f`` is validated once and turned into per-cell prefix integrals, so
+        each test costs one bisect per piece of its own: k tests against an
+        n-piece ``f`` take O(n + k log n), not O(k n).
+        """
+        if f.dim != 1 or any(psi.dim != 1 for psi in tests):
+            raise DimensionMismatch("inner_products needs dimension-1 functions")
+        f.validate(self)
+        prefix = [
+            (c, prefix_integral([(upto, v) for upto, (v,) in f.pieces(c)])) for c in self.cells
+        ]
+        out = []
+        for psi in tests:
+            psi.validate(self)
+            total = Fraction(0)
+            for c, integral_to in prefix:
+                on_cell = Fraction(0)
+                before = Fraction(0)
+                for upto, (v,) in psi.pieces(c):
+                    after = integral_to(upto)
+                    on_cell += v * (after - before)
+                    before = after
+                total += c.mass * on_cell
+            out.append(total)
+        return out
 
     def conditional_expectation(self, f: "StepFunction") -> "StepFunction":
         """Block average on rich/point blocks, identity on saturated cells."""

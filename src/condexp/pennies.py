@@ -135,10 +135,12 @@ class IntervalUnionStrategy:
 
     @classmethod
     def from_pieces(cls, pieces: Sequence[tuple[Fraction, int]], m: int):
-        """Build from [(upto, action)] step form."""
+        """Build from [(upto, action)] step form; every action must be in [0, m)."""
         buckets: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(m)]
         lo = ZERO
         for upto, action in pieces:
+            if not 0 <= action < m:
+                raise SchemaError("pieces", f"action {action!r} is not in range({m})")
             buckets[action].append((lo, upto))
             lo = upto
         return cls(tuple(tuple(normalize_intervals(b)) for b in buckets))

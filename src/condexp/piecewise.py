@@ -174,6 +174,35 @@ def merged_pieces(*piece_lists: Sequence[tuple[Fraction, object]]):
         lo = hi
 
 
+def prefix_integral(pieces: Sequence[tuple[Fraction, Fraction]]) -> Callable[[Fraction], Fraction]:
+    """``t -> integral over [0, t)`` of scalar [(upto, value)] pieces.
+
+    The running sums are taken in one walk; each call is then one bisect on
+    the breakpoints plus the covering piece's partial length.
+    """
+    lows: list[Fraction] = []
+    sums: list[Fraction] = []
+    values: list[Fraction] = []
+    lo = acc = Fraction(0)
+    for upto, value in pieces:
+        lows.append(lo)
+        sums.append(acc)
+        values.append(value)
+        if value:
+            acc += value * (upto - lo)
+        lo = upto
+    lows.append(lo)
+    sums.append(acc)
+
+    def at(t: Fraction) -> Fraction:
+        k = bisect_right(lows, t) - 1
+        if t == lows[k]:
+            return sums[k]
+        return sums[k] + values[k] * (t - lows[k])
+
+    return at
+
+
 def integrate_affine(form: AffineForm, lo: Fraction, hi: Fraction) -> Fraction:
     a, b = form
     return a * (hi - lo) + b * (hi * hi - lo * lo) / 2

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from condexp.attainable import (
     AtomObstruction,
     CondExpBlockSet,
+    RademacherTestEntry,
     block_set,
     cond_exp_set,
     convexify_witness,
@@ -369,6 +370,17 @@ class TestRademacher:
             for entry in report.tests:
                 assert entry.holds
 
+    def test_non_dyadic_test_at_depth_12(self):
+        # [0, 1/3) covers the 683 even pieces 0, 2, ..., 1364 of width 1/4096
+        # and part of odd piece 1365, where the selection is 0
+        sp = space(saturated_cell("D", F(1, 2)), rich_cell("r", F(1, 2)))
+        third = step(sp, {"D": [(F(1, 3), 1), (1, 0)], "r": 0})
+        half = dyadic_indicator(sp, "D", F(0), F(1, 2))
+        _, report = rademacher_escape(sp, "D", 12, tests=[third, half])
+        assert report.tests[0] == RademacherTestEntry(None, F(683, 8192), F(1, 12))
+        assert not report.tests[0].holds
+        assert report.tests[1] == RademacherTestEntry(1, F(1, 8), F(1, 8))
+
 
 class TestLimitEscape:
     def test_full_mass(self):
@@ -401,11 +413,19 @@ class TestUhcAudit:
         [(F(1), F(1, 2)), (F(1, 2), F(1, 4)), (F(1, 3), F(1, 6))],
     )
     def test_saturated_cell(self, mass, expected):
+        self._check_saturated(mass, expected, depth=6)
+
+    @pytest.mark.parametrize("mass", [F(1), F(1, 2), F(1, 3)])
+    def test_saturated_cell_depth_12(self, mass):
+        self._check_saturated(mass, mass / 2, depth=12)
+
+    @staticmethod
+    def _check_saturated(mass, expected, depth):
         cells = [saturated_cell("D", mass)]
         if mass != 1:
             cells.append(rich_cell("r", 1 - mass))
         sp = space(*cells)
-        report = uhc_audit(sp, "D", depth=6)
+        report = uhc_audit(sp, "D", depth=depth)
         assert not report.limit_in_H0
         assert report.defect == expected
         assert report.identities_ok
@@ -538,6 +558,15 @@ try:
     equilibrium.solve_behavioral(matching_pennies_game(2), equilibrium.SolveOptions(method="lp"))
 except ArithmeticError as exc:
     print("lp:", exc)
+
+# escape certificate: the splice defect comes back as a float
+attainable._splice_defect = lambda *args: 0.5
+try:
+    attainable.limit_escape_certificate(
+        MeasureSpaceModel((Cell("D", F(1), CellKind.SATURATED, "D"),)), "D"
+    )
+except ArithmeticError as exc:
+    print("certificate:", exc)
 """
 
 
@@ -556,6 +585,7 @@ class TestChecksSurviveOptimize:
             "convexify: convexify witness misses the blended conditional expectation",
             "derandomize: derandomized selection misses the mixture's conditional expectation",
             "lp: zero-sum LP values disagree: -1 vs 1",
+            "certificate: escape certificate is not exact on cell D: 0.5",
         ]
 
 

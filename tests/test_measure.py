@@ -9,10 +9,12 @@ from condexp.measure import (
     Cell,
     CellKind,
     MeasureSpaceModel,
+    StepFunction,
     constant_function,
     functions_equal,
     indicator_of_cells,
     linear_combination,
+    scalar_product,
 )
 
 from helpers import point_cell, rich_cell, saturated_cell, space, step, unit_rich_space
@@ -178,3 +180,109 @@ class TestHelpers:
         sp = unit_rich_space()
         f = constant_function(sp, (F(2), F(3)))
         assert sp.integrate(f) == (F(2), F(3))
+
+
+# -- inner products from prefix integrals against the pointwise product --------
+
+
+@st.composite
+def mixed_space(draw):
+    """One to four cells of every kind; saturated cells sit alone in a block."""
+    kinds = draw(st.lists(st.sampled_from(list(CellKind)), min_size=1, max_size=4))
+    weights = [draw(st.integers(1, 4)) for _ in kinds]
+    cells = []
+    for i, (kind, w) in enumerate(zip(kinds, weights)):
+        block = f"s{i}" if kind is CellKind.SATURATED else f"g{draw(st.integers(0, 1))}"
+        cells.append(Cell(f"c{i}", F(w, sum(weights)), kind, block))
+    return MeasureSpaceModel(tuple(cells))
+
+
+def scalar_step(draw, sp, uptos):
+    """A dimension-1 step function with pieces ending at ``uptos(cell)``."""
+    value = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    values = {}
+    for c in sp.cells:
+        if c.has_inner:
+            values[c.id] = tuple((u, (draw(value),)) for u in uptos())
+        else:
+            values[c.id] = (draw(value),)
+    return StepFunction(1, values)
+
+
+def breakpoints(draw, denominators):
+    den = draw(st.sampled_from(denominators))
+    cuts = draw(st.lists(st.integers(1, den - 1), max_size=4)) if den > 1 else []
+    return sorted({F(k, den) for k in cuts}) + [F(1)]
+
+
+@st.composite
+def function_and_tests(draw):
+    """A dyadic-grid f (up to 16 pieces a cell) and tests whose breakpoints
+    fall on other grids, thirds and fifths among them."""
+    sp = draw(mixed_space())
+    f = scalar_step(draw, sp, lambda: breakpoints(draw, [1, 2, 4, 8, 16]))
+    tests = [
+        scalar_step(draw, sp, lambda: breakpoints(draw, [2, 3, 5, 6, 32]))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return sp, f, tests
+
+
+def _corrupt(sp, fn, fault):
+    """``fn`` with one fault: dimension 2, a 2-vector piece, a missing cell,
+    pieces that stop short of 1, or a bare value where a piece list belongs."""
+    cell = sp.cells[0]
+    entry = fn.values[cell.id]
+    if fault == "dim-2":
+        return StepFunction(2, {c.id: fn.mapped(c, lambda v: v + v) for c in sp.cells})
+    if fault == "wide-piece":
+        bad = fn.mapped(cell, lambda v: v + v)
+    elif fault == "missing":
+        return StepFunction(1, {c.id: fn.values[c.id] for c in sp.cells[1:]})
+    elif fault == "short" and cell.has_inner:
+        bad = entry[:-1] + ((F(1, 2) * entry[-1][0], entry[-1][1]),)
+    else:
+        bad = entry[0][1] if cell.has_inner else ((F(1), entry),)
+    return StepFunction(1, {**fn.values, cell.id: bad})
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (DimensionMismatch, SchemaError) as exc:
+        return type(exc), getattr(exc, "path", None)
+
+
+class TestInnerProducts:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(function_and_tests())
+    def test_matches_the_integrated_pointwise_product(self, data):
+        sp, f, tests = data
+        expected = [sp.integrate(scalar_product(sp, psi, f))[0] for psi in tests]
+        assert sp.inner_products(f, tests) == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        function_and_tests(),
+        st.sampled_from(["dim-2", "wide-piece", "missing", "short", "shape"]),
+        st.integers(-1, 3),
+    )
+    def test_faults_raise_as_before(self, data, fault, which):
+        # which = -1 corrupts f, otherwise one of the tests
+        sp, f, tests = data
+        if which < 0:
+            f = _corrupt(sp, f, fault)
+        else:
+            k = which % len(tests)
+            tests = tests[:k] + [_corrupt(sp, tests[k], fault)] + tests[k + 1:]
+        before = _outcome(lambda: [sp.integrate(scalar_product(sp, psi, f)) for psi in tests])
+        after = _outcome(lambda: sp.inner_products(f, tests))
+        assert isinstance(before, tuple) and before == after
+
+    def test_off_grid_breakpoint_takes_the_partial_piece(self):
+        sp = space(saturated_cell("D", F(1, 2)), point_cell("p", F(1, 2)))
+        f = step(sp, {"D": [(F(1, 2), 1), (1, 3)], "p": 5})
+        third = step(sp, {"D": [(F(1, 3), 6), (1, 0)], "p": 1})
+        late = step(sp, {"D": [(F(2, 3), 0), (1, 3)], "p": 0})
+        # 6 * 1/3 / 2 + 5 / 2, and 3 * 3 * 1/3 / 2
+        assert sp.inner_products(f, [third, late]) == [F(7, 2), F(3, 2)]

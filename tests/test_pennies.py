@@ -139,6 +139,17 @@ class TestIntervalUnionStrategy:
         assert IntervalUnionStrategy.from_pieces(part.pieces, 3) == part
 
     @pytest.mark.parametrize(
+        "pieces",
+        [
+            [(F(1), 2)],  # past the last action: was a bare IndexError
+            [(F(1, 2), -1), (F(1), 0)],  # negative: was accepted as action 1
+        ],
+    )
+    def test_from_pieces_rejects_actions_out_of_range(self, pieces):
+        with pytest.raises(SchemaError, match=r"pieces: action -?\d+ is not in range\(2\)"):
+            IntervalUnionStrategy.from_pieces(pieces, 2)
+
+    @pytest.mark.parametrize(
         "unions",
         [
             # a reversed interval whose negative length hid an overlap: once
