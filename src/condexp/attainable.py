@@ -44,7 +44,7 @@ from .measure import (
     indicator_of_cells,
     linear_combination,
 )
-from .piecewise import append_piece, pack_pieces, proportional_subintervals
+from .piecewise import append_piece, pack_pieces, split_pieces
 from .rational_geometry import (
     dedupe_points,
     extreme_points,
@@ -55,6 +55,7 @@ from .rational_geometry import (
 from .rationals import Vec, vec_add, vec_dot, vec_norm2, vec_scale, vec_sub, zero_vec
 
 HALF = Fraction(1, 2)
+_WHOLE = ((Fraction(0), Fraction(1), False),)  # one plain span over [0, 1)
 
 
 @dataclass(frozen=True)
@@ -453,15 +454,10 @@ def _mixed_block_blend(F, label, cells, value, alpha):
         assignments: dict[str, object] = {}
         for c, k in zip(point_cells, choice):
             assignments[c.id] = pack_pieces(c, ((Fraction(1), k),))
-        idx = 0
+        weights = iter(mixture)
         for c in rich_cells:
-            pieces: list[tuple[Fraction, int]] = []
-            for lo, hi in F.refinement_on(c):
-                weights = mixture[idx]
-                idx += 1
-                for _a, b, k in proportional_subintervals(lo, hi, weights):
-                    append_piece(pieces, b, k)
-            assignments[c.id] = pack_pieces(c, pieces)
+            mixed = [(hi, next(weights)) for _lo, hi in F.refinement_on(c)]
+            assignments[c.id] = pack_pieces(c, split_pieces(mixed, _WHOLE))
         return assignments
     raise ArithmeticError(f"block {label} is at distance 0 but no point-cell choice attains it")
 
@@ -477,22 +473,13 @@ def derandomize_selection(F: FiniteIndexedCorrespondence, m: MixedSelection) -> 
     m.validate(F)
     assignments: dict[str, object] = {}
     for c in F.space.cells:
-        pieces: list[tuple[Fraction, int]] = []
-        for lo, hi in F.refinement_on(c, m.breakpoints_on(c)):
-            w = m.weights_at(c, lo)
-            if c.kind is not CellKind.RICH:
-                hot = [k for k, x in enumerate(w) if x > 0]
-                if len(hot) != 1:
-                    raise AtomObstructionError(
-                        AtomObstruction(
-                            c.id, None, f"{c.kind.value} cell carries a non-degenerate mixture"
-                        )
-                    )
-                append_piece(pieces, hi, hot[0])
-                continue
-            for _a, b, k in proportional_subintervals(lo, hi, w):
-                append_piece(pieces, b, k)
-        assignments[c.id] = pack_pieces(c, pieces)
+        pieces = m.pieces(c)
+        if c.kind is not CellKind.RICH and any(sum(x > 0 for x in w) != 1 for _u, w in pieces):
+            raise AtomObstructionError(
+                AtomObstruction(c.id, None, f"{c.kind.value} cell carries a non-degenerate mixture")
+            )
+        spans = [(lo, hi, False) for lo, hi in F.refinement_on(c, m.breakpoints_on(c))]
+        assignments[c.id] = pack_pieces(c, split_pieces(pieces, spans))
     s = Selection(assignments)
     expected = F.space.conditional_expectation(mixed_value(F, m))
     achieved = F.space.conditional_expectation(selection_value(F, s))

@@ -180,7 +180,6 @@ def _solve_options(args) -> equilibrium.SolveOptions:
     return equilibrium.SolveOptions(
         epsilon=args.epsilon,
         max_iters=args.max_iters,
-        damping=args.damping,
         method=method,
     )
 
@@ -411,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["auto", "lp", "br", "enum"], default="auto")
     p.add_argument("--epsilon", type=_frac_arg, default=Fraction(1, 10**9))
     p.add_argument("--max-iters", type=int, default=4000)
-    p.add_argument("--damping", type=float, default=0.1)
     p.add_argument("--purify", action="store_true")
     p.set_defaults(func=cmd_solve)
 

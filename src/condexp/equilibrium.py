@@ -22,14 +22,14 @@ from .games import (
     InfoPartition,
     PureStrategy,
     Strategy,
+    block_totals,
     coarser_info_check,
     derive_interplayer_info,
-    g_conditional,
     interim_forms,
     player_payoff,
-    strategy_moments,
+    unit_plan,
 )
-from .piecewise import append_piece, argmax_segments, integrate_envelope, pack_pieces
+from .piecewise import argmax_segments, integrate_envelope
 from .purification import purify_player, require_coarser
 from .rational_geometry import feasible_combination, simplex_min
 
@@ -41,10 +41,10 @@ ONE = Fraction(1)
 class SolveOptions:
     epsilon: Fraction = Fraction(1, 10**9)
     max_iters: int = 4000
-    damping: float = 0.1
     method: str = "auto"  # auto | lp | br | enum
 
 
+DAMPING = 0.1  # step of the damped best-response iteration
 SNAP_DENOMINATOR = 64  # best-response mixtures snap to rationals with this bound
 
 
@@ -114,18 +114,13 @@ def mixtures_to_profile(
     game: BayesianGame, info: Sequence[InfoPartition], mixtures
 ) -> tuple[BehavioralStrategy, ...]:
     """Expand block mixtures into per-cell behavioral strategies."""
-    out = []
-    for i, spec in enumerate(game.players):
-        part = info[i]
-        plan: dict[str, object] = {}
-        for ci, cell in enumerate(spec.cells):
-            pieces = []
-            for idx, u in enumerate(game.units[i]):
-                if u.cell_index == ci:
-                    append_piece(pieces, u.hi, tuple(mixtures[i][part.block_of_unit[idx]]))
-            plan[cell.id] = pack_pieces(cell, pieces)
-        out.append(BehavioralStrategy(plan))
-    return tuple(out)
+
+    def expanded(i):
+        rows = [tuple(w) for w in mixtures[i]]
+        block_of = info[i].block_of_unit
+        return unit_plan(game, i, lambda idx, u, _cell: ((u.hi, rows[block_of[idx]]),))
+
+    return tuple(BehavioralStrategy(expanded(i)) for i in range(len(game.players)))
 
 
 def verify_equilibrium(
@@ -152,18 +147,12 @@ def improving_deviation(
     game: BayesianGame, profile: Sequence[Strategy], i: int
 ) -> tuple[PureStrategy, Fraction]:
     """Pointwise best-response strategy for player i and its exact gain."""
-    spec = game.players[i]
     forms = interim_forms(game, i, profile)
-    plan: dict[str, object] = {}
-    for ci, cell in enumerate(spec.cells):
-        pieces: list[tuple[Fraction, int]] = []
-        for idx, u in enumerate(game.units[i]):
-            if u.cell_index != ci:
-                continue
-            for _lo, hi, winners in argmax_segments(forms[idx], u.lo, u.hi):
-                append_piece(pieces, hi, winners[0])
-        plan[cell.id] = pack_pieces(cell, pieces)
-    deviation = PureStrategy(plan)
+
+    def best(idx, u, _cell):
+        return [(hi, winners[0]) for _lo, hi, winners in argmax_segments(forms[idx], u.lo, u.hi)]
+
+    deviation = PureStrategy(unit_plan(game, i, best))
     # swapping i's own strategy leaves the forms against the others unchanged
     played = player_payoff(game, i, profile[i], profile, forms=forms)
     return deviation, player_payoff(game, i, deviation, profile, forms=forms) - played
@@ -279,13 +268,12 @@ def _solve_br(agent_form: AgentForm, options: SolveOptions):
         [[1.0 / m for _ in range(m)] for _ in part.blocks]
         for part, m in zip(agent_form.info, agent_form.action_counts())
     ]
-    eta = options.damping
     iterations = 0
     for iterations in range(1, options.max_iters + 1):
         target = _best_response(agent_form, mixtures)
         new = [
             [
-                [(1 - eta) * w + eta * t for w, t in zip(row, trow)]
+                [(1 - DAMPING) * w + DAMPING * t for w, t in zip(row, trow)]
                 for row, trow in zip(rows, trows)
             ]
             for rows, trows in zip(mixtures, target)
@@ -299,70 +287,51 @@ def _solve_br(agent_form: AgentForm, options: SolveOptions):
 
 def _support_polish(agent_form: AgentForm, supports):
     """Exact block mixtures matching given supports, or None (2 players)."""
-    m1, m2 = agent_form.action_counts()
-    B1, B2 = agent_form.block_counts()
-    gvars = []  # (player, block, action)
-    for b in range(B1):
-        gvars.extend((0, b, a) for a in supports[0][b])
-    for b in range(B2):
-        gvars.extend((1, b, a) for a in supports[1][b])
-    vvars = [(0, b) for b in range(B1)] + [(1, b) for b in range(B2)]
-    slacks = []
-    rows = []
-    rhs = []
-
-    def gv_index(p, b, a):
-        return gvars.index((p, b, a))
-
-    nv = len(gvars) + 2 * len(vvars)
-    eq_rows = []
-    for i, (blocks, actions) in enumerate(((range(B1), range(m1)), (range(B2), range(m2)))):
-        other = 1 - i
-        for b in blocks:
-            for a in actions:
-                coeffs = dict()
-                slot = agent_form.coeff[i].get((b, a), {})
-                for (opp_blocks, opp_actions), c in slot.items():
-                    ob, oa = opp_blocks[0], opp_actions[0]
-                    if oa in supports[other][ob]:
-                        coeffs[(other, ob, oa)] = coeffs.get((other, ob, oa), ZERO) + c
-                vi = vvars.index((i, b))
-                in_support = a in supports[i][b]
-                eq_rows.append((coeffs, vi, in_support))
-    for coeffs, vi, in_support in eq_rows:
-        row = [ZERO] * nv
-        for key, c in coeffs.items():
-            row[gv_index(*key)] = c
-        row[len(gvars) + vi] = -ONE
-        row[len(gvars) + len(vvars) + vi] = ONE
-        if not in_support:
-            slacks.append(len(rows))
-        rows.append(row)
-        rhs.append(ZERO)
-    for p, B, m in ((0, B1, m1), (1, B2, m2)):
+    counts = list(zip(agent_form.block_counts(), agent_form.action_counts()))
+    # columns: the supported (player, block, action) weights, then one value
+    # and one negated value per (player, block), then one slack per
+    # off-support action, all in (player, block, action) order
+    gcol: dict[tuple[int, int, int], int] = {}
+    vcol: dict[tuple[int, int], int] = {}
+    for p, (B, _m) in enumerate(counts):
         for b in range(B):
-            row = [ZERO] * nv
+            vcol[(p, b)] = len(vcol)
             for a in supports[p][b]:
-                row[gv_index(p, b, a)] = ONE
+                gcol[(p, b, a)] = len(gcol)
+    nv = len(gcol) + 2 * len(vcol)
+    width = nv + sum(m - len(s) for p, (_B, m) in enumerate(counts) for s in supports[p])
+    slack = nv
+    rows = []
+    for i, (B, m) in enumerate(counts):
+        other = 1 - i
+        for b in range(B):
+            v = len(gcol) + vcol[(i, b)]
+            for a in range(m):
+                row = [ZERO] * width
+                for ((ob,), (oa,)), c in agent_form.coeff[i].get((b, a), {}).items():
+                    col = gcol.get((other, ob, oa))
+                    if col is not None:
+                        row[col] += c
+                row[v] = -ONE
+                row[v + len(vcol)] = ONE
+                if a not in supports[i][b]:
+                    row[slack] = ONE
+                    slack += 1
+                rows.append(row)
+    rhs = [ZERO] * len(rows)
+    for p, (B, _m) in enumerate(counts):
+        for b in range(B):
+            row = [ZERO] * width
+            for a in supports[p][b]:
+                row[gcol[(p, b, a)]] = ONE
             rows.append(row)
             rhs.append(ONE)
-    # append slack columns for the off-support inequalities
-    total_vars = nv + len(slacks)
-    full = []
-    for ri, row in enumerate(rows):
-        extra = [ZERO] * len(slacks)
-        if ri in slacks:
-            extra[slacks.index(ri)] = ONE
-        full.append(row + extra)
-    sol = feasible_combination(full, rhs)
+    sol = feasible_combination(rows, rhs)
     if sol is None:
         return None
-    mixtures = [
-        [[ZERO] * m1 for _ in range(B1)],
-        [[ZERO] * m2 for _ in range(B2)],
-    ]
-    for vi, (p, b, a) in enumerate(gvars):
-        mixtures[p][b][a] = sol[vi]
+    mixtures = [[[ZERO] * m for _ in range(B)] for B, m in counts]
+    for (p, b, a), col in gcol.items():
+        mixtures[p][b][a] = sol[col]
     return mixtures
 
 
@@ -431,14 +400,10 @@ def solve_behavioral(game: BayesianGame, options: SolveOptions | None = None) ->
         mixtures, iterations = _solve_enum(agent_form, options)
     else:
         mixtures, iterations = _solve_br(agent_form, options)
-    profile = mixtures_to_profile(game, info, mixtures)
-    forms = tuple(interim_forms(game, i, profile) for i in range(len(game.players)))
-    eps = verify_equilibrium(game, profile, forms)
+    profile, forms, eps = _verified(game, info, mixtures)
     if max(eps) > options.epsilon and method == "br" and len(game.players) == 2:
         mixtures2, extra = _solve_enum(agent_form, options)
-        profile2 = mixtures_to_profile(game, info, mixtures2)
-        forms2 = tuple(interim_forms(game, i, profile2) for i in range(2))
-        eps2 = verify_equilibrium(game, profile2, forms2)
+        profile2, forms2, eps2 = _verified(game, info, mixtures2)
         if max(eps2) < max(eps):
             mixtures, profile, eps, forms = mixtures2, profile2, eps2, forms2
             method = "enum"
@@ -454,6 +419,13 @@ def solve_behavioral(game: BayesianGame, options: SolveOptions | None = None) ->
         coarser=coarser,
         forms=forms,
     )
+
+
+def _verified(game: BayesianGame, info: Sequence[InfoPartition], mixtures):
+    """The profile of block mixtures, its interim forms, and its verified gains."""
+    profile = mixtures_to_profile(game, info, mixtures)
+    forms = tuple(interim_forms(game, i, profile) for i in range(len(game.players)))
+    return profile, forms, verify_equilibrium(game, profile, forms)
 
 
 # -- purification of solved equilibria ---------------------------------------
@@ -486,17 +458,16 @@ def purify_equilibrium(
     pures = tuple(purify_player(game, i, behavioral, forms[i]) for i in range(n))
     pure_forms = [interim_forms(game, i, pures) for i in range(n)]
     eps = verify_equilibrium(game, pures, pure_forms)
-    mixtures_ok = True
-    for i, spec in enumerate(game.players):
-        part = info[i]
-        cond = g_conditional(game, info, i, pures[i])
-        moments = strategy_moments(spec, game.units[i], cond)
-        for b, block in enumerate(part.blocks):
-            mass = part.block_masses[b]
-            for a in range(len(spec.actions)):
-                got = sum((moments[u][0][a] for u in block), ZERO) / mass
-                if got != report.mixtures[i][b][a]:
-                    mixtures_ok = False
+    # conditioning on coarser information keeps every block integral, so the
+    # conditioned mixtures are the pure profile's block totals over the masses
+    mixtures_ok = all(
+        t / mass == report.mixtures[i][b][a]
+        for i in range(n)
+        for b, (totals, mass) in enumerate(
+            zip(block_totals(game, info[i], pures[i]), info[i].block_masses)
+        )
+        for a, t in enumerate(totals)
+    )
     payoffs_ok = all(
         player_payoff(game, i, pures[i], pures, forms=pure_forms[i])
         == player_payoff(game, i, behavioral[i], behavioral, forms=forms[i])

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import SchemaError, WeightInvalid
 from .piecewise import PiecePlan, append_piece, clip_pieces, pack_pieces
@@ -252,11 +252,7 @@ class BayesianGame:
         a_total, b_total = ZERO, ZERO
         others = [j for j in range(len(self.players)) if j != i]
         for combo in itertools.product(*[range(len(self.units[j])) for j in others]):
-            key = [0] * len(self.players)
-            key[i] = own_idx
-            for j, k in zip(others, combo):
-                key[j] = k
-            key = tuple(key)
+            key = _splice(i, own_idx, combo)
             units = self.tuple_units(key)
             mass = ONE
             for j in others:
@@ -299,6 +295,11 @@ class BayesianGame:
         return True
 
 
+def _splice(i: int, own: int, rest: tuple[int, ...]) -> tuple[int, ...]:
+    """The profile with ``own`` at position i and the others' ``rest`` in order."""
+    return rest[:i] + (own,) + rest[i:]
+
+
 # -- strategies -------------------------------------------------------------
 
 
@@ -332,7 +333,6 @@ class PureStrategy(PiecePlan):
     plan: Mapping[str, object]  # tuple[(upto, action_idx)] | action_idx
 
     entries = property(attrgetter("plan"))
-    action_at = PiecePlan.payload_at
 
     def validate(self, spec: PlayerSpec) -> None:
         m = len(spec.actions)
@@ -415,17 +415,9 @@ def interim_affine(
     action_ranges = [range(len(game.players[j].actions)) for j in others]
     unit_ranges = [range(len(game.units[j])) for j in others]
     for x_rest in itertools.product(*action_ranges):
-        x = [0] * n
-        x[i] = action
-        for j, a in zip(others, x_rest):
-            x[j] = a
-        table = weighted[tuple(x)]
+        table = weighted[_splice(i, action, x_rest)]
         for mu in itertools.product(*unit_ranges):
-            key = [0] * n
-            key[i] = own_unit
-            for j, k in zip(others, mu):
-                key[j] = k
-            e = table[tuple(key)]
+            e = table[_splice(i, own_unit, mu)]
             P0 = ONE
             for j, k, a in zip(others, mu, x_rest):
                 P0 *= moments[j][k][0][a]
@@ -557,33 +549,21 @@ def derive_interplayer_info(game: BayesianGame) -> tuple[InfoPartition, ...]:
                 for x in itertools.product(*action_ranges):
                     table = game.weighted[j][x]
                     for mu in itertools.product(*unit_ranges):
-                        key = [0] * n
-                        key[i] = own_idx
-                        for jj, k in zip(others, mu):
-                            key[jj] = k
-                        e = table[tuple(key)]
+                        e = table[_splice(i, own_idx, mu)]
                         if e.slope != 0 and e.coord == i:
                             is_sat = True
                         sig.append((j, x, mu, e.const, e.slope, e.coord))
             signatures.append(tuple(sig))
             saturated.append(is_sat)
         blocks: list[list[int]] = []
-        block_of: dict[int, int] = {}
+        block_of: list[int] = []
         sig_index: dict[tuple, int] = {}
-        for own_idx in range(len(game.units[i])):
-            if saturated[own_idx]:
-                block_of[own_idx] = len(blocks)
-                blocks.append([own_idx])
-                continue
-            sig = signatures[own_idx]
-            if sig in sig_index:
-                b = sig_index[sig]
-                blocks[b].append(own_idx)
-                block_of[own_idx] = b
-            else:
-                sig_index[sig] = len(blocks)
-                block_of[own_idx] = len(blocks)
-                blocks.append([own_idx])
+        for own_idx, (sig, is_sat) in enumerate(zip(signatures, saturated)):
+            b = len(blocks) if is_sat else sig_index.setdefault(sig, len(blocks))
+            if b == len(blocks):
+                blocks.append([])
+            blocks[b].append(own_idx)
+            block_of.append(b)
         masses = tuple(
             sum((game.units[i][u].mass for u in block), ZERO) for block in blocks
         )
@@ -592,7 +572,7 @@ def derive_interplayer_info(game: BayesianGame) -> tuple[InfoPartition, ...]:
                 player=i,
                 blocks=tuple(tuple(b) for b in blocks),
                 kinds=tuple("saturated" if s else "rich" for s in saturated),
-                block_of_unit=tuple(block_of[u] for u in range(len(game.units[i]))),
+                block_of_unit=tuple(block_of),
                 block_masses=masses,
             )
         )
@@ -619,36 +599,54 @@ def coarser_info_check(
     return tuple(out)
 
 
+def unit_plan(
+    game: BayesianGame, i: int, unit_pieces: Callable[[int, Unit, TypeCell], Iterable]
+) -> dict[str, object]:
+    """Player i's per-cell stored entries, built in one pass over the units.
+
+    ``unit_pieces(idx, unit, cell)`` gives unit ``idx``'s ``(upto, payload)``
+    pieces over its span.  The units come in cell order, a cell's last one
+    ending at 1, and equal neighbours merge across units too.
+    """
+    cells = game.players[i].cells
+    plan: dict[str, object] = {}
+    pieces: list[tuple[Fraction, object]] = []
+    for idx, u in enumerate(game.units[i]):
+        cell = cells[u.cell_index]
+        for upto, payload in unit_pieces(idx, u, cell):
+            append_piece(pieces, upto, payload)
+        if u.hi == ONE:
+            plan[cell.id] = pack_pieces(cell, pieces)
+            pieces = []
+    return plan
+
+
+def block_totals(game: BayesianGame, part: InfoPartition, f: Strategy) -> list[list[Fraction]]:
+    """Per block of ``part`` and per action: the integral of ``f`` over the block."""
+    i = part.player
+    spec = game.players[i]
+    moments = strategy_moments(spec, game.units[i], f)
+    actions = range(len(spec.actions))
+    return [[sum((moments[u][0][a] for u in block), ZERO) for a in actions] for block in part.blocks]
+
+
 def g_conditional(
     game: BayesianGame, info: tuple[InfoPartition, ...], i: int, f: Strategy
 ) -> BehavioralStrategy:
     """Condition a strategy on the player's derived information blocks."""
-    spec = game.players[i]
-    fb = as_behavioral(spec, f)
+    fb = as_behavioral(game.players[i], f)
     part = info[i]
-    m = len(spec.actions)
-    moments = strategy_moments(spec, game.units[i], fb)
-    block_avg = []
-    for b, block in enumerate(part.blocks):
-        totals = [ZERO] * m
-        for u in block:
-            for a in range(m):
-                totals[a] += moments[u][0][a]
-        mass = part.block_masses[b]
-        block_avg.append(tuple(t / mass for t in totals))
-    plan: dict[str, object] = {}
-    for ci, cell in enumerate(spec.cells):
-        pieces: list[tuple[Fraction, tuple[Fraction, ...]]] = []
-        for idx, u in enumerate(game.units[i]):
-            if u.cell_index != ci:
-                continue
-            if part.kinds[idx] == "saturated":
-                for _lo, hi, w in clip_pieces(fb.pieces(cell), u.lo, u.hi):
-                    append_piece(pieces, hi, tuple(w))
-            else:
-                append_piece(pieces, u.hi, block_avg[part.block_of_unit[idx]])
-        plan[cell.id] = pack_pieces(cell, pieces)
-    return BehavioralStrategy(plan)
+    block_avg = [
+        tuple(t / mass for t in totals)
+        for totals, mass in zip(block_totals(game, part, fb), part.block_masses)
+    ]
+
+    def conditioned(idx, u, cell):
+        if part.kinds[idx] == "saturated":
+            return [(hi, tuple(w)) for _lo, hi, w in clip_pieces(fb.pieces(cell), u.lo, u.hi)]
+        return ((u.hi, block_avg[part.block_of_unit[idx]]),)
+
+    return BehavioralStrategy(unit_plan(game, i, conditioned))
 
 
 def substitute_conditioned(

@@ -135,15 +135,24 @@ class IntervalUnionStrategy:
 
     @classmethod
     def from_pieces(cls, pieces: Sequence[tuple[Fraction, int]], m: int):
-        """Build from [(upto, action)] step form; every action must be in [0, m)."""
+        """Build from [(upto, action)] step form: the uptos must increase to 1
+        and every action must be in [0, m)."""
+
+        def check_action(action):
+            if not 0 <= action < m:
+                raise SchemaError("pieces", f"action {action!r} is not in range({m})")
+
+        check_pieces("pieces", pieces, check_action)
         buckets: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(m)]
         lo = ZERO
         for upto, action in pieces:
-            if not 0 <= action < m:
-                raise SchemaError("pieces", f"action {action!r} is not in range({m})")
-            buckets[action].append((lo, upto))
+            bucket = buckets[action]
+            if bucket and bucket[-1][1] == lo:
+                bucket[-1] = (bucket[-1][0], upto)
+            else:
+                bucket.append((lo, upto))
             lo = upto
-        return cls(tuple(tuple(normalize_intervals(b)) for b in buckets))
+        return cls(tuple(tuple(b) for b in buckets))
 
     @classmethod
     def from_grid(cls, assignment: Sequence[int], m: int):

@@ -299,6 +299,26 @@ def proportional_subintervals(
     return merged
 
 
+def split_pieces(
+    pieces: Sequence[tuple[Fraction, Sequence[Fraction]]],
+    spans: Iterable[tuple[Fraction, Fraction, bool]],
+) -> list[tuple[Fraction, int]]:
+    """Split mixture pieces into index pieces, span by span.
+
+    ``pieces`` are ``(upto, weights)`` pieces; ``spans`` are ``(lo, hi,
+    symmetric)`` triples, left to right.  Each piece is clipped to the span it
+    meets and cut by ``proportional_subintervals`` in the span's mode, so every
+    index keeps its measure on each clipped piece (and, in symmetric mode, its
+    centroid); equal neighbours merge.  A one-hot piece splits into itself.
+    """
+    out: list[tuple[Fraction, int]] = []
+    for lo, hi, symmetric in spans:
+        for a, b, weights in clip_pieces(pieces, lo, hi):
+            for _lo, upto, k in proportional_subintervals(a, b, weights, symmetric):
+                append_piece(out, upto, k)
+    return out
+
+
 def normalize_intervals(intervals: Iterable[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, Fraction], ...]:
     """Sort, drop empty, and merge adjacent/overlapping intervals."""
     ivs = sorted((lo, hi) for lo, hi in intervals if hi > lo)

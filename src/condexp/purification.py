@@ -25,19 +25,15 @@ from .games import (
     PureStrategy,
     Strategy,
     as_behavioral,
+    block_totals,
     coarser_info_check,
     derive_interplayer_info,
     interim_forms,
     player_payoff,
     strategy_moments,
+    unit_plan,
 )
-from .piecewise import (
-    append_piece,
-    clip_pieces,
-    merged_pieces,
-    pack_pieces,
-    proportional_subintervals,
-)
+from .piecewise import merged_pieces, pack_pieces, split_pieces
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -103,19 +99,13 @@ def purify_player(
     centroid-preserving symmetric split, so the own payoff integral survives.
     ``forms`` are player i's ``interim_forms`` against ``behavioral``.
     """
-    spec = game.players[i]
-    plan: dict[str, object] = {}
-    for ci, cell in enumerate(spec.cells):
-        pieces: list[tuple[Fraction, int]] = []
-        for idx, u in enumerate(game.units[i]):
-            if u.cell_index != ci:
-                continue
-            symmetric = any(B != 0 for _A, B in forms[idx])
-            for lo, hi, weights in clip_pieces(behavioral[i].pieces(cell), u.lo, u.hi):
-                for _a, b, k in proportional_subintervals(lo, hi, weights, symmetric):
-                    append_piece(pieces, b, k)
-        plan[cell.id] = pack_pieces(cell, pieces)
-    return PureStrategy(plan)
+    own = behavioral[i]
+
+    def split(idx, u, cell):
+        symmetric = any(B != 0 for _A, B in forms[idx])
+        return split_pieces(own.pieces(cell), ((u.lo, u.hi, symmetric),))
+
+    return PureStrategy(unit_plan(game, i, split))
 
 
 def strong_purify(
@@ -136,20 +126,11 @@ def strong_purify(
         for i in range(n)
     ]
     report = audit_equivalence(game, behavioral, pures, deviations, forms_f=forms)
-    block_identity = []
-    for i, spec in enumerate(game.players):
-        part = info[i]
-        ok = True
-        mom_f = strategy_moments(spec, game.units[i], behavioral[i])
-        mom_g = strategy_moments(spec, game.units[i], pures[i])
-        for block in part.blocks:
-            for a in range(len(spec.actions)):
-                got_f = sum((mom_f[u][0][a] for u in block), ZERO)
-                got_g = sum((mom_g[u][0][a] for u in block), ZERO)
-                if got_f != got_g:
-                    ok = False
-        block_identity.append(ok)
-    return PurificationCertificate(pures, report, tuple(block_identity))
+    block_identity = tuple(
+        block_totals(game, info[i], behavioral[i]) == block_totals(game, info[i], pures[i])
+        for i in range(n)
+    )
+    return PurificationCertificate(pures, report, block_identity)
 
 
 def audit_equivalence(
@@ -178,19 +159,15 @@ def audit_equivalence(
         )
         for i in range(n)
     )
-    dist_defects = []
-    for i, spec in enumerate(game.players):
-        mom_f = strategy_moments(spec, game.units[i], fb[i])
-        mom_g = strategy_moments(spec, game.units[i], gb[i])
-        m = len(spec.actions)
-        defect = tuple(
-            abs(
-                sum((mom_f[u][0][a] for u in range(len(game.units[i]))), ZERO)
-                - sum((mom_g[u][0][a] for u in range(len(game.units[i]))), ZERO)
-            )
-            for a in range(m)
-        )
-        dist_defects.append(defect)
+
+    def action_totals(i, s):
+        moments = strategy_moments(game.players[i], game.units[i], s)
+        return [sum(col, ZERO) for col in zip(*(w0 for w0, _w1 in moments))]
+
+    dist_defects = tuple(
+        tuple(abs(x - y) for x, y in zip(action_totals(i, fb[i]), action_totals(i, gb[i])))
+        for i in range(n)
+    )
     strong = []
     for i in range(n):
         devs = deviations[i] if deviations else ()
@@ -215,7 +192,7 @@ def audit_equivalence(
         violation_mass.append(total)
     return EquivalenceReport(
         payoff_residuals=payoff_residuals,
-        distribution_defects=tuple(dist_defects),
+        distribution_defects=dist_defects,
         strong_residuals=tuple(strong),
         belief_violation_mass=tuple(violation_mass),
         belief_violations=tuple(violations),

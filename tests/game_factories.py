@@ -14,9 +14,11 @@ from condexp.games import (
     BayesianGame,
     Entry,
     PlayerSpec,
+    PureStrategy,
     TypeCell,
     derive_interplayer_info,
 )
+from condexp.piecewise import pack_pieces
 
 F = Fraction
 
@@ -202,3 +204,19 @@ def random_profile(rng: random.Random, game: BayesianGame):
     from condexp.purification import random_behavioral
 
     return tuple(random_behavioral(spec, rng) for spec in game.players)
+
+
+def flip_first_piece(purify):
+    """``purify`` with the first piece of player 0's first cell moved to the
+    next action, so the action integrals of that piece's block move."""
+
+    def tampered(game, i, *args):
+        pure = purify(game, i, *args)
+        if i != 0:
+            return pure
+        cell = game.players[0].cells[0]
+        (upto, k), *rest = pure.pieces(cell)
+        flipped = (upto, (k + 1) % len(game.players[0].actions))
+        return PureStrategy({**pure.plan, cell.id: pack_pieces(cell, [flipped, *rest])})
+
+    return tampered

@@ -545,7 +545,7 @@ except ArithmeticError as exc:
 
 # derandomize: every piece goes to branch 0, whatever its weights
 Fr = binary([Cell("r", F(1), CellKind.RICH, "r")])
-attainable.proportional_subintervals = lambda lo, hi, w, symmetric=False: [(lo, hi, 0)]
+attainable.split_pieces = lambda pieces, spans: [(hi, 0) for _lo, hi, _symmetric in spans]
 try:
     attainable.derandomize_selection(Fr, MixedSelection({"r": ((F(1), (F(1, 2), F(1, 2))),)}))
 except ArithmeticError as exc:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from condexp import equilibrium
 from condexp.equilibrium import (
     SolveOptions,
     improving_deviation,
@@ -26,7 +27,12 @@ from condexp.games import (
 )
 from condexp.purification import purify_player
 
-from game_factories import random_coarser_game, random_dominance_game, random_profile
+from game_factories import (
+    flip_first_piece,
+    random_coarser_game,
+    random_dominance_game,
+    random_profile,
+)
 from test_games import pure, saturated_q_game
 
 F = Fraction
@@ -187,6 +193,13 @@ class TestPurify:
         assert purified.mixtures_preserved
         assert purified.payoffs_preserved
         assert purified.profile[0].plan["t1"] == ((F(1, 2), 0), (F(1), 1))
+
+    def test_mixtures_not_preserved_when_a_block_integral_moves(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "purify_player", flip_first_piece(purify_player))
+        game = matching_pennies_game(2)
+        purified = purify_equilibrium(game, solve_behavioral(game))
+        assert purified.profile[0].plan["t1"] == ((F(1, 2), 1), (F(1), 1))
+        assert not purified.mixtures_preserved
 
     def test_dominant_profile_unchanged(self):
         game = two_block_dominance_game()

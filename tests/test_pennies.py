@@ -150,6 +150,23 @@ class TestIntervalUnionStrategy:
             IntervalUnionStrategy.from_pieces(pieces, 2)
 
     @pytest.mark.parametrize(
+        "pieces",
+        [
+            # a falling upto: once read as "action 0 on [0, 1)", the reversed
+            # action-1 interval dropped and the overlap absorbed
+            [(F(1, 2), 0), (F(1, 4), 1), (F(1), 0)],
+            [(F(1, 2), 0), (F(1, 2), 1), (F(1), 0)],  # an empty piece, likewise
+        ],
+    )
+    def test_from_pieces_rejects_broken_breakpoints(self, pieces):
+        with pytest.raises(SchemaError, match="pieces: breakpoints must increase"):
+            IntervalUnionStrategy.from_pieces(pieces, 2)
+
+    def test_from_pieces_rejects_pieces_short_of_one(self):
+        with pytest.raises(SchemaError, match="pieces: pieces must end at 1"):
+            IntervalUnionStrategy.from_pieces([(F(1, 2), 0)], 2)
+
+    @pytest.mark.parametrize(
         "unions",
         [
             # a reversed interval whose negative length hid an overlap: once

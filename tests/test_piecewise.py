@@ -17,7 +17,10 @@ from condexp.piecewise import (
     clip_pieces,
     common_refinement,
     pack_pieces,
+    piece_bounds,
     piece_payload,
+    proportional_subintervals,
+    split_pieces,
 )
 
 from helpers import binary_F, space
@@ -128,6 +131,124 @@ class TestCheckPieces:
         with pytest.raises(SchemaError) as info:
             check_pieces("values[c]", [(F(1, 2), 0)])
         assert info.value.path == "values[c]"
+
+
+# -- the one splitter against the per-caller loops it replaced -----------------
+
+
+@st.composite
+def weight_vectors(draw, k, one_hot=False):
+    if one_hot:
+        hot = draw(st.integers(0, k - 1))
+        return tuple(F(int(j == hot)) for j in range(k))
+    raw = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    return tuple(F(x, sum(raw)) for x in raw)
+
+
+@st.composite
+def mixture_pieces(draw, one_hot=False):
+    """[(upto, weights)] on the 24ths grid, one to three indices."""
+    k = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.sets(grid.filter(lambda t: 0 < t < 1), max_size=4)))
+    return [(u, draw(weight_vectors(k, one_hot))) for u in cuts + [F(1)]]
+
+
+@st.composite
+def off_grid_spans(draw):
+    """A left-to-right partition of [0, 1) on the 35ths, each span with a mode."""
+    cuts = sorted(draw(st.sets(st.integers(1, 34).map(lambda k: F(k, 35)), max_size=4)))
+    return [(lo, hi, draw(st.booleans())) for lo, hi in piece_bounds(cuts + [F(1)])]
+
+
+def reference_unit_split(pieces, spans):
+    """purify_player's loop: clip the strategy to each unit, cut each clipped piece."""
+    out = []
+    for lo, hi, symmetric in spans:
+        for a, b, weights in clip_pieces(pieces, lo, hi):
+            for _a, upto, k in proportional_subintervals(a, b, weights, symmetric):
+                append_piece(out, upto, k)
+    return out
+
+
+def reference_refinement_split(pieces, bounds, one_hot):
+    """derandomize_selection's loop: the weights at each refinement piece's left
+    end, taken whole where only one-hot weights are allowed."""
+    out = []
+    for lo, hi in bounds:
+        weights = piece_payload(pieces, lo)
+        if one_hot:
+            (k,) = [k for k, x in enumerate(weights) if x > 0]
+            append_piece(out, hi, k)
+            continue
+        for _a, upto, k in proportional_subintervals(lo, hi, weights):
+            append_piece(out, upto, k)
+    return out
+
+
+def reference_block_split(bounds, mixture):
+    """_mixed_block_blend's loop: one weight vector per refinement piece, in order."""
+    out = []
+    for (lo, hi), weights in zip(bounds, mixture):
+        for _a, upto, k in proportional_subintervals(lo, hi, weights):
+            append_piece(out, upto, k)
+    return out
+
+
+def index_moments(pieces, k, lo, hi):
+    """Measure and first moment of index k's part of [lo, hi)."""
+    parts = [(a, b) for a, b, j in clip_pieces(pieces, lo, hi) if j == k]
+    return sum((b - a for a, b in parts), F(0)), sum(((b * b - a * a) / 2 for a, b in parts), F(0))
+
+
+class TestSplitPieces:
+    @SETTINGS
+    @given(mixture_pieces(), off_grid_spans())
+    def test_matches_unit_loop(self, pieces, spans):
+        assert split_pieces(pieces, spans) == reference_unit_split(pieces, spans)
+
+    @SETTINGS
+    @given(
+        st.booleans().flatmap(lambda hot: st.tuples(st.just(hot), mixture_pieces(hot))),
+        st.sets(grid.filter(lambda t: 0 < t < 1), max_size=4),
+    )
+    def test_matches_refinement_loop(self, case, extra):
+        one_hot, pieces = case
+        bounds = piece_bounds(common_refinement([u for u, _ in pieces], extra, [F(1)]))
+        spans = [(lo, hi, False) for lo, hi in bounds]
+        assert split_pieces(pieces, spans) == reference_refinement_split(pieces, bounds, one_hot)
+
+    @SETTINGS
+    @given(mixture_pieces())
+    def test_matches_block_loop(self, pieces):
+        bounds = piece_bounds([u for u, _ in pieces])
+        mixture = [w for _u, w in pieces]
+        whole = [(F(0), F(1), False)]
+        assert split_pieces(pieces, whole) == reference_block_split(bounds, mixture)
+
+    @SETTINGS
+    @given(mixture_pieces(one_hot=True), off_grid_spans())
+    def test_one_hot_pieces_split_into_themselves(self, pieces, spans):
+        merged = []
+        for upto, weights in pieces:
+            append_piece(merged, upto, weights.index(1))
+        assert split_pieces(pieces, spans) == merged
+
+    @SETTINGS
+    @given(mixture_pieces(), off_grid_spans())
+    def test_keeps_measure_and_symmetric_centroid(self, pieces, spans):
+        out = split_pieces(pieces, spans)
+        check_pieces("out", out)
+        for lo, hi, symmetric in spans:
+            clipped = list(clip_pieces(pieces, lo, hi))
+            for k in range(len(pieces[0][1])):
+                want = sum(((b - a) * w[k] for a, b, w in clipped), F(0))
+                assert index_moments(out, k, lo, hi)[0] == want
+                if not symmetric:
+                    continue
+                for a, b, w in clipped:  # each clipped piece keeps its centroid
+                    measure, moment = index_moments(out, k, a, b)
+                    assert measure == (b - a) * w[k]
+                    assert moment == measure * (a + b) / 2
 
 
 class TestPiecePlan:

@@ -4,14 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from condexp import games
+from condexp import games, purification
 from condexp.equilibrium import purify_equilibrium, solve_behavioral
 from condexp.errors import AtomObstructionError
 from condexp.factories import matching_pennies_game
 from condexp.games import BehavioralStrategy, PureStrategy, uniform_strategy
-from condexp.purification import audit_equivalence, random_behavioral, strong_purify
+from condexp.purification import (
+    audit_equivalence,
+    purify_player,
+    random_behavioral,
+    strong_purify,
+)
 
-from game_factories import random_coarser_game, random_profile
+from game_factories import flip_first_piece, random_coarser_game, random_profile
 from test_games import pure, saturated_q_game
 
 F = Fraction
@@ -43,6 +48,14 @@ class TestStrongPurify:
         cert = strong_purify(game, profile)
         assert cert.profile[0].plan["t1"] == ((F(1, 4), 0), (F(1), 1))
         assert cert.report.belief_violation_mass == (F(0), F(0))
+
+    def test_block_identity_fails_when_a_block_integral_moves(self, monkeypatch):
+        monkeypatch.setattr(purification, "purify_player", flip_first_piece(purify_player))
+        game = matching_pennies_game(2)
+        f1 = BehavioralStrategy({"t1": ((F(1), (F(3, 4), F(1, 4))),)})
+        cert = strong_purify(game, [f1, uniform_strategy(game.players[1])])
+        assert cert.profile[0].plan["t1"] == ((F(3, 4), 1), (F(1), 1))
+        assert cert.block_identity == (False, True)
 
     def test_obstruction_without_coarser_info(self):
         game = saturated_q_game()
