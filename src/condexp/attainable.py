@@ -326,8 +326,8 @@ def convexify_witness(
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must lie in [0, 1]")
-    s1.validate(F)
-    s2.validate(F)
+    s1.validate(F.space.cells, F.branch_count, "s1")
+    s2.validate(F.space.cells, F.branch_count, "s2")
     space = F.space
     has_atom, _ = space.has_g_atom()
     if not has_atom:
@@ -347,7 +347,7 @@ def convexify_witness(
             assignments[cells[0].id] = result
         elif all(c.kind is CellKind.RICH for c in cells):
             part = _proportional_blend(F, s1, s2, alpha, cells)
-            assignments.update(part.assignments)
+            assignments.update(part.plan)
         else:
             value = _block_value(space, target_fn, cells)
             result = _mixed_block_blend(F, label, cells, value, alpha)
@@ -470,7 +470,7 @@ def derandomize_selection(F: FiniteIndexedCorrespondence, m: MixedSelection) -> 
     piece integral.  Saturated and point cells admit only one-hot weights;
     anything else raises with an obstruction certificate.
     """
-    m.validate(F)
+    m.validate(F.space.cells, F.branch_count)
     assignments: dict[str, object] = {}
     for c in F.space.cells:
         pieces = m.pieces(c)

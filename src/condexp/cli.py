@@ -233,13 +233,7 @@ def cmd_solve(args) -> int:
 def cmd_purify(args) -> int:
     doc = _read(args.fixture)
     game = serialize.load_game(doc.get("game", doc))
-    given = doc.get("profile", [])
-    if not isinstance(given, list) or len(given) != len(game.players):
-        raise SchemaError("profile", "one strategy per player required")
-    profile = [
-        serialize.load_strategy(sd, spec, f"profile[{i}]")
-        for i, (sd, spec) in enumerate(zip(given, game.players))
-    ]
+    profile = serialize.load_profile(doc.get("profile", []), game.players, "profile")
     try:
         cert = purification.strong_purify(
             game, profile, deviation_samples=args.samples, seed=args.seed
@@ -288,27 +282,10 @@ def _dump_equivalence(report) -> dict:
 def cmd_audit_equivalence(args) -> int:
     doc = _read(args.fixture)
     game = serialize.load_game(doc.get("game", doc))
+    f = serialize.load_profile(doc.get("f", []), game.players, "f")
+    g = serialize.load_profile(doc.get("g", []), game.players, "g")
     rows = doc.get("deviations") or None  # an empty list means no samples
-    for name, given in (("f", doc.get("f", [])), ("g", doc.get("g", [])), ("deviations", rows)):
-        if given is not None and len(given) != len(game.players):
-            raise SchemaError(name, "one strategy per player required")
-    f = [
-        serialize.load_strategy(sd, spec, f"f[{i}]")
-        for i, (sd, spec) in enumerate(zip(doc["f"], game.players))
-    ]
-    g = [
-        serialize.load_strategy(sd, spec, f"g[{i}]")
-        for i, (sd, spec) in enumerate(zip(doc["g"], game.players))
-    ]
-    deviations = None
-    if rows is not None:
-        deviations = [
-            [
-                serialize.load_strategy(dd, game.players[i], f"deviations[{i}][{k}]")
-                for k, dd in enumerate(row)
-            ]
-            for i, row in enumerate(rows)
-        ]
+    deviations = None if rows is None else serialize.load_samples(rows, game.players, "deviations")
     report = purification.audit_equivalence(game, f, g, deviations)
     payload = _dump_equivalence(report)
     payload["all_zero"] = report.all_zero

@@ -13,9 +13,10 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Mapping
 
-from .errors import DimensionMismatch, IndexOutOfRange, SchemaError, WeightInvalid
+from .errors import DimensionMismatch, SchemaError
 from .measure import Cell, MeasureSpaceModel, StepFunction
-from .piecewise import PiecePlan, common_refinement, merged_pieces, pack_pieces, piece_bounds
+from .piecewise import PiecePlan, check_index, check_weights, common_refinement, merged_pieces
+from .piecewise import pack_pieces, piece_bounds, unit_vector
 from .rationals import Vec, vec_add, vec_scale, zero_vec
 
 
@@ -53,43 +54,40 @@ class FiniteIndexedCorrespondence:
 
 @dataclass(frozen=True)
 class Selection(PiecePlan):
-    """Branch index per piece (Rich/Saturated cells) or per cell (points)."""
+    """An index per piece (interval cells) or per cell (point cells): a
+    selection of a correspondence's branches, or a pure strategy's actions."""
 
-    assignments: Mapping[str, object]  # tuple[(upto, int), ...] | int
+    plan: Mapping[str, object]  # tuple[(upto, int), ...] | int
 
-    entries = property(attrgetter("assignments"))
+    entries = property(attrgetter("plan"))
     branch_at = PiecePlan.payload_at
     breakpoints_on = PiecePlan.breakpoints
 
-    def validate(self, F: FiniteIndexedCorrespondence) -> None:
-        K = F.branch_count
+    def validate(self, cells, m: int, path: str = "selection") -> None:
+        """Raise SchemaError at ``path[cell id]`` unless every cell holds a
+        piece list of indices in range(m)."""
+        self.check_cells(cells, path, lambda _cell, p, k: check_index(p, k, m))
 
-        def check_branch(cell, k):
-            if not 0 <= k < K:
-                raise IndexOutOfRange(f"cell {cell.id}: branch {k} out of range")
-
-        self.check_cells(F.space.cells, "selection", check_branch)
+    def one_hot(self, cells, m: int) -> MixedSelection:
+        """The degenerate mixture over m indices matching this (validated) plan."""
+        units = [unit_vector(m, k) for k in range(m)]
+        return MixedSelection({c.id: self.mapped(c, units.__getitem__) for c in cells})
 
 
 @dataclass(frozen=True)
 class MixedSelection(PiecePlan):
-    """Probability weights over branches, piecewise per cell."""
+    """Probability weights over m indices, piecewise per cell: a mixed
+    selection of a correspondence's branches, or a behavioral strategy."""
 
-    weights: Mapping[str, object]  # tuple[(upto, tuple[Fraction,...]), ...] | tuple
+    plan: Mapping[str, object]  # tuple[(upto, tuple[Fraction,...]), ...] | tuple
 
-    entries = property(attrgetter("weights"))
+    entries = property(attrgetter("plan"))
     breakpoints_on = PiecePlan.breakpoints
 
-    def validate(self, F: FiniteIndexedCorrespondence) -> None:
-        K = F.branch_count
-
-        def check_weights(cell, w):
-            if len(w) != K:
-                raise WeightInvalid(f"cell {cell.id}: expected {K} weights")
-            if any(x < 0 for x in w) or sum(w) != 1:
-                raise WeightInvalid(f"cell {cell.id}: weights must be >= 0 and sum to 1")
-
-        self.check_cells(F.space.cells, "mixed", check_weights)
+    def validate(self, cells, m: int, path: str = "mixed") -> None:
+        """Raise SchemaError at ``path[cell id]`` unless every cell holds a
+        piece list of m weights, each >= 0, summing to 1."""
+        self.check_cells(cells, path, lambda _cell, p, w: check_weights(p, w, m))
 
     def weights_at(self, cell: Cell, t: Fraction) -> tuple[Fraction, ...]:
         return tuple(self.payload_at(cell, t))
@@ -97,7 +95,7 @@ class MixedSelection(PiecePlan):
 
 def selection_value(F: FiniteIndexedCorrespondence, s: Selection) -> StepFunction:
     """The step function t -> g_{s(t)}(t)."""
-    s.validate(F)
+    s.validate(F.space.cells, F.branch_count)
     values: dict[str, object] = {}
     for c in F.space.cells:
         pieces = []
@@ -111,7 +109,7 @@ def selection_value(F: FiniteIndexedCorrespondence, s: Selection) -> StepFunctio
 
 def mixed_value(F: FiniteIndexedCorrespondence, m: MixedSelection) -> StepFunction:
     """The step function t -> sum_k w_k(t) g_k(t)."""
-    m.validate(F)
+    m.validate(F.space.cells, F.branch_count)
     values: dict[str, object] = {}
     for c in F.space.cells:
         pieces = []
@@ -128,10 +126,5 @@ def mixed_value(F: FiniteIndexedCorrespondence, m: MixedSelection) -> StepFuncti
 
 def one_hot(F: FiniteIndexedCorrespondence, s: Selection) -> MixedSelection:
     """The degenerate mixture matching a pure selection."""
-    s.validate(F)
-    K = F.branch_count
-
-    def unit(k: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1 if j == k else 0) for j in range(K))
-
-    return MixedSelection({c.id: s.mapped(c, unit) for c in F.space.cells})
+    s.validate(F.space.cells, F.branch_count)
+    return s.one_hot(F.space.cells, F.branch_count)

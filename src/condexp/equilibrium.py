@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import SchemaError
 from .games import (
     BayesianGame,
     BehavioralStrategy,
@@ -29,7 +30,7 @@ from .games import (
     player_payoff,
     unit_plan,
 )
-from .piecewise import argmax_segments, integrate_envelope
+from .piecewise import argmax_segments, check_weights, integrate_envelope
 from .purification import purify_player, require_coarser
 from .rational_geometry import feasible_combination, simplex_min
 
@@ -447,11 +448,20 @@ def purify_equilibrium(
 
     Sub-intervals follow action order left to right; units whose interim
     payoff is affine in the own coordinate get the centroid-preserving
-    symmetric split so the own payoff integral survives unchanged.
+    symmetric split so the own payoff integral survives unchanged.  Mixtures
+    that are not one row of weights per player, derived block and action
+    raise SchemaError at ``mixtures[i]`` or ``mixtures[i][b]``.
     """
     info = require_coarser(game)
     behavioral = report.profile
     n = len(game.players)
+    if len(report.mixtures) != n:
+        raise SchemaError("mixtures", f"expected {n} players")
+    for i, rows in enumerate(report.mixtures):
+        if len(rows) != len(info[i].blocks):
+            raise SchemaError(f"mixtures[{i}]", f"expected {len(info[i].blocks)} blocks")
+        for b, w in enumerate(rows):
+            check_weights(f"mixtures[{i}][{b}]", w, len(game.players[i].actions))
     forms = report.forms
     if forms is None:
         forms = [interim_forms(game, i, behavioral) for i in range(n)]

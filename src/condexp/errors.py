@@ -17,12 +17,12 @@ class DimensionMismatch(CondexpError):
     """Vector values of inconsistent dimension."""
 
 
-class IndexOutOfRange(CondexpError):
-    """Selection refers to a branch index outside the correspondence."""
+class IndexOutOfRange(SchemaError):
+    """A selection or pure strategy names an index outside range(m)."""
 
 
-class WeightInvalid(CondexpError):
-    """Mixture weights are negative or do not sum to one."""
+class WeightInvalid(SchemaError):
+    """Mixture weights are not m numbers, each >= 0, summing to one."""
 
 
 class SaturatedBlock(CondexpError):

@@ -20,11 +20,11 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import SchemaError, WeightInvalid
-from .piecewise import PiecePlan, append_piece, clip_pieces, pack_pieces
+from .correspondences import MixedSelection, Selection
+from .errors import SchemaError
+from .piecewise import append_piece, clip_pieces, pack_pieces
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -303,64 +303,18 @@ def _splice(i: int, own: int, rest: tuple[int, ...]) -> tuple[int, ...]:
 # -- strategies -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BehavioralStrategy(PiecePlan):
-    """Piecewise probability vectors over actions, per type cell."""
-
-    plan: Mapping[str, object]  # tuple[(upto, weights)] | weights (point cells)
-
-    entries = property(attrgetter("plan"))
-
-    def validate(self, spec: PlayerSpec) -> None:
-        m = len(spec.actions)
-
-        def check_weights(cell, w):
-            if len(w) != m:
-                raise WeightInvalid(f"cell {cell.id}: expected {m} weights")
-            if any(x < 0 for x in w) or sum(w) != 1:
-                raise WeightInvalid(f"cell {cell.id}: weights must be >= 0, sum 1")
-
-        self.check_cells(spec.cells, "strategy", check_weights)
-
-    def weights_at(self, cell: TypeCell, t: Fraction) -> tuple[Fraction, ...]:
-        return tuple(self.payload_at(cell, t))
+# A behavioral strategy is a mixed selection of the action correspondence and
+# a pure strategy a selection of it: one type each, indexed by action.
+BehavioralStrategy = MixedSelection
+PureStrategy = Selection
+Strategy = MixedSelection | Selection
 
 
-@dataclass(frozen=True)
-class PureStrategy(PiecePlan):
-    """Piecewise action indices, per type cell."""
-
-    plan: Mapping[str, object]  # tuple[(upto, action_idx)] | action_idx
-
-    entries = property(attrgetter("plan"))
-
-    def validate(self, spec: PlayerSpec) -> None:
-        m = len(spec.actions)
-
-        def check_action(cell, k):
-            if not 0 <= k < m:
-                raise SchemaError(f"strategy[{cell.id}]", "action out of range")
-
-        self.check_cells(spec.cells, "strategy", check_action)
-
-    def to_behavioral(self, spec: PlayerSpec) -> BehavioralStrategy:
-        m = len(spec.actions)
-
-        def unit_vec(k):
-            return tuple(ONE if j == k else ZERO for j in range(m))
-
-        return BehavioralStrategy({cell.id: self.mapped(cell, unit_vec) for cell in spec.cells})
-
-
-Strategy = BehavioralStrategy | PureStrategy
-
-
-def as_behavioral(spec: PlayerSpec, f: Strategy) -> BehavioralStrategy:
-    if isinstance(f, PureStrategy):
-        f.validate(spec)
-        return f.to_behavioral(spec)
-    f.validate(spec)
-    return f
+def as_behavioral(spec: PlayerSpec, f: Strategy) -> MixedSelection:
+    """``f`` checked against the player's cells and actions, as weights."""
+    m = len(spec.actions)
+    f.validate(spec.cells, m, "strategy")
+    return f.one_hot(spec.cells, m) if isinstance(f, Selection) else f
 
 
 def uniform_strategy(spec: PlayerSpec) -> BehavioralStrategy:

@@ -65,7 +65,7 @@ class MeasureSpaceModel:
         for c in self.cells:
             if c.id == cell_id:
                 return c
-        raise KeyError(cell_id)
+        raise SchemaError("cell", f"no cell {cell_id!r} in the space")
 
     @property
     def blocks(self) -> dict[str, tuple[Cell, ...]]:
@@ -157,12 +157,12 @@ class StepFunction(PiecePlan):
     breakpoints_on = PiecePlan.breakpoints
 
     def validate(self, space: MeasureSpaceModel) -> None:
-        def check_value(cell, value):
+        def check_value(cell, path, value):
             if cell.has_inner:
                 if len(value) != self.dim:
                     raise DimensionMismatch(f"cell {cell.id}: piece dimension != {self.dim}")
             elif not isinstance(value, tuple) or (value and isinstance(value[0], tuple)):
-                raise SchemaError(f"values[{cell.id}]", "expected a bare vector")
+                raise SchemaError(path, "expected a bare vector")
             elif len(value) != self.dim:
                 raise DimensionMismatch(f"cell {cell.id}: vector dimension != {self.dim}")
 

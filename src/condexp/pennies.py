@@ -31,13 +31,16 @@ from .factories import cyclic_payoff
 from .piecewise import (
     affine_at,
     append_piece,
+    check_index,
     check_pieces,
+    check_weights,
     integrate_affine,
     integrate_envelope,
     intervals_clip,
     intervals_measure,
     merged_pieces,
     normalize_intervals,
+    unit_vector,
 )
 
 ZERO = Fraction(0)
@@ -137,12 +140,7 @@ class IntervalUnionStrategy:
     def from_pieces(cls, pieces: Sequence[tuple[Fraction, int]], m: int):
         """Build from [(upto, action)] step form: the uptos must increase to 1
         and every action must be in [0, m)."""
-
-        def check_action(action):
-            if not 0 <= action < m:
-                raise SchemaError("pieces", f"action {action!r} is not in range({m})")
-
-        check_pieces("pieces", pieces, check_action)
+        check_pieces("pieces", pieces, lambda action: check_index("pieces", action, m, "action"))
         buckets: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(m)]
         lo = ZERO
         for upto, action in pieces:
@@ -165,9 +163,7 @@ class IntervalUnionStrategy:
     def weight_rows(self) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
         """One-hot piecewise weights, [(upto, weights)]."""
         m = len(self.actions)
-        return [
-            (upto, tuple(ONE if j == a else ZERO for j in range(m))) for upto, a in self.pieces
-        ]
+        return [(upto, unit_vector(m, a)) for upto, a in self.pieces]
 
 
 BehavioralRows = Sequence[tuple[Fraction, tuple[Fraction, ...]]]
@@ -184,11 +180,7 @@ def _as_rows(strategy) -> BehavioralRows:
 
 
 def _validate_rows(rows: BehavioralRows, m: int) -> None:
-    def check_weights(w):
-        if len(w) != m or any(x < 0 for x in w) or sum(w) != 1:
-            raise SchemaError("strategy", "weights must be a distribution")
-
-    check_pieces("strategy", rows, check_weights)
+    check_pieces("strategy", rows, lambda w: check_weights("strategy", w, m))
 
 
 def _opposing_segments(rows: BehavioralRows, m: int, side: int):

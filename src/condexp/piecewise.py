@@ -10,6 +10,9 @@ and strategies: a sequence of ``(upto, payload)`` pairs whose uptos increase
 strictly and end at 1, piece k covering ``[upto_{k-1}, upto_k)``.  Walking,
 clipping, merging and checking such lists happens only here, and so does the
 one storage rule for cells without an inner coordinate (see ``PiecePlan``).
+The two payload rules live here too: an index payload is checked by
+``check_index``, a weights payload by ``check_weights``, and an index turns
+into its weights by ``unit_vector``.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
+from numbers import Real
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .errors import SchemaError
+from .errors import IndexOutOfRange, SchemaError, WeightInvalid
 
 AffineForm = tuple[Fraction, Fraction]  # (A, B) meaning A + B*t
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -92,6 +97,26 @@ def check_pieces(
         raise SchemaError(path, "pieces must end at 1")
 
 
+def check_index(path: str, k, m: int, label: str = "index") -> None:
+    """Raise IndexOutOfRange at ``path`` unless ``k`` is an int in range(m)."""
+    if not isinstance(k, int) or not 0 <= k < m:
+        raise IndexOutOfRange(path, f"{label} {k!r} is not in range({m})")
+
+
+def check_weights(path: str, w, m: int) -> None:
+    """Raise WeightInvalid at ``path`` unless ``w`` is a tuple or list of m
+    real numbers, each >= 0, summing to 1."""
+    if not isinstance(w, (tuple, list)) or len(w) != m:
+        raise WeightInvalid(path, f"expected {m} weights")
+    if not all(isinstance(x, Real) and x >= 0 for x in w) or sum(w) != 1:
+        raise WeightInvalid(path, "weights must be >= 0 and sum to 1")
+
+
+def unit_vector(m: int, k: int) -> tuple[Fraction, ...]:
+    """The weights of index k among m: one at k, zero elsewhere."""
+    return tuple(ONE if j == k else ZERO for j in range(m))
+
+
 class PiecePlan:
     """Per-cell piece lists keyed by cell id, the base of every piecewise plan.
 
@@ -116,10 +141,10 @@ class PiecePlan:
         """The cell's stored entry with ``fn`` applied to every payload."""
         return pack_pieces(cell, [(upto, fn(payload)) for upto, payload in self.pieces(cell)])
 
-    def check_cells(self, cells, name: str, check: Callable[[object, object], None]) -> None:
+    def check_cells(self, cells, name: str, check: Callable[[object, str, object], None]) -> None:
         """Raise SchemaError at ``name[cell id]`` for a missing entry, a
-        malformed piece list or bad breakpoints; ``check(cell, payload)`` sees
-        each payload in piece order and raises the subclass's own errors."""
+        malformed piece list or bad breakpoints; ``check(cell, path, payload)``
+        sees each payload in piece order, with the cell's path."""
         for cell in cells:
             path = f"{name}[{cell.id}]"
             if cell.id not in self.entries:
@@ -127,7 +152,7 @@ class PiecePlan:
             pieces = self.pieces(cell)
             if not isinstance(pieces, tuple) or not pieces or not isinstance(pieces[0], tuple):
                 raise SchemaError(path, "expected a piece list")
-            check_pieces(path, pieces, partial(check, cell))
+            check_pieces(path, pieces, partial(check, cell, path))
 
 
 def convert_entry(cell, entry, on_pieces: Callable, on_payload: Callable):

@@ -8,7 +8,7 @@ trees that serialize byte-identically under sorted-keys JSON.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any
+from typing import Any, Sequence
 
 from .attainable import (
     AtomObstruction,
@@ -18,16 +18,9 @@ from .attainable import (
     RademacherReport,
     UhcAuditReport,
 )
-from .correspondences import FiniteIndexedCorrespondence, Selection
+from .correspondences import FiniteIndexedCorrespondence, MixedSelection, Selection
 from .errors import SchemaError
-from .games import (
-    BayesianGame,
-    BehavioralStrategy,
-    Entry,
-    PlayerSpec,
-    PureStrategy,
-    TypeCell,
-)
+from .games import BayesianGame, Entry, PlayerSpec, TypeCell
 from .measure import Cell, CellKind, MeasureSpaceModel, StepFunction
 from .piecewise import PiecePlan, convert_entry
 
@@ -293,15 +286,34 @@ def load_strategy(doc: Any, spec: PlayerSpec, path: str = "strategy"):
     _expect(doc, dict, path)
     plan_doc = _expect(doc.get("plan"), dict, f"{path}.plan")
     if doc.get("type", "behavioral") == "pure":
-        strategy = PureStrategy(_load_plan(plan_doc, spec.cells, f"{path}.plan", "action", _int))
+        strategy = Selection(_load_plan(plan_doc, spec.cells, f"{path}.plan", "action", _int))
     else:
-        strategy = BehavioralStrategy(_load_plan(plan_doc, spec.cells, f"{path}.plan", "w", _vec))
-    strategy.validate(spec)
+        strategy = MixedSelection(_load_plan(plan_doc, spec.cells, f"{path}.plan", "w", _vec))
+    strategy.validate(spec.cells, len(spec.actions), f"{path}.plan")
     return strategy
 
 
+def load_profile(doc: Any, players: Sequence[PlayerSpec], path: str) -> list:
+    """One strategy per player, from a JSON list."""
+    return [load_strategy(sd, spec, p) for sd, spec, p in _per_player(doc, players, path)]
+
+
+def load_samples(doc: Any, players: Sequence[PlayerSpec], path: str) -> list[list]:
+    """Per player, a JSON list of that player's strategies."""
+    return [
+        [load_strategy(sd, spec, f"{p}[{k}]") for k, sd in enumerate(_expect(row, list, p))]
+        for row, spec, p in _per_player(doc, players, path)
+    ]
+
+
+def _per_player(doc: Any, players: Sequence[PlayerSpec], path: str):
+    if len(_expect(doc, list, path)) != len(players):
+        raise SchemaError(path, "one strategy per player required")
+    return [(entry, spec, f"{path}[{i}]") for i, (entry, spec) in enumerate(zip(doc, players))]
+
+
 def dump_strategy(strategy, spec: PlayerSpec) -> dict:
-    if isinstance(strategy, PureStrategy):
+    if isinstance(strategy, Selection):
         return {"type": "pure", "plan": _dump_plan(strategy, spec.cells, "action")}
     return {"type": "behavioral", "plan": _dump_plan(strategy, spec.cells, "w", _dump_vec)}
 

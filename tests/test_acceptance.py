@@ -238,7 +238,7 @@ class TestCriterion1Convexity:
 
 def _probe_points(s, cell, lo, hi):
     points = [lo]
-    for upto, _k in s.assignments[cell.id]:
+    for upto, _k in s.plan[cell.id]:
         if lo < upto < hi:
             points.append(upto)
     return points

@@ -184,7 +184,7 @@ class TestConvexifyWitness:
         s1, s2 = sel(sp, {"c": 0}), sel(sp, {"c": 1})
         s0 = convexify_witness(Fc, s1, s2, F(1, 4))
         assert isinstance(s0, Selection)
-        assert s0.assignments["c"] == ((F(1, 4), 0), (F(1), 1))
+        assert s0.plan["c"] == ((F(1, 4), 0), (F(1), 1))
         e = sp.conditional_expectation(selection_value(Fc, s0))
         assert functions_equal(sp, e, step(sp, {"c": F(3, 4)}))
 
@@ -272,15 +272,15 @@ class TestDerandomize:
         sp = unit_rich_space()
         Fc = binary_F(sp)
         s = derandomize_selection(Fc, mix(sp, {"c": ["1/2", "1/2"]}))
-        assert s.assignments["c"] == ((F(1, 2), 0), (F(1), 1))
+        assert s.plan["c"] == ((F(1, 2), 0), (F(1), 1))
         assert sp.integrate(selection_value(Fc, s)) == (F(1, 2),)
 
     def test_one_hot_passthrough(self):
         sp = space(rich_cell("r", F(1, 2)), point_cell("p", F(1, 2)))
         Fc = binary_F(sp)
         s = derandomize_selection(Fc, mix(sp, {"r": [0, 1], "p": [1, 0]}))
-        assert s.assignments["p"] == 0
-        assert s.assignments["r"] == ((F(1), 1),)
+        assert s.plan["p"] == 0
+        assert s.plan["r"] == ((F(1), 1),)
 
     def test_piecewise_average(self):
         sp = unit_rich_space()
@@ -315,7 +315,7 @@ class TestDerandomize:
         sp = unit_rich_space()
         Fc = binary_F(sp)
         s = derandomize_selection(Fc, mix(sp, {"c": [0, 1]}))
-        assert all(k == 1 for _, k in s.assignments["c"])
+        assert all(k == 1 for _, k in s.plan["c"])
 
 
 def _integral_over(cell, f, lo, hi):
@@ -332,7 +332,7 @@ class TestRademacher:
         sp = space(saturated_cell("D"))
         phi, report = rademacher_escape(sp, "D", 1)
         assert report.integral == F(1, 2)
-        assert phi.assignments["D"] == ((F(1, 2), 1), (F(1), 0))
+        assert phi.plan["D"] == ((F(1, 2), 1), (F(1), 0))
 
     def test_constant_test_function(self):
         sp = space(saturated_cell("D"))

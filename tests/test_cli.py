@@ -340,6 +340,26 @@ class TestAuditEquivalenceInput:
         assert captured.out == ""
         assert captured.err == f"input error: {key}: one strategy per player required\n"
 
+    @pytest.mark.parametrize(
+        "key, given, err",
+        [
+            ("f", 1000000, "f: expected list, got int"),  # was a TypeError from len
+            ("deviations", [5, 6], "deviations[0]: expected list, got int"),  # int not iterable
+            ("f", {"a": 1, "b": 2}, "f: expected list, got dict"),  # was reported at f[0]
+        ],
+        ids=["f-int", "deviation-rows-int", "f-dict"],
+    )
+    def test_list_shapes_are_input_errors(self, capsys, tmp_path, key, given, err):
+        doc = json.loads((FIXTURES / "mp_audit.json").read_text())
+        doc[key] = given
+        fixture = tmp_path / "shape.json"
+        fixture.write_text(json.dumps(doc))
+        code = main(["audit-equivalence", str(fixture)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"input error: {err}\n"
+
     def test_full_deviation_rows_are_audited(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "mp_audit.json").read_text())
         doc["deviations"] = [[doc["f"][0]], [doc["f"][1], doc["g"][1]]]
@@ -417,6 +437,57 @@ class TestLoaderInput:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"input error: {err}\n"
+
+
+class TestPayloadFaults:
+    """Strategy and selection payload faults exit 1 and name their JSON path."""
+
+    @pytest.mark.parametrize(
+        "edit, err",
+        [
+            (
+                lambda d: d["profile"][0]["plan"]["t1"][0].update(w=["1/2", "1/4"]),
+                "profile[0].plan[t1]: weights must be >= 0 and sum to 1",
+            ),
+            (
+                lambda d: d["profile"].__setitem__(
+                    0, {"type": "pure", "plan": {"t1": [{"upto": "1", "action": 5}]}}
+                ),
+                "profile[0].plan[t1]: index 5 is not in range(2)",
+            ),
+        ],
+        ids=["behavioral-weights", "pure-action-out-of-range"],
+    )
+    def test_strategy_faults(self, capsys, tmp_path, edit, err):
+        code = TestLoaderInput.purify_with(tmp_path, edit)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"input error: {err}\n"
+
+    def test_convexify_branch_out_of_range(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "rich_F01.json").read_text())
+        doc["s1"]["c"][0]["branch"] = 5
+        fixture = tmp_path / "bad.json"
+        fixture.write_text(json.dumps(doc))
+        code = main(["convexify", str(fixture), "--alpha", "1/4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "input error: s1[c]: index 5 is not in range(2)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["uhc-audit"], ["rademacher", "--m", "3"]],
+        ids=["uhc-audit", "rademacher"],
+    )
+    def test_unknown_cell(self, capsys, argv):
+        # was a bare KeyError from MeasureSpaceModel.cell
+        code = main([*argv[:1], str(FIXTURES / "saturated.json"), *argv[1:], "--cell", "ZZ"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("input error: cell: ")
 
 
 class TestSubprocessDeterminism:

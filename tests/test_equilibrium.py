@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from condexp.equilibrium import (
     solve_behavioral,
     verify_equilibrium,
 )
-from condexp.errors import AtomObstructionError
+from condexp.errors import AtomObstructionError, SchemaError
 from condexp.factories import matching_pennies_game
 from condexp.games import (
     BayesianGame,
@@ -200,6 +201,23 @@ class TestPurify:
         purified = purify_equilibrium(game, solve_behavioral(game))
         assert purified.profile[0].plan["t1"] == ((F(1, 2), 1), (F(1), 1))
         assert not purified.mixtures_preserved
+
+    @pytest.mark.parametrize(
+        "cut, err",
+        [
+            # was a bare IndexError (tuple index out of range)
+            (lambda rows: (), r"mixtures\[0\]: expected 1 blocks"),
+            # was read nowhere, and mixtures_preserved said True
+            (lambda rows: ((*rows[0], F(0)),), r"mixtures\[0\]\[0\]: expected 2 weights"),
+        ],
+        ids=["no-block-rows", "extra-weight"],
+    )
+    def test_hand_built_mixtures_are_checked(self, cut, err):
+        game = matching_pennies_game(2)
+        report = solve_behavioral(game)
+        bad = dataclasses.replace(report, mixtures=(cut(report.mixtures[0]), *report.mixtures[1:]))
+        with pytest.raises(SchemaError, match=err):
+            purify_equilibrium(game, bad)
 
     def test_dominant_profile_unchanged(self):
         game = two_block_dominance_game()

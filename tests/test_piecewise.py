@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condexp.correspondences import Selection
-from condexp.errors import SchemaError
-from condexp.games import PureStrategy, TypeCell
+from condexp import games
+from condexp.correspondences import MixedSelection, Selection, one_hot
+from condexp.errors import IndexOutOfRange, SchemaError, WeightInvalid
+from condexp.games import BehavioralStrategy, PlayerSpec, PureStrategy, TypeCell, as_behavioral
 from condexp.measure import Cell, CellKind
+from condexp.pennies import IntervalUnionStrategy, _validate_rows
 from condexp.piecewise import (
     append_piece,
+    check_index,
     check_pieces,
+    check_weights,
     clip_pieces,
     common_refinement,
     pack_pieces,
@@ -21,9 +25,10 @@ from condexp.piecewise import (
     piece_payload,
     proportional_subintervals,
     split_pieces,
+    unit_vector,
 )
 
-from helpers import binary_F, space
+from helpers import binary_F, constant_branches, space
 
 F = Fraction
 
@@ -261,7 +266,7 @@ class TestPiecePlan:
         assert plan.pieces(self.POINT) == ((F(1), k),)
         assert plan.pieces(self.RICH) == tuple(pieces)
         for cell in (self.RICH, self.POINT):
-            assert pack_pieces(cell, plan.pieces(cell)) == plan.assignments[cell.id]
+            assert pack_pieces(cell, plan.pieces(cell)) == plan.plan[cell.id]
             assert plan.breakpoints(cell) == [u for u, _ in plan.pieces(cell)]
             for t in (F(0), F(1, 3), F(23, 24)):
                 assert plan.payload_at(cell, t) == piece_payload(plan.pieces(cell), t)
@@ -281,4 +286,183 @@ class TestPiecePlan:
     def test_malformed_piece_list_is_a_schema_error(self, entry):
         F01 = binary_F(space(self.RICH, self.POINT))
         with pytest.raises(SchemaError, match=r"selection\[r\]: expected a piece list"):
-            Selection({"r": entry, "p": 0}).validate(F01)
+            Selection({"r": entry, "p": 0}).validate(F01.space.cells, F01.branch_count)
+
+
+# -- payload rules -------------------------------------------------------------
+#
+# The six payload checks that check_weights and check_index replaced, kept as
+# references with their conditions as they stood.  Each raised its own error
+# type (WeightInvalid, SchemaError or IndexOutOfRange); here that is Rejected.
+
+
+class Rejected(Exception):
+    pass
+
+
+def old_mixed_selection_weights(w, K):  # correspondences.MixedSelection.validate
+    if len(w) != K:
+        raise Rejected
+    if any(x < 0 for x in w) or sum(w) != 1:
+        raise Rejected
+
+
+def old_behavioral_weights(w, m):  # games.BehavioralStrategy.validate
+    if len(w) != m:
+        raise Rejected
+    if any(x < 0 for x in w) or sum(w) != 1:
+        raise Rejected
+
+
+def old_pennies_weights(w, m):  # pennies._validate_rows
+    if len(w) != m or any(x < 0 for x in w) or sum(w) != 1:
+        raise Rejected
+
+
+def old_selection_index(k, K):  # correspondences.Selection.validate
+    if not 0 <= k < K:
+        raise Rejected
+
+
+def old_pure_action(k, m):  # games.PureStrategy.validate
+    if not 0 <= k < m:
+        raise Rejected
+
+
+def old_pennies_action(action, m):  # pennies.IntervalUnionStrategy.from_pieces
+    if not 0 <= action < m:
+        raise Rejected
+
+
+POINT_CELL = Cell("p", F(1), CellKind.POINT_MASS, "g")
+POINT_TYPE = TypeCell("p", F(1), (), True)
+
+
+def player(m):
+    return PlayerSpec(("a", "b", "c")[:m], (POINT_TYPE,))
+
+
+WEIGHT_CHECKS = [
+    (old_mixed_selection_weights, lambda w, m: MixedSelection({"p": w}).validate([POINT_CELL], m)),
+    (old_behavioral_weights, lambda w, m: as_behavioral(player(m), BehavioralStrategy({"p": w}))),
+    (old_pennies_weights, lambda w, m: _validate_rows([(F(1), w)], m)),
+]
+INDEX_CHECKS = [
+    (old_selection_index, lambda k, m: Selection({"p": k}).validate([POINT_CELL], m)),
+    (old_pure_action, lambda k, m: as_behavioral(player(m), PureStrategy({"p": k}))),
+    (old_pennies_action, lambda k, m: IntervalUnionStrategy.from_pieces([(F(1), k)], m)),
+]
+
+numbers = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=4),
+    st.integers(min_value=-1, max_value=2),
+    st.sampled_from([0.0, 0.5, 1.0, -0.5, float("nan"), True, False]),
+)
+non_numbers = st.sampled_from([None, "a", (F(1),), [0]])
+
+
+distributions = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3).filter(
+    any
+).map(lambda raw: tuple(F(x, sum(raw)) for x in raw))
+weight_payloads = st.one_of(
+    distributions,
+    st.builds(
+        lambda kind, xs: kind(xs),
+        st.sampled_from([tuple, list]),
+        st.lists(st.one_of(numbers, numbers, non_numbers), max_size=4),
+    ),
+    st.sampled_from([None, 1, "ab", "abc", F(1)]),
+)
+index_payloads = st.one_of(
+    st.integers(min_value=-2, max_value=4),
+    st.booleans(),
+    st.sampled_from([None, "", "a", (1,), [0], (0, 1)]),
+)
+
+
+def old_outcome(check, payload, m):
+    try:
+        check(payload, m)
+    except Rejected:
+        return "rejected"
+    except TypeError:
+        return "crashed"
+    return "accepted"
+
+
+class TestPayloadRules:
+    """check_weights and check_index accept exactly what the old checks
+    accepted, and raise their SchemaError subclass wherever an old check
+    rejected a payload or crashed on it with a TypeError."""
+
+    @SETTINGS
+    @given(weight_payloads, st.integers(min_value=1, max_value=3))
+    def test_weights_rule_matches_the_old_checks(self, w, m):
+        for old, new in WEIGHT_CHECKS:
+            if old_outcome(old, w, m) == "accepted":
+                new(w, m)
+            else:
+                with pytest.raises(WeightInvalid):
+                    new(w, m)
+
+    @SETTINGS
+    @given(index_payloads, st.integers(min_value=1, max_value=3))
+    def test_index_rule_matches_the_old_checks(self, k, m):
+        for old, new in INDEX_CHECKS:
+            if old_outcome(old, k, m) == "accepted":
+                new(k, m)
+            else:
+                with pytest.raises(IndexOutOfRange):
+                    new(k, m)
+
+    def test_old_crashes_are_schema_errors_with_paths(self):
+        # a bare int as a behavioral point payload: "object of type 'int' has no len()"
+        assert old_outcome(old_behavioral_weights, 1, 2) == "crashed"
+        with pytest.raises(WeightInvalid, match=r"strategy\[p\]: expected 2 weights"):
+            as_behavioral(player(2), BehavioralStrategy({"p": 1}))
+        # a tuple as an index: "'<=' not supported"
+        assert old_outcome(old_pure_action, (1,), 2) == "crashed"
+        with pytest.raises(IndexOutOfRange, match=r"strategy\[p\]: index \(1,\) is not in range\(2\)"):
+            as_behavioral(player(2), PureStrategy({"p": (1,)}))
+        assert issubclass(WeightInvalid, SchemaError) and issubclass(IndexOutOfRange, SchemaError)
+
+    @pytest.mark.parametrize(
+        "payload, m, old, rule",
+        [
+            # non-integral indices: the one-hot row of 1/2 was all zeros
+            (F(1, 2), 2, old_pure_action, lambda k, m: check_index("p", k, m)),
+            (1.0, 2, old_selection_index, lambda k, m: check_index("p", k, m)),
+            # a dict passed on its keys 0 and 1
+            ({0: "x", 1: "y"}, 2, old_mixed_selection_weights, lambda w, m: check_weights("p", w, m)),
+        ],
+        ids=["index-half", "index-float", "weights-dict"],
+    )
+    def test_wrongly_typed_payloads_the_old_checks_passed(self, payload, m, old, rule):
+        assert old_outcome(old, payload, m) == "accepted"
+        with pytest.raises(SchemaError, match="^p: "):
+            rule(payload, m)
+
+    @SETTINGS
+    @given(piece_lists(), st.integers(min_value=0, max_value=2))
+    def test_one_hot_matches_the_old_expansions(self, pieces, k):
+        rich, point = TestPiecePlan.RICH, TestPiecePlan.POINT
+        cells = (rich, point)
+        plan = Selection({"r": tuple(pieces), "p": k})
+
+        def old_to_behavioral_unit(a):  # games.PureStrategy.to_behavioral
+            return tuple(F(1) if j == a else F(0) for j in range(3))
+
+        def old_one_hot_unit(a):  # correspondences.one_hot
+            return tuple(F(1 if j == a else 0) for j in range(3))
+
+        expanded = plan.one_hot(cells, 3)
+        assert isinstance(expanded, MixedSelection)
+        for unit in (old_to_behavioral_unit, old_one_hot_unit):
+            assert expanded.plan == {c.id: plan.mapped(c, unit) for c in cells}
+        three = constant_branches(space(rich, point), [0, 1, 2])
+        assert one_hot(three, plan) == expanded
+        assert as_behavioral(player(3), PureStrategy({"p": k})).plan == {"p": unit_vector(3, k)}
+
+    def test_strategy_names_are_the_selection_types(self):
+        assert games.BehavioralStrategy is MixedSelection
+        assert games.PureStrategy is Selection
