@@ -186,14 +186,12 @@ def block_set(F: FiniteIndexedCorrespondence, block_label: str) -> CondExpBlockS
     point_sets: list[tuple[Vec, ...]] = []
     for c in cells:
         if c.kind is CellKind.RICH:
-            for lo, hi in F.refinement_on(c):
-                points = dedupe_points(F.branch_values(c, lo))
+            for lo, hi, values in F.walk(c):
+                points = dedupe_points(values)
                 summands.append(((hi - lo) * c.mass, tuple(extreme_points(points))))
         else:
-            values = dedupe_points(
-                [vec_scale(v, c.mass) for v in F.branch_values(c, Fraction(0))]
-            )
-            point_sets.append(tuple(values))
+            ((_lo, _hi, values),) = F.walk(c)
+            point_sets.append(tuple(dedupe_points([vec_scale(v, c.mass) for v in values])))
     return CondExpBlockSet(
         block=block_label,
         dim=F.dim,
@@ -231,14 +229,10 @@ class MembershipResult:
 
 def _block_value(space: MeasureSpaceModel, h: StepFunction, cells: Sequence[Cell]) -> Vec:
     """The constant value of h on a coarse block; NotGMeasurable otherwise."""
-    value: Vec | None = None
-    for c in cells:
-        for _lo, _hi, v in h.pieces_on(c):
-            if value is None:
-                value = v
-            elif v != value:
-                raise NotGMeasurable(f"h is not constant on block {c.g_block}")
-    assert value is not None
+    values = {tuple(v) for c in cells for _upto, v in h.pieces(c)}
+    if len(values) != 1:
+        raise NotGMeasurable(f"h is not constant on block {cells[0].g_block}")
+    (value,) = values
     return value
 
 
@@ -296,9 +290,8 @@ def _splice_defect(F: FiniteIndexedCorrespondence, cell: Cell, h: StepFunction):
     total_exact = Fraction(0)
     total_float = 0.0
     exact = True
-    for lo, hi in F.refinement_on(cell, h.breakpoints_on(cell)):
-        hv = h.value_at(cell, lo)
-        gaps = [vec_norm2(vec_sub(hv, g)) for g in F.branch_values(cell, lo)]
+    for lo, hi, values, hv in F.walk(cell, h.pieces(cell)):
+        gaps = [vec_norm2(vec_sub(hv, g)) for g in values]
         best = min(gaps)
         if best == 0:
             continue
@@ -366,9 +359,7 @@ def _proportional_blend(F, s1, s2, alpha, cells) -> Selection:
     assignments: dict[str, object] = {}
     for c in cells:
         pieces: list[tuple[Fraction, int]] = []
-        for lo, hi in F.refinement_on(c, s1.breakpoints_on(c), s2.breakpoints_on(c)):
-            k1 = s1.branch_at(c, lo)
-            k2 = s2.branch_at(c, lo)
+        for lo, hi, _values, k1, k2 in F.walk(c, s1.pieces(c), s2.pieces(c)):
             if k1 == k2 or alpha == 1:
                 append_piece(pieces, hi, k1)
             elif alpha == 0:
@@ -383,9 +374,7 @@ def _proportional_blend(F, s1, s2, alpha, cells) -> Selection:
 
 def _saturated_blend(F, cell, blend_fn, alpha):
     pieces: list[tuple[Fraction, int]] = []
-    for lo, hi in F.refinement_on(cell, blend_fn.breakpoints_on(cell)):
-        want = blend_fn.value_at(cell, lo)
-        values = F.branch_values(cell, lo)
+    for _lo, hi, values, want in F.walk(cell, blend_fn.pieces(cell)):
         match = next((k for k, v in enumerate(values) if v == want), None)
         if match is None:
             return AtomObstruction(
@@ -401,15 +390,15 @@ def _saturated_blend(F, cell, blend_fn, alpha):
 def _branch_mixture(F, rich_pieces, residual: Vec):
     """Per-piece convex branch weights whose weighted sum hits ``residual``.
 
-    ``rich_pieces`` is a list of (cell, lo, hi); one weight vector over the
-    branches comes back per piece, or None when infeasible.
+    ``rich_pieces`` is a list of (cell, lo, hi, branch values); one weight
+    vector over the branches comes back per piece, or None when infeasible.
     """
     K = F.branch_count
     cols: list[list[Fraction]] = []
-    for cell, lo, hi in rich_pieces:
+    for cell, lo, hi, values in rich_pieces:
         coeff = (hi - lo) * cell.mass
-        for g in F.branches:
-            cols.append([coeff * x for x in g.value_at(cell, lo)])
+        for v in values:
+            cols.append([coeff * x for x in v])
     nvars = len(cols)
     A = [[cols[j][d] for j in range(nvars)] for d in range(F.dim)]
     for p in range(len(rich_pieces)):
@@ -436,12 +425,13 @@ def _mixed_block_blend(F, label, cells, value, alpha):
         )
     target = vec_scale(value, region.block_mass)
     rich_cells = [c for c in cells if c.kind is CellKind.RICH]
-    rich_pieces = [(c, lo, hi) for c in rich_cells for lo, hi in F.refinement_on(c)]
+    rich_pieces = [(c, *piece) for c in rich_cells for piece in F.walk(c)]
+    point_values = [values for c in point_cells for _lo, _hi, values in F.walk(c)]
     choice_sets = [range(F.branch_count) for _ in point_cells]
     for choice in itertools.product(*choice_sets):
         offset = zero_vec(F.dim)
-        for c, k in zip(point_cells, choice):
-            offset = vec_add(offset, vec_scale(F.branches[k].value_at(c, Fraction(0)), c.mass))
+        for c, values, k in zip(point_cells, point_values, choice):
+            offset = vec_add(offset, vec_scale(values[k], c.mass))
         residual = vec_sub(target, offset)
         if rich_pieces:
             mixture = _branch_mixture(F, rich_pieces, residual)
@@ -454,9 +444,8 @@ def _mixed_block_blend(F, label, cells, value, alpha):
         assignments: dict[str, object] = {}
         for c, k in zip(point_cells, choice):
             assignments[c.id] = pack_pieces(c, ((Fraction(1), k),))
-        weights = iter(mixture)
         for c in rich_cells:
-            mixed = [(hi, next(weights)) for _lo, hi in F.refinement_on(c)]
+            mixed = [(hi, w) for (d, _lo, hi, _v), w in zip(rich_pieces, mixture) if d is c]
             assignments[c.id] = pack_pieces(c, split_pieces(mixed, _WHOLE))
         return assignments
     raise ArithmeticError(f"block {label} is at distance 0 but no point-cell choice attains it")
@@ -478,7 +467,7 @@ def derandomize_selection(F: FiniteIndexedCorrespondence, m: MixedSelection) -> 
             raise AtomObstructionError(
                 AtomObstruction(c.id, None, f"{c.kind.value} cell carries a non-degenerate mixture")
             )
-        spans = [(lo, hi, False) for lo, hi in F.refinement_on(c, m.breakpoints_on(c))]
+        spans = [(lo, hi, False) for lo, hi, _values, _w in F.walk(c, pieces)]
         assignments[c.id] = pack_pieces(c, split_pieces(pieces, spans))
     s = Selection(assignments)
     expected = F.space.conditional_expectation(mixed_value(F, m))
@@ -517,7 +506,7 @@ def dyadic_selection(space: MeasureSpaceModel, cell_id: str, m: int) -> Selectio
 
 def _dyadic_level(h: StepFunction, cell: Cell) -> int | None:
     level = 0
-    for upto in h.breakpoints_on(cell):
+    for upto, _value in h.pieces(cell):
         den = Fraction(upto).denominator
         if den & (den - 1):
             return None

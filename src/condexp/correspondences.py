@@ -9,15 +9,14 @@ pointwise convex hull.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, SchemaError
 from .measure import Cell, MeasureSpaceModel, StepFunction
-from .piecewise import PiecePlan, check_index, check_weights, common_refinement, merged_pieces
-from .piecewise import pack_pieces, piece_bounds, unit_vector
-from .rationals import Vec, vec_add, vec_scale, zero_vec
+from .piecewise import PiecePlan, check_index, check_weights, merged_pieces, pack_pieces
+from .piecewise import unit_vector
+from .rationals import vec_add, vec_scale, zero_vec
 
 
 @dataclass(frozen=True)
@@ -42,14 +41,15 @@ class FiniteIndexedCorrespondence:
     def branch_count(self) -> int:
         return len(self.branches)
 
-    def refinement_on(self, cell: Cell, *extra_breakpoints) -> list[tuple[Fraction, Fraction]]:
-        """Pieces of the cell on which every branch (and extras) is constant."""
-        lists = [g.breakpoints_on(cell) for g in self.branches]
-        lists.extend(extra_breakpoints)
-        return piece_bounds(common_refinement(*lists))
-
-    def branch_values(self, cell: Cell, t: Fraction) -> list[Vec]:
-        return [g.value_at(cell, t) for g in self.branches]
+    def walk(self, cell: Cell, *extra: Sequence[tuple]):
+        """``merged_pieces`` over the branches' pieces on ``cell`` and the
+        ``extra`` piece lists: yields ``(lo, hi, values, *extras)`` on
+        every piece where all of them are constant, the branch values as a
+        tuple of vector tuples."""
+        n = len(self.branches)
+        lists = [g.pieces(cell) for g in self.branches]
+        for lo, hi, payloads in merged_pieces(*lists, *extra):
+            yield (lo, hi, tuple(map(tuple, payloads[:n])), *payloads[n:])
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,6 @@ class Selection(PiecePlan):
     plan: Mapping[str, object]  # tuple[(upto, int), ...] | int
 
     entries = property(attrgetter("plan"))
-    branch_at = PiecePlan.payload_at
-    breakpoints_on = PiecePlan.breakpoints
 
     def validate(self, cells, m: int, path: str = "selection") -> None:
         """Raise SchemaError at ``path[cell id]`` unless every cell holds a
@@ -82,15 +80,11 @@ class MixedSelection(PiecePlan):
     plan: Mapping[str, object]  # tuple[(upto, tuple[Fraction,...]), ...] | tuple
 
     entries = property(attrgetter("plan"))
-    breakpoints_on = PiecePlan.breakpoints
 
     def validate(self, cells, m: int, path: str = "mixed") -> None:
         """Raise SchemaError at ``path[cell id]`` unless every cell holds a
         piece list of m weights, each >= 0, summing to 1."""
         self.check_cells(cells, path, lambda _cell, p, w: check_weights(p, w, m))
-
-    def weights_at(self, cell: Cell, t: Fraction) -> tuple[Fraction, ...]:
-        return tuple(self.payload_at(cell, t))
 
 
 def selection_value(F: FiniteIndexedCorrespondence, s: Selection) -> StepFunction:
@@ -98,11 +92,7 @@ def selection_value(F: FiniteIndexedCorrespondence, s: Selection) -> StepFunctio
     s.validate(F.space.cells, F.branch_count)
     values: dict[str, object] = {}
     for c in F.space.cells:
-        pieces = []
-        lists = [s.pieces(c)] + [g.pieces(c) for g in F.branches]
-        for _lo, hi, payloads in merged_pieces(*lists):
-            k = payloads[0]
-            pieces.append((hi, payloads[1 + k]))
+        pieces = [(hi, branch[k]) for _lo, hi, branch, k in F.walk(c, s.pieces(c))]
         values[c.id] = pack_pieces(c, pieces)
     return StepFunction(F.dim, values)
 
@@ -113,12 +103,10 @@ def mixed_value(F: FiniteIndexedCorrespondence, m: MixedSelection) -> StepFuncti
     values: dict[str, object] = {}
     for c in F.space.cells:
         pieces = []
-        lists = [m.pieces(c)] + [g.pieces(c) for g in F.branches]
-        for _lo, hi, payloads in merged_pieces(*lists):
-            w = payloads[0]
+        for _lo, hi, branch, w in F.walk(c, m.pieces(c)):
             acc = zero_vec(F.dim)
-            for k in range(F.branch_count):
-                acc = vec_add(acc, vec_scale(payloads[1 + k], w[k]))
+            for v, wk in zip(branch, w):
+                acc = vec_add(acc, vec_scale(v, wk))
             pieces.append((hi, acc))
         values[c.id] = pack_pieces(c, pieces)
     return StepFunction(F.dim, values)

@@ -59,9 +59,11 @@ class EquilibriumReport:
     method: str
     value: Fraction | None
     coarser: tuple[bool, ...]
-    # forms[i]: player i's interim_forms against ``profile``, as verified; None
-    # on a hand-built report, for which purify_equilibrium builds them
+    # forms[i]: player i's interim_forms against ``profile``, as verified, and
+    # info: the derived information the solver used; None on a hand-built
+    # report, for which purify_equilibrium builds them
     forms: tuple | None = field(default=None, compare=False, repr=False)
+    info: tuple | None = field(default=None, compare=False, repr=False)
 
 
 class AgentForm:
@@ -419,6 +421,7 @@ def solve_behavioral(game: BayesianGame, options: SolveOptions | None = None) ->
         value=value,
         coarser=coarser,
         forms=forms,
+        info=info,
     )
 
 
@@ -452,7 +455,7 @@ def purify_equilibrium(
     that are not one row of weights per player, derived block and action
     raise SchemaError at ``mixtures[i]`` or ``mixtures[i][b]``.
     """
-    info = require_coarser(game)
+    info = require_coarser(game, report.info)
     behavioral = report.profile
     n = len(game.players)
     if len(report.mixtures) != n:

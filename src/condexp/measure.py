@@ -154,19 +154,21 @@ class StepFunction(PiecePlan):
     values: Mapping[str, object]
 
     entries = property(attrgetter("values"))
-    breakpoints_on = PiecePlan.breakpoints
 
-    def validate(self, space: MeasureSpaceModel) -> None:
-        def check_value(cell, path, value):
+    def validate(self, space: MeasureSpaceModel, path: str = "values") -> None:
+        """Raise SchemaError at ``path[cell id]`` unless every cell holds a
+        piece list of vectors of this function's dimension."""
+
+        def check_value(cell, p, value):
             if cell.has_inner:
                 if len(value) != self.dim:
-                    raise DimensionMismatch(f"cell {cell.id}: piece dimension != {self.dim}")
+                    raise SchemaError(p, f"piece dimension != {self.dim}")
             elif not isinstance(value, tuple) or (value and isinstance(value[0], tuple)):
-                raise SchemaError(path, "expected a bare vector")
+                raise SchemaError(p, "expected a bare vector")
             elif len(value) != self.dim:
-                raise DimensionMismatch(f"cell {cell.id}: vector dimension != {self.dim}")
+                raise SchemaError(p, f"vector dimension != {self.dim}")
 
-        self.check_cells(space.cells, "values", check_value)
+        self.check_cells(space.cells, path, check_value)
 
     def pieces_on(self, cell: Cell) -> list[tuple[Fraction, Fraction, Vec]]:
         """(lo, hi, value) triples; a point cell reports one unit-length piece."""
@@ -176,9 +178,6 @@ class StepFunction(PiecePlan):
             out.append((lo, upto, tuple(value)))
             lo = upto
         return out
-
-    def value_at(self, cell: Cell, t: Fraction) -> Vec:
-        return tuple(self.payload_at(cell, t))
 
     def average_on(self, cell: Cell) -> Vec:
         """Length-weighted average of the cell's values (the value itself on points)."""

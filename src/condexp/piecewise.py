@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from numbers import Real
+from numbers import Rational
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -29,33 +29,6 @@ from .errors import IndexOutOfRange, SchemaError, WeightInvalid
 AffineForm = tuple[Fraction, Fraction]  # (A, B) meaning A + B*t
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def common_refinement(*upto_lists: Iterable[Fraction]) -> list[Fraction]:
-    """Merge several increasing breakpoint lists into one sorted list."""
-    points: set[Fraction] = set()
-    for uptos in upto_lists:
-        points.update(uptos)
-    return sorted(points)
-
-
-def piece_bounds(uptos: Sequence[Fraction], start: Fraction = Fraction(0)) -> list[tuple[Fraction, Fraction]]:
-    bounds = []
-    lo = start
-    for hi in uptos:
-        if hi <= lo:
-            raise ValueError("breakpoints must be strictly increasing")
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-def piece_payload(pieces: Sequence[tuple[Fraction, object]], lo: Fraction):
-    """Payload of the piece covering point ``lo`` in a [(upto, payload)] list."""
-    for upto, payload in pieces:
-        if lo < upto:
-            return payload
-    return pieces[-1][1]
 
 
 def clip_pieces(pieces: Sequence[tuple[Fraction, object]], lo: Fraction, hi: Fraction):
@@ -105,10 +78,10 @@ def check_index(path: str, k, m: int, label: str = "index") -> None:
 
 def check_weights(path: str, w, m: int) -> None:
     """Raise WeightInvalid at ``path`` unless ``w`` is a tuple or list of m
-    real numbers, each >= 0, summing to 1."""
+    rational numbers, each >= 0, summing to 1."""
     if not isinstance(w, (tuple, list)) or len(w) != m:
         raise WeightInvalid(path, f"expected {m} weights")
-    if not all(isinstance(x, Real) and x >= 0 for x in w) or sum(w) != 1:
+    if not all(isinstance(x, Rational) and x >= 0 for x in w) or sum(w) != 1:
         raise WeightInvalid(path, "weights must be >= 0 and sum to 1")
 
 
@@ -130,12 +103,6 @@ class PiecePlan:
 
     def pieces(self, cell) -> Sequence[tuple[Fraction, object]]:
         return convert_entry(cell, self.entries[cell.id], _same, _one_piece)
-
-    def payload_at(self, cell, t: Fraction):
-        return piece_payload(self.pieces(cell), t)
-
-    def breakpoints(self, cell) -> list[Fraction]:
-        return [upto for upto, _ in self.pieces(cell)]
 
     def mapped(self, cell, fn: Callable[[object], object]):
         """The cell's stored entry with ``fn`` applied to every payload."""
@@ -183,8 +150,9 @@ def _only_payload(pieces):
 def merged_pieces(*piece_lists: Sequence[tuple[Fraction, object]]):
     """Walk several [(upto, payload)] partitions of [0, 1] in lockstep.
 
-    Yields (lo, hi, payloads) on the common refinement in one linear pass,
-    avoiding the quadratic cost of repeated point lookups.
+    Yields (lo, hi, payloads) on the common refinement in one linear pass.
+    This is the one walk over two or more piece lists; ``clip_pieces`` clips
+    a single list to a span.
     """
     idx = [0] * len(piece_lists)
     lo = Fraction(0)

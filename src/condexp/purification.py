@@ -73,14 +73,16 @@ class PurificationCertificate:
     block_identity: tuple[bool, ...]  # per player: E(g|blocks) == E(f|blocks)
 
 
-def require_coarser(game: BayesianGame):
+def require_coarser(game: BayesianGame, info=None):
     """The derived information, after checking every player's is coarser.
 
-    Raises AtomObstructionError naming the first player whose information
-    has a saturated unit or a point cell: there a proportional split cannot
-    keep the block conditional expectation.
+    ``info``, when given, is the game's derived information, which is then
+    not derived again.  Raises AtomObstructionError naming the first player
+    whose information has a saturated unit or a point cell: there a
+    proportional split cannot keep the block conditional expectation.
     """
-    info = derive_interplayer_info(game)
+    if info is None:
+        info = derive_interplayer_info(game)
     for i, c in enumerate(coarser_info_check(game, info)):
         if not c.passes:
             raise AtomObstructionError(

@@ -1,28 +1,11 @@
-"""Small helpers for exact rational vectors and their text form."""
+"""Small helpers for exact rational vectors."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vec = tuple[Fraction, ...]
-
-
-def frac(value) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
-def vec(values: Iterable) -> Vec:
-    return tuple(frac(v) for v in values)
 
 
 def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:

@@ -149,7 +149,7 @@ def load_step_function(doc: Any, space: MeasureSpaceModel, path: str = "f") -> S
         raise SchemaError(f"{path}.dim", "expected a positive integer")
     values_doc = _expect(doc.get("values"), dict, f"{path}.values")
     f = StepFunction(dim, _load_plan(values_doc, space.cells, f"{path}.values", "v", _vec))
-    f.validate(space)
+    f.validate(space, f"{path}.values")
     return f
 
 

@@ -56,3 +56,59 @@ def constant_branches(space_, consts, dim=1):
 def binary_F(space_):
     """The {0, 1} correspondence on the whole space."""
     return constant_branches(space_, [0, 1])
+
+
+# -- reference lookups ----------------------------------------------------------
+#
+# Test-only oracles for piece lists: the union of the breakpoints cut into
+# spans, and each span's payload found by a linear scan from the left.  The
+# library walks piece lists only with ``piecewise.merged_pieces``, so oracles
+# built on these share no code with the path under test.
+
+
+def common_refinement(*upto_lists):
+    """Merge several increasing breakpoint lists into one sorted list."""
+    points = set()
+    for uptos in upto_lists:
+        points.update(uptos)
+    return sorted(points)
+
+
+def piece_bounds(uptos, start=F(0)):
+    """Consecutive (lo, hi) spans of increasing breakpoints."""
+    bounds = []
+    lo = start
+    for hi in uptos:
+        if hi <= lo:
+            raise ValueError("breakpoints must be strictly increasing")
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
+def piece_payload(pieces, t):
+    """Payload of the piece covering point ``t`` in a [(upto, payload)] list."""
+    for upto, payload in pieces:
+        if t < upto:
+            return payload
+    return pieces[-1][1]
+
+
+def breakpoints(plan, cell):
+    return [upto for upto, _ in plan.pieces(cell)]
+
+
+def payload_at(plan, cell, t):
+    """A plan's payload at ``t`` on a cell, vectors and weights as tuples."""
+    payload = piece_payload(plan.pieces(cell), t)
+    return tuple(payload) if isinstance(payload, (tuple, list)) else payload
+
+
+def refinement_on(Fc, cell, *extra_breakpoints):
+    """Spans of the cell on which every branch (and the extras) is constant."""
+    lists = [breakpoints(g, cell) for g in Fc.branches]
+    return piece_bounds(common_refinement(*lists, *extra_breakpoints))
+
+
+def branch_values(Fc, cell, t):
+    return [payload_at(g, cell, t) for g in Fc.branches]

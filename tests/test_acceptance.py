@@ -74,6 +74,7 @@ from condexp.pennies import (
 from condexp.purification import strong_purify
 
 from game_factories import random_coarser_game, random_dominance_game, random_profile
+from helpers import branch_values, breakpoints, payload_at, refinement_on
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -204,10 +205,10 @@ class TestCriterion1Convexity:
             es = space.conditional_expectation(selection_value(Fc, s))
             assert functions_equal(space, es, em)
             for c in space.cells:
-                for lo, hi in Fc.refinement_on(c, mixed.breakpoints_on(c)):
-                    w = mixed.weights_at(c, lo)
+                for lo, hi in refinement_on(Fc, c, breakpoints(mixed, c)):
+                    w = payload_at(mixed, c, lo)
                     used = {
-                        s.branch_at(c, t)
+                        payload_at(s, c, t)
                         for t in _probe_points(s, c, lo, hi)
                     }
                     assert used <= {k for k, x in enumerate(w) if x > 0}
@@ -256,8 +257,8 @@ def brute_force_cloud(Fc, label, grid):
     factors = []
     for c in cells:
         if c.has_inner:
-            for lo, hi in Fc.refinement_on(c):
-                values = Fc.branch_values(c, lo)
+            for lo, hi in refinement_on(Fc, c):
+                values = branch_values(Fc, c, lo)
                 width = (hi - lo) * c.mass / grid
                 sums = set()
                 for counts in _compositions(grid, len(values)):
@@ -272,7 +273,7 @@ def brute_force_cloud(Fc, label, grid):
                 sorted(
                     {
                         tuple(x * c.mass for x in v)
-                        for v in Fc.branch_values(c, F(0))
+                        for v in branch_values(Fc, c, F(0))
                     }
                 )
             )
@@ -352,8 +353,8 @@ class TestCriterion2BlockSetOracle:
             all_values = [
                 v
                 for c in Fc.space.cells
-                for lo, _hi in Fc.refinement_on(c)
-                for v in Fc.branch_values(c, lo)
+                for lo, _hi in refinement_on(Fc, c)
+                for v in branch_values(Fc, c, lo)
             ]
             diam = max(
                 (

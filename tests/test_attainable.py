@@ -37,7 +37,11 @@ from condexp.rational_geometry import feasible_combination
 
 from helpers import (
     binary_F,
+    branch_values,
+    breakpoints,
+    payload_at,
     point_cell,
+    refinement_on,
     rich_cell,
     saturated_cell,
     space,
@@ -93,10 +97,10 @@ def brute_force_averages(Fc, block_label, grid):
     per_cell_options = []
     for c in cells:
         if c.has_inner:
-            pieces = Fc.refinement_on(c)
+            pieces = refinement_on(Fc, c)
             combos_per_piece = []
             for lo, hi in pieces:
-                values = Fc.branch_values(c, lo)
+                values = branch_values(Fc, c, lo)
                 width = (hi - lo) / grid
                 counts = itertools.combinations_with_replacement(range(len(values)), grid)
                 sums = set()
@@ -118,7 +122,7 @@ def brute_force_averages(Fc, block_label, grid):
                 sorted(
                     {
                         tuple(x * c.mass for x in v)
-                        for v in Fc.branch_values(c, F(0))
+                        for v in branch_values(Fc, c, F(0))
                     }
                 )
             )
@@ -300,7 +304,7 @@ class TestDerandomize:
         mv = mixed_value(Fc, m)
         sv = selection_value(Fc, s)
         # the split preserves the integral piece by piece, not just overall
-        for lo, hi in Fc.refinement_on(sp.cells[0], m.breakpoints_on(sp.cells[0])):
+        for lo, hi in refinement_on(Fc, sp.cells[0], breakpoints(m, sp.cells[0])):
             got = _integral_over(sp.cells[0], sv, lo, hi)
             want = _integral_over(sp.cells[0], mv, lo, hi)
             assert got == want
@@ -676,7 +680,8 @@ def point_cell_blocks(draw):
     if draw(st.booleans()):
         picks = st.integers(0, Fc.branch_count - 1)
         s = Selection({c.id: draw(picks) if not c.has_inner else ((F(1), draw(picks)),) for c in cells})
-        value = sp.conditional_expectation(selection_value(Fc, s)).value_at(cells[0], F(0))
+        expectation = sp.conditional_expectation(selection_value(Fc, s))
+        value = payload_at(expectation, cells[0], F(0))
     else:
         value = draw(st.tuples(*[st.integers(-4, 4).map(lambda k: F(k, 2))] * dim))
     return Fc, value

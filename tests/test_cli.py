@@ -276,6 +276,32 @@ class TestAdditionalPaths:
         report = json.loads(out)
         assert "obstruction" in report
 
+    @pytest.mark.parametrize("fixture, want", [("mp_game.json", 0), ("saturated_game.json", 2)])
+    def test_solve_purify_derives_information_once(self, capsys, monkeypatch, fixture, want):
+        from condexp import equilibrium, games, purification
+
+        calls = []
+        derive = games.derive_interplayer_info
+
+        def counted(game):
+            calls.append(game)
+            return derive(game)
+
+        for module in (games, equilibrium, purification):
+            monkeypatch.setattr(module, "derive_interplayer_info", counted)
+        code, out = run(capsys, "solve", FIXTURES / fixture, "--purify")
+        assert code == want
+        assert len(calls) == 1
+        if fixture == "saturated_game.json":
+            assert json.loads(out)["purified"] == {
+                "obstruction": {
+                    "alpha": None,
+                    "cell": "unit t1[0] is saturated",
+                    "distance": None,
+                    "reason": "coarser information fails",
+                }
+            }
+
     def test_solve_reports_coarser_flags(self, capsys):
         code, out = run(capsys, "solve", FIXTURES / "saturated_game.json")
         report = json.loads(out)
@@ -460,6 +486,33 @@ class TestPayloadFaults:
     )
     def test_strategy_faults(self, capsys, tmp_path, edit, err):
         code = TestLoaderInput.purify_with(tmp_path, edit)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"input error: {err}\n"
+
+    @pytest.mark.parametrize(
+        "fixture, edit, err",
+        [
+            (
+                "rich_F01.json",
+                lambda d: d["h"]["values"]["c"][0].update(v=["1/2", "1/2"]),
+                "h.values[c]: piece dimension != 1",
+            ),
+            (
+                "mixed_block.json",
+                lambda d: d["h"]["values"].update(p=["7/8", "1"]),
+                "h.values[p]: vector dimension != 1",
+            ),
+        ],
+        ids=["interval-cell", "point-cell"],
+    )
+    def test_step_function_dimension(self, capsys, tmp_path, fixture, edit, err):
+        doc = json.loads((FIXTURES / fixture).read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["condexp-set", str(bad)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""

@@ -239,7 +239,7 @@ class TestExpectedPayoff:
         u = expected_payoff(game, profile)
         # independent path: integrate interim payoffs against own weights
         from condexp.games import as_behavioral, interim_affine, _opponent_moments
-        from condexp.piecewise import common_refinement
+        from helpers import breakpoints, common_refinement, payload_at
 
         for i in range(2):
             spec = game.players[i]
@@ -254,12 +254,12 @@ class TestExpectedPayoff:
                 ]
                 bounds = [unit.lo, unit.hi] if unit.lo > 0 else [unit.hi]
                 prev = F(0)
-                for hi in common_refinement(fb.breakpoints(cell), bounds):
+                for hi in common_refinement(breakpoints(fb, cell), bounds):
                     lo = prev
                     prev = hi
                     if hi <= unit.lo or lo >= unit.hi:
                         continue
-                    w = fb.weights_at(cell, lo)
+                    w = payload_at(fb, cell, lo)
                     mid = (lo + hi) / 2
                     total += cell.mass * (hi - lo) * sum(
                         w[a] * (forms[a][0] + forms[a][1] * mid)

@@ -1,17 +1,19 @@
 """Piece-list helpers against a brute-force oracle built from the common
-refinement and point lookups."""
+refinement and point lookups (the test-only reference code in ``helpers``)."""
 
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condexp import games
-from condexp.correspondences import MixedSelection, Selection, one_hot
+from condexp.correspondences import FiniteIndexedCorrespondence, MixedSelection, Selection, one_hot
 from condexp.errors import IndexOutOfRange, SchemaError, WeightInvalid
+from condexp.factories import matching_pennies_game
 from condexp.games import BehavioralStrategy, PlayerSpec, PureStrategy, TypeCell, as_behavioral
-from condexp.measure import Cell, CellKind
+from condexp.measure import Cell, CellKind, StepFunction
 from condexp.pennies import IntervalUnionStrategy, _validate_rows
 from condexp.piecewise import (
     append_piece,
@@ -19,16 +21,27 @@ from condexp.piecewise import (
     check_pieces,
     check_weights,
     clip_pieces,
-    common_refinement,
+    merged_pieces,
     pack_pieces,
-    piece_bounds,
-    piece_payload,
     proportional_subintervals,
     split_pieces,
     unit_vector,
 )
 
-from helpers import binary_F, constant_branches, space
+from helpers import (
+    binary_F,
+    branch_values,
+    breakpoints,
+    common_refinement,
+    constant_branches,
+    piece_bounds,
+    piece_payload,
+    point_cell,
+    refinement_on,
+    rich_cell,
+    space,
+    step,
+)
 
 F = Fraction
 
@@ -95,6 +108,75 @@ class TestAppendPiece:
         assert merged[-1][0] == 1
         for a, _b, payload in oracle_clip(pieces, F(0), F(1)):
             assert piece_payload(merged, a) == payload
+
+
+class TestMergedPieces:
+    """The one multi-list walk against the breakpoint union and point lookups."""
+
+    @staticmethod
+    def oracle(*lists):
+        cuts = common_refinement(*[[u for u, _ in pl] for pl in lists])
+        return [
+            (lo, hi, tuple(piece_payload(pl, lo) for pl in lists)) for lo, hi in piece_bounds(cuts)
+        ]
+
+    @SETTINGS
+    @given(st.lists(piece_lists(), min_size=1, max_size=4))
+    def test_matches_refinement(self, lists):
+        assert list(merged_pieces(*lists)) == self.oracle(*lists)
+
+    @SETTINGS
+    @given(piece_lists(), st.integers(min_value=0, max_value=2))
+    def test_single_piece_list(self, pieces, k):
+        point = [(F(1), k)]  # a point cell's one piece
+        assert list(merged_pieces(point)) == [(F(0), F(1), (k,))]
+        assert list(merged_pieces(pieces, point)) == self.oracle(pieces, point)
+        assert list(merged_pieces(point, pieces)) == self.oracle(point, pieces)
+
+
+@st.composite
+def walked_correspondences(draw):
+    """A correspondence on a rich and a point cell, plus extra piece lists for
+    one of the cells (one piece on the point cell)."""
+    sp = space(rich_cell("r", F(1, 2), "g"), point_cell("p", F(1, 2), "g"))
+    dim = draw(st.integers(min_value=1, max_value=2))
+
+    def entry(cell):
+        vecs = st.tuples(*[st.integers(-2, 2)] * dim)
+        if not cell.has_inner:
+            return draw(vecs)
+        return [(u, draw(vecs)) for u, _ in draw(piece_lists())]
+
+    branches = tuple(
+        step(sp, {c.id: entry(c) for c in sp.cells}, dim)
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    )
+    Fc = FiniteIndexedCorrespondence(sp, branches)
+    cell = draw(st.sampled_from(sp.cells))
+    if cell.has_inner:
+        extras = draw(st.lists(piece_lists(), max_size=2))
+    else:
+        extras = [[(F(1), draw(st.integers(0, 2)))] for _ in range(draw(st.integers(0, 2)))]
+    return Fc, cell, extras
+
+
+class TestWalk:
+    @SETTINGS
+    @given(walked_correspondences())
+    def test_matches_refinement_and_lookups(self, case):
+        Fc, cell, extras = case
+        want = [
+            (lo, hi, tuple(branch_values(Fc, cell, lo)), *(piece_payload(e, lo) for e in extras))
+            for lo, hi in refinement_on(Fc, cell, *[[u for u, _ in e] for e in extras])
+        ]
+        assert list(Fc.walk(cell, *extras)) == want
+
+    def test_branch_values_are_tuples(self):
+        sp = space(rich_cell("r"))
+        listed = StepFunction(1, {"r": ((F(1, 2), [F(0)]), (F(1), [F(1)]))})
+        Fc = FiniteIndexedCorrespondence(sp, (listed, listed))
+        values = [v for _lo, _hi, v in Fc.walk(sp.cells[0])]
+        assert values == [((F(0),), (F(0),)), ((F(1),), (F(1),))]
 
 
 class TestCheckPieces:
@@ -267,9 +349,11 @@ class TestPiecePlan:
         assert plan.pieces(self.RICH) == tuple(pieces)
         for cell in (self.RICH, self.POINT):
             assert pack_pieces(cell, plan.pieces(cell)) == plan.plan[cell.id]
-            assert plan.breakpoints(cell) == [u for u, _ in plan.pieces(cell)]
+            walked = list(merged_pieces(plan.pieces(cell)))
+            assert [hi for _lo, hi, _p in walked] == breakpoints(plan, cell)
             for t in (F(0), F(1, 3), F(23, 24)):
-                assert plan.payload_at(cell, t) == piece_payload(plan.pieces(cell), t)
+                (at_t,) = [p for lo, hi, (p,) in walked if lo <= t < hi]
+                assert at_t == piece_payload(plan.pieces(cell), t)
 
     def test_type_cells_follow_the_same_rule(self):
         point, interval = TypeCell("p", F(1, 2), (), True), TypeCell("t", F(1, 2), (F(1),))
@@ -390,20 +474,40 @@ def old_outcome(check, payload, m):
     return "accepted"
 
 
+def rational_weights(w):
+    return all(isinstance(x, Rational) for x in w)
+
+
 class TestPayloadRules:
     """check_weights and check_index accept exactly what the old checks
     accepted, and raise their SchemaError subclass wherever an old check
-    rejected a payload or crashed on it with a TypeError."""
+    rejected a payload or crashed on it with a TypeError.
+
+    One difference is deliberate: the old checks passed float weights, which
+    put floats into exact payoffs; check_weights rejects them with
+    WeightInvalid."""
 
     @SETTINGS
     @given(weight_payloads, st.integers(min_value=1, max_value=3))
+    @example((0.5, 0.5), 2)
+    @example([1.0, F(0)], 2)
     def test_weights_rule_matches_the_old_checks(self, w, m):
         for old, new in WEIGHT_CHECKS:
-            if old_outcome(old, w, m) == "accepted":
+            if old_outcome(old, w, m) == "accepted" and rational_weights(w):
                 new(w, m)
             else:
                 with pytest.raises(WeightInvalid):
                     new(w, m)
+
+    def test_float_weights_are_rejected(self):
+        assert old_outcome(old_behavioral_weights, (0.5, 0.5), 2) == "accepted"
+        game = matching_pennies_game(2)
+        half = BehavioralStrategy({"t1": ((F(1), (0.5, 0.5)),)}), BehavioralStrategy(
+            {"t2": ((F(1), (0.5, 0.5)),)}
+        )
+        # the old checks let player_payoff return the float 0.0
+        with pytest.raises(WeightInvalid, match=r"^strategy\[t1\]: weights must be >= 0"):
+            games.player_payoff(game, 0, half[0], half)
 
     @SETTINGS
     @given(index_payloads, st.integers(min_value=1, max_value=3))
