@@ -69,7 +69,7 @@ def cmd_condexp_set(args) -> int:
     }
     code = EXIT_OK
     if "h" in doc:
-        h = serialize.load_step_function(doc["h"], F.space, "h")
+        h = serialize.load_step_function(doc["h"], F.space, "h", F.dim)
         tolerance = Fraction(0)
         if args.mode == "float":
             tolerance = Fraction(1, 10**9)

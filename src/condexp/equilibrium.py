@@ -4,7 +4,8 @@ Block-constant behavioral strategies form a finite-dimensional product of
 simplices, one per (player, information block) agent.  The solver works on
 that agent form: an exact rational LP for two-player zero-sum games, damped
 best-response iteration with rational snapping otherwise, and an exact
-support-polish for two-player general-sum games.  Verification is a separate
+support-polish for two-player general-sum games.  The best-response
+iteration runs in floats, on coefficients converted once per agent form.  Verification is a separate
 code path: it integrates pointwise best-response envelopes over the type
 space in exact arithmetic and never reuses the solver's internal numbers.
 """
@@ -96,6 +97,19 @@ class AgentForm:
                     slot[(opp_blocks, opp_actions)] = (
                         slot.get((opp_blocks, opp_actions), ZERO) + val
                     )
+        # the float lane of the best-response iteration, converted once:
+        # terms[i][(b, x_i)] = [(float(c), ((j, b_j, x_j) per opponent)), ...]
+        # in coeff's order
+        self.terms: list[dict] = [
+            {
+                key: [
+                    (float(c), tuple(zip(self.others[i], opp_blocks, opp_actions)))
+                    for (opp_blocks, opp_actions), c in slot.items()
+                ]
+                for key, slot in self.coeff[i].items()
+            }
+            for i in range(n)
+        ]
 
     def block_counts(self) -> list[int]:
         return [len(part.blocks) for part in self.info]
@@ -105,12 +119,18 @@ class AgentForm:
 
     def agent_action_value_float(self, i: int, b: int, a: int, mixtures) -> float:
         total = 0.0
-        for (opp_blocks, opp_actions), c in self.coeff[i].get((b, a), {}).items():
-            w = float(c)
-            for j, bj, aj in zip(self.others[i], opp_blocks, opp_actions):
+        for w, factors in self.terms[i].get((b, a), ()):
+            for j, bj, aj in factors:
                 w *= mixtures[j][bj][aj]
             total += w
         return total
+
+    def agent_values_float(self, i: int, b: int, mixtures) -> list[float]:
+        """Agent (i, b)'s float payoff of each action against ``mixtures``."""
+        return [
+            self.agent_action_value_float(i, b, a, mixtures)
+            for a in range(len(self.game.players[i].actions))
+        ]
 
 
 def mixtures_to_profile(
@@ -223,16 +243,11 @@ def _solve_lp_zero_sum(agent_form: AgentForm):
 def _best_response(agent_form: AgentForm, mixtures_float):
     out = []
     for i, part in enumerate(agent_form.info):
-        m = agent_form.action_counts()[i]
         rows = []
         for b in range(len(part.blocks)):
-            vals = [
-                agent_form.agent_action_value_float(i, b, a, mixtures_float)
-                for a in range(m)
-            ]
-            best = max(vals)
-            k = vals.index(best)
-            rows.append([1.0 if a == k else 0.0 for a in range(m)])
+            vals = agent_form.agent_values_float(i, b, mixtures_float)
+            k = vals.index(max(vals))
+            rows.append([1.0 if a == k else 0.0 for a in range(len(vals))])
         out.append(rows)
     return out
 
@@ -240,13 +255,9 @@ def _best_response(agent_form: AgentForm, mixtures_float):
 def _br_regret(agent_form: AgentForm, mixtures_float) -> float:
     worst = 0.0
     for i, part in enumerate(agent_form.info):
-        m = agent_form.action_counts()[i]
         for b in range(len(part.blocks)):
-            vals = [
-                agent_form.agent_action_value_float(i, b, a, mixtures_float)
-                for a in range(m)
-            ]
-            played = sum(mixtures_float[i][b][a] * vals[a] for a in range(m))
+            vals = agent_form.agent_values_float(i, b, mixtures_float)
+            played = sum(mixtures_float[i][b][a] * vals[a] for a in range(len(vals)))
             worst = max(worst, max(vals) - played)
     return worst
 

@@ -5,13 +5,16 @@ a linear-minimization oracle.  Nearest points come from Wolfe's
 min-norm-point algorithm, which needs only the oracle and is exact and
 finite in any dimension; a zero distance decides membership.  The
 dimension-3 extreme-point filter and the callers' linear programs run
-through a small exact simplex solver (Bland's rule, so it terminates);
-planar hulls come from Andrew's monotone chain.
+through a small exact simplex solver (Bland's rule, so it terminates) that
+pivots on integer rows over one denominator each, fraction-free, and reads
+its answer as ``Fraction`` at the end; planar hulls come from Andrew's
+monotone chain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .errors import InfeasibleProgram, UnboundedProgram
@@ -25,73 +28,112 @@ def simplex_min(cost: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Se
     """Minimize cost.x over {x >= 0 : A x = b}, exactly.
 
     Returns (value, x).  Raises InfeasibleProgram / UnboundedProgram.
+
+    Two-phase simplex with Bland's rule on a fraction-free tableau: each row
+    is a list of ints over one positive denominator (columns: n structural,
+    m artificial, then the right-hand side), and a pivot touches only the
+    rows with a nonzero entry in its column.  Every decision reads only the
+    sign of an exact quantity, so the pivots, the value and x are those of
+    the same tableau kept over ``Fraction``.
     """
     m = len(A)
     n = len(cost)
-    rows = [[Fraction(v) for v in row] for row in A]
-    rhs = [Fraction(v) for v in b]
+    rows, dens = [], []
     for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    # columns: 0..n-1 structural, n..n+m-1 artificial
-    tableau = [rows[i] + [ONE if j == i else ZERO for j in range(m)] + [rhs[i]] for i in range(m)]
+        entries = [Fraction(v) for v in A[i]] + [ONE if k == i else ZERO for k in range(m)]
+        entries.append(Fraction(b[i]))
+        if entries[-1] < 0:
+            entries = [-v for v in entries]
+        row, den = _int_row(entries)
+        rows.append(row)
+        dens.append(den)
     basis = list(range(n, n + m))
-
-    def run(costvec: list[Fraction], allowed: set[int]) -> None:
-        while True:
-            basic_cost = [costvec[basis[i]] for i in range(m)]
-            entering = -1
-            for j in sorted(allowed):
-                if j in basis:
-                    continue
-                reduced = costvec[j] - sum(basic_cost[i] * tableau[i][j] for i in range(m))
-                if reduced < 0:
-                    entering = j
-                    break
-            if entering < 0:
-                return
-            leaving = -1
-            best = None
-            for i in range(m):
-                coeff = tableau[i][entering]
-                if coeff > 0:
-                    ratio = tableau[i][-1] / coeff
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                        best = ratio
-                        leaving = i
-            if leaving < 0:
-                raise UnboundedProgram("linear program is unbounded")
-            _pivot(tableau, basis, leaving, entering)
-
-    art_cost = [ZERO] * n + [ONE] * m
-    run(art_cost, set(range(n + m)))
-    phase1 = sum(art_cost[basis[i]] * tableau[i][-1] for i in range(m))
+    _run(rows, dens, basis, [ZERO] * n + [ONE] * m)
+    phase1 = sum((Fraction(rows[i][-1], dens[i]) for i in range(m) if basis[i] >= n), ZERO)
     if phase1 > 0:
         raise InfeasibleProgram("no feasible point")
     # drive leftover artificial variables out of the basis
     for i in range(m):
         if basis[i] >= n:
-            pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            pivot_col = next((j for j in range(n) if rows[i][j] != 0), None)
             if pivot_col is not None:
-                _pivot(tableau, basis, i, pivot_col)
-    real_cost = list(cost) + [ZERO] * m
-    run(real_cost, set(range(n)))
+                _pivot(rows, dens, basis, i, pivot_col)
+    # artificial columns never enter again: keep the structural ones and b
+    rows = [row[:n] + row[-1:] for row in rows]
+    _run(rows, dens, basis, [Fraction(c) for c in cost])
     x = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tableau[i][-1]
+            x[basis[i]] = Fraction(rows[i][-1], dens[i])
     value = sum(cost[j] * x[j] for j in range(n))
     return value, tuple(x)
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
-    for i, other in enumerate(tableau):
-        if i != row and other[col] != 0:
-            factor = other[col]
-            tableau[i] = [v - factor * w for v, w in zip(other, tableau[row])]
+def _int_row(entries: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals as ints over one positive denominator, in lowest terms."""
+    den = lcm(*(v.denominator for v in entries))
+    return _reduced([v.numerator * (den // v.denominator) for v in entries], den)
+
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _run(rows: list[list[int]], dens: list[int], basis: list[int], costvec: list[Fraction]) -> None:
+    """Pivot by Bland's rule until no nonbasic column of ``costvec`` has a
+    negative reduced cost (a basic artificial column past ``costvec`` costs
+    nothing).  A reduced cost sums only over the rows whose basic cost is
+    nonzero."""
+    width = len(costvec)
+    m = len(basis)
+    while True:
+        live = [(costvec[col], i) for i, col in enumerate(basis) if col < width and costvec[col]]
+        basic = set(basis)
+        entering = -1
+        for j in range(width):
+            if j not in basic and costvec[j] < sum(
+                (c * Fraction(rows[i][j], dens[i]) for c, i in live), ZERO
+            ):
+                entering = j
+                break
+        if entering < 0:
+            return
+        # the least ratio rhs / entry over the rows with a positive entry
+        # leaves, the lowest basis index on a tie; a row's denominator
+        # cancels in its ratio, so ratios compare as cross products
+        leaving = -1
+        for i in range(m):
+            a = rows[i][entering]
+            if a > 0:
+                rhs = rows[i][-1]
+                if leaving < 0:
+                    leaving, best_rhs, best_a = i, rhs, a
+                    continue
+                lhs, rhs_best = rhs * best_a, best_rhs * a
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[leaving]):
+                    leaving, best_rhs, best_a = i, rhs, a
+        if leaving < 0:
+            raise UnboundedProgram("linear program is unbounded")
+        _pivot(rows, dens, basis, leaving, entering)
+
+
+def _pivot(rows: list[list[int]], dens: list[int], basis: list[int], row: int, col: int) -> None:
+    """Pivot on (row, col): with p the pivot entry, every other row with a
+    nonzero entry q in the column becomes p * row_i - q * row over
+    p * den_i, and the pivot row goes over p (both negated if p < 0)."""
+    prow = rows[row]
+    p = prow[col]
+    if p < 0:
+        prow = [-v for v in prow]
+        p = -p
+    for i, other in enumerate(rows):
+        q = other[col]
+        if i != row and q != 0:
+            rows[i], dens[i] = _reduced([p * v - q * w for v, w in zip(other, prow)], p * dens[i])
+    rows[row], dens[row] = _reduced(prow, p)
     basis[row] = col
 
 

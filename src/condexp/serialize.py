@@ -142,11 +142,16 @@ def dump_space(space: MeasureSpaceModel) -> dict:
     }
 
 
-def load_step_function(doc: Any, space: MeasureSpaceModel, path: str = "f") -> StepFunction:
+def load_step_function(
+    doc: Any, space: MeasureSpaceModel, path: str = "f", expected_dim: int | None = None
+) -> StepFunction:
+    """A step function on ``space``, of dimension ``expected_dim`` when given."""
     _expect(doc, dict, path)
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise SchemaError(f"{path}.dim", "expected a positive integer")
+    if expected_dim is not None and dim != expected_dim:
+        raise SchemaError(f"{path}.dim", f"dimension {dim} != {expected_dim}")
     values_doc = _expect(doc.get("values"), dict, f"{path}.values")
     f = StepFunction(dim, _load_plan(values_doc, space.cells, f"{path}.values", "v", _vec))
     f.validate(space, f"{path}.values")
@@ -161,11 +166,11 @@ def load_correspondence(doc: Any, path: str = "correspondence") -> FiniteIndexed
     _expect(doc, dict, path)
     space = load_space(doc.get("space"), f"{path}.space")
     branches_doc = _expect(doc.get("branches"), list, f"{path}.branches")
-    branches = tuple(
-        load_step_function(bd, space, f"{path}.branches[{k}]")
-        for k, bd in enumerate(branches_doc)
-    )
-    return FiniteIndexedCorrespondence(space, branches)
+    branches: list[StepFunction] = []
+    for k, bd in enumerate(branches_doc):
+        expected_dim = branches[0].dim if branches else None
+        branches.append(load_step_function(bd, space, f"{path}.branches[{k}]", expected_dim))
+    return FiniteIndexedCorrespondence(space, tuple(branches))
 
 
 def dump_correspondence(F: FiniteIndexedCorrespondence) -> dict:

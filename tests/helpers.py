@@ -112,3 +112,84 @@ def refinement_on(Fc, cell, *extra_breakpoints):
 
 def branch_values(Fc, cell, t):
     return [payload_at(g, cell, t) for g in Fc.branches]
+
+
+# -- reference simplex ----------------------------------------------------------
+#
+# The textbook two-phase tableau over ``Fraction`` with Bland's rule, kept as
+# the oracle for ``rational_geometry.simplex_min``: the library pivots on
+# integer rows along the same path, so both must return the same (value, x)
+# and raise the same exception.
+
+
+def reference_simplex_min(cost, A, b):
+    """Minimize cost.x over {x >= 0 : A x = b} on a Fraction tableau."""
+    from condexp.errors import InfeasibleProgram, UnboundedProgram
+
+    zero, one = F(0), F(1)
+    m = len(A)
+    n = len(cost)
+    rows = [[F(v) for v in row] for row in A]
+    rhs = [F(v) for v in b]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+    # columns: 0..n-1 structural, n..n+m-1 artificial
+    tableau = [rows[i] + [one if j == i else zero for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = list(range(n, n + m))
+
+    def pivot(row, col):
+        p = tableau[row][col]
+        tableau[row] = [v / p for v in tableau[row]]
+        for i, other in enumerate(tableau):
+            if i != row and other[col] != 0:
+                factor = other[col]
+                tableau[i] = [v - factor * w for v, w in zip(other, tableau[row])]
+        basis[row] = col
+
+    def run(costvec, allowed):
+        while True:
+            basic_cost = [costvec[basis[i]] for i in range(m)]
+            entering = -1
+            for j in sorted(allowed):
+                if j in basis:
+                    continue
+                reduced = costvec[j] - sum(basic_cost[i] * tableau[i][j] for i in range(m))
+                if reduced < 0:
+                    entering = j
+                    break
+            if entering < 0:
+                return
+            leaving = -1
+            best = None
+            for i in range(m):
+                coeff = tableau[i][entering]
+                if coeff > 0:
+                    ratio = tableau[i][-1] / coeff
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                        best = ratio
+                        leaving = i
+            if leaving < 0:
+                raise UnboundedProgram("linear program is unbounded")
+            pivot(leaving, entering)
+
+    art_cost = [zero] * n + [one] * m
+    run(art_cost, set(range(n + m)))
+    phase1 = sum(art_cost[basis[i]] * tableau[i][-1] for i in range(m))
+    if phase1 > 0:
+        raise InfeasibleProgram("no feasible point")
+    # drive leftover artificial variables out of the basis
+    for i in range(m):
+        if basis[i] >= n:
+            pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if pivot_col is not None:
+                pivot(i, pivot_col)
+    real_cost = list(cost) + [zero] * m
+    run(real_cost, set(range(n)))
+    x = [zero] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tableau[i][-1]
+    value = sum(cost[j] * x[j] for j in range(n))
+    return value, tuple(x)

@@ -518,6 +518,34 @@ class TestPayloadFaults:
         assert captured.out == ""
         assert captured.err == f"input error: {err}\n"
 
+    @pytest.mark.parametrize(
+        "edit, err",
+        [
+            (
+                lambda d: d["correspondence"]["branches"][1].update(
+                    dim=2, values={"c": [{"upto": "1", "v": ["1", "1"]}]}
+                ),
+                "correspondence.branches[1].dim: dimension 2 != 1",
+            ),
+            (
+                lambda d: d["h"].update(dim=2, values={"c": [{"upto": "1", "v": ["1", "1"]}]}),
+                "h.dim: dimension 2 != 1",
+            ),
+        ],
+        ids=["branch", "h"],
+    )
+    def test_dimension_disagreement(self, capsys, tmp_path, edit, err):
+        # were DimensionMismatch / NotGMeasurable without a JSON path
+        doc = json.loads((FIXTURES / "rich_F01.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["condexp-set", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"input error: {err}\n"
+
     def test_convexify_branch_out_of_range(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "rich_F01.json").read_text())
         doc["s1"]["c"][0]["branch"] = 5

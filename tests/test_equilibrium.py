@@ -413,3 +413,55 @@ class TestImprovingDeviationGain:
                 old = expected_payoff(game, swapped)[i] - expected_payoff(game, profile)[i]
                 assert gain == old
                 assert gain >= 0
+
+
+def per_call_action_value(agent_form, i, b, a, mixtures):
+    """The best-response value converting each exact coefficient per call."""
+    total = 0.0
+    for (opp_blocks, opp_actions), c in agent_form.coeff[i].get((b, a), {}).items():
+        w = float(c)
+        for j, bj, aj in zip(agent_form.others[i], opp_blocks, opp_actions):
+            w *= mixtures[j][bj][aj]
+        total += w
+    return total
+
+
+class TestFloatLane:
+    """The float terms converted once per game give the per-call floats bit
+    for bit, so the best-response iteration is unchanged."""
+
+    @staticmethod
+    def games(rng):
+        for n in (2, 2, 3, 3):
+            game = random_coarser_game(rng, n, max_actions=2 if n == 3 else 3)
+            yield equilibrium.AgentForm(game, derive_interplayer_info(game))
+
+    def test_action_values_are_bit_identical(self):
+        rng = random.Random(41)
+        for agent_form in self.games(rng):
+            counts = list(zip(agent_form.block_counts(), agent_form.action_counts()))
+            for _ in range(5):
+                mixtures = []
+                for B, m in counts:
+                    rows = []
+                    for _b in range(B):
+                        w = [rng.random() for _ in range(m)]
+                        rows.append([v / sum(w) for v in w])
+                    mixtures.append(rows)
+                for i, (B, m) in enumerate(counts):
+                    for b in range(B):
+                        for a in range(m):
+                            got = agent_form.agent_action_value_float(i, b, a, mixtures)
+                            assert got == per_call_action_value(agent_form, i, b, a, mixtures)
+
+    def test_solve_br_is_unchanged(self, monkeypatch):
+        options = SolveOptions(max_iters=300)
+        runs = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(
+                    equilibrium.AgentForm, "agent_action_value_float", per_call_action_value
+                )
+            runs.append([equilibrium._solve_br(af, options) for af in self.games(random.Random(43))])
+        assert runs[0] == runs[1]
+        assert any(iterations < options.max_iters for _mixtures, iterations in runs[0])

@@ -19,6 +19,8 @@ from condexp.rational_geometry import (
 )
 from condexp.rationals import vec_dot, vec_sub
 
+from helpers import reference_simplex_min
+
 F = Fraction
 
 
@@ -62,6 +64,74 @@ class TestSimplex:
                 assert got
             # LP may certify membership the grid misses; only the positive
             # direction of the grid oracle is sound.
+
+
+entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 3).map(F),
+    st.builds(F, st.integers(-4, 4), st.integers(1, 4)),
+)
+
+
+@st.composite
+def linear_programs(draw):
+    """(cost, A, b) with integer and rational entries of either sign, plus
+    rescaled copies of earlier rows (redundant equations); half the costs
+    are zero, as in ``feasible_combination``, where x is the one the pivot
+    path ends on."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    A = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    b = [draw(entries) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(A) - 1))
+        s = draw(st.sampled_from([F(1), F(-1), F(2), F(1, 2)]))
+        A.append([s * v for v in A[k]])
+        b.append(s * b[k])
+    cost = [F(0)] * n if draw(st.booleans()) else [draw(entries) for _ in range(n)]
+    return cost, A, b
+
+
+def _outcome(solver, lp):
+    try:
+        return solver(*lp)
+    except (InfeasibleProgram, UnboundedProgram) as exc:
+        return type(exc)
+
+
+class TestSimplexAgainstFractionTableau:
+    """The integer-row simplex walks the Fraction tableau's Bland path."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(linear_programs())
+    # negative right-hand side
+    @example(([F(1), F(1)], [[F(-1), F(-2)]], [F(-4)]))
+    # a redundant row: its artificial stays basic at zero with no nonzero entry
+    @example(([F(1), F(2)], [[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]))
+    # a zero-level artificial driven out on a negative pivot entry
+    @example(([F(1), F(1)], [[F(1), F(1)], [F(1), F(-1)]], [F(0), F(0)]))
+    # degenerate ratio ties; in the first, the lowest-basis-index rule
+    # decides which vertex x ends on
+    @example((
+        [F(0)] * 4,
+        [[F(-2), F(0), F(-1), F(2)], [F(2), F(-1), F(0), F(0)], [F(2), F(0), F(2), F(-1)]],
+        [F(2), F(1), F(1)],
+    ))
+    @example((
+        [F(-1), F(-1), F(0), F(0)],
+        [[F(1), F(0), F(1), F(0)], [F(0), F(1), F(0), F(1)], [F(1), F(1), F(0), F(0)]],
+        [F(1), F(1), F(1)],
+    ))
+    # infeasible and unbounded
+    @example(([F(1)], [[F(1)], [F(1)]], [F(1), F(2)]))
+    @example(([F(-1), F(0)], [[F(1), F(-1)]], [F(0)]))
+    def test_same_value_point_and_exception(self, lp):
+        got = _outcome(simplex_min, lp)
+        want = _outcome(reference_simplex_min, lp)
+        assert got == want
+        if isinstance(want, tuple):
+            assert type(got[0]) is type(want[0])
+            assert all(type(v) is Fraction for v in got[1])
 
 
 def _brute_in_hull(x, pts, steps=8):
