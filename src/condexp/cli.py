@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import attainable, equilibrium, pennies, purification, serialize
 from .errors import AtomObstructionError, CondexpError, SchemaError
-from .games import coarser_info_check, derive_interplayer_info
+from .games import coarser_info_check
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -26,11 +26,14 @@ EXIT_NEGATIVE = 2
 def _read(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(path, "file not found")
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"invalid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise SchemaError(path, "expected a JSON object")
+    return doc
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -47,6 +50,28 @@ def _frac_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+
+
+def _unit_frac_arg(text: str) -> Fraction:
+    value = _frac_arg(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
+    return value
+
+
+def _count_arg(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1) naming the argument; argparse's
+    own exit code 2 would read as a certified negative."""
+
+    def error(self, message):
+        path, _, detail = message.removeprefix("argument ").partition(": ")
+        raise SchemaError(path, detail)
 
 
 def cmd_g_atom(args) -> int:
@@ -69,7 +94,7 @@ def cmd_condexp_set(args) -> int:
     }
     code = EXIT_OK
     if "h" in doc:
-        h = serialize.load_step_function(doc["h"], F.space, "h", F.dim)
+        h = serialize.load_g_measurable(doc["h"], F.space, "h", F.dim)
         tolerance = Fraction(0)
         if args.mode == "float":
             tolerance = Fraction(1, 10**9)
@@ -120,7 +145,7 @@ def cmd_rademacher(args) -> int:
     if cell is None:
         raise SchemaError("cell", "no cell named (use --cell or fixture key)")
     tests = [
-        serialize.load_step_function(td, space, f"tests[{k}]")
+        serialize.load_step_function(td, space, f"tests[{k}]", 1)
         for k, td in enumerate(doc.get("tests", []))
     ]
     _phi, report = attainable.rademacher_escape(space, cell, args.m, tests)
@@ -146,7 +171,6 @@ def cmd_uhc_audit(args) -> int:
 def cmd_derive_info(args) -> int:
     doc = _read(args.fixture)
     game = serialize.load_game(doc.get("game", doc))
-    info = derive_interplayer_info(game)
     report = {
         "players": [
             {
@@ -154,7 +178,7 @@ def cmd_derive_info(args) -> int:
                 "kinds": list(part.kinds),
                 "block_masses": [serialize.frac_str(x) for x in part.block_masses],
             }
-            for part in info
+            for part in game.info
         ]
     }
     _emit(report, args.out)
@@ -184,16 +208,17 @@ def _solve_options(args) -> equilibrium.SolveOptions:
     )
 
 
+def _dump_profile(game, profile) -> list:
+    return [serialize.dump_strategy(s, spec) for s, spec in zip(profile, game.players)]
+
+
 def _dump_equilibrium(game, report: equilibrium.EquilibriumReport) -> dict:
     return {
         "mixtures": [
             [[serialize.frac_str(w) for w in row] for row in rows]
             for rows in report.mixtures
         ],
-        "profile": [
-            serialize.dump_strategy(s, spec)
-            for s, spec in zip(report.profile, game.players)
-        ],
+        "profile": _dump_profile(game, report.profile),
         "eps": [serialize.frac_str(e) for e in report.eps],
         "iterations": report.iterations,
         "converged": report.converged,
@@ -213,10 +238,7 @@ def cmd_solve(args) -> int:
         try:
             purified = equilibrium.purify_equilibrium(game, report)
             payload["purified"] = {
-                "profile": [
-                    serialize.dump_strategy(s, spec)
-                    for s, spec in zip(purified.profile, game.players)
-                ],
+                "profile": _dump_profile(game, purified.profile),
                 "eps": [serialize.frac_str(e) for e in purified.eps],
                 "mixtures_preserved": purified.mixtures_preserved,
                 "payoffs_preserved": purified.payoffs_preserved,
@@ -242,10 +264,7 @@ def cmd_purify(args) -> int:
         _emit({"obstruction": serialize.dump_obstruction(exc.obstruction)}, args.out)
         return EXIT_NEGATIVE
     payload = {
-        "profile": [
-            serialize.dump_strategy(s, spec)
-            for s, spec in zip(cert.profile, game.players)
-        ],
+        "profile": _dump_profile(game, cert.profile),
         "report": _dump_equivalence(cert.report),
         "block_identity": list(cert.block_identity),
         "all_zero": cert.report.all_zero,
@@ -329,7 +348,7 @@ def cmd_pennies(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="condexp",
         description="Conditional-expectation sets of correspondences and "
         "finite-action Bayesian games, with exact certificates.",
@@ -359,19 +378,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("convexify", help="blend two selections' conditional expectations")
     p.add_argument("fixture")
-    p.add_argument("--alpha", type=_frac_arg, required=True)
+    p.add_argument("--alpha", type=_unit_frac_arg, required=True)
     p.set_defaults(func=cmd_convexify)
 
     p = add_parser("rademacher", help="alternating escape selection report")
     p.add_argument("fixture")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_count_arg, required=True)
     p.add_argument("--cell")
     p.set_defaults(func=cmd_rademacher)
 
     p = add_parser("uhc-audit", help="limit attainability audit")
     p.add_argument("fixture")
     p.add_argument("--cell")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_count_arg, default=8)
     p.set_defaults(func=cmd_uhc_audit)
 
     p = add_parser("derive-info", help="derived inter-player information")
@@ -386,13 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fixture")
     p.add_argument("--method", choices=["auto", "lp", "br", "enum"], default="auto")
     p.add_argument("--epsilon", type=_frac_arg, default=Fraction(1, 10**9))
-    p.add_argument("--max-iters", type=int, default=4000)
+    p.add_argument("--max-iters", type=_count_arg, default=4000)
     p.add_argument("--purify", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = add_parser("purify", help="strong purification of a behavioral profile")
     p.add_argument("fixture")
-    p.add_argument("--samples", type=int, default=16)
+    p.add_argument("--samples", type=_count_arg, default=16)
     p.set_defaults(func=cmd_purify)
 
     p = add_parser("audit-equivalence", help="equivalence residuals of two profiles")
@@ -410,16 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=8)
     p.add_argument("--epsilon", type=_frac_arg, default=Fraction(1, 100))
     p.add_argument("--csv", help="write (l2, interim weights) rows here")
-    p.add_argument("--samples", type=int, default=99)
+    p.add_argument("--samples", type=_count_arg, default=99)
     p.set_defaults(func=cmd_pennies)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SchemaError as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -13,6 +13,7 @@ space in exact arithmetic and never reuses the solver's internal numbers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -21,12 +22,10 @@ from .errors import SchemaError
 from .games import (
     BayesianGame,
     BehavioralStrategy,
-    InfoPartition,
     PureStrategy,
     Strategy,
     block_totals,
     coarser_info_check,
-    derive_interplayer_info,
     interim_forms,
     player_payoff,
     unit_plan,
@@ -60,19 +59,18 @@ class EquilibriumReport:
     method: str
     value: Fraction | None
     coarser: tuple[bool, ...]
-    # forms[i]: player i's interim_forms against ``profile``, as verified, and
-    # info: the derived information the solver used; None on a hand-built
-    # report, for which purify_equilibrium builds them
-    forms: tuple | None = field(default=None, compare=False, repr=False)
-    info: tuple | None = field(default=None, compare=False, repr=False)
+    # forms[i]: player i's interim_forms against ``profile``, as verified, set
+    # by solve_behavioral only; None on a hand-built report and on a copy made
+    # by dataclasses.replace, for which purify_equilibrium builds them afresh
+    forms: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 class AgentForm:
-    """Exact payoff tensors for (player, block) agents."""
+    """Exact payoff tensors for (player, block) agents of ``game.info``."""
 
-    def __init__(self, game: BayesianGame, info: Sequence[InfoPartition]):
+    def __init__(self, game: BayesianGame):
         self.game = game
-        self.info = info
+        info = game.info
         n = len(game.players)
         self.others = [[j for j in range(n) if j != i] for i in range(n)]
         # coeff[i][(b, x_i)][(opp_blocks, opp_actions)] -> Fraction
@@ -82,11 +80,7 @@ class AgentForm:
             for x in game.action_profiles():
                 for key in game.unit_tuples():
                     units = game.tuple_units(key)
-                    mass = ONE
-                    for u in units:
-                        mass *= u.mass
-                    if mass == 0:
-                        continue
+                    mass = math.prod(u.mass for u in units)
                     val = mass * game.weighted[i][x][key].average(units)
                     if val == 0:
                         continue
@@ -94,9 +88,8 @@ class AgentForm:
                     opp_blocks = tuple(info[j].block_of_unit[key[j]] for j in others)
                     opp_actions = tuple(x[j] for j in others)
                     slot = self.coeff[i].setdefault((b, x[i]), {})
-                    slot[(opp_blocks, opp_actions)] = (
-                        slot.get((opp_blocks, opp_actions), ZERO) + val
-                    )
+                    opp = (opp_blocks, opp_actions)
+                    slot[opp] = slot.get(opp, ZERO) + val
         # the float lane of the best-response iteration, converted once:
         # terms[i][(b, x_i)] = [(float(c), ((j, b_j, x_j) per opponent)), ...]
         # in coeff's order
@@ -112,7 +105,7 @@ class AgentForm:
         ]
 
     def block_counts(self) -> list[int]:
-        return [len(part.blocks) for part in self.info]
+        return [len(part.blocks) for part in self.game.info]
 
     def action_counts(self) -> list[int]:
         return [len(p.actions) for p in self.game.players]
@@ -133,14 +126,12 @@ class AgentForm:
         ]
 
 
-def mixtures_to_profile(
-    game: BayesianGame, info: Sequence[InfoPartition], mixtures
-) -> tuple[BehavioralStrategy, ...]:
+def mixtures_to_profile(game: BayesianGame, mixtures) -> tuple[BehavioralStrategy, ...]:
     """Expand block mixtures into per-cell behavioral strategies."""
 
     def expanded(i):
         rows = [tuple(w) for w in mixtures[i]]
-        block_of = info[i].block_of_unit
+        block_of = game.info[i].block_of_unit
         return unit_plan(game, i, lambda idx, u, _cell: ((u.hi, rows[block_of[idx]]),))
 
     return tuple(BehavioralStrategy(expanded(i)) for i in range(len(game.players)))
@@ -186,7 +177,6 @@ def improving_deviation(
 
 def _solve_lp_zero_sum(agent_form: AgentForm):
     """Exact minimax LP on the stacked block strategies of both players."""
-    info = agent_form.info
     m1, m2 = agent_form.action_counts()
     B1, B2 = agent_form.block_counts()
     pairs1 = [(b, a) for b in range(B1) for a in range(m1)]
@@ -242,7 +232,7 @@ def _solve_lp_zero_sum(agent_form: AgentForm):
 
 def _best_response(agent_form: AgentForm, mixtures_float):
     out = []
-    for i, part in enumerate(agent_form.info):
+    for i, part in enumerate(agent_form.game.info):
         rows = []
         for b in range(len(part.blocks)):
             vals = agent_form.agent_values_float(i, b, mixtures_float)
@@ -254,7 +244,7 @@ def _best_response(agent_form: AgentForm, mixtures_float):
 
 def _br_regret(agent_form: AgentForm, mixtures_float) -> float:
     worst = 0.0
-    for i, part in enumerate(agent_form.info):
+    for i, part in enumerate(agent_form.game.info):
         for b in range(len(part.blocks)):
             vals = agent_form.agent_values_float(i, b, mixtures_float)
             played = sum(mixtures_float[i][b][a] * vals[a] for a in range(len(vals)))
@@ -280,7 +270,7 @@ def _snap_mixtures(mixtures_float, denominator: int):
 def _solve_br(agent_form: AgentForm, options: SolveOptions):
     mixtures = [
         [[1.0 / m for _ in range(m)] for _ in part.blocks]
-        for part, m in zip(agent_form.info, agent_form.action_counts())
+        for part, m in zip(agent_form.game.info, agent_form.action_counts())
     ]
     iterations = 0
     for iterations in range(1, options.max_iters + 1):
@@ -395,9 +385,8 @@ def solve_behavioral(game: BayesianGame, options: SolveOptions | None = None) ->
     two-player general-sum games.  Non-convergence is reported, not raised.
     """
     options = options or SolveOptions()
-    info = derive_interplayer_info(game)
-    coarser = tuple(c.passes for c in coarser_info_check(game, info))
-    agent_form = AgentForm(game, info)
+    coarser = tuple(c.passes for c in coarser_info_check(game))
+    agent_form = AgentForm(game)
     method = options.method
     if method == "auto":
         if len(game.players) == 2 and game.is_zero_sum():
@@ -414,15 +403,15 @@ def solve_behavioral(game: BayesianGame, options: SolveOptions | None = None) ->
         mixtures, iterations = _solve_enum(agent_form, options)
     else:
         mixtures, iterations = _solve_br(agent_form, options)
-    profile, forms, eps = _verified(game, info, mixtures)
+    profile, forms, eps = _verified(game, mixtures)
     if max(eps) > options.epsilon and method == "br" and len(game.players) == 2:
         mixtures2, extra = _solve_enum(agent_form, options)
-        profile2, forms2, eps2 = _verified(game, info, mixtures2)
+        profile2, forms2, eps2 = _verified(game, mixtures2)
         if max(eps2) < max(eps):
             mixtures, profile, eps, forms = mixtures2, profile2, eps2, forms2
             method = "enum"
         iterations += extra
-    return EquilibriumReport(
+    report = EquilibriumReport(
         mixtures=tuple(tuple(tuple(w) for w in rows) for rows in mixtures),
         profile=profile,
         eps=eps,
@@ -431,14 +420,14 @@ def solve_behavioral(game: BayesianGame, options: SolveOptions | None = None) ->
         method=method,
         value=value,
         coarser=coarser,
-        forms=forms,
-        info=info,
     )
+    object.__setattr__(report, "forms", forms)
+    return report
 
 
-def _verified(game: BayesianGame, info: Sequence[InfoPartition], mixtures):
+def _verified(game: BayesianGame, mixtures):
     """The profile of block mixtures, its interim forms, and its verified gains."""
-    profile = mixtures_to_profile(game, info, mixtures)
+    profile = mixtures_to_profile(game, mixtures)
     forms = tuple(interim_forms(game, i, profile) for i in range(len(game.players)))
     return profile, forms, verify_equilibrium(game, profile, forms)
 
@@ -466,7 +455,7 @@ def purify_equilibrium(
     that are not one row of weights per player, derived block and action
     raise SchemaError at ``mixtures[i]`` or ``mixtures[i][b]``.
     """
-    info = require_coarser(game, report.info)
+    info = require_coarser(game)
     behavioral = report.profile
     n = len(game.players)
     if len(report.mixtures) != n:
@@ -488,7 +477,7 @@ def purify_equilibrium(
         t / mass == report.mixtures[i][b][a]
         for i in range(n)
         for b, (totals, mass) in enumerate(
-            zip(block_totals(game, info[i], pures[i]), info[i].block_masses)
+            zip(block_totals(game, i, pures[i]), info[i].block_masses)
         )
         for a, t in enumerate(totals)
     )

@@ -11,13 +11,14 @@ rational arithmetic).
 The inter-player information of player i is derived, never declared: units of
 i are grouped by the full profile of opponents' density-weighted payoffs, and
 a unit is saturated when some opponent-relevant entry is affine in i's own
-coordinate.
+coordinate.  The game derives it once, as ``BayesianGame.info``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -67,7 +68,6 @@ class Unit:
     piece reads as, so every unit is walked alike.
     """
 
-    player: int
     cell_index: int
     cell_id: str
     piece_index: int
@@ -100,14 +100,12 @@ class PlayerSpec:
             raise SchemaError("cells", "cell masses must sum to 1")
 
 
-def player_units(player: int, spec: PlayerSpec) -> tuple[Unit, ...]:
+def player_units(spec: PlayerSpec) -> tuple[Unit, ...]:
     units = []
     for ci, cell in enumerate(spec.cells):
         lo = ZERO
         for pi, hi in enumerate(cell.grid if cell.has_inner else (ONE,)):
-            units.append(
-                Unit(player, ci, cell.id, pi, lo, hi, cell.mass * (hi - lo), cell.point)
-            )
+            units.append(Unit(ci, cell.id, pi, lo, hi, cell.mass * (hi - lo), cell.point))
             lo = hi
     return tuple(units)
 
@@ -156,11 +154,7 @@ class BayesianGame:
     def __post_init__(self):
         if len(self.players) < 2:
             raise SchemaError("players", "need at least two players")
-        object.__setattr__(
-            self,
-            "units",
-            tuple(player_units(i, spec) for i, spec in enumerate(self.players)),
-        )
+        object.__setattr__(self, "units", tuple(player_units(spec) for spec in self.players))
         if len(self.payoffs) != len(self.players):
             raise SchemaError("payoffs", "one payoff table per player")
         self._validate_tables()
@@ -227,9 +221,7 @@ class BayesianGame:
         for key in self.unit_tuples():
             units = self.tuple_units(key)
             e = self.density[key]
-            mass = ONE
-            for u in units:
-                mass *= u.mass
+            mass = math.prod(u.mass for u in units)
             if e.slope != 0:
                 u = units[e.coord]
                 if e.const + e.slope * u.lo < 0 or e.const + e.slope * u.hi < 0:
@@ -254,9 +246,7 @@ class BayesianGame:
         for combo in itertools.product(*[range(len(self.units[j])) for j in others]):
             key = _splice(i, own_idx, combo)
             units = self.tuple_units(key)
-            mass = ONE
-            for j in others:
-                mass *= units[j].mass
+            mass = math.prod(units[j].mass for j in others)
             e = self.density[key]
             if e.slope != 0 and e.coord == i:
                 a_total += e.const * mass
@@ -280,6 +270,11 @@ class BayesianGame:
             }
             for table in self.payoffs
         )
+
+    @functools.cached_property
+    def info(self) -> tuple[InfoPartition, ...]:
+        """``derive_interplayer_info(self)``, cached on the game like ``weighted``."""
+        return derive_interplayer_info(self)
 
     def is_zero_sum(self) -> bool:
         if len(self.players) != 2:
@@ -324,7 +319,10 @@ def uniform_strategy(spec: PlayerSpec) -> BehavioralStrategy:
 
 
 def strategy_moments(spec: PlayerSpec, units: Sequence[Unit], f: Strategy):
-    """Per unit and action: (W0, W1) = integrals of f and t*f over the unit."""
+    """Per unit and action: (W0, W1) = integrals of f and t*f over the unit.
+
+    The one walk that integrates a strategy's pieces; payoffs read it too.
+    """
     fb = as_behavioral(spec, f)
     m = len(spec.actions)
     out = []
@@ -333,9 +331,12 @@ def strategy_moments(spec: PlayerSpec, units: Sequence[Unit], f: Strategy):
         w0 = [ZERO] * m
         w1 = [ZERO] * m
         for lo, hi, w in clip_pieces(fb.pieces(cell), u.lo, u.hi):
-            for a in range(m):
-                w0[a] += cell.mass * (hi - lo) * w[a]
-                w1[a] += cell.mass * (hi * hi - lo * lo) / 2 * w[a]
+            d0 = cell.mass * (hi - lo)
+            d1 = d0 * (hi + lo) / 2
+            for a, wa in enumerate(w):
+                if wa:  # pure strategies are one-hot
+                    w0[a] += d0 * wa
+                    w1[a] += d1 * wa
         out.append((w0, w1))
     return out
 
@@ -438,20 +439,17 @@ def player_payoff(
     """Ex-ante payoff of player i playing ``own`` against profile's others.
 
     Pass the ``interim_forms`` of player i against the profile to amortize
-    repeated evaluations against the same opposing strategies.
+    repeated evaluations against the same opposing strategies.  The payoff
+    sums ``A*W0 + B*W1`` over ``own``'s ``strategy_moments``.
     """
-    spec = game.players[i]
-    fb = as_behavioral(spec, own)
+    moments = strategy_moments(game.players[i], game.units[i], own)
     if forms is None:
         forms = interim_forms(game, i, profile)
     total = ZERO
-    for unit, unit_forms in zip(game.units[i], forms):
-        cell = spec.cells[unit.cell_index]
-        for lo, hi, w in clip_pieces(fb.pieces(cell), unit.lo, unit.hi):
-            mid = (lo + hi) / 2
-            total += cell.mass * (hi - lo) * sum(
-                wa * (A + B * mid) for wa, (A, B) in zip(w, unit_forms)
-            )
+    for (w0, w1), unit_forms in zip(moments, forms):
+        for W0, W1, (A, B) in zip(w0, w1, unit_forms):
+            if W0:  # W0 == 0 forces W1 == 0: the weights are nonnegative
+                total += A * W0 if B == 0 else A * W0 + B * W1
     return total
 
 
@@ -468,7 +466,6 @@ def expected_payoff(game: BayesianGame, profile: Sequence[Strategy]) -> tuple[Fr
 
 @dataclass(frozen=True)
 class InfoPartition:
-    player: int
     blocks: tuple[tuple[int, ...], ...]
     kinds: tuple[str, ...]  # per unit: "rich" | "saturated"
     block_of_unit: tuple[int, ...]
@@ -492,40 +489,31 @@ def derive_interplayer_info(game: BayesianGame) -> tuple[InfoPartition, ...]:
     partitions = []
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        action_ranges = [range(len(p.actions)) for p in game.players]
-        unit_ranges = [range(len(game.units[j])) for j in others]
-        signatures = []
-        saturated = []
-        for own_idx in range(len(game.units[i])):
-            sig = []
-            is_sat = False
-            for j in others:
-                for x in itertools.product(*action_ranges):
-                    table = game.weighted[j][x]
-                    for mu in itertools.product(*unit_ranges):
-                        e = table[_splice(i, own_idx, mu)]
-                        if e.slope != 0 and e.coord == i:
-                            is_sat = True
-                        sig.append((j, x, mu, e.const, e.slope, e.coord))
-            signatures.append(tuple(sig))
-            saturated.append(is_sat)
+        rests = list(itertools.product(*[range(len(game.units[j])) for j in others]))
         blocks: list[list[int]] = []
         block_of: list[int] = []
+        kinds: list[str] = []
         sig_index: dict[tuple, int] = {}
-        for own_idx, (sig, is_sat) in enumerate(zip(signatures, saturated)):
-            b = len(blocks) if is_sat else sig_index.setdefault(sig, len(blocks))
+        for own_idx in range(len(game.units[i])):
+            # an entry's position in the signature carries its (j, x, mu)
+            sig = tuple(
+                game.weighted[j][x][_splice(i, own_idx, mu)]
+                for j in others
+                for x in game.action_profiles()
+                for mu in rests
+            )
+            saturated = any(e.coord == i for e in sig)  # constant entries name no coord
+            b = len(blocks) if saturated else sig_index.setdefault(sig, len(blocks))
             if b == len(blocks):
                 blocks.append([])
             blocks[b].append(own_idx)
             block_of.append(b)
-        masses = tuple(
-            sum((game.units[i][u].mass for u in block), ZERO) for block in blocks
-        )
+            kinds.append("saturated" if saturated else "rich")
+        masses = tuple(sum((game.units[i][u].mass for u in b), ZERO) for b in blocks)
         partitions.append(
             InfoPartition(
-                player=i,
                 blocks=tuple(tuple(b) for b in blocks),
-                kinds=tuple("saturated" if s else "rich" for s in saturated),
+                kinds=tuple(kinds),
                 block_of_unit=tuple(block_of),
                 block_masses=masses,
             )
@@ -533,14 +521,10 @@ def derive_interplayer_info(game: BayesianGame) -> tuple[InfoPartition, ...]:
     return tuple(partitions)
 
 
-def coarser_info_check(
-    game: BayesianGame, info: tuple[InfoPartition, ...] | None = None
-) -> tuple[CoarserCheck, ...]:
+def coarser_info_check(game: BayesianGame) -> tuple[CoarserCheck, ...]:
     """Per player: no saturated unit and no point cell of positive mass."""
-    if info is None:
-        info = derive_interplayer_info(game)
     out = []
-    for i, part in enumerate(info):
+    for i, part in enumerate(game.info):
         witness = None
         for idx, unit in enumerate(game.units[i]):
             if part.kinds[idx] == "saturated":
@@ -575,24 +559,23 @@ def unit_plan(
     return plan
 
 
-def block_totals(game: BayesianGame, part: InfoPartition, f: Strategy) -> list[list[Fraction]]:
-    """Per block of ``part`` and per action: the integral of ``f`` over the block."""
-    i = part.player
+def block_totals(game: BayesianGame, i: int, f: Strategy) -> list[list[Fraction]]:
+    """Per information block of player i and per action: the integral of
+    player i's strategy ``f`` over the block."""
+    part = game.info[i]
     spec = game.players[i]
     moments = strategy_moments(spec, game.units[i], f)
     actions = range(len(spec.actions))
     return [[sum((moments[u][0][a] for u in block), ZERO) for a in actions] for block in part.blocks]
 
 
-def g_conditional(
-    game: BayesianGame, info: tuple[InfoPartition, ...], i: int, f: Strategy
-) -> BehavioralStrategy:
+def g_conditional(game: BayesianGame, i: int, f: Strategy) -> BehavioralStrategy:
     """Condition a strategy on the player's derived information blocks."""
     fb = as_behavioral(game.players[i], f)
-    part = info[i]
+    part = game.info[i]
     block_avg = [
         tuple(t / mass for t in totals)
-        for totals, mass in zip(block_totals(game, part, fb), part.block_masses)
+        for totals, mass in zip(block_totals(game, i, fb), part.block_masses)
     ]
 
     def conditioned(idx, u, cell):
@@ -604,14 +587,11 @@ def g_conditional(
 
 
 def substitute_conditioned(
-    game: BayesianGame,
-    info: tuple[InfoPartition, ...],
-    profile: Sequence[Strategy],
-    keep: int,
+    game: BayesianGame, profile: Sequence[Strategy], keep: int
 ) -> list[Strategy]:
     """Replace every opponent of ``keep`` by its conditioned strategy."""
     out = list(profile)
     for j in range(len(game.players)):
         if j != keep:
-            out[j] = g_conditional(game, info, j, profile[j])
+            out[j] = g_conditional(game, j, profile[j])
     return out

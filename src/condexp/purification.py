@@ -27,7 +27,6 @@ from .games import (
     as_behavioral,
     block_totals,
     coarser_info_check,
-    derive_interplayer_info,
     interim_forms,
     player_payoff,
     strategy_moments,
@@ -73,22 +72,19 @@ class PurificationCertificate:
     block_identity: tuple[bool, ...]  # per player: E(g|blocks) == E(f|blocks)
 
 
-def require_coarser(game: BayesianGame, info=None):
-    """The derived information, after checking every player's is coarser.
+def require_coarser(game: BayesianGame):
+    """``game.info``, after checking every player's information is coarser.
 
-    ``info``, when given, is the game's derived information, which is then
-    not derived again.  Raises AtomObstructionError naming the first player
-    whose information has a saturated unit or a point cell: there a
-    proportional split cannot keep the block conditional expectation.
+    Raises AtomObstructionError naming the first player whose information
+    has a saturated unit or a point cell: there a proportional split cannot
+    keep the block conditional expectation.
     """
-    if info is None:
-        info = derive_interplayer_info(game)
-    for i, c in enumerate(coarser_info_check(game, info)):
+    for i, c in enumerate(coarser_info_check(game)):
         if not c.passes:
             raise AtomObstructionError(
                 AtomObstruction(c.witness or f"player {i}", None, "coarser information fails")
             )
-    return info
+    return game.info
 
 
 def purify_player(
@@ -117,7 +113,7 @@ def strong_purify(
     seed: int = 0,
 ) -> PurificationCertificate:
     """Purify a behavioral profile and certify the equivalences exactly."""
-    info = require_coarser(game)
+    require_coarser(game)
     behavioral = [as_behavioral(game.players[i], f) for i, f in enumerate(profile)]
     n = len(game.players)
     forms = [interim_forms(game, i, behavioral) for i in range(n)]
@@ -129,7 +125,7 @@ def strong_purify(
     ]
     report = audit_equivalence(game, behavioral, pures, deviations, forms_f=forms)
     block_identity = tuple(
-        block_totals(game, info[i], behavioral[i]) == block_totals(game, info[i], pures[i])
+        block_totals(game, i, behavioral[i]) == block_totals(game, i, pures[i])
         for i in range(n)
     )
     return PurificationCertificate(pures, report, block_identity)

@@ -158,6 +158,21 @@ def load_step_function(
     return f
 
 
+def load_g_measurable(doc: Any, space: MeasureSpaceModel, path: str, dim: int) -> StepFunction:
+    """``load_step_function``, checked to be constant on every block but a
+    saturated cell's, as a conditional expectation is."""
+    h = load_step_function(doc, space, path, dim)
+    for label, cells in space.blocks.items():
+        values = set()
+        for c in cells:
+            if c.kind is CellKind.SATURATED:  # alone in its block
+                continue
+            values.update(tuple(v) for _upto, v in h.pieces(c))
+            if len(values) > 1:
+                raise SchemaError(f"{path}.values[{c.id}]", f"not constant on block {label}")
+    return h
+
+
 def dump_step_function(f: StepFunction, space: MeasureSpaceModel) -> dict:
     return {"dim": f.dim, "values": _dump_plan(f, space.cells, "v", _dump_vec)}
 

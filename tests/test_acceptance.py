@@ -51,7 +51,6 @@ from condexp.equilibrium import (
     verify_equilibrium,
 )
 from condexp.games import (
-    derive_interplayer_info,
     expected_payoff,
     substitute_conditioned,
 )
@@ -530,10 +529,9 @@ class TestCriterion5ExistencePipeline:
             assert max(eps_pure) <= epsilon
             assert purified.mixtures_preserved
             assert purified.payoffs_preserved
-            info = derive_interplayer_info(game)
             u = expected_payoff(game, purified.profile)
             for i in range(len(game.players)):
-                subbed = substitute_conditioned(game, info, list(purified.profile), i)
+                subbed = substitute_conditioned(game, list(purified.profile), i)
                 assert expected_payoff(game, subbed)[i] == u[i]
             solved += 1
         elapsed = time.time() - start

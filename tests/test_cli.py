@@ -278,7 +278,7 @@ class TestAdditionalPaths:
 
     @pytest.mark.parametrize("fixture, want", [("mp_game.json", 0), ("saturated_game.json", 2)])
     def test_solve_purify_derives_information_once(self, capsys, monkeypatch, fixture, want):
-        from condexp import equilibrium, games, purification
+        from condexp import games
 
         calls = []
         derive = games.derive_interplayer_info
@@ -287,8 +287,7 @@ class TestAdditionalPaths:
             calls.append(game)
             return derive(game)
 
-        for module in (games, equilibrium, purification):
-            monkeypatch.setattr(module, "derive_interplayer_info", counted)
+        monkeypatch.setattr(games, "derive_interplayer_info", counted)
         code, out = run(capsys, "solve", FIXTURES / fixture, "--purify")
         assert code == want
         assert len(calls) == 1
@@ -569,6 +568,100 @@ class TestPayloadFaults:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("input error: cell: ")
+
+    @pytest.mark.parametrize(
+        "argv, fixture, edit, err",
+        [
+            (
+                ["condexp-set"],
+                "rich_F01.json",
+                lambda d: d["h"]["values"].update(
+                    c=[{"upto": "1/2", "v": ["0"]}, {"upto": "1", "v": ["1"]}]
+                ),
+                "h.values[c]: not constant on block g",
+            ),
+            (
+                ["rademacher", "--m", "3"],
+                "saturated.json",
+                lambda d: d.update(
+                    tests=[{"dim": 2, "values": {"D": [{"upto": "1", "v": ["1", "1"]}]}}]
+                ),
+                "tests[0].dim: dimension 2 != 1",
+            ),
+        ],
+        ids=["h-not-block-constant", "rademacher-test-dimension"],
+    )
+    def test_fault_is_typed_where_it_is_read(self, capsys, tmp_path, argv, fixture, edit, err):
+        # were "error: h is not constant on block g" (NotGMeasurable) and
+        # "error: inner_products needs dimension-1 functions", without a path
+        doc = json.loads((FIXTURES / fixture).read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main([argv[0], str(bad), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"input error: {err}\n"
+
+    @pytest.mark.parametrize("text", ["[]", "7", '"x"', "null"])
+    def test_fixture_must_be_an_object(self, capsys, tmp_path, text):
+        # was an AttributeError from doc.get escaping main
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["g-atom", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"input error: {bad}: expected a JSON object\n"
+
+
+class TestFlagBounds:
+    """Flag values outside their range and argparse usage errors exit 1 with
+    ``input error:`` naming the flag (exit 2 is a certified negative)."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ("rademacher saturated.json --m -1", "--m: must be an integer >= 0, got '-1'"),
+            ("convexify rich_F01.json --alpha 2", "--alpha: must lie in [0, 1], got '2'"),
+            ("uhc-audit saturated.json --depth -1", "--depth: must be an integer >= 0, got '-1'"),
+            ("purify mp_purify.json --samples -1", "--samples: must be an integer >= 0, got '-1'"),
+            ("solve mp_game.json --max-iters -5", "--max-iters: must be an integer >= 0, got '-5'"),
+            ("convexify rich_F01.json --alpha", "--alpha: expected one argument"),
+            ("rademacher saturated.json --m x", "--m: must be an integer >= 0, got 'x'"),
+        ],
+        ids=["m", "alpha", "depth", "samples", "max-iters", "alpha-missing", "m-not-int"],
+    )
+    def test_out_of_range_flag_is_an_input_error(self, capsys, argv, err):
+        # were a TypeError or ValueError traceback, a silent run (exit 0) of
+        # a negative count, and argparse's usage exit 2
+        argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv.split()]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"input error: {err}\n"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["uhc-audit", "--help"])
+        assert exc.value.code == 0
+        assert "--depth" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "rademacher saturated.json --m 0",
+            "uhc-audit saturated.json --depth 0",
+            "convexify rich_F01.json --alpha 1",
+            "purify mp_purify.json --samples 0",
+        ],
+        ids=["m", "depth", "alpha", "samples"],
+    )
+    def test_bounds_are_inclusive(self, capsys, argv):
+        argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv.split()]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSubprocessDeterminism:

@@ -240,9 +240,8 @@ class TestPurify:
         game = BayesianGame(specs, density, payoffs)
         from condexp.equilibrium import EquilibriumReport, mixtures_to_profile
 
-        info = derive_interplayer_info(game)
         mixtures = (((F(1, 3), F(2, 3)),), ((F(1, 2), F(1, 2)),))
-        profile = mixtures_to_profile(game, info, mixtures)
+        profile = mixtures_to_profile(game, mixtures)
         report = EquilibriumReport(
             mixtures=mixtures,
             profile=profile,
@@ -434,7 +433,7 @@ class TestFloatLane:
     def games(rng):
         for n in (2, 2, 3, 3):
             game = random_coarser_game(rng, n, max_actions=2 if n == 3 else 3)
-            yield equilibrium.AgentForm(game, derive_interplayer_info(game))
+            yield equilibrium.AgentForm(game)
 
     def test_action_values_are_bit_identical(self):
         rng = random.Random(41)

@@ -273,11 +273,10 @@ class TestSubstitutionIdentity:
         rng = random.Random(7)
         for trial in range(8):
             game = random_coarser_game(rng, 2 if trial % 2 else 3)
-            info = derive_interplayer_info(game)
             profile = random_profile(rng, game)
             u = expected_payoff(game, profile)
             for i in range(len(game.players)):
-                subbed = substitute_conditioned(game, info, profile, i)
+                subbed = substitute_conditioned(game, profile, i)
                 assert expected_payoff(game, subbed)[i] == u[i]
 
     def test_conditioning_is_block_average(self):
@@ -285,7 +284,7 @@ class TestSubstitutionIdentity:
         game = random_coarser_game(rng, 2)
         info = derive_interplayer_info(game)
         profile = random_profile(rng, game)
-        cond = g_conditional(game, info, 0, profile[0])
+        cond = g_conditional(game, 0, profile[0])
         from condexp.games import strategy_moments
 
         spec = game.players[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -140,6 +141,22 @@ class TestInterimFormReuse:
         purified = purify_equilibrium(game, report)
         assert purified.payoffs_preserved and purified.mixtures_preserved
         assert len(calls) == 2 * 4 + 2 * 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_replaced_report_builds_fresh_forms(self, seed):
+        # the solved forms belong to the solved profile: a copy with other
+        # mixtures must not check its purification against them
+        game = random_coarser_game(random.Random(seed), 2)
+        report = solve_behavioral(game)
+        assert report.converged and report.forms is not None
+        mixtures = tuple(
+            tuple(tuple(F(1, len(row)) for _ in row) for row in rows) for rows in report.mixtures
+        )
+        profile = tuple(uniform_strategy(spec) for spec in game.players)
+        replaced = dataclasses.replace(report, mixtures=mixtures, profile=profile)
+        purified = purify_equilibrium(game, replaced)
+        assert purified.payoffs_preserved and purified.mixtures_preserved
+        assert replaced.forms is None
 
 
 class TestAuditEquivalence:
