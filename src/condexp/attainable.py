@@ -62,14 +62,14 @@ _WHOLE = ((Fraction(0), Fraction(1), False),)  # one plain span over [0, 1)
 class AtomObstruction:
     """Certificate that a blend/mixture cannot be realized by any selection."""
 
-    cell_id: str
+    cell: str
     alpha: Fraction | None
     reason: str
     distance: object | None = None  # Fraction when exact, float otherwise
 
     def __str__(self) -> str:
         extra = f", defect {self.distance}" if self.distance is not None else ""
-        return f"obstruction at cell {self.cell_id}: {self.reason}{extra}"
+        return f"obstruction at cell {self.cell}: {self.reason}{extra}"
 
 
 @dataclass(frozen=True)
@@ -519,10 +519,10 @@ class RademacherTestEntry:
     level: int | None
     lhs: Fraction
     rhs: Fraction
+    holds: bool = field(init=False)
 
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
+    def __post_init__(self):
+        object.__setattr__(self, "holds", self.lhs == self.rhs)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .games import coarser_info_check
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NEGATIVE = 2
+MAX_LEVEL = 16  # rademacher --m and uhc-audit --depth: work grows fourfold per two levels
 
 
 def _read(path: str):
@@ -59,10 +60,23 @@ def _unit_frac_arg(text: str) -> Fraction:
     return value
 
 
-def _count_arg(text: str) -> int:
+def _tolerance_arg(text: str) -> Fraction:
+    value = _frac_arg(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _count_arg(text: str, most: int | None = None) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    if most is not None and int(text) > most:
+        raise argparse.ArgumentTypeError(f"must be at most {most}, got {text!r}")
     return int(text)
+
+
+def _level_arg(text: str) -> int:
+    return _count_arg(text, MAX_LEVEL)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,12 +100,8 @@ def cmd_condexp_set(args) -> int:
     doc = _read(args.fixture)
     F = serialize.load_correspondence(doc.get("correspondence", doc))
     ces = attainable.cond_exp_set(F)
-    report = {
-        "blocks": {
-            label: serialize.dump_block_set(bs) for label, bs in ces.regions.items()
-        },
-        "saturated_cells": list(ces.saturated_cells),
-    }
+    blocks = {label: serialize.dump_block_set(bs) for label, bs in ces.regions.items()}
+    report = {"blocks": blocks, "saturated_cells": list(ces.saturated_cells)}
     code = EXIT_OK
     if "h" in doc:
         h = serialize.load_g_measurable(doc["h"], F.space, "h", F.dim)
@@ -144,16 +154,10 @@ def cmd_rademacher(args) -> int:
     cell = args.cell or doc.get("cell")
     if cell is None:
         raise SchemaError("cell", "no cell named (use --cell or fixture key)")
-    tests = [
-        serialize.load_step_function(td, space, f"tests[{k}]", 1)
-        for k, td in enumerate(doc.get("tests", []))
-    ]
+    tests = serialize.load_step_functions(doc.get("tests", []), space, "tests", 1)
     _phi, report = attainable.rademacher_escape(space, cell, args.m, tests)
-    payload = serialize.dump_rademacher(report)
-    payload["limit_escape_certificate"] = serialize.frac_str(
-        attainable.limit_escape_certificate(space, cell)
-    )
-    _emit(payload, args.out)
+    certificate = attainable.limit_escape_certificate(space, cell)
+    _emit(serialize.dump_report(report, limit_escape_certificate=certificate), args.out)
     return EXIT_OK
 
 
@@ -189,12 +193,9 @@ def cmd_coarser_check(args) -> int:
     doc = _read(args.fixture)
     game = serialize.load_game(doc.get("game", doc))
     checks = coarser_info_check(game)
-    report = {
-        "players": [{"passes": c.passes, "witness": c.witness} for c in checks],
-        "all_pass": all(c.passes for c in checks),
-    }
-    _emit(report, args.out)
-    return EXIT_OK if report["all_pass"] else EXIT_NEGATIVE
+    all_pass = all(c.passes for c in checks)
+    _emit({"players": [serialize.dump_report(c) for c in checks], "all_pass": all_pass}, args.out)
+    return EXIT_OK if all_pass else EXIT_NEGATIVE
 
 
 def _solve_options(args) -> equilibrium.SolveOptions:
@@ -212,37 +213,18 @@ def _dump_profile(game, profile) -> list:
     return [serialize.dump_strategy(s, spec) for s, spec in zip(profile, game.players)]
 
 
-def _dump_equilibrium(game, report: equilibrium.EquilibriumReport) -> dict:
-    return {
-        "mixtures": [
-            [[serialize.frac_str(w) for w in row] for row in rows]
-            for rows in report.mixtures
-        ],
-        "profile": _dump_profile(game, report.profile),
-        "eps": [serialize.frac_str(e) for e in report.eps],
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "method": report.method,
-        "value": serialize.frac_str(report.value) if report.value is not None else None,
-        "coarser": list(report.coarser),
-    }
-
-
 def cmd_solve(args) -> int:
     doc = _read(args.fixture)
     game = serialize.load_game(doc.get("game", doc))
     report = equilibrium.solve_behavioral(game, _solve_options(args))
-    payload = _dump_equilibrium(game, report)
+    payload = serialize.dump_report(report, profile=_dump_profile(game, report.profile))
     code = EXIT_OK if report.converged else EXIT_NEGATIVE
     if args.purify and report.converged:
         try:
             purified = equilibrium.purify_equilibrium(game, report)
-            payload["purified"] = {
-                "profile": _dump_profile(game, purified.profile),
-                "eps": [serialize.frac_str(e) for e in purified.eps],
-                "mixtures_preserved": purified.mixtures_preserved,
-                "payoffs_preserved": purified.payoffs_preserved,
-            }
+            payload["purified"] = serialize.dump_report(
+                purified, profile=_dump_profile(game, purified.profile)
+            )
         except AtomObstructionError as exc:
             payload["purified"] = {
                 "obstruction": serialize.dump_obstruction(exc.obstruction)
@@ -263,39 +245,10 @@ def cmd_purify(args) -> int:
     except AtomObstructionError as exc:
         _emit({"obstruction": serialize.dump_obstruction(exc.obstruction)}, args.out)
         return EXIT_NEGATIVE
-    payload = {
-        "profile": _dump_profile(game, cert.profile),
-        "report": _dump_equivalence(cert.report),
-        "block_identity": list(cert.block_identity),
-        "all_zero": cert.report.all_zero,
-    }
-    _emit(payload, args.out)
-    return EXIT_OK if cert.report.all_zero else EXIT_NEGATIVE
-
-
-def _dump_equivalence(report) -> dict:
-    return {
-        "payoff_residuals": [serialize.frac_str(x) for x in report.payoff_residuals],
-        "distribution_defects": [
-            [serialize.frac_str(x) for x in row] for row in report.distribution_defects
-        ],
-        "strong_residuals": [
-            [serialize.frac_str(x) for x in row] for row in report.strong_residuals
-        ],
-        "belief_violation_mass": [
-            serialize.frac_str(x) for x in report.belief_violation_mass
-        ],
-        "belief_violations": [
-            {
-                "player": v.player,
-                "cell": v.cell_id,
-                "lo": serialize.frac_str(v.lo),
-                "hi": serialize.frac_str(v.hi),
-                "action": v.action,
-            }
-            for v in report.belief_violations
-        ],
-    }
+    all_zero = cert.report.all_zero
+    profile = _dump_profile(game, cert.profile)
+    _emit(serialize.dump_report(cert, profile=profile, all_zero=all_zero), args.out)
+    return EXIT_OK if all_zero else EXIT_NEGATIVE
 
 
 def cmd_audit_equivalence(args) -> int:
@@ -306,9 +259,7 @@ def cmd_audit_equivalence(args) -> int:
     rows = doc.get("deviations") or None  # an empty list means no samples
     deviations = None if rows is None else serialize.load_samples(rows, game.players, "deviations")
     report = purification.audit_equivalence(game, f, g, deviations)
-    payload = _dump_equivalence(report)
-    payload["all_zero"] = report.all_zero
-    _emit(payload, args.out)
+    _emit(serialize.dump_report(report, all_zero=report.all_zero), args.out)
     return EXIT_OK if report.all_zero else EXIT_NEGATIVE
 
 
@@ -317,21 +268,7 @@ def cmd_pennies(args) -> int:
     report = pennies.no_pure_equilibrium_search(
         game, budget=args.budget, grid=args.grid, epsilon=args.epsilon, seed=args.seed
     )
-    payload = {
-        "m": report.m,
-        "variant": report.variant,
-        "budget": report.budget,
-        "grid": report.grid,
-        "epsilon": serialize.frac_str(report.epsilon),
-        "strategies": report.strategies,
-        "pairs": report.pairs,
-        "exhaustive": report.exhaustive,
-        "min_gain": serialize.frac_str(report.min_gain),
-        "min_gain_float": format(float(report.min_gain), ".12g"),
-        "argmin": [list(report.argmin[0]), list(report.argmin[1])],
-        "uniform_gains": [serialize.frac_str(x) for x in report.uniform_gains],
-        "passed": report.passed,
-    }
+    payload = serialize.dump_report(report, min_gain_float=format(float(report.min_gain), ".12g"))
     if args.csv:
         f1 = pennies.IntervalUnionStrategy.from_grid(report.argmin[0], report.m)
         rows = pennies.interim_weight_rows(f1, samples=args.samples)
@@ -383,14 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("rademacher", help="alternating escape selection report")
     p.add_argument("fixture")
-    p.add_argument("--m", type=_count_arg, required=True)
+    p.add_argument("--m", type=_level_arg, required=True)
     p.add_argument("--cell")
     p.set_defaults(func=cmd_rademacher)
 
     p = add_parser("uhc-audit", help="limit attainability audit")
     p.add_argument("fixture")
     p.add_argument("--cell")
-    p.add_argument("--depth", type=_count_arg, default=8)
+    p.add_argument("--depth", type=_level_arg, default=8)
     p.set_defaults(func=cmd_uhc_audit)
 
     p = add_parser("derive-info", help="derived inter-player information")
@@ -404,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("solve", help="block-constant equilibrium search")
     p.add_argument("fixture")
     p.add_argument("--method", choices=["auto", "lp", "br", "enum"], default="auto")
-    p.add_argument("--epsilon", type=_frac_arg, default=Fraction(1, 10**9))
+    p.add_argument("--epsilon", type=_tolerance_arg, default=Fraction(1, 10**9))
     p.add_argument("--max-iters", type=_count_arg, default=4000)
     p.add_argument("--purify", action="store_true")
     p.set_defaults(func=cmd_solve)
@@ -427,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--budget", type=int, default=2)
     p.add_argument("--grid", type=int, default=8)
-    p.add_argument("--epsilon", type=_frac_arg, default=Fraction(1, 100))
+    p.add_argument("--epsilon", type=_tolerance_arg, default=Fraction(1, 100))
     p.add_argument("--csv", help="write (l2, interim weights) rows here")
     p.add_argument("--samples", type=_count_arg, default=99)
     p.set_defaults(func=cmd_pennies)

@@ -62,6 +62,7 @@ class EquilibriumReport:
     # forms[i]: player i's interim_forms against ``profile``, as verified, set
     # by solve_behavioral only; None on a hand-built report and on a copy made
     # by dataclasses.replace, for which purify_equilibrium builds them afresh
+    # (repr=False keeps them out of the CLI report, see serialize.dump_report)
     forms: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 

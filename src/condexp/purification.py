@@ -41,7 +41,7 @@ ONE = Fraction(1)
 @dataclass(frozen=True)
 class BeliefViolation:
     player: int
-    cell_id: str
+    cell: str
     lo: Fraction
     hi: Fraction
     action: int

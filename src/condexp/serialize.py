@@ -7,17 +7,11 @@ trees that serialize byte-identically under sorted-keys JSON.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .attainable import (
-    AtomObstruction,
-    BlockCertificate,
-    CondExpBlockSet,
-    MembershipResult,
-    RademacherReport,
-    UhcAuditReport,
-)
+from .attainable import AtomObstruction, CondExpBlockSet, MembershipResult, UhcAuditReport
 from .correspondences import FiniteIndexedCorrespondence, MixedSelection, Selection
 from .errors import SchemaError
 from .games import BayesianGame, Entry, PlayerSpec, TypeCell
@@ -156,6 +150,16 @@ def load_step_function(
     f = StepFunction(dim, _load_plan(values_doc, space.cells, f"{path}.values", "v", _vec))
     f.validate(space, f"{path}.values")
     return f
+
+
+def load_step_functions(
+    doc: Any, space: MeasureSpaceModel, path: str, expected_dim: int | None = None
+) -> list[StepFunction]:
+    """A JSON list of step functions on ``space``."""
+    return [
+        load_step_function(fd, space, f"{path}[{k}]", expected_dim)
+        for k, fd in enumerate(_expect(doc, list, path))
+    ]
 
 
 def load_g_measurable(doc: Any, space: MeasureSpaceModel, path: str, dim: int) -> StepFunction:
@@ -338,78 +342,54 @@ def dump_strategy(strategy, spec: PlayerSpec) -> dict:
     return {"type": "behavioral", "plan": _dump_plan(strategy, spec.cells, "w", _dump_vec)}
 
 
-# -- report dumpers ------------------------------------------------------------
+# -- reports -----------------------------------------------------------------
+#
+# A report is its dataclass's repr fields under their own names: rationals as
+# strings, tuples and lists as lists, nested reports as dicts, and everything
+# else (ints, bools, strings, None, an irrational distance's float) as it is.
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, Fraction):
+        return frac_str(value)
+    if isinstance(value, (tuple, list)):
+        return [_encode(x) for x in value]
+    if dataclasses.is_dataclass(value):
+        return dump_report(value)
+    return value
+
+
+def dump_report(obj: Any, **fields) -> dict:
+    """The report of dataclass ``obj``; each keyword adds a key or takes a
+    field's place (a strategy profile, which needs the players' cells, or a
+    derived value such as ``all_zero``)."""
+    out = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.repr}
+    out.update(fields)
+    return {key: _encode(value) for key, value in out.items()}
 
 
 def dump_block_set(bs: CondExpBlockSet) -> dict:
-    out = {
+    polytopes = bs.polytopes() if bs.dim <= 3 else None  # vertex lists up to dimension 3
+    return {
         "block": bs.block,
         "block_mass": frac_str(bs.block_mass),
         "dim": bs.dim,
+        "polytopes": _encode(polytopes),
     }
-    if bs.dim <= 3:
-        out["polytopes"] = [
-            [[frac_str(x) for x in v] for v in poly] for poly in bs.polytopes()
-        ]
-    else:
-        out["polytopes"] = None
-    return out
 
 
-def dump_certificate(cert: BlockCertificate) -> dict:
-    distance = cert.distance
-    return {
-        "block": cert.block,
-        "kind": cert.kind,
-        "distance": frac_str(distance) if isinstance(distance, Fraction) else distance,
-        "direction": [frac_str(x) for x in cert.direction] if cert.direction else None,
-    }
+# The three names below stay as separate functions only because the
+# benchmark's tracer (perfbench/tracer.py) times them by name; they can fold
+# into dump_report when ROADMAP item 4 changes the benchmark.
 
 
 def dump_membership(result: MembershipResult) -> dict:
-    return {
-        "member": result.member,
-        "certificate": dump_certificate(result.certificate) if result.certificate else None,
-        "failures": [dump_certificate(c) for c in result.failures],
-    }
+    return dump_report(result)
 
 
 def dump_obstruction(ob: AtomObstruction) -> dict:
-    return {
-        "cell": ob.cell_id,
-        "alpha": frac_str(ob.alpha) if ob.alpha is not None else None,
-        "reason": ob.reason,
-        "distance": frac_str(ob.distance)
-        if isinstance(ob.distance, Fraction)
-        else ob.distance,
-    }
-
-
-def dump_rademacher(report: RademacherReport) -> dict:
-    return {
-        "cell": report.cell,
-        "m": report.m,
-        "integral": frac_str(report.integral),
-        "expected_integral": frac_str(report.expected_integral),
-        "tests": [
-            {
-                "level": t.level,
-                "lhs": frac_str(t.lhs),
-                "rhs": frac_str(t.rhs),
-                "holds": t.holds,
-            }
-            for t in report.tests
-        ],
-    }
+    return dump_report(ob)
 
 
 def dump_uhc(report: UhcAuditReport) -> dict:
-    return {
-        "cell": report.cell,
-        "cell_kind": report.cell_kind,
-        "depth": report.depth,
-        "limit_in_H0": report.limit_in_H0,
-        "defect": frac_str(report.defect),
-        "averages_constant": report.averages_constant,
-        "identities_ok": report.identities_ok,
-    }
+    return dump_report(report)

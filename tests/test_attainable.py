@@ -206,7 +206,7 @@ class TestConvexifyWitness:
         Fc = binary_F(sp)
         out = convexify_witness(Fc, sel(sp, {"p": 0}), sel(sp, {"p": 1}), F(1, 2))
         assert isinstance(out, AtomObstruction)
-        assert out.cell_id == "p"
+        assert out.cell == "p"
         assert out.alpha == F(1, 2)
 
     def test_saturated_obstruction(self):

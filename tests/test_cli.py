@@ -588,12 +588,19 @@ class TestPayloadFaults:
                 ),
                 "tests[0].dim: dimension 2 != 1",
             ),
+            (
+                ["rademacher", "--m", "3"],
+                "saturated.json",
+                lambda d: d.update(tests=5),
+                "tests: expected list, got int",
+            ),
         ],
-        ids=["h-not-block-constant", "rademacher-test-dimension"],
+        ids=["h-not-block-constant", "rademacher-test-dimension", "rademacher-tests-not-list"],
     )
     def test_fault_is_typed_where_it_is_read(self, capsys, tmp_path, argv, fixture, edit, err):
-        # were "error: h is not constant on block g" (NotGMeasurable) and
-        # "error: inner_products needs dimension-1 functions", without a path
+        # were "error: h is not constant on block g" (NotGMeasurable),
+        # "error: inner_products needs dimension-1 functions", without a path,
+        # and a TypeError escaping main from iterating "tests": 5
         doc = json.loads((FIXTURES / fixture).read_text())
         edit(doc)
         bad = tmp_path / "bad.json"
@@ -629,12 +636,21 @@ class TestFlagBounds:
             ("solve mp_game.json --max-iters -5", "--max-iters: must be an integer >= 0, got '-5'"),
             ("convexify rich_F01.json --alpha", "--alpha: expected one argument"),
             ("rademacher saturated.json --m x", "--m: must be an integer >= 0, got 'x'"),
+            ("rademacher saturated.json --m 17", "--m: must be at most 16, got '17'"),
+            ("uhc-audit saturated.json --depth 17", "--depth: must be at most 16, got '17'"),
+            ("solve mp_game.json --epsilon=-1", "--epsilon: must be >= 0, got '-1'"),
+            ("pennies --epsilon=-1/100", "--epsilon: must be >= 0, got '-1/100'"),
         ],
-        ids=["m", "alpha", "depth", "samples", "max-iters", "alpha-missing", "m-not-int"],
+        ids=[
+            "m", "alpha", "depth", "samples", "max-iters", "alpha-missing", "m-not-int",
+            "m-cap", "depth-cap", "solve-epsilon", "pennies-epsilon",
+        ],
     )
     def test_out_of_range_flag_is_an_input_error(self, capsys, argv, err):
         # were a TypeError or ValueError traceback, a silent run (exit 0) of
-        # a negative count, and argparse's usage exit 2
+        # a negative count, argparse's usage exit 2, an uncapped run whose
+        # work grows fourfold per two levels, and a negative epsilon that
+        # certified nothing (solve: converged false; pennies: a vacuous pass)
         argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv.split()]
         code = main(argv)
         captured = capsys.readouterr()
@@ -655,8 +671,10 @@ class TestFlagBounds:
             "uhc-audit saturated.json --depth 0",
             "convexify rich_F01.json --alpha 1",
             "purify mp_purify.json --samples 0",
+            "solve mp_game.json --epsilon 0",
+            "pennies --budget 1 --grid 4 --epsilon 0",
         ],
-        ids=["m", "depth", "alpha", "samples"],
+        ids=["m", "depth", "alpha", "samples", "solve-epsilon", "pennies-epsilon"],
     )
     def test_bounds_are_inclusive(self, capsys, argv):
         argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv.split()]
