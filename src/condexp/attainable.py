@@ -201,6 +201,13 @@ def block_set(F: FiniteIndexedCorrespondence, block_label: str) -> CondExpBlockS
     )
 
 
+def cached_block_set(F: FiniteIndexedCorrespondence, block_label: str) -> CondExpBlockSet:
+    """``block_set(F, block_label)``, built once and kept on F."""
+    if block_label not in F.block_sets:
+        F.block_sets[block_label] = block_set(F, block_label)
+    return F.block_sets[block_label]
+
+
 def cond_exp_set(F: FiniteIndexedCorrespondence) -> CondExpSet:
     regions = {}
     saturated = []
@@ -208,7 +215,7 @@ def cond_exp_set(F: FiniteIndexedCorrespondence) -> CondExpSet:
         if len(cells) == 1 and cells[0].kind is CellKind.SATURATED:
             saturated.append(cells[0].id)
         else:
-            regions[label] = block_set(F, label)
+            regions[label] = cached_block_set(F, label)
     return CondExpSet(F, regions, tuple(saturated))
 
 
@@ -252,7 +259,7 @@ def membership(
                 failures.append(BlockCertificate(label, "saturated", defect))
             continue
         value = _block_value(space, h, cells)
-        region = block_set(F, label)
+        region = cached_block_set(F, label)
         d2, nearest = region.distance(value)
         if d2 > _squared(tolerance):
             failures.append(
@@ -414,7 +421,7 @@ def _branch_mixture(F, rich_pieces, residual: Vec):
 
 def _mixed_block_blend(F, label, cells, value, alpha):
     point_cells = [c for c in cells if c.kind is CellKind.POINT_MASS]
-    region = block_set(F, label)
+    region = cached_block_set(F, label)
     d2, _nearest = region.distance(value)
     if d2 > 0:
         return AtomObstruction(

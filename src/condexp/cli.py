@@ -10,6 +10,7 @@ serialize with sorted keys, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .games import coarser_info_check
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NEGATIVE = 2
-MAX_LEVEL = 16  # rademacher --m and uhc-audit --depth: work grows fourfold per two levels
+MAX_LEVEL = 16  # caps rademacher/pennies --m and uhc-audit --depth, whose work grows fast
 
 
 def _read(path: str):
@@ -284,7 +285,9 @@ def cmd_pennies(args) -> int:
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing keeps no state in it."""
     parser = _Parser(
         prog="condexp",
         description="Conditional-expectation sets of correspondences and "
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit_equivalence)
 
     p = add_parser("pennies", help="triangular-prior matching-pennies lab")
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_level_arg, default=2)
     p.add_argument(
         "--variant",
         choices=list(pennies.VARIANTS),

@@ -8,7 +8,7 @@ pointwise convex hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Mapping, Sequence
 
@@ -23,6 +23,8 @@ from .rationals import vec_add, vec_scale, zero_vec
 class FiniteIndexedCorrespondence:
     space: MeasureSpaceModel
     branches: tuple[StepFunction, ...]
+    # block_set results by label, kept by attainable.cached_block_set on first use
+    block_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.branches:

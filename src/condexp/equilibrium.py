@@ -27,8 +27,10 @@ from .games import (
     block_totals,
     coarser_info_check,
     interim_forms,
+    moment_payoff,
     player_payoff,
     unit_plan,
+    walk_profile,
 )
 from .piecewise import argmax_segments, check_weights, integrate_envelope
 from .purification import purify_player, require_coarser
@@ -468,9 +470,9 @@ def purify_equilibrium(
             check_weights(f"mixtures[{i}][{b}]", w, len(game.players[i].actions))
     forms = report.forms
     if forms is None:
-        forms = [interim_forms(game, i, behavioral) for i in range(n)]
+        forms = walk_profile(game, behavioral)[1]
     pures = tuple(purify_player(game, i, behavioral, forms[i]) for i in range(n))
-    pure_forms = [interim_forms(game, i, pures) for i in range(n)]
+    pure_moments, pure_forms = walk_profile(game, pures)
     eps = verify_equilibrium(game, pures, pure_forms)
     # conditioning on coarser information keeps every block integral, so the
     # conditioned mixtures are the pure profile's block totals over the masses
@@ -478,12 +480,12 @@ def purify_equilibrium(
         t / mass == report.mixtures[i][b][a]
         for i in range(n)
         for b, (totals, mass) in enumerate(
-            zip(block_totals(game, i, pures[i]), info[i].block_masses)
+            zip(block_totals(game, i, pure_moments[i]), info[i].block_masses)
         )
         for a, t in enumerate(totals)
     )
     payoffs_ok = all(
-        player_payoff(game, i, pures[i], pures, forms=pure_forms[i])
+        moment_payoff(pure_moments[i], pure_forms[i])
         == player_payoff(game, i, behavioral[i], behavioral, forms=forms[i])
         for i in range(n)
     )

@@ -307,9 +307,13 @@ Strategy = MixedSelection | Selection
 
 def as_behavioral(spec: PlayerSpec, f: Strategy) -> MixedSelection:
     """``f`` checked against the player's cells and actions, as weights."""
-    m = len(spec.actions)
-    f.validate(spec.cells, m, "strategy")
-    return f.one_hot(spec.cells, m) if isinstance(f, Selection) else f
+    f.validate(spec.cells, len(spec.actions), "strategy")
+    return as_weights(spec, f)
+
+
+def as_weights(spec: PlayerSpec, f: Strategy) -> MixedSelection:
+    """An already checked ``f`` as weights: a pure strategy's one-hot mixture."""
+    return f.one_hot(spec.cells, len(spec.actions)) if isinstance(f, Selection) else f
 
 
 def uniform_strategy(spec: PlayerSpec) -> BehavioralStrategy:
@@ -399,19 +403,29 @@ def interim_affine(
 
 
 def interim_forms(
-    game: BayesianGame, i: int, profile: Sequence[Strategy]
+    game: BayesianGame, i: int, profile: Sequence[Strategy], moments=None
 ) -> list[list[tuple[Fraction, Fraction]]]:
     """The (A, B) form of every own unit and action: forms[own_unit][action].
 
     The forms depend only on the opponents' strategies, so one set serves
     every own strategy of player i against the same opposing profile.
+    ``moments[j]``, when given, is the ``strategy_moments`` of ``profile[j]``
+    (``moments[i]`` is not read): one walk per strategy serves every player.
     """
-    moments = _opponent_moments(game, i, profile)
+    if moments is None:
+        moments = _opponent_moments(game, i, profile)
     m = len(game.players[i].actions)
     return [
         [interim_affine(game, i, a, idx, profile, moments) for a in range(m)]
         for idx in range(len(game.units[i]))
     ]
+
+
+def walk_profile(game: BayesianGame, profile: Sequence[Strategy]):
+    """``(moments, forms)``: each strategy's ``strategy_moments`` (one check and
+    one walk each), and every player's ``interim_forms`` built from them."""
+    moments = [strategy_moments(game.players[i], game.units[i], s) for i, s in enumerate(profile)]
+    return moments, [interim_forms(game, i, profile, moments) for i in range(len(game.players))]
 
 
 def interim_payoff(
@@ -439,12 +453,17 @@ def player_payoff(
     """Ex-ante payoff of player i playing ``own`` against profile's others.
 
     Pass the ``interim_forms`` of player i against the profile to amortize
-    repeated evaluations against the same opposing strategies.  The payoff
-    sums ``A*W0 + B*W1`` over ``own``'s ``strategy_moments``.
+    repeated evaluations against the same opposing strategies.
     """
     moments = strategy_moments(game.players[i], game.units[i], own)
     if forms is None:
         forms = interim_forms(game, i, profile)
+    return moment_payoff(moments, forms)
+
+
+def moment_payoff(moments, forms) -> Fraction:
+    """Sum of ``A*W0 + B*W1`` over a strategy's ``strategy_moments`` and (A, B)
+    forms: a payoff against interim forms, a payoff gap against their difference."""
     total = ZERO
     for (w0, w1), unit_forms in zip(moments, forms):
         for W0, W1, (A, B) in zip(w0, w1, unit_forms):
@@ -559,24 +578,19 @@ def unit_plan(
     return plan
 
 
-def block_totals(game: BayesianGame, i: int, f: Strategy) -> list[list[Fraction]]:
+def block_totals(game: BayesianGame, i: int, moments) -> list[list[Fraction]]:
     """Per information block of player i and per action: the integral of
-    player i's strategy ``f`` over the block."""
-    part = game.info[i]
-    spec = game.players[i]
-    moments = strategy_moments(spec, game.units[i], f)
-    actions = range(len(spec.actions))
-    return [[sum((moments[u][0][a] for u in block), ZERO) for a in actions] for block in part.blocks]
+    a strategy of player i over the block, read from its ``strategy_moments``."""
+    actions = range(len(game.players[i].actions))
+    return [[sum((moments[u][0][a] for u in b), ZERO) for a in actions] for b in game.info[i].blocks]
 
 
 def g_conditional(game: BayesianGame, i: int, f: Strategy) -> BehavioralStrategy:
     """Condition a strategy on the player's derived information blocks."""
     fb = as_behavioral(game.players[i], f)
     part = game.info[i]
-    block_avg = [
-        tuple(t / mass for t in totals)
-        for totals, mass in zip(block_totals(game, i, fb), part.block_masses)
-    ]
+    totals = block_totals(game, i, strategy_moments(game.players[i], game.units[i], fb))
+    block_avg = [tuple(t / mass for t in row) for row, mass in zip(totals, part.block_masses)]
 
     def conditioned(idx, u, cell):
         if part.kinds[idx] == "saturated":

@@ -8,6 +8,14 @@ opponents react to a strategy only through its block conditional expectation,
 which the split preserves exactly, the purified profile is payoff equivalent
 against every deviation, distribution equivalent, and belief consistent, with
 all residuals exactly zero in rational arithmetic.
+
+A deviation h of player i pays sum(A*W0 + B*W1) over h's moments (W0, W1)
+and i's interim forms (A, B), so its payoff gap between profiles f and g is
+linear in h's moments, with the difference forms (A_f - A_g, B_f - B_g) as
+coefficients.  Under coarser information i's forms read each opponent only
+through the opponent's block totals (i's entries agree across the block and
+none is affine in the opponent's coordinate), which the split keeps; the
+difference forms vanish: every deviation, sampled or not, has a zero gap.
 """
 
 from __future__ import annotations
@@ -25,12 +33,13 @@ from .games import (
     PureStrategy,
     Strategy,
     as_behavioral,
+    as_weights,
     block_totals,
     coarser_info_check,
-    interim_forms,
-    player_payoff,
+    moment_payoff,
     strategy_moments,
     unit_plan,
+    walk_profile,
 )
 from .piecewise import merged_pieces, pack_pieces, split_pieces
 
@@ -114,18 +123,19 @@ def strong_purify(
 ) -> PurificationCertificate:
     """Purify a behavioral profile and certify the equivalences exactly."""
     require_coarser(game)
-    behavioral = [as_behavioral(game.players[i], f) for i, f in enumerate(profile)]
     n = len(game.players)
-    forms = [interim_forms(game, i, behavioral) for i in range(n)]
-    pures = tuple(purify_player(game, i, behavioral, forms[i]) for i in range(n))
+    walk_f = walk_profile(game, profile)
+    behavioral = [as_weights(game.players[i], f) for i, f in enumerate(profile)]
+    pures = tuple(purify_player(game, i, behavioral, walk_f[1][i]) for i in range(n))
+    walk_g = walk_profile(game, pures)
     rng = random.Random(seed)
     deviations = [
         [random_behavioral(game.players[i], rng) for _ in range(deviation_samples)]
         for i in range(n)
     ]
-    report = audit_equivalence(game, behavioral, pures, deviations, forms_f=forms)
+    report = audit_equivalence(game, behavioral, pures, deviations, walks=(walk_f, walk_g))
     block_identity = tuple(
-        block_totals(game, i, behavioral[i]) == block_totals(game, i, pures[i])
+        block_totals(game, i, walk_f[0][i]) == block_totals(game, i, walk_g[0][i])
         for i in range(n)
     )
     return PurificationCertificate(pures, report, block_identity)
@@ -136,54 +146,55 @@ def audit_equivalence(
     f: Sequence[Strategy],
     g: Sequence[Strategy],
     deviations: Sequence[Sequence[Strategy]] | None = None,
-    forms_f=None,
+    walks=None,
 ) -> EquivalenceReport:
     """Residuals for payoff, strong payoff, distribution, and belief clauses.
 
-    Each player's interim forms are computed once against f (unless passed
-    in as ``forms_f``) and once against g; the payoff residual and every
-    deviation sample reuse them.
+    f and g are walked once each (``walk_profile``, or ``walks`` from the
+    caller), and every residual reads those moments.  A deviation's strong
+    residual |sum((A_f - A_g)*W0 + (B_f - B_g)*W1)| is linear in its moments,
+    so each sample is walked once, against the difference forms; where those
+    are all zero, as after a split that keeps the block totals, every
+    residual is exactly 0 and the samples are checked but not walked.
     """
+    (mom_f, forms_f), (mom_g, forms_g) = walks or (walk_profile(game, f), walk_profile(game, g))
     n = len(game.players)
-    fb = [as_behavioral(game.players[i], s) for i, s in enumerate(f)]
-    gb = [as_behavioral(game.players[i], s) for i, s in enumerate(g)]
-    if forms_f is None:
-        forms_f = [interim_forms(game, i, fb) for i in range(n)]
-    forms_g = [interim_forms(game, i, gb) for i in range(n)]
     payoff_residuals = tuple(
-        abs(
-            player_payoff(game, i, fb[i], fb, forms=forms_f[i])
-            - player_payoff(game, i, gb[i], gb, forms=forms_g[i])
-        )
+        abs(moment_payoff(mom_f[i], forms_f[i]) - moment_payoff(mom_g[i], forms_g[i]))
         for i in range(n)
     )
 
-    def action_totals(i, s):
-        moments = strategy_moments(game.players[i], game.units[i], s)
+    def action_totals(moments):
         return [sum(col, ZERO) for col in zip(*(w0 for w0, _w1 in moments))]
 
     dist_defects = tuple(
-        tuple(abs(x - y) for x, y in zip(action_totals(i, fb[i]), action_totals(i, gb[i])))
+        tuple(abs(x - y) for x, y in zip(action_totals(mom_f[i]), action_totals(mom_g[i])))
         for i in range(n)
     )
     strong = []
-    for i in range(n):
+    for i, spec in enumerate(game.players):
         devs = deviations[i] if deviations else ()
-        strong.append(tuple(
-            abs(
-                player_payoff(game, i, h, fb, forms=forms_f[i])
-                - player_payoff(game, i, h, gb, forms=forms_g[i])
-            )
-            for h in devs
-        ))
+        diff = [
+            [(Af - Ag, Bf - Bg) for (Af, Bf), (Ag, Bg) in zip(unit_f, unit_g)]
+            for unit_f, unit_g in zip(forms_f[i], forms_g[i])
+        ]
+        if any(A or B for unit in diff for A, B in unit):
+            strong.append(tuple(
+                abs(moment_payoff(strategy_moments(spec, game.units[i], h), diff)) for h in devs
+            ))
+        else:
+            for h in devs:
+                as_behavioral(spec, h)  # checked, not walked: every gap is 0
+            strong.append((ZERO,) * len(devs))
     violation_mass = []
     violations: list[BeliefViolation] = []
     for i, spec in enumerate(game.players):
         strategy = g[i]
         total = ZERO
         if isinstance(strategy, PureStrategy):
+            fb = as_weights(spec, f[i])
             for cell in spec.cells:
-                for lo, hi, (w, a) in merged_pieces(fb[i].pieces(cell), strategy.pieces(cell)):
+                for lo, hi, (w, a) in merged_pieces(fb.pieces(cell), strategy.pieces(cell)):
                     if w[a] == 0:
                         total += cell.mass * (hi - lo)
                         violations.append(BeliefViolation(i, cell.id, lo, hi, a))

@@ -193,3 +193,47 @@ def reference_simplex_min(cost, A, b):
             x[basis[i]] = tableau[i][-1]
     value = sum(cost[j] * x[j] for j in range(n))
     return value, tuple(x)
+
+
+# -- reference audit --------------------------------------------------------------
+#
+# The equivalence audit's residuals with every payoff taken on its own, kept
+# as the oracle for ``purification.audit_equivalence``: there each profile is
+# walked once and a deviation's strong residual is read against the
+# difference of the two profiles' interim forms.  Here each payoff is a
+# separate ``player_payoff`` call with forms built afresh from the profile.
+
+
+def reference_residuals(game, f, g, deviations):
+    """(payoff residuals, distribution defects, strong residuals) of f and g."""
+    from condexp.games import interim_forms, player_payoff, strategy_moments
+
+    n = len(game.players)
+    forms_f = [interim_forms(game, i, f) for i in range(n)]
+    forms_g = [interim_forms(game, i, g) for i in range(n)]
+
+    def totals(i, s):
+        moments = strategy_moments(game.players[i], game.units[i], s)
+        return [sum((w0[a] for w0, _w1 in moments), F(0)) for a in range(len(moments[0][0]))]
+
+    payoff = tuple(
+        abs(
+            player_payoff(game, i, f[i], f, forms=forms_f[i])
+            - player_payoff(game, i, g[i], g, forms=forms_g[i])
+        )
+        for i in range(n)
+    )
+    defects = tuple(
+        tuple(abs(x - y) for x, y in zip(totals(i, f[i]), totals(i, g[i]))) for i in range(n)
+    )
+    strong = tuple(
+        tuple(
+            abs(
+                player_payoff(game, i, h, f, forms=forms_f[i])
+                - player_payoff(game, i, h, g, forms=forms_g[i])
+            )
+            for h in deviations[i]
+        )
+        for i in range(n)
+    )
+    return payoff, defects, strong

@@ -447,6 +447,48 @@ class TestCondExpSetAssembly:
         assert ces.saturated_cells == ("D",)
 
 
+class TestBlockSetCache:
+    @staticmethod
+    def count_block_set(monkeypatch):
+        import condexp.attainable as attainable
+
+        original = attainable.block_set
+        labels = []
+
+        def counted(F, label):
+            labels.append(label)
+            return original(F, label)
+
+        monkeypatch.setattr(attainable, "block_set", counted)
+        return labels
+
+    def test_membership_after_cond_exp_set_builds_each_block_once(self, monkeypatch):
+        # the condexp-set subcommand: the regions, then membership of h
+        labels = self.count_block_set(monkeypatch)
+        sp = space(
+            rich_cell("r", F(1, 2), block="g"),
+            point_cell("p", F(1, 4), block="g"),
+            rich_cell("s", F(1, 8), block="h"),
+            saturated_cell("D", F(1, 8)),
+        )
+        Fc = binary_F(sp)
+        ces = cond_exp_set(Fc)
+        h = step(sp, {"r": F(1, 2), "p": F(1, 2), "s": F(1, 3), "D": F(0)})
+        assert membership(Fc, h).member
+        assert sorted(labels) == sorted(ces.regions) == ["g", "h"]
+        assert membership(Fc, h) == membership(binary_F(sp), h)
+        assert sorted(labels) == ["g", "g", "h", "h"]  # a new correspondence builds its own
+
+    def test_cli_membership_builds_each_block_once(self, monkeypatch, capsys):
+        labels = self.count_block_set(monkeypatch)
+        from condexp.cli import main
+
+        fixtures = Path(__file__).parent / "fixtures"
+        assert main(["condexp-set", str(fixtures / "mixed_block.json")]) == 0
+        assert '"member": true' in capsys.readouterr().out
+        assert labels == ["g"]
+
+
 class TestHighDimension:
     def test_membership_and_support_beyond_vertex_dimension(self):
         # in dimension 4 only LP membership and support queries are offered

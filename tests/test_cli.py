@@ -640,10 +640,11 @@ class TestFlagBounds:
             ("uhc-audit saturated.json --depth 17", "--depth: must be at most 16, got '17'"),
             ("solve mp_game.json --epsilon=-1", "--epsilon: must be >= 0, got '-1'"),
             ("pennies --epsilon=-1/100", "--epsilon: must be >= 0, got '-1/100'"),
+            ("pennies --m 17", "--m: must be at most 16, got '17'"),
         ],
         ids=[
             "m", "alpha", "depth", "samples", "max-iters", "alpha-missing", "m-not-int",
-            "m-cap", "depth-cap", "solve-epsilon", "pennies-epsilon",
+            "m-cap", "depth-cap", "solve-epsilon", "pennies-epsilon", "pennies-m-cap",
         ],
     )
     def test_out_of_range_flag_is_an_input_error(self, capsys, argv, err):
@@ -680,6 +681,51 @@ class TestFlagBounds:
         argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv.split()]
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; a run of calls on it
+    must match calls that each get a fresh parser, byte for byte."""
+
+    @staticmethod
+    def calls(tmp_path):
+        out = tmp_path / "report.json"
+        fixtures = {a: str(FIXTURES / a) for a in ("mp_purify.json", "rich_F01.json")}
+        return [
+            ["purify", fixtures["mp_purify.json"], "--samples", "3", "--seed", "5"],
+            ["purify", fixtures["mp_purify.json"], "--samples", "3"],  # --seed back to 0
+            ["condexp-set", fixtures["rich_F01.json"], "--mode", "float", "--out", str(out)],
+            ["convexify", fixtures["rich_F01.json"], "--alpha"],  # usage error
+            ["condexp-set", fixtures["rich_F01.json"]],  # rational mode, stdout
+            ["pennies", "--m", "17"],
+            ["pennies", "--budget", "3", "--grid", "16", "--seed", "1"],  # sampled
+            ["pennies", "--budget", "3", "--grid", "16"],  # --seed back to 0
+            ["bogus"],
+        ]
+
+    @staticmethod
+    def outcome(capsys, tmp_path, argv):
+        out = tmp_path / "report.json"
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        return code, captured.out, captured.err, written
+
+    def test_calls_in_a_row_match_fresh_parsers(self, capsys, tmp_path):
+        from condexp.cli import build_parser
+
+        fresh = []
+        for argv in self.calls(tmp_path):
+            build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, tmp_path, argv))
+        build_parser.cache_clear()
+        in_a_row = [self.outcome(capsys, tmp_path, argv) for argv in self.calls(tmp_path)]
+        assert in_a_row == fresh
+        assert [code for code, *_ in fresh] == [0, 0, 0, 1, 0, 1, 0, 0, 1]
+        assert fresh[6][1] != fresh[7][1]  # the seed reached the sample
+        assert fresh[2][1] == "" and fresh[2][3] == fresh[4][1]
+        assert build_parser() is build_parser()
 
 
 class TestSubprocessDeterminism:

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condexp import games, purification
 from condexp.equilibrium import purify_equilibrium, solve_behavioral
@@ -18,6 +20,7 @@ from condexp.purification import (
 )
 
 from game_factories import flip_first_piece, random_coarser_game, random_profile
+from helpers import reference_residuals
 from test_games import pure, saturated_q_game
 
 F = Fraction
@@ -129,6 +132,49 @@ class TestInterimFormReuse:
         assert len(cert.report.strong_residuals[0]) == 16
         assert 0 < len(calls) <= 2 * 2 * 4
 
+    @staticmethod
+    def count_strategy_moments(monkeypatch):
+        original = games.strategy_moments
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "condexp" or name.startswith("condexp."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize("n_players", [2, 3])
+    def test_strong_purify_walks_each_profile_once(self, monkeypatch, n_players):
+        # the split keeps every block total, so the difference forms vanish
+        # and the 16 deviations per player are checked but never walked
+        calls = self.count_strategy_moments(monkeypatch)
+        rng = random.Random(5)
+        game = random_coarser_game(rng, n_players)
+        profile = random_profile(rng, game)
+        cert = strong_purify(game, profile, deviation_samples=16)
+        assert cert.report.all_zero and all(cert.block_identity)
+        assert [len(row) for row in cert.report.strong_residuals] == [16] * n_players
+        assert 0 < len(calls) <= 2 * n_players
+
+    def test_nonzero_difference_forms_walk_each_deviation_once(self, monkeypatch):
+        rng = random.Random(7)
+        game = matching_pennies_game(2)
+        f = [uniform_strategy(spec) for spec in game.players]
+        g = (f[0], pure(game, 1, 0))
+        deviations = [[random_behavioral(s, rng) for _ in range(5)] for s in game.players]
+        calls = self.count_strategy_moments(monkeypatch)
+        report = audit_equivalence(game, f, g, deviations)
+        # player 0 sees player 1 move; player 1 sees the same player 0
+        assert any(report.strong_residuals[0])
+        assert report.strong_residuals[1] == (F(0),) * 5
+        assert len(calls) == 2 * 2 + 5
+        assert calls[4:] == deviations[0]
+
     def test_purify_equilibrium_builds_two_form_sets(self, monkeypatch):
         # across solve and purify: one set per player against the solved
         # profile (verification, split and payoff check, handed over in the
@@ -186,6 +232,40 @@ class TestAuditEquivalence:
         report = audit_equivalence(game, profile_f, profile_g)
         assert report.belief_violation_mass[0] == F(1, 4)
         assert report.belief_violations[0].action == 1
+
+
+class TestAuditOracle:
+    """The audit against the per-deviation oracle in ``helpers``: each
+    payoff a separate ``player_payoff`` call with forms built afresh."""
+
+    @staticmethod
+    def residuals(report):
+        return report.payoff_residuals, report.distribution_defects, report.strong_residuals
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([2, 3]),
+        st.booleans(),
+        st.integers(0, 5),
+    )
+    def test_matches_per_deviation_oracle(self, seed, n_players, own_affine, samples):
+        rng = random.Random(seed)
+        game = random_coarser_game(rng, n_players, own_affine=own_affine, max_units=2)
+        f = random_profile(rng, game)
+        # g purified: zero difference forms, residuals 0 without a walk
+        cert = strong_purify(game, f, deviation_samples=samples, seed=seed)
+        draws = random.Random(seed)
+        deviations = [
+            [random_behavioral(spec, draws) for _ in range(samples)] for spec in game.players
+        ]
+        oracle = reference_residuals(game, f, cert.profile, deviations)
+        assert self.residuals(cert.report) == oracle
+        assert self.residuals(audit_equivalence(game, f, cert.profile, deviations)) == oracle
+        # g unrelated: nonzero difference forms, one walk per deviation
+        g = random_profile(rng, game)
+        report = audit_equivalence(game, f, g, deviations)
+        assert self.residuals(report) == reference_residuals(game, f, g, deviations)
 
 
 class TestPermutationEquivariance:

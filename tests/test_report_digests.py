@@ -65,6 +65,31 @@ def audit_violations():
     return doc
 
 
+def audit_residuals():
+    # g keeps player 0's block totals but moves player 1's, so player 0's
+    # deviations see different opponents under f and under g: nonzero strong
+    # residuals for player 0 and zero ones for player 1
+    doc = fixture("mp_audit.json")
+    doc["g"][0] = {
+        "type": "pure",
+        "plan": {"t1": [{"upto": "1/2", "action": 0}, {"upto": "1", "action": 1}]},
+    }
+    doc["g"][1] = {
+        "type": "pure",
+        "plan": {"t2": [{"upto": "1/4", "action": 0}, {"upto": "1", "action": 1}]},
+    }
+    piecewise = {
+        "type": "behavioral",
+        "plan": {"t1": [{"upto": "1/3", "w": ["1", "0"]}, {"upto": "1", "w": ["1/2", "1/2"]}]},
+    }
+    late = {
+        "type": "pure",
+        "plan": {"t1": [{"upto": "3/4", "action": 1}, {"upto": "1", "action": 0}]},
+    }
+    doc["deviations"] = [[piecewise, late, doc["f"][0]], [doc["f"][1], doc["g"][1]]]
+    return doc
+
+
 # id -> (argv, builder of the document written as doc.json or None)
 CASES = {
     "g-atom": ("g-atom saturated.json", None),
@@ -88,6 +113,7 @@ CASES = {
     "purify-obstruction": ("purify saturated_game.json", None),
     "audit-equivalence": ("audit-equivalence mp_audit.json", None),
     "audit-equivalence-violations": ("audit-equivalence doc.json", audit_violations),
+    "audit-equivalence-residuals": ("audit-equivalence doc.json", audit_residuals),
     "pennies": ("pennies --m 2 --budget 1 --grid 4", None),
     "pennies-m3": ("pennies --m 3 --variant independent-types --budget 1 --grid 3", None),
     "pennies-fail": ("pennies --m 2 --budget 1 --grid 4 --epsilon 1", None),
@@ -117,6 +143,8 @@ DIGESTS = {
     "purify-obstruction": (2, "9c8fd1bca49983d36dbe90afcab03ffc27422e63d4415f36ccac3c08f1576ab0"),
     "audit-equivalence": (0, "375a1fdde73bc1a89d3dcefbfec20c72be8fcb704e081867b2aeb72ea7c4b4dd"),
     "audit-equivalence-violations": (2, "c9baede4da6fbfed6d98f9e0990bdd7ddcfdecfd581eb7491550040799fde892"),
+    # recorded before the audit took strong residuals against difference forms
+    "audit-equivalence-residuals": (2, "b85aa161c77f426bf0467571572dc7481a46ecfe1e32363c9594735353adce36"),
     "pennies": (0, "66d2b8e7c89aab1114e4e0b2eb9d9e1f278de9df1903828ca9ed7cb44e57928b"),
     "pennies-m3": (0, "f0d8fa268b4f340e7e8a312c80813f2b401538172b2a45c54125ed332c60d2d4"),
     "pennies-fail": (2, "1b59a045c6a81f9a834613243ac406c14024a7c328ce5bdb00d59da5e0202e7e"),
