@@ -27,11 +27,13 @@ MAX_LEVEL = 16  # caps rademacher/pennies --m and uhc-audit --depth, whose work 
 
 def _read(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(path, "file not found")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, or no permission
+        raise SchemaError(path, f"cannot read: {exc.strerror}")
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
         raise SchemaError(path, f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected a JSON object")
@@ -49,7 +51,7 @@ def _emit(report: dict, out: str | None) -> None:
 
 def _frac_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return serialize.parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 

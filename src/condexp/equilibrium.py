@@ -28,6 +28,7 @@ from .games import (
     coarser_info_check,
     interim_forms,
     moment_payoff,
+    over_one_denominator,
     player_payoff,
     unit_plan,
     walk_profile,
@@ -61,11 +62,11 @@ class EquilibriumReport:
     method: str
     value: Fraction | None
     coarser: tuple[bool, ...]
-    # forms[i]: player i's interim_forms against ``profile``, as verified, set
-    # by solve_behavioral only; None on a hand-built report and on a copy made
-    # by dataclasses.replace, for which purify_equilibrium builds them afresh
-    # (repr=False keeps them out of the CLI report, see serialize.dump_report)
-    forms: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    # walk: ``walk_profile(game, profile)`` as verified, set by
+    # solve_behavioral only; None on a hand-built report and on a copy made
+    # by dataclasses.replace, for which purify_equilibrium walks afresh
+    # (repr=False keeps it out of the CLI report, see serialize.dump_report)
+    walk: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 class AgentForm:
@@ -76,23 +77,39 @@ class AgentForm:
         info = game.info
         n = len(game.players)
         self.others = [[j for j in range(n) if j != i] for i in range(n)]
-        # coeff[i][(b, x_i)][(opp_blocks, opp_actions)] -> Fraction
-        self.coeff: list[dict] = [dict() for _ in range(n)]
+        # coeff[i][(b, x_i)][(opp_blocks, opp_actions)] -> Fraction, summed in
+        # integers: per unit tuple, M = (its mass, then its mass times the
+        # midpoint of each player's unit) over one denominator L, against
+        # player i's table entries over theirs
+        keys = list(game.unit_tuples())
+        weights = []
+        for key in keys:
+            units = game.tuple_units(key)
+            mass = math.prod(u.mass for u in units)
+            weights.append([mass] + [mass * u.mid for u in units])
+        L, scaled = over_one_denominator(weights)
+        self.coeff: list[dict] = []
         for i in range(n):
             others = self.others[i]
+            den, table = game.weighted[i]
+            own_blocks = [info[i].block_of_unit[key[i]] for key in keys]
+            opp_blocks = [tuple(info[j].block_of_unit[key[j]] for j in others) for key in keys]
+            sums: dict = {}
             for x in game.action_profiles():
-                for key in game.unit_tuples():
-                    units = game.tuple_units(key)
-                    mass = math.prod(u.mass for u in units)
-                    val = mass * game.weighted[i][x][key].average(units)
+                opp_actions = tuple(x[j] for j in others)
+                entries = table[x]
+                for key, M, b, ob in zip(keys, scaled, own_blocks, opp_blocks):
+                    c, s, coord = entries[key]
+                    val = c * M[0] + s * M[1 + coord] if s else c * M[0]
                     if val == 0:
                         continue
-                    b = info[i].block_of_unit[key[i]]
-                    opp_blocks = tuple(info[j].block_of_unit[key[j]] for j in others)
-                    opp_actions = tuple(x[j] for j in others)
-                    slot = self.coeff[i].setdefault((b, x[i]), {})
-                    opp = (opp_blocks, opp_actions)
-                    slot[opp] = slot.get(opp, ZERO) + val
+                    slot = sums.setdefault((b, x[i]), {})
+                    opp = (ob, opp_actions)
+                    slot[opp] = slot.get(opp, 0) + val
+            D = den * L
+            self.coeff.append(
+                {k: {opp: Fraction(v, D) for opp, v in slot.items()} for k, slot in sums.items()}
+            )
         # the float lane of the best-response iteration, converted once:
         # terms[i][(b, x_i)] = [(float(c), ((j, b_j, x_j) per opponent)), ...]
         # in coeff's order
@@ -141,22 +158,21 @@ def mixtures_to_profile(game: BayesianGame, mixtures) -> tuple[BehavioralStrateg
 
 
 def verify_equilibrium(
-    game: BayesianGame, profile: Sequence[Strategy], forms=None
+    game: BayesianGame, profile: Sequence[Strategy], walk=None
 ) -> tuple[Fraction, ...]:
     """Exact per-player gain of the best pure deviation over the played profile.
 
-    ``forms[i]``, when given, are player i's ``interim_forms`` against the
-    profile.
+    ``walk``, when given, is ``walk_profile(game, profile)``: the played
+    payoffs read its moments and the envelopes its forms.
     """
-    n = len(game.players)
+    moments, forms = walk or walk_profile(game, profile)
     eps = []
-    for i in range(n):
-        player_forms = forms[i] if forms is not None else interim_forms(game, i, profile)
+    for i, (player_moments, player_forms) in enumerate(zip(moments, forms)):
         best = ZERO
         for unit, unit_forms in zip(game.units[i], player_forms):
             cell = game.players[i].cells[unit.cell_index]
             best += cell.mass * integrate_envelope(unit_forms, unit.lo, unit.hi)
-        eps.append(best - player_payoff(game, i, profile[i], profile, forms=player_forms))
+        eps.append(best - moment_payoff(player_moments, player_forms))
     return tuple(eps)
 
 
@@ -406,12 +422,12 @@ def solve_behavioral(game: BayesianGame, options: SolveOptions | None = None) ->
         mixtures, iterations = _solve_enum(agent_form, options)
     else:
         mixtures, iterations = _solve_br(agent_form, options)
-    profile, forms, eps = _verified(game, mixtures)
+    profile, walk, eps = _verified(game, mixtures)
     if max(eps) > options.epsilon and method == "br" and len(game.players) == 2:
         mixtures2, extra = _solve_enum(agent_form, options)
-        profile2, forms2, eps2 = _verified(game, mixtures2)
+        profile2, walk2, eps2 = _verified(game, mixtures2)
         if max(eps2) < max(eps):
-            mixtures, profile, eps, forms = mixtures2, profile2, eps2, forms2
+            mixtures, profile, eps, walk = mixtures2, profile2, eps2, walk2
             method = "enum"
         iterations += extra
     report = EquilibriumReport(
@@ -424,15 +440,15 @@ def solve_behavioral(game: BayesianGame, options: SolveOptions | None = None) ->
         value=value,
         coarser=coarser,
     )
-    object.__setattr__(report, "forms", forms)
+    object.__setattr__(report, "walk", walk)
     return report
 
 
 def _verified(game: BayesianGame, mixtures):
-    """The profile of block mixtures, its interim forms, and its verified gains."""
+    """The profile of block mixtures, its ``walk_profile``, and its verified gains."""
     profile = mixtures_to_profile(game, mixtures)
-    forms = tuple(interim_forms(game, i, profile) for i in range(len(game.players)))
-    return profile, forms, verify_equilibrium(game, profile, forms)
+    walk = walk_profile(game, profile)
+    return profile, walk, verify_equilibrium(game, profile, walk)
 
 
 # -- purification of solved equilibria ---------------------------------------
@@ -468,12 +484,11 @@ def purify_equilibrium(
             raise SchemaError(f"mixtures[{i}]", f"expected {len(info[i].blocks)} blocks")
         for b, w in enumerate(rows):
             check_weights(f"mixtures[{i}][{b}]", w, len(game.players[i].actions))
-    forms = report.forms
-    if forms is None:
-        forms = walk_profile(game, behavioral)[1]
+    moments, forms = report.walk or walk_profile(game, behavioral)
     pures = tuple(purify_player(game, i, behavioral, forms[i]) for i in range(n))
-    pure_moments, pure_forms = walk_profile(game, pures)
-    eps = verify_equilibrium(game, pures, pure_forms)
+    pure_walk = walk_profile(game, pures)
+    pure_moments, pure_forms = pure_walk
+    eps = verify_equilibrium(game, pures, pure_walk)
     # conditioning on coarser information keeps every block integral, so the
     # conditioned mixtures are the pure profile's block totals over the masses
     mixtures_ok = all(
@@ -485,8 +500,7 @@ def purify_equilibrium(
         for a, t in enumerate(totals)
     )
     payoffs_ok = all(
-        moment_payoff(pure_moments[i], pure_forms[i])
-        == player_payoff(game, i, behavioral[i], behavioral, forms=forms[i])
+        moment_payoff(pure_moments[i], pure_forms[i]) == moment_payoff(moments[i], forms[i])
         for i in range(n)
     )
     return PurifiedEquilibrium(

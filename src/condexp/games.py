@@ -8,10 +8,18 @@ player's inner coordinate (with slope folded against the other factor, so
 density-weighted payoffs stay affine and every integral below is exact
 rational arithmetic).
 
+The density-weighted payoffs are compiled once per game, as
+``BayesianGame.weighted``: each player's entries are integer (const, slope,
+coord) triples over one positive denominator, built from integer numerators
+without a Fraction per entry.  Interim forms sum integers over that
+denominator times the opponents' moment denominators and become Fractions
+once per form, and the agent form sums its coefficients the same way.
+
 The inter-player information of player i is derived, never declared: units of
 i are grouped by the full profile of opponents' density-weighted payoffs, and
 a unit is saturated when some opponent-relevant entry is affine in i's own
-coordinate.  The game derives it once, as ``BayesianGame.info``.
+coordinate.  The game derives it once, as ``BayesianGame.info``, from the
+integer tables, where equal payoffs are equal integers.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .correspondences import MixedSelection, Selection
 from .errors import SchemaError
@@ -130,18 +138,27 @@ class Entry:
         return self.const + self.slope * units[self.coord].mid
 
 
-def entry_product(u: Entry, q: Entry) -> Entry:
-    if u.slope != 0 and q.slope != 0:
-        raise SchemaError("entry", "product of two affine entries is not representable")
-    const = u.const * q.const
-    if u.slope != 0:
-        return Entry(const, u.slope * q.const, u.coord)
-    if q.slope != 0:
-        return Entry(const, q.slope * u.const, q.coord)
-    return Entry(const)
-
-
 EntryTable = Mapping[tuple[int, ...], Entry]
+
+
+class WeightedTable(NamedTuple):
+    """One player's density-weighted payoffs over one positive denominator.
+
+    ``entries[x][key] = (c, s, coord)`` stands for ``(c + s*t)/den``, t the
+    inner coordinate of player ``coord`` (None exactly when s == 0), so
+    equal rationals are equal integers.
+    """
+
+    den: int
+    entries: Mapping[tuple[int, ...], Mapping[tuple[int, ...], tuple[int, int, int | None]]]
+
+
+def over_one_denominator(rows: Iterable[Iterable[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(D, rows * D)``: rows of rationals as integers over their least
+    common denominator D."""
+    rows = [list(row) for row in rows]
+    D = math.lcm(*(v.denominator for row in rows for v in row))
+    return D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -256,20 +273,35 @@ class BayesianGame:
         return a_total, b_total
 
     @functools.cached_property
-    def weighted(self) -> tuple[Mapping[tuple[int, ...], EntryTable], ...]:
-        """Density-weighted payoffs: weighted[i][x][key] = payoff * density.
+    def weighted(self) -> tuple[WeightedTable, ...]:
+        """Density-weighted payoffs, payoffs[i][x][key] * density[key], per player.
 
-        Compiled on first use and cached on the game, so ``payoffs`` and
-        ``density`` must not be mutated after construction.
+        Player i's payoffs and the density are each scaled to integers over
+        their least common denominator, and the products of those numerators
+        are the entries over their product (the tables never hold an affine
+        payoff on an affine density).  Compiled on first use and cached on
+        the game, so ``payoffs`` and ``density`` must not be mutated after
+        construction.
         """
         keys = list(self.unit_tuples())
-        return tuple(
-            {
-                x: {key: entry_product(table[x][key], self.density[key]) for key in keys}
-                for x in self.action_profiles()
-            }
-            for table in self.payoffs
-        )
+        profiles = list(self.action_profiles())
+        density = [self.density[key] for key in keys]
+        q_den, q_rows = over_one_denominator((e.const, e.slope) for e in density)
+        tables = []
+        for payoff in self.payoffs:
+            flat = [payoff[x][key] for x in profiles for key in keys]
+            u_den, u_rows = over_one_denominator((e.const, e.slope) for e in flat)
+            it = zip(flat, u_rows)
+            entries = {}
+            for x in profiles:
+                row = {}
+                for key, q, (qc, qs) in zip(keys, density, q_rows):
+                    u, (uc, us) = next(it)
+                    s, coord = (us * qc, u.coord) if us else (qs * uc, q.coord)
+                    row[key] = (uc * qc, s, coord if s else None)
+                entries[x] = row
+            tables.append(WeightedTable(u_den * q_den, entries))
+        return tuple(tables)
 
     @functools.cached_property
     def info(self) -> tuple[InfoPartition, ...]:
@@ -348,12 +380,19 @@ def strategy_moments(spec: PlayerSpec, units: Sequence[Unit], f: Strategy):
 # -- interim and expected payoffs --------------------------------------------
 
 
+def scaled_moments(moments) -> tuple[int, list[tuple[list[int], list[int]]]]:
+    """``(D, rows)``: a strategy's ``strategy_moments`` as integers over one
+    positive denominator D, rows[unit] = (W0 * D, W1 * D)."""
+    D, rows = over_one_denominator(w for w0_w1 in moments for w in w0_w1)
+    return D, list(zip(rows[0::2], rows[1::2]))
+
+
 def _opponent_moments(game: BayesianGame, i: int, profile: Sequence[Strategy]):
-    moments = {}
-    for j in range(len(game.players)):
-        if j != i:
-            moments[j] = strategy_moments(game.players[j], game.units[j], profile[j])
-    return moments
+    return {
+        j: scaled_moments(strategy_moments(game.players[j], game.units[j], profile[j]))
+        for j in range(len(game.players))
+        if j != i
+    }
 
 
 def interim_affine(
@@ -364,42 +403,45 @@ def interim_affine(
     profile: Sequence[Strategy],
     moments=None,
 ):
-    """Coefficients (A, B) of the interim payoff A + B*t on one own unit."""
-    n = len(game.players)
-    others = [j for j in range(n) if j != i]
+    """Coefficients (A, B) of the interim payoff A + B*t on one own unit.
+
+    ``moments[j]``, when given, is opponent j's ``scaled_moments``.  The sum
+    runs in integers over player i's table denominator times the opponents'
+    moment denominators, and becomes two Fractions at the end.
+    """
+    others = [j for j in range(len(game.players)) if j != i]
     if moments is None:
         moments = _opponent_moments(game, i, profile)
-    weighted = game.weighted[i]
-    A = B = ZERO
+    den, table = game.weighted[i]
+    rows = [moments[j][1] for j in others]
+    A = B = 0
     action_ranges = [range(len(game.players[j].actions)) for j in others]
     unit_ranges = [range(len(game.units[j])) for j in others]
     for x_rest in itertools.product(*action_ranges):
-        table = weighted[_splice(i, action, x_rest)]
+        entries = table[_splice(i, action, x_rest)]
         for mu in itertools.product(*unit_ranges):
-            e = table[_splice(i, own_unit, mu)]
-            P0 = ONE
-            for j, k, a in zip(others, mu, x_rest):
-                P0 *= moments[j][k][0][a]
-                if P0 == 0:
-                    break
-            if P0 == 0:
+            c, s, coord = entries[_splice(i, own_unit, mu)]
+            if not (c or s):
                 continue
-            if e.slope == 0:
-                A += e.const * P0
-            elif e.coord == i:
-                A += e.const * P0
-                B += e.slope * P0
-            else:
-                j0 = e.coord
-                partial = ONE
-                w1 = ZERO
-                for j, k, a in zip(others, mu, x_rest):
-                    if j == j0:
-                        w1 = moments[j][k][1][a]
-                    else:
-                        partial *= moments[j][k][0][a]
-                A += e.const * P0 + e.slope * w1 * partial
-    return A, B
+            P0 = 1
+            for row, k, a in zip(rows, mu, x_rest):
+                P0 *= row[k][0][a]
+                if not P0:
+                    break
+            if not P0:
+                continue
+            A += c * P0
+            if not s:
+                continue
+            if coord == i:
+                B += s * P0
+            else:  # the opponent's coordinate: its W1 in place of its W0
+                partial = 1
+                for j, row, k, a in zip(others, rows, mu, x_rest):
+                    partial *= row[k][1 if j == coord else 0][a]
+                A += s * partial
+    D = den * math.prod(moments[j][0] for j in others)
+    return Fraction(A, D), Fraction(B, D)
 
 
 def interim_forms(
@@ -411,12 +453,15 @@ def interim_forms(
     every own strategy of player i against the same opposing profile.
     ``moments[j]``, when given, is the ``strategy_moments`` of ``profile[j]``
     (``moments[i]`` is not read): one walk per strategy serves every player.
+    Each opponent's moments are scaled to integers once per call.
     """
     if moments is None:
-        moments = _opponent_moments(game, i, profile)
+        scaled = _opponent_moments(game, i, profile)
+    else:
+        scaled = {j: scaled_moments(moments[j]) for j in range(len(game.players)) if j != i}
     m = len(game.players[i].actions)
     return [
-        [interim_affine(game, i, a, idx, profile, moments) for a in range(m)]
+        [interim_affine(game, i, a, idx, profile, scaled) for a in range(m)]
         for idx in range(len(game.units[i]))
     ]
 
@@ -505,23 +550,24 @@ def derive_interplayer_info(game: BayesianGame) -> tuple[InfoPartition, ...]:
     block exactly when every opponent entry agrees on them as tagged values.
     """
     n = len(game.players)
+    profiles = list(game.action_profiles())
     partitions = []
     for i in range(n):
         others = [j for j in range(n) if j != i]
         rests = list(itertools.product(*[range(len(game.units[j])) for j in others]))
+        tables = [game.weighted[j].entries for j in others]
         blocks: list[list[int]] = []
         block_of: list[int] = []
         kinds: list[str] = []
         sig_index: dict[tuple, int] = {}
         for own_idx in range(len(game.units[i])):
-            # an entry's position in the signature carries its (j, x, mu)
+            # an entry's position in the signature carries its (j, x, mu); all
+            # of player j's entries share one denominator, so equal rationals
+            # are equal integer triples
             sig = tuple(
-                game.weighted[j][x][_splice(i, own_idx, mu)]
-                for j in others
-                for x in game.action_profiles()
-                for mu in rests
+                table[x][_splice(i, own_idx, mu)] for table in tables for x in profiles for mu in rests
             )
-            saturated = any(e.coord == i for e in sig)  # constant entries name no coord
+            saturated = any(coord == i for _c, _s, coord in sig)  # constant entries name no coord
             b = len(blocks) if saturated else sig_index.setdefault(sig, len(blocks))
             if b == len(blocks):
                 blocks.append([])

@@ -15,11 +15,13 @@ linear in h's moments, with the difference forms (A_f - A_g, B_f - B_g) as
 coefficients.  Under coarser information i's forms read each opponent only
 through the opponent's block totals (i's entries agree across the block and
 none is affine in the opponent's coordinate), which the split keeps; the
-difference forms vanish: every deviation, sampled or not, has a zero gap.
+difference forms vanish: every deviation, sampled or not, has a zero gap, so
+``strong_purify`` draws its samples only when some difference form is not 0.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,12 +130,20 @@ def strong_purify(
     behavioral = [as_weights(game.players[i], f) for i, f in enumerate(profile)]
     pures = tuple(purify_player(game, i, behavioral, walk_f[1][i]) for i in range(n))
     walk_g = walk_profile(game, pures)
-    rng = random.Random(seed)
-    deviations = [
-        [random_behavioral(game.players[i], rng) for _ in range(deviation_samples)]
-        for i in range(n)
-    ]
-    report = audit_equivalence(game, behavioral, pures, deviations, walks=(walk_f, walk_g))
+    if walk_f[1] == walk_g[1]:
+        # every difference form is zero, so is every gap, sampled or not: the
+        # samples would be drawn only to be skipped
+        report = dataclasses.replace(
+            audit_equivalence(game, behavioral, pures, walks=(walk_f, walk_g)),
+            strong_residuals=((ZERO,) * deviation_samples,) * n,
+        )
+    else:
+        rng = random.Random(seed)
+        deviations = [
+            [random_behavioral(game.players[i], rng) for _ in range(deviation_samples)]
+            for i in range(n)
+        ]
+        report = audit_equivalence(game, behavioral, pures, deviations, walks=(walk_f, walk_g))
     block_identity = tuple(
         block_totals(game, i, walk_f[0][i]) == block_totals(game, i, walk_g[0][i])
         for i in range(n)

@@ -19,12 +19,35 @@ from .measure import Cell, CellKind, MeasureSpaceModel, StepFunction
 from .piecewise import PiecePlan, convert_entry
 
 
+# Python's default limit on the digits of an int converted to or from a
+# string: a longer numerator or denominator could not be written in a report.
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS
+
+
+def parse_rational(value: int | str) -> Fraction:
+    """``Fraction(value)`` for an int or a string such as '3/4' or '1.5e-3'.
+
+    Raises ValueError (or ZeroDivisionError) where Fraction does, and for a
+    numerator or denominator of more than MAX_DIGITS digits; an exponent
+    beyond that is refused before it is expanded, which would take hours.
+    """
+    if isinstance(value, str):
+        mantissa, e, exponent = value.lower().rpartition("e")
+        if e and mantissa and abs(int(exponent)) > MAX_DIGITS:
+            raise ValueError(f"exponent out of range: {value!r}")
+    x = Fraction(value)
+    if abs(x.numerator) >= _DIGITS_BOUND or x.denominator >= _DIGITS_BOUND:
+        raise ValueError(f"more than {MAX_DIGITS} digits: {value!r}")
+    return x
+
+
 def _frac(value: Any, path: str) -> Fraction:
     try:
         if isinstance(value, bool):
             raise ValueError
         if isinstance(value, (int, str)):
-            return Fraction(value)
+            return parse_rational(value)
     except (ValueError, ZeroDivisionError):
         pass
     raise SchemaError(path, f"expected a rational like '3/4', got {value!r}")
@@ -212,6 +235,17 @@ def dump_selection(s: Selection, space: MeasureSpaceModel) -> dict:
 
 
 def load_game(doc: Any, path: str = "game") -> BayesianGame:
+    parsed: dict[str, Fraction] = {}
+
+    def frac(value: Any, p: str) -> Fraction:
+        """``_frac``, parsing each distinct string of the document once."""
+        if not isinstance(value, str):
+            return _frac(value, p)
+        x = parsed.get(value)
+        if x is None:
+            x = parsed[value] = _frac(value, p)
+        return x
+
     _expect(doc, dict, path)
     players_doc = _expect(doc.get("players"), list, f"{path}.players")
     specs = []
@@ -228,18 +262,20 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
             grid = ()
             if not point:
                 grid_doc = _expect(cd.get("grid"), list, f"{cp}.grid")
-                grid = tuple(_frac(x, f"{cp}.grid") for x in grid_doc)
+                grid = tuple(frac(x, f"{cp}.grid") for x in grid_doc)
             cells.append(
-                TypeCell(str(cd.get("id", f"t{i}")), _frac(cd.get("mass"), f"{cp}.mass"), grid, point)
+                TypeCell(str(cd.get("id", f"t{i}")), frac(cd.get("mass"), f"{cp}.mass"), grid, point)
             )
         specs.append(PlayerSpec(tuple(str(a) for a in actions), tuple(cells)))
 
     def load_entry(ed, p) -> tuple[tuple[int, ...], Entry]:
         _expect(ed, dict, p)
         units = _expect(ed.get("units"), list, f"{p}.units")
-        key = tuple(_int(u, f"{p}.units[{k}]") for k, u in enumerate(units))
-        const = _frac(ed.get("const", "0"), f"{p}.const")
-        slope = _frac(ed.get("slope", "0"), f"{p}.slope") if "slope" in ed else Fraction(0)
+        key = tuple(units)
+        if not all(type(u) is int for u in key):  # the paths are built for a fault only
+            key = tuple(_int(u, f"{p}.units[{k}]") for k, u in enumerate(units))
+        const = frac(ed.get("const", "0"), f"{p}.const")
+        slope = frac(ed.get("slope", "0"), f"{p}.slope") if "slope" in ed else Fraction(0)
         coord = ed.get("coord")
         if slope != 0 and not isinstance(coord, int):
             raise SchemaError(f"{p}.coord", "affine entries need an integer coord")

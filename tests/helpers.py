@@ -237,3 +237,124 @@ def reference_residuals(game, f, g, deviations):
         for i in range(n)
     )
     return payoff, defects, strong
+
+
+# -- reference game tables ----------------------------------------------------------
+#
+# The density-weighted payoffs as Fraction entries and the interim forms as a
+# Fraction loop over them, kept as the oracle for the integer tables of
+# ``BayesianGame.weighted``: there each player's entries are integers over
+# one denominator, and ``interim_affine`` sums integers over one
+# denominator per call.
+
+
+def entry_product(u, q):
+    """The Entry ``u * q``, at most one factor affine."""
+    from condexp.errors import SchemaError
+    from condexp.games import Entry
+
+    if u.slope != 0 and q.slope != 0:
+        raise SchemaError("entry", "product of two affine entries is not representable")
+    const = u.const * q.const
+    if u.slope != 0:
+        return Entry(const, u.slope * q.const, u.coord)
+    if q.slope != 0:
+        return Entry(const, q.slope * u.const, q.coord)
+    return Entry(const)
+
+
+def reference_weighted(game, i, x, key):
+    """Player i's density-weighted payoff entry on action profile x, unit tuple key."""
+    return entry_product(game.payoffs[i][x][key], game.density[key])
+
+
+def reference_interim_affine(game, i, action, own_unit, profile):
+    """(A, B) of player i's interim payoff A + B*t on one own unit, in Fractions."""
+    import itertools
+
+    from condexp.games import strategy_moments
+
+    n = len(game.players)
+    others = [j for j in range(n) if j != i]
+    moments = {j: strategy_moments(game.players[j], game.units[j], profile[j]) for j in others}
+    A = B = F(0)
+    for x_rest in itertools.product(*[range(len(game.players[j].actions)) for j in others]):
+        x = x_rest[:i] + (action,) + x_rest[i:]
+        for mu in itertools.product(*[range(len(game.units[j])) for j in others]):
+            e = reference_weighted(game, i, x, mu[:i] + (own_unit,) + mu[i:])
+            P0 = F(1)
+            for j, k, a in zip(others, mu, x_rest):
+                P0 *= moments[j][k][0][a]
+            if P0 == 0:
+                continue
+            if e.slope == 0:
+                A += e.const * P0
+            elif e.coord == i:
+                A += e.const * P0
+                B += e.slope * P0
+            else:
+                partial = F(1)
+                w1 = F(0)
+                for j, k, a in zip(others, mu, x_rest):
+                    if j == e.coord:
+                        w1 = moments[j][k][1][a]
+                    else:
+                        partial *= moments[j][k][0][a]
+                A += e.const * P0 + e.slope * w1 * partial
+    return A, B
+
+
+def reference_info(game):
+    """Per player: (blocks, kinds), units grouped by the tuple of opponents'
+    reference entries, saturated where one is affine in the own coordinate."""
+    import itertools
+
+    n = len(game.players)
+    out = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        rests = list(itertools.product(*[range(len(game.units[j])) for j in others]))
+        blocks, kinds, index = [], [], {}
+        for own in range(len(game.units[i])):
+            sig = tuple(
+                reference_weighted(game, j, x, mu[:i] + (own,) + mu[i:])
+                for j in others
+                for x in game.action_profiles()
+                for mu in rests
+            )
+            saturated = any(e.coord == i for e in sig)
+            b = len(blocks) if saturated else index.setdefault(sig, len(blocks))
+            if b == len(blocks):
+                blocks.append([])
+            blocks[b].append(own)
+            kinds.append("saturated" if saturated else "rich")
+        out.append((tuple(tuple(b) for b in blocks), tuple(kinds)))
+    return out
+
+
+def reference_agent_coeff(game):
+    """``AgentForm.coeff`` from Fraction entries: per player, slots (b, x_i) in
+    first-seen order, each mapping (opp_blocks, opp_actions) to the summed
+    mass * reference entry average, in first-seen order."""
+    import math
+
+    n = len(game.players)
+    info = game.info
+    out = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        coeff = {}
+        for x in game.action_profiles():
+            for key in game.unit_tuples():
+                units = game.tuple_units(key)
+                val = math.prod(u.mass for u in units) * reference_weighted(game, i, x, key).average(units)
+                if val == 0:
+                    continue
+                slot = coeff.setdefault((info[i].block_of_unit[key[i]], x[i]), {})
+                opp = (
+                    tuple(info[j].block_of_unit[key[j]] for j in others),
+                    tuple(x[j] for j in others),
+                )
+                slot[opp] = slot.get(opp, F(0)) + val
+        out.append(coeff)
+    return out

@@ -757,3 +757,52 @@ class TestSubprocessDeterminism:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestUnreadableInput:
+    """Input that used to crash or run for hours exits 1 at once."""
+
+    @pytest.mark.parametrize(
+        "content, err",
+        [
+            (b'{"space": "\xff"}', "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+            (b'{"space": ' + b"1" * 4400 + b"}", "invalid JSON: Exceeds the limit (4300 digits)"),
+            (None, "cannot read: Is a directory"),
+        ],
+        ids=["not-utf8", "int-past-digit-limit", "directory"],
+    )
+    def test_unreadable_fixture(self, capsys, tmp_path, content, err):
+        fixture = tmp_path / "bad.json"
+        if content is None:
+            fixture.mkdir()
+        else:
+            fixture.write_bytes(content)
+        code = main(["g-atom", str(fixture)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {fixture}: {err}")
+
+    @pytest.mark.parametrize("epsilon", ["1e5000", "1e4300", "1e-4300"])
+    def test_exponent_flag(self, capsys, epsilon):
+        # was a ValueError from the int-string limit while writing the report
+        code = main(["pennies", "--m", "2", "--budget", "1", "--grid", "4", "--epsilon", epsilon])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"input error: --epsilon: not a rational: '{epsilon}'\n"
+
+    def test_exponent_in_fixture(self, capsys, tmp_path):
+        # Fraction("1e10000000") alone takes seconds, a larger exponent hours
+        doc = json.loads((FIXTURES / "mp_purify.json").read_text())
+        doc["game"]["players"][0]["cells"][0]["mass"] = "1e10000000000"
+        fixture = tmp_path / "bad.json"
+        fixture.write_text(json.dumps(doc))
+        code = main(["purify", str(fixture)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: game.players[0].cells[0].mass: "
+            "expected a rational like '3/4', got '1e10000000000'\n"
+        )

@@ -16,7 +16,6 @@ from condexp.games import (
     TypeCell,
     coarser_info_check,
     derive_interplayer_info,
-    entry_product,
     expected_payoff,
     g_conditional,
     interim_forms,
@@ -28,6 +27,12 @@ from condexp.games import (
 
 from condexp.purification import random_behavioral
 from game_factories import random_coarser_game, random_profile
+from helpers import (
+    entry_product,
+    reference_agent_coeff,
+    reference_info,
+    reference_interim_affine,
+)
 
 F = Fraction
 
@@ -313,6 +318,18 @@ class TestDummyPlayers:
         assert all(c.passes for c in checks)
 
 
+def assert_tables_match_entry_product(game):
+    """Every player's integer table entry is the Fraction product, exactly."""
+    for i in range(len(game.players)):
+        den, entries = game.weighted[i]
+        assert den > 0
+        for x in game.action_profiles():
+            for key in game.unit_tuples():
+                c, s, coord = entries[x][key]
+                e = entry_product(game.payoffs[i][x][key], game.density[key])
+                assert (F(c, den), F(s, den), coord) == (e.const, e.slope, e.coord)
+
+
 class TestCompiledTables:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -325,12 +342,7 @@ class TestCompiledTables:
         game = random_coarser_game(
             rng, n, own_affine=own_affine, max_actions=2 if n == 3 else 3
         )
-        for i in range(n):
-            for x in game.action_profiles():
-                for key in game.unit_tuples():
-                    assert game.weighted[i][x][key] == entry_product(
-                        game.payoffs[i][x][key], game.density[key]
-                    )
+        assert_tables_match_entry_product(game)
         profile = random_profile(rng, game)
         for i, spec in enumerate(game.players):
             forms = interim_forms(game, i, profile)
@@ -510,3 +522,52 @@ class TestSymbolicOracle:
                             inner, (t2, sympy.Rational(lo2), sympy.Rational(hi2))
                         )
             assert F(str(total)) == got[i]
+
+
+class TestIntegerTables:
+    """Interim forms, derived information and the agent form, read from the
+    integer tables, against Fraction references over ``entry_product``."""
+
+    @staticmethod
+    def check_against_references(game, profile):
+        from condexp.equilibrium import AgentForm
+
+        assert_tables_match_entry_product(game)
+        for i, spec in enumerate(game.players):
+            forms = interim_forms(game, i, profile)
+            for idx in range(len(game.units[i])):
+                for a in range(len(spec.actions)):
+                    got = forms[idx][a]
+                    assert got == reference_interim_affine(game, i, a, idx, profile)
+                    assert all(type(v) is F for v in got)
+        info = derive_interplayer_info(game)
+        assert [(part.blocks, part.kinds) for part in info] == reference_info(game)
+        coeff = AgentForm(game).coeff
+        reference = reference_agent_coeff(game)
+        # same values and the same insertion order, which the float lane keeps
+        assert [[(k, list(slot.items())) for k, slot in c.items()] for c in coeff] == [
+            [(k, list(slot.items())) for k, slot in c.items()] for c in reference
+        ]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=2, max_value=4),
+        st.booleans(),
+    )
+    def test_random_coarser_games(self, seed, n, own_affine):
+        rng = random.Random(seed)
+        game = random_coarser_game(
+            rng, n, own_affine=own_affine, max_actions=3 if n == 2 else 2
+        )
+        self.check_against_references(game, random_profile(rng, game))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "make", [saturated_q_game, lambda: saturated_q_game(3), both_saturated_game],
+        ids=["saturated-q", "saturated-q-3", "both-saturated"],
+    )
+    def test_affine_densities(self, make, seed):
+        # entries affine in an opponent's coordinate, which coarser games lack
+        game = make()
+        self.check_against_references(game, random_profile(random.Random(seed), game))

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from helpers import reference_residuals
 from test_games import pure, saturated_q_game
 
 F = Fraction
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestStrongPurify:
@@ -60,6 +63,32 @@ class TestStrongPurify:
         cert = strong_purify(game, [f1, uniform_strategy(game.players[1])])
         assert cert.profile[0].plan["t1"] == ((F(3, 4), 1), (F(1), 1))
         assert cert.block_identity == (False, True)
+
+    def test_vanishing_difference_forms_draw_no_deviations(self, monkeypatch):
+        game = random_coarser_game(random.Random(9), 3)
+        profile = random_profile(random.Random(10), game)
+        drawn = []
+        monkeypatch.setattr(
+            purification, "random_behavioral", lambda spec, rng: drawn.append(spec)
+        )
+        cert = strong_purify(game, profile, deviation_samples=16, seed=4)
+        assert drawn == []
+        assert cert.report.strong_residuals == ((F(0),) * 16,) * 3
+        assert cert.report.all_zero
+
+    def test_nonzero_difference_forms_draw_every_sample_in_seeded_order(self, monkeypatch):
+        # a split that moves a block integral changes the opponent's forms:
+        # every player's samples are drawn, as before, and audited exactly
+        monkeypatch.setattr(purification, "purify_player", flip_first_piece(purify_player))
+        game = matching_pennies_game(2)
+        f = [BehavioralStrategy({"t1": ((F(1), (F(3, 4), F(1, 4))),)}),
+             uniform_strategy(game.players[1])]
+        cert = strong_purify(game, f, deviation_samples=5, seed=3)
+        rng = random.Random(3)
+        deviations = [[random_behavioral(s, rng) for _ in range(5)] for s in game.players]
+        strong = reference_residuals(game, f, cert.profile, deviations)[2]
+        assert cert.report.strong_residuals == strong
+        assert strong[0] == (F(0),) * 5 and any(strong[1])
 
     def test_obstruction_without_coarser_info(self):
         game = saturated_q_game()
@@ -188,13 +217,30 @@ class TestInterimFormReuse:
         assert purified.payoffs_preserved and purified.mixtures_preserved
         assert len(calls) == 2 * 4 + 2 * 4
 
+    def test_solve_and_purify_walk_each_strategy_once(self, monkeypatch):
+        # solve verifies from one walk of the solved profile and hands it
+        # over in the report; purify walks only the purified profile, whose
+        # moments also give the played payoffs of its verification
+        from condexp.serialize import load_game
+
+        doc = json.loads((FIXTURES / "mp_game.json").read_text())
+        game = load_game(doc.get("game", doc))
+        n = len(game.players)
+        calls = self.count_strategy_moments(monkeypatch)
+        report = solve_behavioral(game)
+        assert report.converged and len(calls) == n
+        purified = purify_equilibrium(game, report)
+        assert purified.payoffs_preserved and purified.mixtures_preserved
+        assert 0 < len(calls) <= 2 * n
+        assert list(calls[n:]) == list(purified.profile)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_replaced_report_builds_fresh_forms(self, seed):
         # the solved forms belong to the solved profile: a copy with other
         # mixtures must not check its purification against them
         game = random_coarser_game(random.Random(seed), 2)
         report = solve_behavioral(game)
-        assert report.converged and report.forms is not None
+        assert report.converged and report.walk is not None
         mixtures = tuple(
             tuple(tuple(F(1, len(row)) for _ in row) for row in rows) for rows in report.mixtures
         )
@@ -202,7 +248,7 @@ class TestInterimFormReuse:
         replaced = dataclasses.replace(report, mixtures=mixtures, profile=profile)
         purified = purify_equilibrium(game, replaced)
         assert purified.payoffs_preserved and purified.mixtures_preserved
-        assert replaced.forms is None
+        assert replaced.walk is None
 
 
 class TestAuditEquivalence:
