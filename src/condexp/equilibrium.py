@@ -34,7 +34,7 @@ from .games import (
     walk_profile,
 )
 from .piecewise import argmax_segments, check_weights, integrate_envelope
-from .purification import purify_player, require_coarser
+from .purification import purification
 from .rational_geometry import feasible_combination, simplex_min
 
 ZERO = Fraction(0)
@@ -472,10 +472,10 @@ def purify_equilibrium(
     payoff is affine in the own coordinate get the centroid-preserving
     symmetric split so the own payoff integral survives unchanged.  Mixtures
     that are not one row of weights per player, derived block and action
-    raise SchemaError at ``mixtures[i]`` or ``mixtures[i][b]``.
+    raise SchemaError at ``mixtures[i]`` or ``mixtures[i][b]``, before
+    ``purification`` checks that the information is coarser.
     """
-    info = require_coarser(game)
-    behavioral = report.profile
+    info = game.info
     n = len(game.players)
     if len(report.mixtures) != n:
         raise SchemaError("mixtures", f"expected {n} players")
@@ -484,9 +484,7 @@ def purify_equilibrium(
             raise SchemaError(f"mixtures[{i}]", f"expected {len(info[i].blocks)} blocks")
         for b, w in enumerate(rows):
             check_weights(f"mixtures[{i}][{b}]", w, len(game.players[i].actions))
-    moments, forms = report.walk or walk_profile(game, behavioral)
-    pures = tuple(purify_player(game, i, behavioral, forms[i]) for i in range(n))
-    pure_walk = walk_profile(game, pures)
+    (moments, forms), pures, pure_walk = purification(game, report.profile, report.walk)
     pure_moments, pure_forms = pure_walk
     eps = verify_equilibrium(game, pures, pure_walk)
     # conditioning on coarser information keeps every block integral, so the

@@ -8,18 +8,20 @@ player's inner coordinate (with slope folded against the other factor, so
 density-weighted payoffs stay affine and every integral below is exact
 rational arithmetic).
 
-The density-weighted payoffs are compiled once per game, as
+A game checks and compiles its tables in one pass each, the density first,
+reading each entry once.  The density-weighted payoffs become
 ``BayesianGame.weighted``: each player's entries are integer (const, slope,
-coord) triples over one positive denominator, built from integer numerators
-without a Fraction per entry.  Interim forms sum integers over that
-denominator times the opponents' moment denominators and become Fractions
-once per form, and the agent form sums its coefficients the same way.
+coord) triples over one positive denominator, the products of the payoffs'
+and the density's numerators, with no Fraction per entry.  Interim forms sum
+integers over that denominator times the opponents' moment denominators and
+become Fractions once per form, and the agent form sums its coefficients the
+same way.
 
 The inter-player information of player i is derived, never declared: units of
 i are grouped by the full profile of opponents' density-weighted payoffs, and
 a unit is saturated when some opponent-relevant entry is affine in i's own
-coordinate.  The game derives it once, as ``BayesianGame.info``, from the
-integer tables, where equal payoffs are equal integers.
+coordinate.  The game derives it on first use, as ``BayesianGame.info``,
+from the integer tables, where equal payoffs are equal integers.
 """
 
 from __future__ import annotations
@@ -127,15 +129,8 @@ class Entry:
     coord: int | None = None
 
     def __post_init__(self):
-        if self.slope != 0 and self.coord is None:
-            raise SchemaError("entry", "affine entries must name a coordinate")
         if self.slope == 0 and self.coord is not None:
             object.__setattr__(self, "coord", None)
-
-    def average(self, units: Sequence[Unit]) -> Fraction:
-        if self.slope == 0:
-            return self.const
-        return self.const + self.slope * units[self.coord].mid
 
 
 EntryTable = Mapping[tuple[int, ...], Entry]
@@ -167,15 +162,42 @@ class BayesianGame:
     density: EntryTable
     payoffs: tuple[Mapping[tuple[int, ...], EntryTable], ...]
     units: tuple[tuple[Unit, ...], ...] = field(init=False, compare=False, repr=False)
+    # payoffs[i][x][key] * density[key] per player, compiled with the checks
+    weighted: tuple[WeightedTable, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        """Check each table and compile ``weighted``, in one pass per table."""
         if len(self.players) < 2:
             raise SchemaError("players", "need at least two players")
         object.__setattr__(self, "units", tuple(player_units(spec) for spec in self.players))
         if len(self.payoffs) != len(self.players):
             raise SchemaError("payoffs", "one payoff table per player")
-        self._validate_tables()
-        self._validate_density()
+        keys = list(self.unit_tuples())
+        profiles = list(self.action_profiles())
+        coords: dict[tuple[int, ...], int] = {}  # each tuple's one affine coordinate
+        density = self._entries("density", self.density, keys, coords)
+        q_affine = set(coords)
+        q_den, q_rows = over_one_denominator((e.const, e.slope) for e in density)
+        self._check_density(keys, density, q_den, q_rows)
+        tables = []
+        for i, payoff in enumerate(self.payoffs):
+            flat = []
+            for x in profiles:
+                if x not in payoff:
+                    raise SchemaError(f"payoffs[{i}][{x}]", "missing action profile")
+                flat += self._entries(f"payoffs[{i}][{x}]", payoff[x], keys, coords, q_affine)
+            _no_stray(f"payoffs[{i}]", payoff, profiles, "not an action profile")
+            u_den, u_rows = over_one_denominator((e.const, e.slope) for e in flat)
+            it = zip(flat, u_rows)
+            entries = {}
+            for x in profiles:
+                row = entries[x] = {}
+                for key, q, (qc, qs) in zip(keys, density, q_rows):
+                    u, (uc, us) = next(it)
+                    s, coord = (us * qc, u.coord) if us else (qs * uc, q.coord)
+                    row[key] = (uc * qc, s, coord if s else None)
+            tables.append(WeightedTable(u_den * q_den, entries))
+        object.__setattr__(self, "weighted", tuple(tables))
 
     # -- table shape ------------------------------------------------------
 
@@ -188,124 +210,64 @@ class BayesianGame:
     def tuple_units(self, key: tuple[int, ...]) -> tuple[Unit, ...]:
         return tuple(self.units[i][k] for i, k in enumerate(key))
 
-    def _validate_tables(self):
-        n = len(self.players)
-        for key in self.unit_tuples():
-            if key not in self.density:
-                raise SchemaError(f"density[{key}]", "missing entry")
-            self._validate_entry("density", key, self.density[key])
-        for i in range(n):
-            for x in self.action_profiles():
-                table = self.payoffs[i].get(x)
-                if table is None:
-                    raise SchemaError(f"payoffs[{i}][{x}]", "missing action profile")
-                for key in self.unit_tuples():
-                    if key not in table:
-                        raise SchemaError(f"payoffs[{i}][{x}][{key}]", "missing entry")
-                    e = self._validate_entry(f"payoffs[{i}][{x}]", key, table[key])
-                    q = self.density[key]
-                    if e.slope != 0 and q.slope != 0:
-                        raise SchemaError(
-                            f"payoffs[{i}][{x}][{key}]",
-                            "payoff and density are both affine on this tuple",
-                        )
-        for key in self.unit_tuples():
-            coords = set()
-            if self.density[key].slope != 0:
-                coords.add(self.density[key].coord)
-            for i in range(n):
-                for x in self.action_profiles():
-                    e = self.payoffs[i][x][key]
-                    if e.slope != 0:
-                        coords.add(e.coord)
-            if len(coords) > 1:
-                raise SchemaError(
-                    f"tuple {key}", "at most one affine coordinate per unit tuple"
-                )
-
-    def _validate_entry(self, path, key, e: Entry) -> Entry:
-        if e.slope != 0:
-            if e.coord is None or not 0 <= e.coord < len(self.players):
-                raise SchemaError(f"{path}[{key}]", "bad affine coordinate")
-            if self.units[e.coord][key[e.coord]].point:
-                raise SchemaError(
-                    f"{path}[{key}]", "affine coordinate points at a point cell"
-                )
-        return e
-
-    def _validate_density(self):
-        total = ZERO
-        for key in self.unit_tuples():
-            units = self.tuple_units(key)
-            e = self.density[key]
-            mass = math.prod(u.mass for u in units)
+    def _entries(self, path, table, keys, coords, q_affine=()) -> list[Entry]:
+        """``table``'s entries in key order, each read once: present, an
+        affine one in a player's interval unit, on no tuple of ``q_affine``
+        and in the tuple's one affine coordinate (kept in ``coords``)."""
+        out = []
+        for key in keys:
+            e = table.get(key)
+            if e is None:
+                raise SchemaError(f"{path}[{key}]", "missing entry")
             if e.slope != 0:
-                u = units[e.coord]
-                if e.const + e.slope * u.lo < 0 or e.const + e.slope * u.hi < 0:
-                    raise SchemaError(f"density[{key}]", "density must be nonnegative")
-            elif e.const < 0:
-                raise SchemaError(f"density[{key}]", "density must be nonnegative")
-            total += mass * e.average(units)
-        if total != 1:
-            raise SchemaError("density", f"must integrate to 1, got {total}")
-        for i in range(len(self.players)):
-            for own_idx in range(len(self.units[i])):
-                a, b = self._marginal_affine(i, own_idx)
-                if b != 0 or a != 1:
+                c = e.coord
+                if c is None or not 0 <= c < len(self.players):
+                    raise SchemaError(f"{path}[{key}]", "bad affine coordinate")
+                if self.units[c][key[c]].point:
+                    raise SchemaError(f"{path}[{key}]", "affine coordinate points at a point cell")
+                if key in q_affine:
                     raise SchemaError(
-                        f"density marginal[player {i}, unit {own_idx}]",
-                        f"must be identically 1, got {a} + {b}*t",
+                        f"{path}[{key}]", "payoff and density are both affine on this tuple"
                     )
+                if coords.setdefault(key, c) != c:
+                    raise SchemaError(f"tuple {key}", "at most one affine coordinate per unit tuple")
+            out.append(e)
+        _no_stray(path, table, keys, "not a unit tuple")
+        return out
 
-    def _marginal_affine(self, i: int, own_idx: int) -> tuple[Fraction, Fraction]:
-        a_total, b_total = ZERO, ZERO
-        others = [j for j in range(len(self.players)) if j != i]
-        for combo in itertools.product(*[range(len(self.units[j])) for j in others]):
-            key = _splice(i, own_idx, combo)
+    def _check_density(self, keys, density, q_den, q_rows):
+        """Nonnegativity, total mass 1 and every marginal identically 1, from
+        the density's integer rows over ``q_den`` in one loop over the tuples."""
+        # marginals[i][k] = (a, b): player i's marginal a + b*t on own unit k,
+        # times the unit's mass and q_den
+        marginals = [[[ZERO, ZERO] for _ in us] for us in self.units]
+        for key, e, (qc, qs) in zip(keys, density, q_rows):
             units = self.tuple_units(key)
-            mass = math.prod(units[j].mass for j in others)
-            e = self.density[key]
-            if e.slope != 0 and e.coord == i:
-                a_total += e.const * mass
-                b_total += e.slope * mass
-            else:
-                a_total += e.average(units) * mass
-        return a_total, b_total
-
-    @functools.cached_property
-    def weighted(self) -> tuple[WeightedTable, ...]:
-        """Density-weighted payoffs, payoffs[i][x][key] * density[key], per player.
-
-        Player i's payoffs and the density are each scaled to integers over
-        their least common denominator, and the products of those numerators
-        are the entries over their product (the tables never hold an affine
-        payoff on an affine density).  Compiled on first use and cached on
-        the game, so ``payoffs`` and ``density`` must not be mutated after
-        construction.
-        """
-        keys = list(self.unit_tuples())
-        profiles = list(self.action_profiles())
-        density = [self.density[key] for key in keys]
-        q_den, q_rows = over_one_denominator((e.const, e.slope) for e in density)
-        tables = []
-        for payoff in self.payoffs:
-            flat = [payoff[x][key] for x in profiles for key in keys]
-            u_den, u_rows = over_one_denominator((e.const, e.slope) for e in flat)
-            it = zip(flat, u_rows)
-            entries = {}
-            for x in profiles:
-                row = {}
-                for key, q, (qc, qs) in zip(keys, density, q_rows):
-                    u, (uc, us) = next(it)
-                    s, coord = (us * qc, u.coord) if us else (qs * uc, q.coord)
-                    row[key] = (uc * qc, s, coord if s else None)
-                entries[x] = row
-            tables.append(WeightedTable(u_den * q_den, entries))
-        return tuple(tables)
+            ends = (qc + qs * units[e.coord].lo, qc + qs * units[e.coord].hi) if qs else (qc,)
+            if min(ends) < 0:
+                raise SchemaError(f"density[{key}]", "density must be nonnegative")
+            mass = math.prod(u.mass for u in units)
+            weight = mass * sum(ends) / len(ends)
+            for i, k in enumerate(key):
+                ab = marginals[i][k]
+                if qs and e.coord == i:
+                    ab[0] += mass * qc
+                    ab[1] += mass * qs
+                else:
+                    ab[0] += weight
+        total = sum(a + b * u.mid for (a, b), u in zip(marginals[0], self.units[0]))
+        if total != q_den:
+            raise SchemaError("density", f"must integrate to 1, got {total / q_den}")
+        for i, us in enumerate(self.units):
+            for k, ((a, b), u) in enumerate(zip(marginals[i], us)):
+                scale = q_den * u.mass
+                if b or a != scale:
+                    raise SchemaError(f"density marginal[player {i}, unit {k}]",
+                                      f"must be identically 1, got {a / scale} + {b / scale}*t")
 
     @functools.cached_property
     def info(self) -> tuple[InfoPartition, ...]:
-        """``derive_interplayer_info(self)``, cached on the game like ``weighted``."""
+        """``derive_interplayer_info(self)``, derived on first use and cached."""
         return derive_interplayer_info(self)
 
     def is_zero_sum(self) -> bool:
@@ -320,6 +282,14 @@ class BayesianGame:
                 if e1.slope != 0 and e2.coord != e1.coord:
                     return False
         return True
+
+
+def _no_stray(path: str, table: Mapping, keys: Sequence, message: str) -> None:
+    """Raise ``message`` at the first key of ``table`` outside ``keys``,
+    all of which ``table`` holds."""
+    if len(table) != len(keys):
+        grid = set(keys)
+        raise SchemaError(f"{path}[{next(k for k in table if k not in grid)}]", message)
 
 
 def _splice(i: int, own: int, rest: tuple[int, ...]) -> tuple[int, ...]:

@@ -117,6 +117,18 @@ def purify_player(
     return PureStrategy(unit_plan(game, i, split))
 
 
+def purification(game: BayesianGame, profile: Sequence[Strategy], walk=None):
+    """``(walk_f, pures, walk_g)``: the split core of ``strong_purify`` and
+    ``purify_equilibrium``.  After ``require_coarser``, the profile (walked,
+    unless its ``walk_profile`` is given) is split by ``purify_player`` into
+    ``pures``, which is walked too."""
+    require_coarser(game)
+    walk_f = walk or walk_profile(game, profile)
+    behavioral = [as_weights(spec, f) for spec, f in zip(game.players, profile)]
+    pures = tuple(purify_player(game, i, behavioral, forms) for i, forms in enumerate(walk_f[1]))
+    return walk_f, pures, walk_profile(game, pures)
+
+
 def strong_purify(
     game: BayesianGame,
     profile: Sequence[Strategy],
@@ -124,17 +136,13 @@ def strong_purify(
     seed: int = 0,
 ) -> PurificationCertificate:
     """Purify a behavioral profile and certify the equivalences exactly."""
-    require_coarser(game)
     n = len(game.players)
-    walk_f = walk_profile(game, profile)
-    behavioral = [as_weights(game.players[i], f) for i, f in enumerate(profile)]
-    pures = tuple(purify_player(game, i, behavioral, walk_f[1][i]) for i in range(n))
-    walk_g = walk_profile(game, pures)
+    walk_f, pures, walk_g = purification(game, profile)
     if walk_f[1] == walk_g[1]:
         # every difference form is zero, so is every gap, sampled or not: the
         # samples would be drawn only to be skipped
         report = dataclasses.replace(
-            audit_equivalence(game, behavioral, pures, walks=(walk_f, walk_g)),
+            audit_equivalence(game, profile, pures, walks=(walk_f, walk_g)),
             strong_residuals=((ZERO,) * deviation_samples,) * n,
         )
     else:
@@ -143,7 +151,7 @@ def strong_purify(
             [random_behavioral(game.players[i], rng) for _ in range(deviation_samples)]
             for i in range(n)
         ]
-        report = audit_equivalence(game, behavioral, pures, deviations, walks=(walk_f, walk_g))
+        report = audit_equivalence(game, profile, pures, deviations, walks=(walk_f, walk_g))
     block_identity = tuple(
         block_totals(game, i, walk_f[0][i]) == block_totals(game, i, walk_g[0][i])
         for i in range(n)

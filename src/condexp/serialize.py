@@ -164,8 +164,8 @@ def load_step_function(
 ) -> StepFunction:
     """A step function on ``space``, of dimension ``expected_dim`` when given."""
     _expect(doc, dict, path)
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    dim = _int(doc.get("dim"), f"{path}.dim")
+    if dim < 1:
         raise SchemaError(f"{path}.dim", "expected a positive integer")
     if expected_dim is not None and dim != expected_dim:
         raise SchemaError(f"{path}.dim", f"dimension {dim} != {expected_dim}")
@@ -268,24 +268,25 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
             )
         specs.append(PlayerSpec(tuple(str(a) for a in actions), tuple(cells)))
 
-    def load_entry(ed, p) -> tuple[tuple[int, ...], Entry]:
-        _expect(ed, dict, p)
-        units = _expect(ed.get("units"), list, f"{p}.units")
-        key = tuple(units)
-        if not all(type(u) is int for u in key):  # the paths are built for a fault only
-            key = tuple(_int(u, f"{p}.units[{k}]") for k, u in enumerate(units))
-        const = frac(ed.get("const", "0"), f"{p}.const")
-        slope = frac(ed.get("slope", "0"), f"{p}.slope") if "slope" in ed else Fraction(0)
-        coord = ed.get("coord")
-        if slope != 0 and not isinstance(coord, int):
-            raise SchemaError(f"{p}.coord", "affine entries need an integer coord")
-        return key, (Entry(const, slope, coord) if slope != 0 else Entry(const))
+    def load_entries(doc: Any, p: str) -> dict[tuple[int, ...], Entry]:
+        """A list of entries by unit tuple; the game checks their values."""
+        entries = {}
+        for k, ed in enumerate(_expect(doc, list, p)):
+            q = f"{p}[{k}]"
+            _expect(ed, dict, q)
+            units = _expect(ed.get("units"), list, f"{q}.units")
+            key = tuple(units)
+            if not all(type(u) is int for u in key):  # the paths are built for a fault only
+                key = tuple(_int(u, f"{q}.units[{j}]") for j, u in enumerate(units))
+            if key in entries:
+                raise SchemaError(f"{q}.units", f"repeats unit tuple {key}")
+            const = frac(ed.get("const", "0"), f"{q}.const")
+            slope = frac(ed.get("slope", "0"), f"{q}.slope")
+            coord = ed.get("coord")
+            entries[key] = Entry(const, slope, None if coord is None else _int(coord, f"{q}.coord"))
+        return entries
 
-    density_doc = _expect(doc.get("density"), list, f"{path}.density")
-    density = {}
-    for k, ed in enumerate(density_doc):
-        key, entry = load_entry(ed, f"{path}.density[{k}]")
-        density[key] = entry
+    density = load_entries(doc.get("density"), f"{path}.density")
     payoffs_doc = _expect(doc.get("payoffs"), list, f"{path}.payoffs")
     payoffs = []
     for i, tables_doc in enumerate(payoffs_doc):
@@ -297,11 +298,9 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
             _expect(td, dict, tp)
             profile_doc = _expect(td.get("profile"), list, f"{tp}.profile")
             profile = tuple(_int(a, f"{tp}.profile[{j}]") for j, a in enumerate(profile_doc))
-            entries = {}
-            for j, ed in enumerate(_expect(td.get("entries"), list, f"{tp}.entries")):
-                key, entry = load_entry(ed, f"{tp}.entries[{j}]")
-                entries[key] = entry
-            tables[profile] = entries
+            if profile in tables:
+                raise SchemaError(f"{tp}.profile", f"repeats action profile {profile}")
+            tables[profile] = load_entries(td.get("entries"), f"{tp}.entries")
         payoffs.append(tables)
     return BayesianGame(tuple(specs), density, tuple(payoffs))
 

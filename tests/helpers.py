@@ -263,6 +263,14 @@ def entry_product(u, q):
     return Entry(const)
 
 
+def entry_average(e, units):
+    """The average of Entry ``e`` over a unit tuple: its value at the
+    midpoint of its affine coordinate's unit."""
+    if e.slope == 0:
+        return e.const
+    return e.const + e.slope * units[e.coord].mid
+
+
 def reference_weighted(game, i, x, key):
     """Player i's density-weighted payoff entry on action profile x, unit tuple key."""
     return entry_product(game.payoffs[i][x][key], game.density[key])
@@ -347,7 +355,8 @@ def reference_agent_coeff(game):
         for x in game.action_profiles():
             for key in game.unit_tuples():
                 units = game.tuple_units(key)
-                val = math.prod(u.mass for u in units) * reference_weighted(game, i, x, key).average(units)
+                e = reference_weighted(game, i, x, key)
+                val = math.prod(u.mass for u in units) * entry_average(e, units)
                 if val == 0:
                     continue
                 slot = coeff.setdefault((info[i].block_of_unit[key[i]], x[i]), {})

@@ -451,10 +451,46 @@ class TestLoaderInput:
                 lambda d: d["profile"].pop(),
                 "profile: one strategy per player required",
             ),
+            # the rows below were accepted: a boolean coord read as player 0,
+            # repeats where the last one won, and keys off the grid
+            (
+                lambda d: d["game"]["payoffs"][0][0]["entries"][0].update(slope="1", coord=False),
+                "game.payoffs[0][0].entries[0].coord: expected an integer, got False",
+            ),
+            (
+                lambda d: d["game"]["density"].append(dict(d["game"]["density"][0])),
+                "game.density[1].units: repeats unit tuple (0, 0)",
+            ),
+            (
+                lambda d: d["game"]["payoffs"][0][0]["entries"].append(
+                    {"units": [0, 0], "const": "100"}
+                ),
+                "game.payoffs[0][0].entries[1].units: repeats unit tuple (0, 0)",
+            ),
+            (
+                lambda d: d["game"]["payoffs"][1].append(dict(d["game"]["payoffs"][1][2])),
+                "game.payoffs[1][4].profile: repeats action profile (1, 0)",
+            ),
+            (
+                lambda d: d["game"]["density"].append({"units": [7, 7], "const": "0"}),
+                "density[(7, 7)]: not a unit tuple",
+            ),
+            (
+                lambda d: d["game"]["density"].append({"units": [0], "const": "0"}),
+                "density[(0,)]: not a unit tuple",
+            ),
+            (
+                lambda d: d["game"]["payoffs"][0].append(
+                    dict(d["game"]["payoffs"][0][0], profile=[9, 9])
+                ),
+                "payoffs[0][(9, 9)]: not an action profile",
+            ),
         ],
         ids=["piece-not-object", "unit-not-integer", "profile-action-not-integer",
              "unit-float", "pure-action-not-integer", "point-not-bool",
-             "profile-extra-entry", "profile-short"],
+             "profile-extra-entry", "profile-short", "coord-bool", "repeated-density-units",
+             "repeated-payoff-units", "repeated-profile", "density-units-off-grid",
+             "density-units-short", "profile-off-grid"],
     )
     def test_malformed_input_is_an_input_error(self, capsys, tmp_path, edit, err):
         code = self.purify_with(tmp_path, edit)
@@ -594,8 +630,16 @@ class TestPayloadFaults:
                 lambda d: d.update(tests=5),
                 "tests: expected list, got int",
             ),
+            (
+                # was read as dimension 1, and reported as "dim": true
+                ["condexp-set"],
+                "rich_F01.json",
+                lambda d: d["correspondence"]["branches"][0].update(dim=True),
+                "correspondence.branches[0].dim: expected an integer, got True",
+            ),
         ],
-        ids=["h-not-block-constant", "rademacher-test-dimension", "rademacher-tests-not-list"],
+        ids=["h-not-block-constant", "rademacher-test-dimension", "rademacher-tests-not-list",
+             "dim-bool"],
     )
     def test_fault_is_typed_where_it_is_read(self, capsys, tmp_path, argv, fixture, edit, err):
         # were "error: h is not constant on block g" (NotGMeasurable),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from condexp import equilibrium
+from condexp import equilibrium, purification
 from condexp.equilibrium import (
     SolveOptions,
     improving_deviation,
@@ -196,7 +196,7 @@ class TestPurify:
         assert purified.profile[0].plan["t1"] == ((F(1, 2), 0), (F(1), 1))
 
     def test_mixtures_not_preserved_when_a_block_integral_moves(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "purify_player", flip_first_piece(purify_player))
+        monkeypatch.setattr(purification, "purify_player", flip_first_piece(purify_player))
         game = matching_pennies_game(2)
         purified = purify_equilibrium(game, solve_behavioral(game))
         assert purified.profile[0].plan["t1"] == ((F(1, 2), 1), (F(1), 1))

@@ -124,6 +124,138 @@ class TestValidation:
         assert game.is_zero_sum()
 
 
+def fault_game_tables():
+    """Tables of a valid two-player game: player 0 has the interval units
+    t[0], t[1] of mass 1/4 and the point unit p of mass 1/2, player 1 one
+    interval unit; every entry is constant."""
+    density = {(k, 0): Entry(F(1)) for k in range(3)}
+    payoffs = [
+        {x: {key: Entry(F(0)) for key in density} for x in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+        for _ in range(2)
+    ]
+    return density, payoffs
+
+
+def fault_game(density, payoffs):
+    specs = (
+        PlayerSpec(("a", "b"), (
+            TypeCell("t", F(1, 2), (F(1, 2), F(1))), TypeCell("p", F(1, 2), (), point=True),
+        )),
+        PlayerSpec(("a", "b"), (TypeCell("s", F(1), (F(1),)),)),
+    )
+    return BayesianGame(specs, density, tuple(payoffs))
+
+
+def affine_density(d, c0, s):
+    """Density c0 + s*t1 on (0, 0) and c0 + s - s*t1 on (1, 0), t1 player 1's
+    coordinate: every marginal stays identically 1."""
+    d[(0, 0)] = Entry(F(c0), F(s), 1)
+    d[(1, 0)] = Entry(F(c0) + F(s), -F(s), 1)
+
+
+class TestConstructionFaults:
+    """Each single-fault table is a SchemaError at its path, with its message."""
+
+    @pytest.mark.parametrize(
+        "edit, path, message",
+        [
+            (lambda d, u: d.pop((1, 0)), "density[(1, 0)]", "missing entry"),
+            (
+                lambda d, u: u[0][(0, 0)].update({(0, 0): Entry(F(0), F(1), 5)}),
+                "payoffs[0][(0, 0)][(0, 0)]", "bad affine coordinate",
+            ),
+            (
+                lambda d, u: u[0][(0, 0)].update({(2, 0): Entry(F(0), F(1), 0)}),
+                "payoffs[0][(0, 0)][(2, 0)]", "affine coordinate points at a point cell",
+            ),
+            (lambda d, u: u[1].pop((1, 1)), "payoffs[1][(1, 1)]", "missing action profile"),
+            (lambda d, u: u[1][(0, 1)].pop((2, 0)), "payoffs[1][(0, 1)][(2, 0)]", "missing entry"),
+            (
+                lambda d, u: (
+                    affine_density(d, F(1, 2), 1),
+                    u[0][(0, 1)].update({(0, 0): Entry(F(0), F(1), 0)}),
+                ),
+                "payoffs[0][(0, 1)][(0, 0)]", "payoff and density are both affine on this tuple",
+            ),
+            (
+                lambda d, u: (
+                    u[0][(0, 0)].update({(1, 0): Entry(F(0), F(1), 0)}),
+                    u[1][(1, 0)].update({(1, 0): Entry(F(0), F(1), 1)}),
+                ),
+                "tuple (1, 0)", "at most one affine coordinate per unit tuple",
+            ),
+            (
+                lambda d, u: affine_density(d, F(-1, 2), 3),
+                "density[(0, 0)]", "density must be nonnegative",
+            ),
+            (
+                lambda d, u: d.update({(2, 0): Entry(F(2))}),
+                "density", "must integrate to 1, got 3/2",
+            ),
+            (
+                lambda d, u: d.update({(0, 0): Entry(F(2)), (1, 0): Entry(F(0))}),
+                "density marginal[player 0, unit 0]", "must be identically 1, got 2 + 0*t",
+            ),
+            (
+                lambda d, u: d.update({(0, 0): Entry(F(0), F(2), 1)}),
+                "density marginal[player 1, unit 0]", "must be identically 1, got 3/4 + 1/2*t",
+            ),
+        ],
+        ids=[
+            "missing-density-entry", "bad-coordinate", "coordinate-on-point-cell",
+            "missing-profile", "missing-payoff-entry", "payoff-and-density-affine",
+            "two-affine-coordinates", "negative-density", "total-not-one",
+            "marginal-not-one", "marginal-affine",
+        ],
+    )
+    def test_single_fault(self, edit, path, message):
+        density, payoffs = fault_game_tables()
+        fault_game(density, payoffs)  # valid before the edit
+        edit(density, payoffs)
+        with pytest.raises(SchemaError) as exc:
+            fault_game(density, payoffs)
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "edit, path, message",
+        [
+            (lambda d, u: d.update({(7, 7): Entry(F(0))}), "density[(7, 7)]", "not a unit tuple"),
+            (lambda d, u: d.update({(0,): Entry(F(0))}), "density[(0,)]", "not a unit tuple"),
+            (
+                lambda d, u: u[1][(0, 1)].update({(0, 5): Entry(F(0))}),
+                "payoffs[1][(0, 1)][(0, 5)]", "not a unit tuple",
+            ),
+            (
+                lambda d, u: u[0].update({(9, 9): u[0][(0, 0)]}),
+                "payoffs[0][(9, 9)]", "not an action profile",
+            ),
+        ],
+        ids=["density-out-of-grid", "density-short-key", "payoff-entry-out-of-grid",
+             "profile-out-of-grid"],
+    )
+    def test_stray_key(self, edit, path, message):
+        # were accepted, and never read
+        density, payoffs = fault_game_tables()
+        edit(density, payoffs)
+        with pytest.raises(SchemaError) as exc:
+            fault_game(density, payoffs)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_affine_entry_without_coordinate(self):
+        # the game owns the coordinate rule; Entry itself no longer checks it
+        density, payoffs = fault_game_tables()
+        payoffs[0][(0, 1)][(1, 0)] = Entry(F(0), F(1))
+        with pytest.raises(SchemaError) as exc:
+            fault_game(density, payoffs)
+        assert str(exc.value) == "payoffs[0][(0, 1)][(1, 0)]: bad affine coordinate"
+
+    def test_affine_density_is_valid(self):
+        density, payoffs = fault_game_tables()
+        affine_density(density, F(1, 2), 1)
+        fault_game(density, payoffs)
+
+
 class TestDeriveInfo:
     def test_type_irrelevant_trivial_info(self):
         game = matching_pennies_game(2)
