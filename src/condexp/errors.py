@@ -10,6 +10,7 @@ class SchemaError(CondexpError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 

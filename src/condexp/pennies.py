@@ -11,6 +11,12 @@ the indicator of the triangle.)  Everything downstream is therefore exact
 piecewise-affine integration: deviation gains, balance defects, and the
 profile search that certifies no pure profile is close to equilibrium.
 
+On an r-grid strategy every value form has slope -1, 0 or 1 on each cell, in
+units of 1/r, so two forms cross inside a cell only at its midpoint and the
+search's gains are integers over 2r^2.  Its played values are float64 matrix
+products whose partial sums stay within 2r^2 <= 8192, exact far below 2^53;
+the minimising pair alone is re-certified on Fraction rows.
+
 Both variants, the type-irrelevant game with the triangular prior and the
 independent-types game with density-weighted payoffs, share these integrals
 entry for entry, so one arithmetic serves both.
@@ -252,7 +258,8 @@ def _gain_side(game: PenniesGame, side: int, rows1: BehavioralRows, rows2: Behav
         values = _value_forms(forms, side)
         best += 2 * integrate_envelope(values, lo, hi)
         for j in range(m):
-            played += 2 * w[j] * integrate_affine(values[j], lo, hi)
+            if w[j]:
+                played += 2 * w[j] * integrate_affine(values[j], lo, hi)
     return best, played
 
 
@@ -449,87 +456,42 @@ def _with_constants(m: int, r: int, budget: int, tails, indices) -> list[tuple[i
     return sorted(constant + [_unrank_changing(m, r, budget, tails, j) for j in indices])
 
 
-def _float_gain_matrices(m: int, r: int, strategies: list[tuple[int, ...]]):
-    """gain2[i1, i2] and gain1[i1, i2] for all strategy pairs, float lane."""
+def _gain_matrices(m: int, r: int, strategies: list[tuple[int, ...]]):
+    """gain1[i1, i2] and gain2[i1, i2] for all strategy pairs, as integer
+    numerators over 2r^2.
+
+    Value forms are held as integer counts at the grid points (units of
+    1/r), so on a cell each has slope -1, 0 or 1 and two of them can cross
+    only at the midpoint: the envelope's twice-integral over the cell is
+    (max lo + max(lo + hi) + max hi) / (2r^2).  The played values are
+    one-hot products in float64 on integers: a form is at most k in size k
+    cells from its zero end, so any partial sum is at most 2r^2 <= 8192,
+    far below 2^53, and the products are exact.
+    """
     S = len(strategies)
-    actions = np.arange(m)
-    arrs = np.array(strategies, dtype=np.int64)  # (S, r)
-    onehot = (arrs[:, :, None] == actions).astype(float)  # (S, r, m)
-    cums = np.zeros((S, r + 1, m))
-    cums[:, 1:, :] = np.cumsum(onehot, axis=1) / r
+    # action-major, so that each max over the actions runs across whole slabs
+    onehot = np.arange(m)[:, None, None] == np.array(strategies, dtype=np.int64)  # (m, S, r)
+    cums = np.zeros((m, S, r + 1), dtype=np.int64)
+    np.cumsum(onehot, axis=2, out=cums[:, :, 1:])
     # player-2 candidate c: eta_{c-1} - eta_c, from below
-    G2 = cums[:, :, (actions - 1) % m] - cums
-    # player-1 candidate r: eta'_r - eta'_{r+1}, from above
-    above = cums[:, -1:, :] - cums
-    G1 = above - above[:, :, (actions + 1) % m]
+    G2 = np.roll(cums, 1, axis=0) - cums
+    # player-1 candidate c: eta'_c - eta'_{c+1}, from above
+    above = cums[:, :, -1:] - cums
+    G1 = above - np.roll(above, -1, axis=0)
 
-    def best_and_avg(G):
-        lo, hi = G[:, :-1, :], G[:, 1:, :]
-        # a left-to-right running total (cumsum), not numpy's pairwise sum,
-        # so the value does not depend on how numpy blocks the reduction
-        brv = 2.0 * np.cumsum(_env01(lo, hi) / r, axis=1)[:, -1]
-        return brv, ((lo + hi) / 2.0).reshape(S, r * m)
+    def best_and_played(G):
+        top = G.max(axis=0)  # the envelope at the grid points
+        sums = G[:, :, :-1] + G[:, :, 1:]  # twice each form at the cell midpoints
+        best = top[:, :-1].sum(axis=1) + top[:, 1:].sum(axis=1) + sums.max(axis=0).sum(axis=1)
+        return best, (2 * sums).transpose(1, 0, 2).reshape(S, m * r).astype(float)
 
-    brv2, g2_avg = best_and_avg(G2)
-    brv1, g1_avg = best_and_avg(G1)
-    # the played value of a pair picks one averaged form per cell
-    OH = onehot.reshape(S, r * m)
-    gain2 = brv2[:, None] - (2.0 / r) * (g2_avg @ OH.T)
-    gain1 = brv1[None, :] - (2.0 / r) * (OH @ g1_avg.T)
+    best2, played2 = best_and_played(G2)
+    best1, played1 = best_and_played(G1)
+    # the played value of a pair picks one form per cell
+    OH = onehot.transpose(1, 0, 2).reshape(S, m * r).astype(float)
+    gain2 = best2[:, None] - (played2 @ OH.T).astype(np.int64)
+    gain1 = best1[None, :] - (OH @ played1.T).astype(np.int64)
     return gain1, gain2
-
-
-# cut points per block of cells in _env01; bounds its temporaries at a few
-# MB whatever m is
-ENV_BLOCK = 1 << 18
-
-
-def _env01(lo, hi):
-    """Integral over [0, 1] of the max of affine forms, per cell.
-
-    ``lo`` and ``hi`` are (..., m) arrays of the forms' values at 0 and 1.
-    The cells are done in blocks of at most ENV_BLOCK cut points.
-    """
-    m = lo.shape[-1]
-    lo2, hi2 = lo.reshape(-1, m), hi.reshape(-1, m)
-    out = np.empty(len(lo2))
-    rows = max(1, ENV_BLOCK // (m * (m - 1) // 2 + 2))
-    for j in range(0, len(lo2), rows):
-        out[j : j + rows] = _env01_block(lo2[j : j + rows], hi2[j : j + rows])
-    return out.reshape(lo.shape[:-1])
-
-
-def _env01_block(lo, hi):
-    """_env01 on (n, m) arrays.
-
-    The cut points are 0, 1 and every pairwise crossing inside (0, 1);
-    padding cuts at 1 make zero-length segments, which add exactly 0.  The
-    top form on each segment is a running maximum over the m forms, whose
-    strict ``>`` keeps the first of tied forms, as argmax would.
-    """
-    m = lo.shape[-1]
-    a, b = np.triu_indices(m, 1)
-    d0 = lo[:, a] - lo[:, b]
-    d1 = hi[:, a] - hi[:, b]
-    cuts = np.ones((len(lo), len(a) + 2))
-    cuts[:, 0] = 0.0
-    np.divide(d0, d0 - d1, out=cuts[:, 2:], where=d0 * d1 < 0)
-    cuts.sort(axis=-1)
-    s0, s1 = cuts[:, :-1], cuts[:, 1:]
-    slope = hi - lo
-    mid = (s0 + s1) / 2
-    k = np.zeros(mid.shape, dtype=np.intp)
-    top = lo[:, :1] + mid * slope[:, :1]
-    for form in range(1, m):
-        value = lo[:, form : form + 1] + mid * slope[:, form : form + 1]
-        higher = value > top
-        k[higher] = form
-        np.maximum(top, value, out=top)
-    lo_k = np.take_along_axis(lo, k, axis=-1)
-    slope_k = np.take_along_axis(slope, k, axis=-1)
-    v0 = lo_k + s0 * slope_k
-    v1 = lo_k + s1 * slope_k
-    return np.cumsum((s1 - s0) * (v0 + v1) / 2, axis=-1)[:, -1]
 
 
 def no_pure_equilibrium_search(
@@ -544,10 +506,13 @@ def no_pure_equilibrium_search(
 
     The scan is exhaustive while the strategy family fits max_strategies;
     beyond that a seeded sample is drawn (always keeping the constant
-    strategies).  A float lane scans every pair; every pair within float
-    tolerance of the minimum is re-evaluated in exact arithmetic, so the
-    reported minimum gain is an exact rational.  PASS means it exceeds
-    epsilon, witnessing that no scanned pure profile is close to equilibrium.
+    strategies).  An integer lane scans every pair: each gain is a numerator
+    over 2r^2 (r the grid), exact because the value forms cross only at cell
+    midpoints and the played products stay below 2^53 in float64.  The first
+    minimum in row-major order is re-certified once, by pure_profile_gain on
+    Fraction rows, and both of its gains must equal the lane's.  PASS means
+    the minimum exceeds epsilon, witnessing that no scanned pure profile is
+    close to equilibrium.
     """
     if budget > 8 or grid > 64:
         raise BudgetExceeded("supported desk scale: budget <= 8, grid <= 64")
@@ -562,26 +527,20 @@ def no_pure_equilibrium_search(
         strategies = grid_strategies(game.m, grid, budget)
     else:
         strategies = _sampled_strategies(game.m, grid, budget, max_strategies, seed)
-    gain1, gain2 = _float_gain_matrices(game.m, grid, strategies)
-    worst = np.maximum(gain1, gain2)
-    float_min = float(worst.min())
-    window = 2e-9
-    near = np.argwhere(worst <= float_min + window)
-    best_exact = None
-    best_pair = None
-    for i1, i2 in near:
-        f1 = IntervalUnionStrategy.from_grid(strategies[i1], game.m)
-        f2 = IntervalUnionStrategy.from_grid(strategies[i2], game.m)
-        g1, g2 = pure_profile_gain(game, f1, f2)
-        exact = max(g1, g2)
-        if best_exact is None or exact < best_exact:
-            best_exact = exact
-            best_pair = (strategies[i1], strategies[i2])
-        if not abs(float(exact) - float(worst[i1, i2])) < 1e-9:
-            raise ArithmeticError(
-                f"float lane disagrees on the pair {strategies[i1]}, {strategies[i2]}: "
-                f"exact gain {exact}, float gain {float(worst[i1, i2])!r}"
-            )
+    gain1, gain2 = _gain_matrices(game.m, grid, strategies)
+    # the first minimum in row-major order
+    i1, i2 = np.unravel_index(np.argmin(np.maximum(gain1, gain2)), gain1.shape)
+    denominator = 2 * grid * grid
+    lane = (Fraction(int(gain1[i1, i2]), denominator), Fraction(int(gain2[i1, i2]), denominator))
+    f1 = IntervalUnionStrategy.from_grid(strategies[i1], game.m)
+    f2 = IntervalUnionStrategy.from_grid(strategies[i2], game.m)
+    exact = pure_profile_gain(game, f1, f2)
+    if exact != lane:
+        raise ArithmeticError(
+            f"integer lane disagrees on the pair {strategies[i1]}, {strategies[i2]}: "
+            f"exact gains {exact[0]}, {exact[1]}, lane gains {lane[0]}, {lane[1]}"
+        )
+    min_gain = max(exact)
     uniform = behavioral_profile_gain(game, uniform_rows(game.m), uniform_rows(game.m))
     return SearchReport(
         m=game.m,
@@ -591,10 +550,10 @@ def no_pure_equilibrium_search(
         epsilon=epsilon,
         strategies=len(strategies),
         pairs=len(strategies) ** 2,
-        min_gain=best_exact,
-        argmin=best_pair,
+        min_gain=min_gain,
+        argmin=(strategies[i1], strategies[i2]),
         uniform_gains=uniform,
-        passed=best_exact > epsilon,
+        passed=min_gain > epsilon,
         exhaustive=exhaustive,
     )
 

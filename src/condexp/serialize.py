@@ -8,6 +8,7 @@ trees that serialize byte-identically under sorted-keys JSON.
 from __future__ import annotations
 
 import dataclasses
+import re
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -302,7 +303,38 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
                 raise SchemaError(f"{tp}.profile", f"repeats action profile {profile}")
             tables[profile] = load_entries(td.get("entries"), f"{tp}.entries")
         payoffs.append(tables)
-    return BayesianGame(tuple(specs), density, tuple(payoffs))
+    try:
+        return BayesianGame(tuple(specs), density, tuple(payoffs))
+    except SchemaError as exc:
+        raise SchemaError(_json_path(exc.path, path, density, payoffs), exc.message) from None
+
+
+def _json_path(game_path: str, path: str, density, payoffs) -> str:
+    """The JSON path, under ``path``, of the entry or profile whose key a
+    ``BayesianGame`` construction error names at ``game_path``; a fault with
+    no one such key in the document keeps its game path, under ``path``.
+
+    Each table holds its keys in document order, repeats being rejected, so
+    a key's position in its table is its JSON index.
+    """
+
+    def index(table, key: str) -> int | None:
+        return next((k for k, x in enumerate(table) if str(x) == key), None)
+
+    found = re.fullmatch(r"density\[(.+)\]", game_path)
+    if found and (k := index(density, found[1])) is not None:
+        return f"{path}.density[{k}].units"
+    found = re.fullmatch(r"payoffs\[(\d+)\]\[(\(.*?\))\](?:\[(.+)\])?", game_path)
+    if found:
+        i, profile, key = int(found[1]), found[2], found[3]
+        k = index(payoffs[i], profile)
+        if k is not None:
+            if key is None:
+                return f"{path}.payoffs[{i}][{k}].profile"
+            j = index(list(payoffs[i].values())[k], key)
+            if j is not None:
+                return f"{path}.payoffs[{i}][{k}].entries[{j}].units"
+    return f"{path}.{game_path}"
 
 
 def dump_game(game: BayesianGame) -> dict:

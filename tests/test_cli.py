@@ -473,24 +473,44 @@ class TestLoaderInput:
             ),
             (
                 lambda d: d["game"]["density"].append({"units": [7, 7], "const": "0"}),
-                "density[(7, 7)]: not a unit tuple",
+                "game.density[1].units: not a unit tuple",
             ),
             (
                 lambda d: d["game"]["density"].append({"units": [0], "const": "0"}),
-                "density[(0,)]: not a unit tuple",
+                "game.density[1].units: not a unit tuple",
             ),
             (
                 lambda d: d["game"]["payoffs"][0].append(
                     dict(d["game"]["payoffs"][0][0], profile=[9, 9])
                 ),
-                "payoffs[0][(9, 9)]: not an action profile",
+                "game.payoffs[0][4].profile: not an action profile",
+            ),
+            # faults found while the game is built name the entry's JSON
+            # path, or the game's own path under "game." where the document
+            # has no such entry
+            (
+                lambda d: d["game"]["density"][0].update(const="-1"),
+                "game.density[0].units: density must be nonnegative",
+            ),
+            (
+                lambda d: d["game"]["payoffs"][0][1]["entries"][0].update(slope="1", coord=5),
+                "game.payoffs[0][1].entries[0].units: bad affine coordinate",
+            ),
+            (
+                lambda d: d["game"]["payoffs"][1][2]["entries"].pop(),
+                "game.payoffs[1][(1, 0)][(0, 0)]: missing entry",
+            ),
+            (
+                lambda d: d["game"]["density"][0].update(const="2"),
+                "game.density: must integrate to 1, got 2",
             ),
         ],
         ids=["piece-not-object", "unit-not-integer", "profile-action-not-integer",
              "unit-float", "pure-action-not-integer", "point-not-bool",
              "profile-extra-entry", "profile-short", "coord-bool", "repeated-density-units",
              "repeated-payoff-units", "repeated-profile", "density-units-off-grid",
-             "density-units-short", "profile-off-grid"],
+             "density-units-short", "profile-off-grid", "density-negative",
+             "payoff-bad-coordinate", "payoff-entry-missing", "density-total"],
     )
     def test_malformed_input_is_an_input_error(self, capsys, tmp_path, edit, err):
         code = self.purify_with(tmp_path, edit)

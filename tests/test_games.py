@@ -84,8 +84,10 @@ class TestValidation:
             {x: {(0, 0): Entry(F(0))} for x in [(0, 0), (0, 1), (1, 0), (1, 1)]}
             for _ in range(2)
         )
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as exc:
             BayesianGame(specs, density, payoffs)
+        assert exc.value.path == "density"
+        assert str(exc.value) == "density: must integrate to 1, got 2"
 
     def test_marginal_condition_rejected(self):
         # q = 2*t1 integrates to 1 but the player-1 marginal is not constant
@@ -98,8 +100,11 @@ class TestValidation:
             {x: {(0, 0): Entry(F(0))} for x in [(0, 0), (0, 1), (1, 0), (1, 1)]}
             for _ in range(2)
         )
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as exc:
             BayesianGame(specs, density, payoffs)
+        path = "density marginal[player 0, unit 0]"
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: must be identically 1, got 0 + 2*t"
 
     def test_double_affine_rejected(self):
         specs = (
@@ -116,8 +121,11 @@ class TestValidation:
         payoffs = tuple(
             {x: dict(bad) for x in [(0, 0), (0, 1), (1, 0), (1, 1)]} for _ in range(2)
         )
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as exc:
             BayesianGame(specs, density, payoffs)
+        path = "payoffs[0][(0, 0)][(0, 0)]"
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: payoff and density are both affine on this tuple"
 
     def test_saturated_q_game_is_valid(self):
         game = saturated_q_game()

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from condexp import pennies
 from condexp.errors import BoundaryPoint, BudgetExceeded, SchemaError
 from condexp.pennies import (
     IntervalUnionStrategy,
     PenniesGame,
     TrianglePrior,
-    _float_gain_matrices,
+    _gain_matrices,
     _sampled_strategies,
     _tails,
     _unrank_changing,
@@ -299,7 +298,7 @@ class TestSearch:
     def test_float_matches_exact_on_sample(self):
         game = PenniesGame(2)
         strategies = grid_strategies(2, 8, 1)
-        gain1, gain2 = _float_gain_matrices(2, 8, strategies)
+        gain1, gain2 = _gain_matrices(2, 8, strategies)
         rng = random.Random(9)
         for _ in range(15):
             i1 = rng.randrange(len(strategies))
@@ -307,8 +306,8 @@ class TestSearch:
             f1 = IntervalUnionStrategy.from_grid(strategies[i1], 2)
             f2 = IntervalUnionStrategy.from_grid(strategies[i2], 2)
             g1, g2 = pure_profile_gain(game, f1, f2)
-            assert abs(float(g1) - gain1[i1, i2]) < 1e-9
-            assert abs(float(g2) - gain2[i1, i2]) < 1e-9
+            assert g1 == F(int(gain1[i1, i2]), 2 * 8**2)
+            assert g2 == F(int(gain2[i1, i2]), 2 * 8**2)
 
 
 class TestSampledSearch:
@@ -404,7 +403,7 @@ class TestTriangleGeometryOracle:
             assert u2 == u2_direct
 
 
-# -- strategy family and float lane against reference constructions -----------
+# -- strategy family and integer lane against reference constructions ---------
 
 
 def reference_family(m, r, budget):
@@ -446,7 +445,8 @@ def reference_env01(lo_vals, hi_vals):
 
 
 def reference_gain_matrices(m, r, strategies):
-    """The float lane as scalar loops over strategies, cells and pairs."""
+    """The gain matrices in floats, as scalar loops over strategies, cells
+    and pairs, with every pairwise crossing of the forms as a cut."""
     S = len(strategies)
     arrs = np.array(strategies, dtype=np.int64)
     onehot = np.zeros((S, r, m))
@@ -543,41 +543,62 @@ class TestStrategyFamily:
         assert [s for s in sampled if len(set(s)) == 1] == [(a,) * 64 for a in range(16)]
 
 
-class TestFloatLane:
+def assert_every_pair_exact(m, r, strategies):
+    """Every pair's integer-lane gains over 2r^2 equal pure_profile_gain."""
+    game = PenniesGame(m)
+    gain1, gain2 = _gain_matrices(m, r, strategies)
+    for i1, s1 in enumerate(strategies):
+        f1 = IntervalUnionStrategy.from_grid(s1, m)
+        for i2, s2 in enumerate(strategies):
+            f2 = IntervalUnionStrategy.from_grid(s2, m)
+            lane = (F(int(gain1[i1, i2]), 2 * r * r), F(int(gain2[i1, i2]), 2 * r * r))
+            assert pure_profile_gain(game, f1, f2) == lane
+
+
+class TestIntegerLane:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(strategy_subsets(max_size=40))
-    def test_matches_scalar_loops(self, case):
+    def test_matches_scalar_float_reference(self, case):
         m, r, strategies = case
-        got = _float_gain_matrices(m, r, strategies)
+        got = _gain_matrices(m, r, strategies)
         want = reference_gain_matrices(m, r, strategies)
         for g, w in zip(got, want):
             assert g.shape == w.shape
-            assert np.max(np.abs(g - w)) < 1e-12
+            assert g.dtype == np.int64
+            assert np.max(np.abs(g / (2 * r * r) - w)) < 1e-12
 
-    @pytest.mark.parametrize("block", [pennies.ENV_BLOCK, 40])
-    def test_matches_scalar_loops_for_many_actions(self, monkeypatch, block):
-        # m=8 has 28 crossings per cell; a 40-cut block holds one cell, so
-        # every cell is its own block
-        monkeypatch.setattr(pennies, "ENV_BLOCK", block)
+    def test_matches_scalar_float_reference_for_many_actions(self):
+        # m=8 has 28 pairwise crossings per cell for the reference to cut at
         strategies = _sampled_strategies(8, 6, 3, 60, 4)
-        got = _float_gain_matrices(8, 6, strategies)
+        got = _gain_matrices(8, 6, strategies)
         want = reference_gain_matrices(8, 6, strategies)
         for g, w in zip(got, want):
-            assert np.max(np.abs(g - w)) < 1e-12
+            assert np.max(np.abs(g / (2 * 6 * 6) - w)) < 1e-12
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(strategy_subsets(max_size=30))
     def test_every_pair_matches_exact_gains(self, case):
-        m, r, strategies = case
-        game = PenniesGame(m)
-        gain1, gain2 = _float_gain_matrices(m, r, strategies)
-        for i1, s1 in enumerate(strategies):
-            f1 = IntervalUnionStrategy.from_grid(s1, m)
-            for i2, s2 in enumerate(strategies):
-                f2 = IntervalUnionStrategy.from_grid(s2, m)
-                g1, g2 = pure_profile_gain(game, f1, f2)
-                assert abs(float(g1) - gain1[i1, i2]) < 1e-9
-                assert abs(float(g2) - gain2[i1, i2]) < 1e-9
+        assert_every_pair_exact(*case)
+
+    def test_every_pair_matches_exact_gains_on_the_largest_grid(self):
+        # r = 64, where the played products' partial sums are bounded by
+        # 2r^2 = 8192
+        assert_every_pair_exact(4, 64, _sampled_strategies(4, 64, 8, 14, 1))
+
+    def test_search_reports_the_first_minimum_in_row_major_order(self):
+        game = PenniesGame(3)
+        strategies = grid_strategies(3, 3, 2)
+        assert len(strategies) ** 2 == 729
+        best = None
+        for s1, s2 in itertools.product(strategies, repeat=2):
+            f1 = IntervalUnionStrategy.from_grid(s1, 3)
+            f2 = IntervalUnionStrategy.from_grid(s2, 3)
+            gain = max(pure_profile_gain(game, f1, f2))
+            if best is None or gain < best[0]:
+                best = (gain, (s1, s2))
+        report = no_pure_equilibrium_search(game, budget=2, grid=3)
+        assert report.exhaustive and report.pairs == 729
+        assert (report.min_gain, report.argmin) == best
 
 
 OPTIMIZED_CHECKS = """
@@ -585,13 +606,13 @@ from condexp import pennies
 
 if __debug__:
     raise SystemExit("expected to run under python -O")
-original = pennies._float_gain_matrices
-pennies._float_gain_matrices = lambda m, r, s: [g + 1e-6 for g in original(m, r, s)]
+original = pennies._gain_matrices
+pennies._gain_matrices = lambda m, r, s: [g + 1 for g in original(m, r, s)]
 try:
     pennies.no_pure_equilibrium_search(pennies.PenniesGame(2), budget=1, grid=4)
 except ArithmeticError as exc:
     print("search:", exc)
-pennies._float_gain_matrices = original
+pennies._gain_matrices = original
 
 gain_side = pennies._gain_side
 
@@ -620,6 +641,6 @@ class TestChecksSurviveOptimize:
         )
         assert done.returncode == 0, done.stderr
         search, values = done.stdout.splitlines()
-        assert search.startswith("search: float lane disagrees on the pair (")
-        assert "exact gain" in search and "float gain" in search
+        assert search.startswith("search: integer lane disagrees on the pair (")
+        assert "exact gains" in search and "lane gains" in search
         assert values.startswith("values: zero-sum check failed: U1 = 1, U2 = 0")
