@@ -567,13 +567,17 @@ class TestIntegerLane:
             assert g.dtype == np.int64
             assert np.max(np.abs(g / (2 * r * r) - w)) < 1e-12
 
-    def test_matches_scalar_float_reference_for_many_actions(self):
-        # m=8 has 28 pairwise crossings per cell for the reference to cut at
-        strategies = _sampled_strategies(8, 6, 3, 60, 4)
-        got = _gain_matrices(8, 6, strategies)
-        want = reference_gain_matrices(8, 6, strategies)
+    # m=8 and m=12 have 28 and 66 pairwise crossings per cell for the
+    # reference to cut at
+    @pytest.mark.parametrize(
+        "m, r, budget, count, seed", [(8, 6, 3, 60, 4), (12, 5, 3, 40, 2)], ids=["m8", "m12"]
+    )
+    def test_matches_scalar_float_reference_for_many_actions(self, m, r, budget, count, seed):
+        strategies = _sampled_strategies(m, r, budget, count, seed)
+        got = _gain_matrices(m, r, strategies)
+        want = reference_gain_matrices(m, r, strategies)
         for g, w in zip(got, want):
-            assert np.max(np.abs(g / (2 * 6 * 6) - w)) < 1e-12
+            assert np.max(np.abs(g / (2 * r * r) - w)) < 1e-12
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(strategy_subsets(max_size=30))
