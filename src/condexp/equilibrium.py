@@ -5,9 +5,13 @@ simplices, one per (player, information block) agent.  The solver works on
 that agent form: an exact rational LP for two-player zero-sum games, damped
 best-response iteration with rational snapping otherwise, and an exact
 support-polish for two-player general-sum games.  The best-response
-iteration runs in floats, on coefficients converted once per agent form.  Verification is a separate
-code path: it integrates pointwise best-response envelopes over the type
-space in exact arithmetic and never reuses the solver's internal numbers.
+iteration takes whole-array float steps over every agent, with the scalar
+loop's floats: terms are elementwise products taken left to right, values a
+sequential ``np.add.accumulate`` from 0.0 in coefficient order (no pairwise
+``sum``), best responses the first-index ``argmax`` (``vals.index(max(vals))``).
+Verification is a separate code path: it integrates pointwise best-response
+envelopes over the type space in exact arithmetic and never reuses the
+solver's internal numbers.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .errors import SchemaError
 from .games import (
@@ -110,40 +116,12 @@ class AgentForm:
             self.coeff.append(
                 {k: {opp: Fraction(v, D) for opp, v in slot.items()} for k, slot in sums.items()}
             )
-        # the float lane of the best-response iteration, converted once:
-        # terms[i][(b, x_i)] = [(float(c), ((j, b_j, x_j) per opponent)), ...]
-        # in coeff's order
-        self.terms: list[dict] = [
-            {
-                key: [
-                    (float(c), tuple(zip(self.others[i], opp_blocks, opp_actions)))
-                    for (opp_blocks, opp_actions), c in slot.items()
-                ]
-                for key, slot in self.coeff[i].items()
-            }
-            for i in range(n)
-        ]
 
     def block_counts(self) -> list[int]:
         return [len(part.blocks) for part in self.game.info]
 
     def action_counts(self) -> list[int]:
         return [len(p.actions) for p in self.game.players]
-
-    def agent_action_value_float(self, i: int, b: int, a: int, mixtures) -> float:
-        total = 0.0
-        for w, factors in self.terms[i].get((b, a), ()):
-            for j, bj, aj in factors:
-                w *= mixtures[j][bj][aj]
-            total += w
-        return total
-
-    def agent_values_float(self, i: int, b: int, mixtures) -> list[float]:
-        """Agent (i, b)'s float payoff of each action against ``mixtures``."""
-        return [
-            self.agent_action_value_float(i, b, a, mixtures)
-            for a in range(len(self.game.players[i].actions))
-        ]
 
 
 def mixtures_to_profile(game: BayesianGame, mixtures) -> tuple[BehavioralStrategy, ...]:
@@ -249,26 +227,75 @@ def _solve_lp_zero_sum(agent_form: AgentForm):
     return mixtures, value1
 
 
-def _best_response(agent_form: AgentForm, mixtures_float):
-    out = []
-    for i, part in enumerate(agent_form.game.info):
-        rows = []
-        for b in range(len(part.blocks)):
-            vals = agent_form.agent_values_float(i, b, mixtures_float)
-            k = vals.index(max(vals))
-            rows.append([1.0 if a == k else 0.0 for a in range(len(vals))])
-        out.append(rows)
-    return out
+def _br_lane(agent_form: AgentForm):
+    """The float payoffs of every agent (i, b), in info order, as arrays.
+
+    ``coef[g, a]`` holds agent g's coefficients for action a in coeff's
+    order after a leading 0.0, and ``gather[s][g, a]`` the flat index into
+    the (agent, action) weights of each term's s-th opponent factor; padded
+    actions and terms have coefficient 0.0.  Also returned: ``pad``, -inf on
+    padded actions, and the uniform start, 0.0 on them.
+    """
+    game = agent_form.game
+    counts = agent_form.action_counts()
+    agents = [(i, b) for i, part in enumerate(game.info) for b in range(len(part.blocks))]
+    row = {agent: g for g, agent in enumerate(agents)}
+    A = max(counts)
+    T = 1 + max((len(slot) for coeff in agent_form.coeff for slot in coeff.values()), default=0)
+    pos, vals, idx = [], [], []
+    for g, (i, b) in enumerate(agents):
+        others = agent_form.others[i]
+        for a in range(counts[i]):
+            slot = agent_form.coeff[i].get((b, a), {})
+            for at, (opp, c) in enumerate(slot.items(), (g * A + a) * T + 1):
+                pos.append(at)
+                vals.append(float(c))
+                idx.append([row[j, bj] * A + aj for j, bj, aj in zip(others, *opp)])
+    coef = np.zeros((len(agents), A, T))
+    coef.flat[pos] = vals
+    gather = np.zeros((len(game.players) - 1, *coef.shape), dtype=np.intp)
+    for s, opponent in enumerate(gather):
+        opponent.flat[pos] = [f[s] for f in idx]
+    m = np.array([counts[i] for i, _b in agents])[:, None]
+    real = np.arange(A) < m
+    return coef, gather, np.where(real, 0.0, -np.inf), np.where(real, 1.0 / m, 0.0)
 
 
-def _br_regret(agent_form: AgentForm, mixtures_float) -> float:
-    worst = 0.0
-    for i, part in enumerate(agent_form.game.info):
-        for b in range(len(part.blocks)):
-            vals = agent_form.agent_values_float(i, b, mixtures_float)
-            played = sum(mixtures_float[i][b][a] * vals[a] for a in range(len(vals)))
-            worst = max(worst, max(vals) - played)
-    return worst
+def _lane_values(coef, gather, x):
+    """Each agent's float payoff of each action against the weights ``x``."""
+    flat, terms = x.ravel(), coef
+    for g in gather:
+        terms = terms * flat[g]
+    return np.add.accumulate(terms, axis=2)[:, :, -1]
+
+
+def _br_floats(agent_form: AgentForm, options: SolveOptions):
+    """Damped best response in floats: the unsnapped block mixtures per
+    player and the iteration count.
+
+    A value sums finite terms (float coefficients times weights in [0, 1]):
+    it may overflow to +-inf, silently as in Python, but is never nan, and
+    ``argmax`` ties as ``max`` does.  A regret of inf - inf is nan, which
+    neither the scalar ``max(worst, r)`` nor ``r >= 1e-12`` counts.
+    """
+    coef, gather, pad, x = _br_lane(agent_form)
+    step = DAMPING * np.eye(x.shape[1])
+    zero = np.zeros((x.shape[0], 1))
+    iterations = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, options.max_iters + 1):
+            x = (1 - DAMPING) * x + step[(_lane_values(coef, gather, x) + pad).argmax(axis=1)]
+            if iterations % 25 == 0:
+                v = _lane_values(coef, gather, x)
+                played = np.add.accumulate(np.hstack((zero, x * v)), axis=1)[:, -1]
+                if not ((v + pad).max(axis=1) - played >= 1e-12).any():
+                    break
+    rows = iter(x.tolist())
+    mixtures = [
+        [next(rows)[:m] for _ in part.blocks]
+        for part, m in zip(agent_form.game.info, agent_form.action_counts())
+    ]
+    return mixtures, iterations
 
 
 def _snap_mixtures(mixtures_float, denominator: int):
@@ -287,25 +314,8 @@ def _snap_mixtures(mixtures_float, denominator: int):
 
 
 def _solve_br(agent_form: AgentForm, options: SolveOptions):
-    mixtures = [
-        [[1.0 / m for _ in range(m)] for _ in part.blocks]
-        for part, m in zip(agent_form.game.info, agent_form.action_counts())
-    ]
-    iterations = 0
-    for iterations in range(1, options.max_iters + 1):
-        target = _best_response(agent_form, mixtures)
-        new = [
-            [
-                [(1 - DAMPING) * w + DAMPING * t for w, t in zip(row, trow)]
-                for row, trow in zip(rows, trows)
-            ]
-            for rows, trows in zip(mixtures, target)
-        ]
-        mixtures = new
-        if iterations % 25 == 0 and _br_regret(agent_form, mixtures) < 1e-12:
-            break
-    snapped = _snap_mixtures(mixtures, SNAP_DENOMINATOR)
-    return snapped, iterations
+    mixtures, iterations = _br_floats(agent_form, options)
+    return _snap_mixtures(mixtures, SNAP_DENOMINATOR), iterations
 
 
 def _support_polish(agent_form: AgentForm, supports):
@@ -358,9 +368,9 @@ def _support_polish(agent_form: AgentForm, supports):
     return mixtures
 
 
-def _solve_enum(agent_form: AgentForm, options: SolveOptions):
-    """Support search for two-player agent forms, seeded by a float run."""
-    guess, iters = _solve_br(agent_form, options)
+def _solve_enum(agent_form: AgentForm, options: SolveOptions, br_run=None):
+    """Support search for two-player agent forms, seeded by ``br_run`` or a new float run."""
+    guess, iters = br_run or _solve_br(agent_form, options)
     m1, m2 = agent_form.action_counts()
     supports_guess = [
         [tuple(a for a in range(m) if row[a] > 0) or tuple(range(m)) for row in rows]
@@ -424,7 +434,7 @@ def solve_behavioral(game: BayesianGame, options: SolveOptions | None = None) ->
         mixtures, iterations = _solve_br(agent_form, options)
     profile, walk, eps = _verified(game, mixtures)
     if max(eps) > options.epsilon and method == "br" and len(game.players) == 2:
-        mixtures2, extra = _solve_enum(agent_form, options)
+        mixtures2, extra = _solve_enum(agent_form, options, (mixtures, iterations))
         profile2, walk2, eps2 = _verified(game, mixtures2)
         if max(eps2) < max(eps):
             mixtures, profile, eps, walk = mixtures2, profile2, eps2, walk2

@@ -264,10 +264,15 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
             if not point:
                 grid_doc = _expect(cd.get("grid"), list, f"{cp}.grid")
                 grid = tuple(frac(x, f"{cp}.grid") for x in grid_doc)
-            cells.append(
-                TypeCell(str(cd.get("id", f"t{i}")), frac(cd.get("mass"), f"{cp}.mass"), grid, point)
-            )
-        specs.append(PlayerSpec(tuple(str(a) for a in actions), tuple(cells)))
+            mass = frac(cd.get("mass"), f"{cp}.mass")
+            try:
+                cells.append(TypeCell(str(cd.get("id", f"t{i}")), mass, grid, point))
+            except SchemaError as exc:  # at cells[<id>].<field>
+                raise SchemaError(f"{cp}.{exc.path.rsplit('.', 1)[1]}", exc.message) from None
+        try:
+            specs.append(PlayerSpec(tuple(str(a) for a in actions), tuple(cells)))
+        except SchemaError as exc:  # at actions or cells
+            raise SchemaError(f"{p}.{exc.path}", exc.message) from None
 
     def load_entries(doc: Any, p: str) -> dict[tuple[int, ...], Entry]:
         """A list of entries by unit tuple; the game checks their values."""

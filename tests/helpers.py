@@ -367,3 +367,87 @@ def reference_agent_coeff(game):
                 slot[opp] = slot.get(opp, F(0)) + val
         out.append(coeff)
     return out
+
+
+def reference_values(agent_form):
+    """``values(i, b, mixtures)``: agent (i, b)'s float payoff of each action
+    as the scalar loop before the array lane took it, one multiply per
+    opponent factor and one add per coefficient, in coeff's order."""
+    game = agent_form.game
+    # terms[i][(b, x_i)] = [(float(c), ((j, b_j, x_j) per opponent)), ...]
+    terms = [
+        {
+            key: [
+                (float(c), tuple(zip(agent_form.others[i], opp_blocks, opp_actions)))
+                for (opp_blocks, opp_actions), c in slot.items()
+            ]
+            for key, slot in agent_form.coeff[i].items()
+        }
+        for i in range(len(game.players))
+    ]
+
+    def agent_action_value_float(i, b, a, mixtures):
+        total = 0.0
+        for w, factors in terms[i].get((b, a), ()):
+            for j, bj, aj in factors:
+                w *= mixtures[j][bj][aj]
+            total += w
+        return total
+
+    def values(i, b, mixtures):
+        return [
+            agent_action_value_float(i, b, a, mixtures)
+            for a in range(len(game.players[i].actions))
+        ]
+
+    return values
+
+
+def reference_solve_br(agent_form, options):
+    """The damped best-response iteration as the scalar loop it was before
+    the array lane, on ``reference_values``.  Returns the unsnapped float
+    mixtures (player -> block -> weights) and the iteration count.
+    """
+    from condexp.equilibrium import DAMPING
+
+    game = agent_form.game
+    agent_values_float = reference_values(agent_form)
+
+    def best_response(mixtures_float):
+        out = []
+        for i, part in enumerate(game.info):
+            rows = []
+            for b in range(len(part.blocks)):
+                vals = agent_values_float(i, b, mixtures_float)
+                k = vals.index(max(vals))
+                rows.append([1.0 if a == k else 0.0 for a in range(len(vals))])
+            out.append(rows)
+        return out
+
+    def br_regret(mixtures_float):
+        worst = 0.0
+        for i, part in enumerate(game.info):
+            for b in range(len(part.blocks)):
+                vals = agent_values_float(i, b, mixtures_float)
+                played = sum(mixtures_float[i][b][a] * vals[a] for a in range(len(vals)))
+                worst = max(worst, max(vals) - played)
+        return worst
+
+    mixtures = [
+        [[1.0 / m for _ in range(m)] for _ in part.blocks]
+        for part, m in zip(game.info, agent_form.action_counts())
+    ]
+    iterations = 0
+    for iterations in range(1, options.max_iters + 1):
+        target = best_response(mixtures)
+        new = [
+            [
+                [(1 - DAMPING) * w + DAMPING * t for w, t in zip(row, trow)]
+                for row, trow in zip(rows, trows)
+            ]
+            for rows, trows in zip(mixtures, target)
+        ]
+        mixtures = new
+        if iterations % 25 == 0 and br_regret(mixtures) < 1e-12:
+            break
+    return mixtures, iterations

@@ -504,13 +504,27 @@ class TestLoaderInput:
                 lambda d: d["game"]["density"][0].update(const="2"),
                 "game.density: must integrate to 1, got 2",
             ),
+            # player and cell faults name the player's or cell's JSON path
+            (
+                lambda d: d["game"]["players"][0]["cells"][0].update(mass="0"),
+                "game.players[0].cells[0].mass: must be positive",
+            ),
+            (
+                lambda d: d["game"]["players"][0]["actions"].__setitem__(1, "a1"),
+                "game.players[0].actions: labels must be unique",
+            ),
+            (
+                lambda d: d["game"]["players"][0]["cells"][0].update(grid=["1/2"]),
+                "game.players[0].cells[0].grid: grid must end at 1",
+            ),
         ],
         ids=["piece-not-object", "unit-not-integer", "profile-action-not-integer",
              "unit-float", "pure-action-not-integer", "point-not-bool",
              "profile-extra-entry", "profile-short", "coord-bool", "repeated-density-units",
              "repeated-payoff-units", "repeated-profile", "density-units-off-grid",
              "density-units-short", "profile-off-grid", "density-negative",
-             "payoff-bad-coordinate", "payoff-entry-missing", "density-total"],
+             "payoff-bad-coordinate", "payoff-entry-missing", "density-total",
+             "cell-mass-zero", "action-labels-repeated", "cell-grid-short"],
     )
     def test_malformed_input_is_an_input_error(self, capsys, tmp_path, edit, err):
         code = self.purify_with(tmp_path, edit)

@@ -1,9 +1,15 @@
 import dataclasses
 import itertools
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condexp import equilibrium, purification
 from condexp.equilibrium import (
@@ -27,6 +33,7 @@ from condexp.games import (
     uniform_strategy,
 )
 from condexp.purification import purify_player
+from condexp.serialize import load_game
 
 from game_factories import (
     flip_first_piece,
@@ -34,9 +41,11 @@ from game_factories import (
     random_dominance_game,
     random_profile,
 )
+from helpers import reference_solve_br, reference_values
 from test_games import pure, saturated_q_game
 
 F = Fraction
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def two_block_dominance_game():
@@ -414,53 +423,137 @@ class TestImprovingDeviationGain:
                 assert gain >= 0
 
 
-def per_call_action_value(agent_form, i, b, a, mixtures):
-    """The best-response value converting each exact coefficient per call."""
-    total = 0.0
-    for (opp_blocks, opp_actions), c in agent_form.coeff[i].get((b, a), {}).items():
-        w = float(c)
-        for j, bj, aj in zip(agent_form.others[i], opp_blocks, opp_actions):
-            w *= mixtures[j][bj][aj]
-        total += w
-    return total
+def float_hex(mixtures):
+    return [[[w.hex() for w in row] for row in rows] for rows in mixtures]
 
 
-class TestFloatLane:
-    """The float terms converted once per game give the per-call floats bit
-    for bit, so the best-response iteration is unchanged."""
+def assert_matches_the_scalar_loop(agent_form, max_iters):
+    """The lane's unsnapped floats and iteration count, once they are the
+    scalar loop's bit for bit."""
+    options = SolveOptions(max_iters=max_iters)
+    got, iterations = equilibrium._br_floats(agent_form, options)
+    want, want_iterations = reference_solve_br(agent_form, options)
+    assert (float_hex(got), iterations) == (float_hex(want), want_iterations)
+    return got, iterations
 
-    @staticmethod
-    def games(rng):
-        for n in (2, 2, 3, 3):
-            game = random_coarser_game(rng, n, max_actions=2 if n == 3 else 3)
-            yield equilibrium.AgentForm(game)
 
-    def test_action_values_are_bit_identical(self):
-        rng = random.Random(41)
-        for agent_form in self.games(rng):
-            counts = list(zip(agent_form.block_counts(), agent_form.action_counts()))
-            for _ in range(5):
-                mixtures = []
-                for B, m in counts:
-                    rows = []
-                    for _b in range(B):
-                        w = [rng.random() for _ in range(m)]
-                        rows.append([v / sum(w) for v in w])
-                    mixtures.append(rows)
-                for i, (B, m) in enumerate(counts):
-                    for b in range(B):
-                        for a in range(m):
-                            got = agent_form.agent_action_value_float(i, b, a, mixtures)
-                            assert got == per_call_action_value(agent_form, i, b, a, mixtures)
+def unequal_action_game(rng, n):
+    """A coarser game of n players whose action counts are not all equal."""
+    sizes = {2: {"max_actions": 4}, 3: {}, 4: {"max_actions": 3, "max_units": 2, "max_blocks": 2}}
+    while True:
+        game = random_coarser_game(rng, n, **sizes[n])
+        if len({len(p.actions) for p in game.players}) > 1:
+            return game
 
-    def test_solve_br_is_unchanged(self, monkeypatch):
-        options = SolveOptions(max_iters=300)
-        runs = []
-        for patched in (False, True):
-            if patched:
-                monkeypatch.setattr(
-                    equilibrium.AgentForm, "agent_action_value_float", per_call_action_value
-                )
-            runs.append([equilibrium._solve_br(af, options) for af in self.games(random.Random(43))])
-        assert runs[0] == runs[1]
-        assert any(iterations < options.max_iters for _mixtures, iterations in runs[0])
+
+def overflowing_game():
+    """A two-player coarser game with payoffs past the float64 range: player
+    0's all positive and player 1's all negative, scaled so the largest
+    agent-form coefficient is the largest float."""
+    game = random_coarser_game(random.Random(3), 2, max_blocks=3)
+
+    def payoffs(scale):
+        return tuple(
+            {x: {key: Entry(sign * scale * (3 + e.const)) for key, e in table.items()}
+             for x, table in payoff.items()}
+            for sign, payoff in zip((1, -1), game.payoffs)
+        )
+
+    unit = equilibrium.AgentForm(BayesianGame(game.players, game.density, payoffs(F(1))))
+    top = max(abs(c) for coeff in unit.coeff for slot in coeff.values() for c in slot.values())
+    return BayesianGame(game.players, game.density, payoffs(F(sys.float_info.max) / top))
+
+
+class TestArrayLane:
+    """The array lane of the damped best response gives the unsnapped floats
+    and the iteration count of the scalar loop (``reference_solve_br``) bit
+    for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=2, max_value=4),
+        st.sampled_from([0, 1, 25, 26, 300]),
+    )
+    def test_matches_the_scalar_loop(self, seed, n, max_iters):
+        assert_matches_the_scalar_loop(
+            equilibrium.AgentForm(unequal_action_game(random.Random(seed), n)), max_iters
+        )
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=4))
+    def test_values_match_the_scalar_loop(self, seed, n):
+        # the values themselves, bit for bit at random weights: an order
+        # change that flips no argmax still shows here
+        rng = random.Random(seed)
+        agent_form = equilibrium.AgentForm(unequal_action_game(rng, n))
+        coef, gather, pad, _x = equilibrium._br_lane(agent_form)
+        x = np.array([[rng.random() if p == 0 else 0.0 for p in row] for row in pad.tolist()])
+        x /= x.sum(axis=1, keepdims=True)
+        rows = iter(x.tolist())
+        mixtures = [
+            [next(rows)[:m] for _ in part.blocks]
+            for part, m in zip(agent_form.game.info, agent_form.action_counts())
+        ]
+        got = iter(equilibrium._lane_values(coef, gather, x).tolist())
+        values = reference_values(agent_form)
+        for i, part in enumerate(agent_form.game.info):
+            for b, mixture in enumerate(mixtures[i]):
+                lane = next(got)[: len(mixture)]
+                assert [v.hex() for v in lane] == [v.hex() for v in values(i, b, mixtures)]
+
+    @pytest.mark.parametrize(
+        "make_game, max_iters, ends",
+        [
+            (lambda: random_dominance_game(random.Random(5), 3), 0, "start"),
+            (lambda: random_dominance_game(random.Random(5), 3), 300, "regret"),
+            (cycling_three_player_game, 300, "cap"),
+        ],
+        ids=["no-iterations", "regret-exit", "cap"],
+    )
+    def test_each_way_out_of_the_loop(self, make_game, max_iters, ends):
+        agent_form = equilibrium.AgentForm(make_game())
+        got, iterations = assert_matches_the_scalar_loop(agent_form, max_iters)
+        if ends == "start":
+            assert iterations == 0
+            assert got == [[[1.0 / len(row)] * len(row) for row in rows] for rows in got]
+        elif ends == "regret":
+            assert iterations < max_iters and iterations % 25 == 0
+        else:
+            assert iterations == max_iters
+
+    @pytest.mark.parametrize("max_iters", [1, 25, 300])
+    def test_values_past_the_float_range(self, max_iters):
+        agent_form = equilibrium.AgentForm(overflowing_game())
+        biggest = F(sys.float_info.max)
+        counts = agent_form.action_counts()
+        # at the uniform start some action value is above the float range on
+        # player 0 and below it on player 1, so the lane sums to +inf and -inf
+        # (and its regrets read inf - inf)
+        for i, sign in ((0, 1), (1, -1)):
+            starts = [
+                sign * sum(c for c in slot.values()) / counts[1 - i]
+                for slot in agent_form.coeff[i].values()
+            ]
+            assert max(starts) > biggest
+        assert_matches_the_scalar_loop(agent_form, max_iters)
+
+
+class TestBrFallback:
+    def test_two_player_br_runs_the_iteration_once(self, monkeypatch):
+        # a two-player br result that fails verification falls back to the
+        # support search, which reuses the first run; the reported count
+        # still adds that run twice plus the one support tried
+        doc = json.loads((FIXTURES / "saturated_game.json").read_text())
+        game = load_game(doc["game"])
+        calls = []
+        solve_br = equilibrium._solve_br
+
+        def counted(agent_form, options):
+            calls.append(options.max_iters)
+            return solve_br(agent_form, options)
+
+        monkeypatch.setattr(equilibrium, "_solve_br", counted)
+        report = solve_behavioral(game, SolveOptions(method="br", max_iters=300))
+        assert calls == [300]
+        assert (report.method, report.iterations, report.converged) == ("enum", 601, True)
