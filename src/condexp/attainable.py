@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .correspondences import (
     FiniteIndexedCorrespondence,
     MixedSelection,
@@ -498,10 +500,9 @@ def dyadic_selection(space: MeasureSpaceModel, cell_id: str, m: int) -> Selectio
     cell = space.cell(cell_id)
     if not cell.has_inner:
         raise NotSaturated("dyadic selections need an inner coordinate")
-    denom = 2**m
-    pieces = tuple(
-        (Fraction(i + 1, denom), 1 if i % 2 == 0 else 0) for i in range(denom)
-    )
+    bits, _counts = _dyadic_lane(m)
+    denom = len(bits)
+    pieces = tuple((Fraction(i + 1, denom), k) for i, k in enumerate(bits.tolist()))
     assignments: dict[str, object] = {}
     for c in space.cells:
         if c.id == cell_id:
@@ -509,6 +510,24 @@ def dyadic_selection(space: MeasureSpaceModel, cell_id: str, m: int) -> Selectio
         else:
             assignments[c.id] = pack_pieces(c, ((Fraction(1), 0),))
     return Selection(assignments)
+
+
+def _dyadic_lane(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-m alternating selection on its cell as 0/1 ints over the
+    2^m dyadic pieces (1 on the even ones), and its prefix counts:
+    ``counts[k]`` is the number of ones among the first k pieces."""
+    bits = 1 - np.arange(2**m, dtype=np.int64) % 2
+    return bits, np.concatenate(([0], np.cumsum(bits)))
+
+
+def _lane_integral(bits: np.ndarray, counts: np.ndarray, t: Fraction) -> Fraction:
+    """Integral over [0, t) of the lane's 0/1 function on the unit interval:
+    the whole pieces below t by their prefix count, plus the covered part of
+    the piece holding t when t is not a multiple of 1/2^m."""
+    n = len(bits)
+    k, rest = divmod(t.numerator * n, t.denominator)
+    partial = rest * int(bits[k]) if rest else 0
+    return Fraction(int(counts[k]) * t.denominator + partial, t.denominator * n)
 
 
 def _dyadic_level(h: StepFunction, cell: Cell) -> int | None:
@@ -552,35 +571,38 @@ def rademacher_escape(
     Against any test function constant on coarser dyadic pieces of the cell,
     the selection integrates to exactly half of the cell-restricted integral,
     which is the finite-model form of the weak-limit computation.
+
+    The report reads the selection from its dyadic integer lane: the
+    integral from the lane's total count, and each test's left side from
+    the prefix counts at the test's own breakpoints (one ``Fraction`` per
+    breakpoint, whatever m).  The right sides come from ``inner_products``,
+    which also checks every test.
     """
     cell = space.cell(cell_id)
     if cell.kind is not CellKind.SATURATED:
         raise NotSaturated(f"cell {cell_id} is not saturated")
-    F = indicator_correspondence(space, cell_id)
     phi = dyadic_selection(space, cell_id, m)
-    val = selection_value(F, phi)
-    integral = space.integrate(val)[0]
     ind = indicator_of_cells(space, [cell_id])
-    entries = [
-        RademacherTestEntry(_dyadic_level(psi, cell), lhs, rhs)
-        for psi, (lhs, rhs) in zip(tests, _escape_sides(space, val, ind, tests))
-    ]
+    rhs = [HALF * r for r in space.inner_products(ind, tests)]
+    bits, counts = _dyadic_lane(m)
+    entries = []
+    # the selection vanishes off the cell: a left side is the cell mass
+    # times the test's integral against the lane on the cell
+    for psi, right in zip(tests, rhs):
+        left = before = Fraction(0)
+        for upto, (v,) in psi.pieces(cell):
+            after = _lane_integral(bits, counts, upto)
+            left += v * (after - before)
+            before = after
+        entries.append(RademacherTestEntry(_dyadic_level(psi, cell), cell.mass * left, right))
     report = RademacherReport(
         cell=cell_id,
         m=m,
-        integral=integral,
+        integral=cell.mass * Fraction(int(counts[-1]), len(bits)),
         expected_integral=HALF * cell.mass,
         tests=tuple(entries),
     )
     return phi, report
-
-
-def _escape_sides(
-    space: MeasureSpaceModel, val: StepFunction, ind: StepFunction, tests: Sequence[StepFunction]
-) -> list[tuple[Fraction, Fraction]]:
-    """(integral of psi * val, half the integral of psi * ind) for each test psi."""
-    rhs = [HALF * r for r in space.inner_products(ind, tests)]
-    return list(zip(space.inner_products(val, tests), rhs))
 
 
 def limit_escape_certificate(space: MeasureSpaceModel, cell_id: str) -> Fraction:
@@ -617,27 +639,40 @@ def uhc_audit(space: MeasureSpaceModel, cell_id: str, depth: int = 8) -> UhcAudi
     conditional expectations settle on half the conditioned indicator.  The
     limit is attainable exactly when the designated cell is rich, and the
     defect on a saturated cell equals half its mass.
+
+    Each level m is read from its dyadic integer lane (0/1 over the 2^m
+    pieces and their prefix counts), not from a selection of 2^m
+    ``Fraction`` pieces: on a rich cell the block average (one ``Fraction``
+    per level, against the limit's conditional expectation), on a saturated
+    cell the canonical identities on the dyadic intervals of levels
+    0..min(3, m - 1), compared as integers.
     """
     cell = space.cell(cell_id)
     if not cell.has_inner:
         raise NotSaturated("audit requires a cell with an inner coordinate")
     F0 = indicator_correspondence(space, cell_id)
-    ind = indicator_of_cells(space, [cell_id])
-    limit = linear_combination(space, [(HALF, ind)])
+    limit = linear_combination(space, [(HALF, indicator_of_cells(space, [cell_id]))])
     limit_g = space.conditional_expectation(limit)
+    ((_upto, (target,)),) = limit_g.pieces(cell)
+    share = cell.mass / space.block_mass(cell.g_block)
 
     averages_constant = True
     identities_ok = True
     for m in range(1, depth + 1):
-        phi = dyadic_selection(space, cell_id, m)
-        val = selection_value(F0, phi)
+        _bits, counts = _dyadic_lane(m)
         if cell.kind is CellKind.RICH:
-            if not functions_equal(space, space.conditional_expectation(val), limit_g):
+            # the selection vanishes off the cell: its block average is the
+            # cell's share of the block times the cell average
+            if share * Fraction(int(counts[-1]), 2**m) != target:
                 averages_constant = False
         else:
-            tests = _canonical_dyadic_tests(space, cell_id, min(3, m - 1))
-            if any(lhs != rhs for lhs, rhs in _escape_sides(space, val, ind, tests)):
-                identities_ok = False
+            # the canonical identities at levels 0..min(3, m - 1): on each
+            # level-l dyadic interval, mass * ones / 2^m == mass / 2^(l + 1),
+            # that is 2 * ones == 2^(m - l)
+            for level in range(min(3, m - 1) + 1):
+                step = 2 ** (m - level)
+                if np.any(2 * np.diff(counts[::step]) != step):
+                    identities_ok = False
 
     result = membership(F0, limit_g)
     if result.member:
@@ -653,18 +688,6 @@ def uhc_audit(space: MeasureSpaceModel, cell_id: str, depth: int = 8) -> UhcAudi
         averages_constant=averages_constant,
         identities_ok=identities_ok,
     )
-
-
-def _canonical_dyadic_tests(
-    space: MeasureSpaceModel, cell_id: str, max_level: int
-) -> list[StepFunction]:
-    tests = []
-    for level in range(0, max_level + 1):
-        denom = 2**level
-        for i in range(denom):
-            lo, hi = Fraction(i, denom), Fraction(i + 1, denom)
-            tests.append(dyadic_indicator(space, cell_id, lo, hi))
-    return tests
 
 
 def dyadic_indicator(

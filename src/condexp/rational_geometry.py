@@ -3,12 +3,13 @@
 Polytopes are carried as finite vertex sets or, for Minkowski sums, through
 a linear-minimization oracle.  Nearest points come from Wolfe's
 min-norm-point algorithm, which needs only the oracle and is exact and
-finite in any dimension; a zero distance decides membership.  The
-dimension-3 extreme-point filter and the callers' linear programs run
+finite in any dimension; a zero distance decides membership.  Planar
+hulls come from Andrew's monotone chain and hulls in space from gift
+wrapping on integer coordinates, both without a linear program.  The
+callers' linear programs, and the vertex filter from dimension 4 on, run
 through a small exact simplex solver (Bland's rule, so it terminates) that
 pivots on integer rows over one denominator each, fraction-free, and reads
-its answer as ``Fraction`` at the end; planar hulls come from Andrew's
-monotone chain.
+its answer as ``Fraction`` at the end.
 """
 
 from __future__ import annotations
@@ -147,17 +148,6 @@ def feasible_combination(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction])
     return x
 
 
-def in_hull(x: Vec, points: Sequence[Vec]) -> bool:
-    """Exact test: is x a convex combination of the points?"""
-    if not points:
-        return False
-    dim = len(x)
-    A = [[p[d] for p in points] for d in range(dim)]
-    A.append([ONE] * len(points))
-    b = list(x) + [ONE]
-    return feasible_combination(A, b) is not None
-
-
 def dedupe_points(points: Sequence[Vec]) -> list[Vec]:
     return sorted(set(tuple(p) for p in points))
 
@@ -165,9 +155,12 @@ def dedupe_points(points: Sequence[Vec]) -> list[Vec]:
 def extreme_points(points: Sequence[Vec]) -> list[Vec]:
     """Vertices of the convex hull of a finite point set, sorted.
 
-    Dimension 2 uses Andrew's monotone chain; dimension 3 drops every point
-    lying in the hull of the others (one exact LP each).  Points in the
-    relative interior of an edge are not vertices and are dropped.
+    Dimension 2 uses Andrew's monotone chain, and dimension 3 gift wrapping
+    (Chand and Kapur 1970) on integer coordinates over one common
+    denominator, with no linear program; from dimension 4 on, every point
+    lying in the hull of the others is dropped (one exact LP each).  Points
+    in the relative interior of an edge or a face are not vertices and are
+    dropped.
     """
     pts = dedupe_points(points)
     if len(pts) <= 1:
@@ -177,26 +170,128 @@ def extreme_points(points: Sequence[Vec]) -> list[Vec]:
         return sorted({min(pts), max(pts)})
     if dim == 2:
         return sorted(_half_hull(pts) + _half_hull(reversed(pts)))
+    if dim == 3:
+        den = lcm(*(x.denominator for p in pts for x in p))
+        ints = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
+        return [pts[i] for i in sorted(_wrap(ints))]
     keep = []
     for i, p in enumerate(pts):
         others = pts[:i] + pts[i + 1 :]
-        if not in_hull(p, others):
+        A = [[q[d] for q in others] for d in range(dim)] + [[ONE] * len(others)]
+        if feasible_combination(A, list(p) + [ONE]) is None:
             keep.append(p)
     return keep
 
 
 def _half_hull(pts) -> list[Vec]:
     """One monotone chain over lexicographically ordered planar points,
-    without its last point; a non-left turn (cross <= 0) pops."""
+    without its last point; a non-left turn (cross <= 0) pops.  Only the
+    first two coordinates of a point are read."""
     chain: list[Vec] = []
     for p in pts:
         while len(chain) >= 2:
-            (ox, oy), (ax, ay) = chain[-2], chain[-1]
-            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+            o, a = chain[-2], chain[-1]
+            if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) > 0:
                 break
             chain.pop()
         chain.append(p)
     return chain[:-1]
+
+
+def _sub(u, v):
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _wrap(P: list[tuple[int, int, int]]) -> set[int]:
+    """Indices of the hull vertices of distinct, lexicographically sorted
+    integer points in space.
+
+    A collinear set gives its two ends and a coplanar set one polygon.
+    Otherwise the wrap starts from a facet through the lexicographic minimum
+    and turns each facet about each edge of its polygon onto the neighbouring
+    facet (``_turn``); a facet's polygon is taken over its whole coplanar
+    contact set, so points inside a face or on an edge are not vertices.
+    """
+    o = P[0]
+    if _collinear(P):
+        return {0, len(P) - 1}
+    normal = next(n for n in (_cross(_sub(P[1], o), _sub(p, o)) for p in P[2:]) if any(n))
+    if not any(_dot(normal, _sub(p, o)) for p in P[3:]):
+        return set(_polygon(P, range(len(P)), normal))
+    # the plane x = o[0] supports the set; while its contact is collinear,
+    # turn it about the contact's line (a line through o in it at first)
+    normal, contact = (-1, 0, 0), [i for i, p in enumerate(P) if p[0] == o[0]]
+    while _collinear([P[i] for i in contact]):
+        normal, contact = _turn(P, o, _sub(P[contact[-1]], o) if len(contact) > 1 else (0, 1, 0))
+    vertices: set[int] = set()
+    facets: set[tuple[int, int, int]] = set()
+    edges: set[tuple[int, int]] = set()
+    todo = [(normal, contact)]
+    while todo:
+        normal, contact = todo.pop()
+        g = gcd(*normal)
+        key = (normal[0] // g, normal[1] // g, normal[2] // g)
+        if key in facets:
+            continue
+        facets.add(key)
+        ring = _polygon(P, contact, normal)
+        vertices.update(ring)
+        for j, ia in enumerate(ring):
+            ib, ic = ring[(j + 1) % len(ring)], ring[(j + 2) % len(ring)]
+            if (min(ia, ib), max(ia, ib)) in edges:
+                continue
+            edges.add((min(ia, ib), max(ia, ib)))
+            # orient the edge so that normal x axis points into the facet
+            axis = _sub(P[ib], P[ia])
+            if _dot(_cross(normal, axis), _sub(P[ic], P[ia])) < 0:
+                axis = (-axis[0], -axis[1], -axis[2])
+            todo.append(_turn(P, P[ia], axis))
+    return vertices
+
+
+def _collinear(points) -> bool:
+    o = points[0]
+    return not any(any(_cross(_sub(points[1], o), _sub(p, o))) for p in points[2:])
+
+
+def _turn(P, a, axis) -> tuple[tuple[int, int, int], list[int]]:
+    """Turn a supporting plane about the line a + t * axis that it contains,
+    onto the next points; returns the new plane's outward normal and
+    contact (indices, ascending).
+
+    The points of the old plane off the line lie on the side of
+    ``old normal x axis``.  The candidate plane through the line and a point
+    w has the outward normal (w - a) x axis, and a point on its outer side
+    turns it further, so one pass of triple products ends on the supporting
+    plane.
+    """
+    normal = None
+    for p in P:
+        w = _sub(p, a)
+        if normal is None or _dot(normal, w) > 0:
+            n = _cross(w, axis)
+            if any(n):
+                normal = n
+    return normal, [i for i, p in enumerate(P) if _dot(normal, _sub(p, a)) == 0]
+
+
+def _polygon(P, idx, normal) -> list[int]:
+    """The vertices, in cyclic order, of the convex polygon spanned by the
+    coplanar points ``P[i]``, i in idx, whose plane has the given normal: the
+    monotone chain on the two coordinates that the plane projects onto one
+    to one."""
+    k = next(d for d in range(3) if normal[d])
+    u, v = [d for d in range(3) if d != k]
+    flat = sorted((P[i][u], P[i][v], i) for i in idx)
+    return [i for _x, _y, i in _half_hull(flat) + _half_hull(reversed(flat))]
 
 
 def support_value(points: Sequence[Vec], direction: Vec) -> Fraction:

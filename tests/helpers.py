@@ -451,3 +451,137 @@ def reference_solve_br(agent_form, options):
         if iterations % 25 == 0 and br_regret(mixtures) < 1e-12:
             break
     return mixtures, iterations
+
+
+# -- reference escape audits -----------------------------------------------------
+#
+# ``uhc_audit`` and ``rademacher_escape`` as they were before the dyadic
+# integer lane, kept as its oracle: every level-m alternating selection is
+# built as 2^m Fraction pieces, turned into a step function by
+# ``selection_value`` and integrated through the generic measure layer
+# (``conditional_expectation`` on a rich cell, ``inner_products`` against
+# the canonical dyadic indicators on a saturated one).
+
+
+def _reference_escape_sides(space_, val, ind, tests):
+    """(integral of psi * val, half the integral of psi * ind) for each test psi."""
+    from condexp.attainable import HALF
+
+    rhs = [HALF * r for r in space_.inner_products(ind, tests)]
+    return list(zip(space_.inner_products(val, tests), rhs))
+
+
+def reference_rademacher_escape(space_, cell_id, m, tests=()):
+    """(selection, RademacherReport) through ``selection_value``."""
+    from condexp.attainable import (
+        HALF,
+        RademacherReport,
+        RademacherTestEntry,
+        _dyadic_level,
+        dyadic_selection,
+        indicator_correspondence,
+    )
+    from condexp.correspondences import selection_value
+    from condexp.errors import NotSaturated
+    from condexp.measure import indicator_of_cells
+
+    cell = space_.cell(cell_id)
+    if cell.kind is not CellKind.SATURATED:
+        raise NotSaturated(f"cell {cell_id} is not saturated")
+    Fc = indicator_correspondence(space_, cell_id)
+    phi = dyadic_selection(space_, cell_id, m)
+    val = selection_value(Fc, phi)
+    integral = space_.integrate(val)[0]
+    ind = indicator_of_cells(space_, [cell_id])
+    entries = [
+        RademacherTestEntry(_dyadic_level(psi, cell), lhs, rhs)
+        for psi, (lhs, rhs) in zip(tests, _reference_escape_sides(space_, val, ind, tests))
+    ]
+    report = RademacherReport(
+        cell=cell_id,
+        m=m,
+        integral=integral,
+        expected_integral=HALF * cell.mass,
+        tests=tuple(entries),
+    )
+    return phi, report
+
+
+def reference_uhc_audit(space_, cell_id, depth=8):
+    """``UhcAuditReport`` with one ``selection_value`` per level."""
+    from condexp.attainable import (
+        HALF,
+        UhcAuditReport,
+        dyadic_indicator,
+        dyadic_selection,
+        indicator_correspondence,
+        limit_escape_certificate,
+        membership,
+    )
+    from condexp.correspondences import selection_value
+    from condexp.errors import NotSaturated
+    from condexp.measure import functions_equal, indicator_of_cells, linear_combination
+
+    cell = space_.cell(cell_id)
+    if not cell.has_inner:
+        raise NotSaturated("audit requires a cell with an inner coordinate")
+    F0 = indicator_correspondence(space_, cell_id)
+    ind = indicator_of_cells(space_, [cell_id])
+    limit = linear_combination(space_, [(HALF, ind)])
+    limit_g = space_.conditional_expectation(limit)
+
+    averages_constant = True
+    identities_ok = True
+    for m in range(1, depth + 1):
+        phi = dyadic_selection(space_, cell_id, m)
+        val = selection_value(F0, phi)
+        if cell.kind is CellKind.RICH:
+            if not functions_equal(space_, space_.conditional_expectation(val), limit_g):
+                averages_constant = False
+        else:
+            tests = [
+                dyadic_indicator(space_, cell_id, F(i, 2**level), F(i + 1, 2**level))
+                for level in range(min(3, m - 1) + 1)
+                for i in range(2**level)
+            ]
+            if any(lhs != rhs for lhs, rhs in _reference_escape_sides(space_, val, ind, tests)):
+                identities_ok = False
+
+    result = membership(F0, limit_g)
+    if result.member:
+        defect = F(0)
+    else:
+        defect = limit_escape_certificate(space_, cell_id)
+    return UhcAuditReport(
+        cell=cell_id,
+        cell_kind=cell.kind.value,
+        depth=depth,
+        limit_in_H0=result.member,
+        defect=defect,
+        averages_constant=averages_constant,
+        identities_ok=identities_ok,
+    )
+
+
+# -- reference hull filter -------------------------------------------------------
+#
+# The one-LP-per-point vertex filter, kept as the oracle for
+# ``rational_geometry.extreme_points``, which wraps dimension 3 by integer
+# triple products and never solves a program.
+
+
+def in_hull(x, points):
+    """Exact test: is x a convex combination of the points?"""
+    from condexp.rational_geometry import feasible_combination
+
+    if not points:
+        return False
+    A = [[p[d] for p in points] for d in range(len(x))]
+    A.append([F(1)] * len(points))
+    return feasible_combination(A, list(x) + [F(1)]) is not None
+
+
+def reference_extreme_points(points):
+    """The points not in the hull of the others (one exact LP each), sorted."""
+    pts = sorted(set(tuple(p) for p in points))
+    return [p for i, p in enumerate(pts) if not in_hull(p, pts[:i] + pts[i + 1 :])]

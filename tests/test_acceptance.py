@@ -249,41 +249,41 @@ def _probe_points(s, cell, lo, hi):
 
 def brute_force_cloud(Fc, label, grid):
     """Exact block averages of all grid-constant selections, via count
-    multisets (independent of the region code path)."""
+    multisets (independent of the region code path).  Every contribution is
+    an integer over one common denominator, so the sums are integer sums,
+    and each coordinate is divided by the denominator times the block mass
+    once, at the end."""
+    import math
+
     sp = Fc.space
     cells = sp.blocks[label]
     mass = sp.block_mass(label)
+    # (scale, branch values, rich): a rich piece adds scale * sum(count * v)
+    # over a composition of the grid, a point cell scale * v for one branch
     factors = []
     for c in cells:
         if c.has_inner:
             for lo, hi in refinement_on(Fc, c):
-                values = branch_values(Fc, c, lo)
-                width = (hi - lo) * c.mass / grid
-                sums = set()
-                for counts in _compositions(grid, len(values)):
-                    total = tuple(
-                        sum(cnt * v[d] for cnt, v in zip(counts, values)) * width
-                        for d in range(Fc.dim)
-                    )
-                    sums.add(total)
-                factors.append(sorted(sums))
+                factors.append(((hi - lo) * c.mass / grid, branch_values(Fc, c, lo), True))
         else:
-            factors.append(
-                sorted(
-                    {
-                        tuple(x * c.mass for x in v)
-                        for v in branch_values(Fc, c, F(0))
-                    }
-                )
-            )
-    cloud = {tuple(F(0) for _ in range(Fc.dim))}
-    for factor in factors:
-        cloud = {
-            tuple(a + b for a, b in zip(point, offset))
-            for point in cloud
-            for offset in factor
-        }
-    return sorted(tuple(x / mass for x in point) for point in cloud)
+            factors.append((c.mass, branch_values(Fc, c, F(0)), False))
+    den = math.lcm(
+        *((scale * x).denominator for scale, values, _ in factors for v in values for x in v)
+    )
+    cloud = {(0,) * Fc.dim}
+    for scale, values, rich in factors:
+        ints = [tuple((scale * x * den).numerator for x in v) for v in values]
+        if rich:
+            sums = {
+                tuple(sum(cnt * v[d] for cnt, v in zip(counts, ints)) for d in range(Fc.dim))
+                for counts in _compositions(grid, len(ints))
+            }
+        else:
+            sums = set(ints)
+        cloud = {tuple(a + b for a, b in zip(point, offset)) for point in cloud for offset in sums}
+    # x / (den * mass) keeps the order of the integer tuples
+    scale = (mass.denominator, den * mass.numerator)
+    return [tuple(F(x * scale[0], scale[1]) for x in point) for point in sorted(cloud)]
 
 
 def _compositions(total, parts):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -31,9 +32,17 @@ from condexp.correspondences import (
     mixed_value,
     selection_value,
 )
-from condexp.errors import AtomObstructionError, NotSaturated, SaturatedBlock
-from condexp.measure import Cell, functions_equal, linear_combination
+from condexp.errors import AtomObstructionError, CondexpError, NotSaturated, SaturatedBlock
+from condexp.measure import (
+    Cell,
+    CellKind,
+    MeasureSpaceModel,
+    StepFunction,
+    functions_equal,
+    linear_combination,
+)
 from condexp.rational_geometry import feasible_combination
+from condexp.serialize import dump_report, dump_uhc
 
 from helpers import (
     binary_F,
@@ -41,6 +50,8 @@ from helpers import (
     breakpoints,
     payload_at,
     point_cell,
+    reference_rademacher_escape,
+    reference_uhc_audit,
     refinement_on,
     rich_cell,
     saturated_cell,
@@ -433,6 +444,101 @@ class TestUhcAudit:
         assert not report.limit_in_H0
         assert report.defect == expected
         assert report.identities_ok
+
+
+def _escape_outcome(run):
+    """The dumped report of ``run()`` as JSON text, or its error's type and message."""
+    try:
+        out = run()
+    except CondexpError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, tuple):  # rademacher: (selection, report)
+        phi, report = out
+        return phi, json.dumps(dump_report(report))
+    return json.dumps(dump_uhc(out))
+
+
+@st.composite
+def escape_spaces(draw):
+    """D rich alone in its block, D rich in a block with other rich cells
+    and a point cell, or D saturated beside other saturated cells; random
+    masses."""
+    RICH, SAT, POINT = CellKind.RICH, CellKind.SATURATED, CellKind.POINT_MASS
+    layout = draw(st.sampled_from(["rich-alone", "rich-block", "saturated"]))
+    if layout == "rich-alone":
+        specs = [("D", RICH, "gD"), ("r", RICH, "g"), ("p", POINT, "g")]
+    elif layout == "rich-block":
+        specs = [("D", RICH, "g"), ("p", POINT, "g")]
+        specs += [(f"r{k}", RICH, "g") for k in range(draw(st.integers(1, 2)))]
+    else:
+        specs = [("D", SAT, "D")]
+        specs += [(f"S{k}", SAT, f"S{k}") for k in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        specs.append(("q", RICH, "h"))
+    raw = draw(st.lists(st.integers(1, 6), min_size=len(specs), max_size=len(specs)))
+    masses = [F(x, sum(raw)) for x in raw]
+    return MeasureSpaceModel(
+        tuple(Cell(cid, mass, kind, block) for (cid, kind, block), mass in zip(specs, masses))
+    )
+
+
+breakpoints_01 = st.fractions(min_value=0, max_value=1, max_denominator=24).filter(
+    lambda x: 0 < x < 1
+)
+test_values = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def escape_tests(draw, sp):
+    """Scalar tests with dyadic and non-dyadic breakpoints, nonzero on
+    every cell."""
+    tests = []
+    for _ in range(draw(st.integers(0, 3))):
+        values = {}
+        for c in sp.cells:
+            if c.has_inner:
+                cuts = sorted(set(draw(st.lists(breakpoints_01, max_size=4)))) + [F(1)]
+                values[c.id] = tuple((u, (draw(test_values),)) for u in cuts)
+            else:
+                values[c.id] = (draw(test_values),)
+        tests.append(StepFunction(1, values))
+    return tests
+
+
+class TestDyadicLane:
+    """The integer lane against the Fraction-piece audits it replaced."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(escape_spaces(), st.integers(0, 10))
+    def test_uhc_audit_matches_the_reference(self, sp, depth):
+        got = _escape_outcome(lambda: uhc_audit(sp, "D", depth))
+        assert got == _escape_outcome(lambda: reference_uhc_audit(sp, "D", depth))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data(), escape_spaces(), st.integers(0, 10))
+    def test_rademacher_matches_the_reference(self, data, sp, m):
+        tests = data.draw(escape_tests(sp))
+        got = _escape_outcome(lambda: rademacher_escape(sp, "D", m, tests))
+        assert got == _escape_outcome(lambda: reference_rademacher_escape(sp, "D", m, tests))
+
+    def test_same_errors(self):
+        sp = space(
+            saturated_cell("D", F(1, 4)),
+            rich_cell("r", F(1, 4), block="g"),
+            point_cell("p", F(1, 2), block="g"),
+        )
+        flat = step(sp, {"D": (1, 0), "r": (0, 0), "p": (0, 1)}, dim=2)
+        cases = [
+            (uhc_audit, reference_uhc_audit, ("p", 4)),
+            (rademacher_escape, reference_rademacher_escape, ("p", 4)),
+            (rademacher_escape, reference_rademacher_escape, ("r", 4)),
+            (rademacher_escape, reference_rademacher_escape, ("D", 4, [flat])),
+            (uhc_audit, reference_uhc_audit, ("x", 4)),
+        ]
+        for lane, reference, args in cases:
+            got = _escape_outcome(lambda: lane(sp, *args))
+            assert isinstance(got[0], type) and issubclass(got[0], CondexpError)
+            assert got == _escape_outcome(lambda: reference(sp, *args))
 
 
 class TestCondExpSetAssembly:

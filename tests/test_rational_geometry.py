@@ -12,14 +12,13 @@ from condexp.errors import InfeasibleProgram, UnboundedProgram
 from condexp.rational_geometry import (
     extreme_points,
     feasible_combination,
-    in_hull,
     nearest_point_in_hull,
     simplex_min,
     support_value,
 )
 from condexp.rationals import vec_dot, vec_sub
 
-from helpers import reference_simplex_min
+from helpers import in_hull, reference_extreme_points, reference_simplex_min
 
 F = Fraction
 
@@ -298,12 +297,6 @@ class TestAgainstScipy:
 # -- hull and nearest point against the reference constructions ----------------
 
 
-def reference_extreme_points(points):
-    """The points not in the hull of the others (one exact LP each), sorted."""
-    pts = sorted(set(points))
-    return [p for i, p in enumerate(pts) if not in_hull(p, pts[:i] + pts[i + 1 :])]
-
-
 def reference_nearest_point(x, points):
     """Project x on the affine span of every vertex subset of size <= dim+1;
     of the projections landing in their subset's hull, the nearest wins
@@ -372,6 +365,44 @@ def planar_clouds(draw):
 
 
 @st.composite
+def spatial_clouds(draw):
+    """Up to 64 points in space: lattice points of a small box (its faces
+    and edges hold many of them), scattered points, points on a line or in
+    a plane, plus points between pairs of them and repeats."""
+    shape = draw(st.sampled_from(["grid", "scatter", "line", "plane"]))
+    n = draw(st.integers(1, 48) | st.integers(24, 48))
+    if shape == "grid":
+        box = list(itertools.product(range(draw(st.integers(2, 4))), repeat=3))
+        picks = st.lists(st.sampled_from(box), min_size=min(n, len(box)), max_size=n, unique=True)
+        pts = [V(*p) for p in draw(picks)]
+    elif shape == "scatter":
+        pts = draw(st.lists(st.tuples(coords, coords, coords), min_size=n, max_size=n))
+    else:
+        origin = draw(st.tuples(coords, coords, coords))
+        dirs = [draw(st.tuples(coords, coords, coords)) for _ in range(1 + (shape == "plane"))]
+        steps = st.tuples(*[st.integers(-4, 4).map(lambda k: F(k, 2))] * len(dirs))
+        pts = [
+            tuple(o + sum(t * d[k] for t, d in zip(ts, dirs)) for k, o in enumerate(origin))
+            for ts in draw(st.lists(steps, min_size=n, max_size=n))
+        ]
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=8)):
+        t = draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 3)]))
+        pts.append(tuple(u + t * (v - u) for u, v in zip(a, b)))
+    return (pts + draw(st.lists(st.sampled_from(pts), max_size=8)))[:64]
+
+
+HALF_GRID = [F(0), F(1, 2), F(1)]
+# the unit cube with its face centres and edge midpoints
+CUBE_26 = [p for p in itertools.product(HALF_GRID, repeat=3) if p != (F(1, 2),) * 3]
+# a regular hexagon in the plane x + y + z = 3, its centre, an edge
+# midpoint and an interior point
+HEXAGON = [V(2, 1, 0), V(1, 2, 0), V(0, 2, 1), V(0, 1, 2), V(1, 0, 2), V(2, 0, 1)]
+HEXAGON_PLUS = HEXAGON + [V(1, 1, 1), V("3/2", "3/2", 0), V("4/3", 1, "2/3")]
+# a collinear run with a repeat
+RUN = [V(t, 2 * t, -t) for t in range(7)] + [V(3, 6, -3)]
+
+
+@st.composite
 def queries(draw, dims, max_size):
     dim = draw(st.sampled_from(dims))
     x = draw(st.tuples(*[st.integers(-10, 10).map(lambda k: F(k, 2))] * dim))
@@ -388,6 +419,21 @@ class TestAgainstReference:
     @example([V(0, 0), V(2, 0), V(1, 0), V(0, 2), V(0, 1), V(1, 1)])
     def test_planar_hull_matches_the_lp_filter(self, pts):
         assert extreme_points(pts) == reference_extreme_points(pts)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spatial_clouds())
+    @example(CUBE_26)
+    @example(HEXAGON_PLUS)
+    @example(RUN)
+    def test_spatial_hull_matches_the_lp_filter(self, pts):
+        assert extreme_points(pts) == reference_extreme_points(pts)
+
+    def test_spatial_named_sets(self):
+        corners = sorted(itertools.product([F(0), F(1)], repeat=3))
+        assert extreme_points(CUBE_26) == corners
+        assert extreme_points(CUBE_26 + [(F(1, 2),) * 3]) == corners
+        assert extreme_points(HEXAGON_PLUS) == sorted(HEXAGON)
+        assert extreme_points(RUN) == [V(0, 0, 0), V(6, 12, -6)]
 
     @GEOMETRY_SETTINGS
     @given(queries((1, 2, 3), 6))

@@ -53,6 +53,16 @@ def rademacher_tests():
     return doc
 
 
+def uhc_rich_block():
+    # D is rich and shares its block with a rich and a point cell
+    cells = [
+        {"id": "D", "kind": "rich", "mass": "1/3", "g_block": "g"},
+        {"id": "r", "kind": "rich", "mass": "1/4", "g_block": "g"},
+        {"id": "p", "kind": "point", "mass": "5/12", "g_block": "g"},
+    ]
+    return {"cell": "D", "space": {"cells": cells}}
+
+
 def audit_violations():
     # f plays action 0 surely, g plays action 1: a belief violation on t1
     doc = fixture("mp_audit.json")
@@ -103,6 +113,9 @@ CASES = {
     "rademacher": ("rademacher saturated.json --m 3", None),
     "rademacher-tests": ("rademacher doc.json --m 4", rademacher_tests),
     "uhc-audit": ("uhc-audit saturated.json --depth 5", None),
+    "uhc-audit-d16": ("uhc-audit saturated.json --depth 16", None),
+    "uhc-audit-rich-block-d16": ("uhc-audit doc.json --depth 16", uhc_rich_block),
+    "rademacher-tests-m16": ("rademacher doc.json --m 16", rademacher_tests),
     "derive-info": ("derive-info saturated_game.json", None),
     "coarser-check-pass": ("coarser-check mp_game.json", None),
     "coarser-check-fail": ("coarser-check saturated_game.json", None),
@@ -133,6 +146,10 @@ DIGESTS = {
     "rademacher": (0, "780bc0d0dda1901d9a8749ef691fe2a4026152d6dcba7eccc33b68f491b71828"),
     "rademacher-tests": (0, "8ad30d710e8ee38c692aa769ae099fdb4faf2ff996f4faad8eaab259b73abe76"),
     "uhc-audit": (0, "dcf1ec34a5f9527553e779cb91730e0ef4c350aad127e3f95492e8871ed32399"),
+    # the three at the level cap recorded before the dyadic integer lane
+    "uhc-audit-d16": (0, "b2d14fed3c9095436758aa5cded490082006db954fb4efd4c2528358e5f97ee0"),
+    "uhc-audit-rich-block-d16": (0, "1fdd8905615f4f0ff55331a30fbbcf532728cbd8138cf46029496f6711f819d0"),
+    "rademacher-tests-m16": (0, "8bda4d403a5d6ee15d09457c1448e1325f6be43143f966bc86187e2d97f4cc72"),
     "derive-info": (0, "e58fab9cec44acff1230f7c310234c2e615760649fe07fdb1b02cc77ef93ef65"),
     "coarser-check-pass": (0, "e42a19e724a4d509fb7d65040049fe7de3fde4d22a7111cd85dc278955628607"),
     "coarser-check-fail": (2, "1e0495900f4c0171db99cfed7912572fc3a6cf47a06c8ba88f55ef80f9277324"),
