@@ -79,7 +79,9 @@ class CondExpBlockSet:
     """Attainable block averages, kept in Minkowski-sum form.
 
     ``summands`` holds (coefficient, points) pairs, one per rich constancy
-    piece, meaning coefficient * conv(points).  ``point_sets`` holds the
+    piece, meaning coefficient * conv(points); the points are the piece's
+    distinct branch values, generators rather than vertices, since every
+    reader needs only their hull.  ``point_sets`` holds the
     mass-scaled finite value sets of the block's point cells.  Averages are
     the sums divided by the block mass.
     """
@@ -189,8 +191,7 @@ def block_set(F: FiniteIndexedCorrespondence, block_label: str) -> CondExpBlockS
     for c in cells:
         if c.kind is CellKind.RICH:
             for lo, hi, values in F.walk(c):
-                points = dedupe_points(values)
-                summands.append(((hi - lo) * c.mass, tuple(extreme_points(points))))
+                summands.append(((hi - lo) * c.mass, tuple(dedupe_points(values))))
         else:
             ((_lo, _hi, values),) = F.walk(c)
             point_sets.append(tuple(dedupe_points([vec_scale(v, c.mass) for v in values])))
@@ -565,8 +566,9 @@ def rademacher_escape(
     cell_id: str,
     m: int,
     tests: Sequence[StepFunction] = (),
-) -> tuple[Selection, RademacherReport]:
-    """Level-m alternating escape selection on a saturated cell.
+) -> RademacherReport:
+    """The report of the level-m alternating escape selection on a saturated
+    cell (``dyadic_selection`` builds the selection itself).
 
     Against any test function constant on coarser dyadic pieces of the cell,
     the selection integrates to exactly half of the cell-restricted integral,
@@ -581,7 +583,6 @@ def rademacher_escape(
     cell = space.cell(cell_id)
     if cell.kind is not CellKind.SATURATED:
         raise NotSaturated(f"cell {cell_id} is not saturated")
-    phi = dyadic_selection(space, cell_id, m)
     ind = indicator_of_cells(space, [cell_id])
     rhs = [HALF * r for r in space.inner_products(ind, tests)]
     bits, counts = _dyadic_lane(m)
@@ -595,14 +596,13 @@ def rademacher_escape(
             left += v * (after - before)
             before = after
         entries.append(RademacherTestEntry(_dyadic_level(psi, cell), cell.mass * left, right))
-    report = RademacherReport(
+    return RademacherReport(
         cell=cell_id,
         m=m,
         integral=cell.mass * Fraction(int(counts[-1]), len(bits)),
         expected_integral=HALF * cell.mass,
         tests=tuple(entries),
     )
-    return phi, report
 
 
 def limit_escape_certificate(space: MeasureSpaceModel, cell_id: str) -> Fraction:

@@ -158,7 +158,7 @@ def cmd_rademacher(args) -> int:
     if cell is None:
         raise SchemaError("cell", "no cell named (use --cell or fixture key)")
     tests = serialize.load_step_functions(doc.get("tests", []), space, "tests", 1)
-    _phi, report = attainable.rademacher_escape(space, cell, args.m, tests)
+    report = attainable.rademacher_escape(space, cell, args.m, tests)
     certificate = attainable.limit_escape_certificate(space, cell)
     _emit(serialize.dump_report(report, limit_escape_certificate=certificate), args.out)
     return EXIT_OK

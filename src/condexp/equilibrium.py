@@ -34,7 +34,6 @@ from .games import (
     coarser_info_check,
     interim_forms,
     moment_payoff,
-    over_one_denominator,
     player_payoff,
     unit_plan,
     walk_profile,
@@ -42,6 +41,7 @@ from .games import (
 from .piecewise import argmax_segments, check_weights, integrate_envelope
 from .purification import purification
 from .rational_geometry import feasible_combination, simplex_min
+from .rationals import over_one_denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -368,9 +368,10 @@ def _support_polish(agent_form: AgentForm, supports):
     return mixtures
 
 
-def _solve_enum(agent_form: AgentForm, options: SolveOptions, br_run=None):
-    """Support search for two-player agent forms, seeded by ``br_run`` or a new float run."""
-    guess, iters = br_run or _solve_br(agent_form, options)
+def _solve_enum(agent_form: AgentForm, br_run):
+    """Support search for two-player agent forms, seeded by the damped run
+    ``br_run``; its count is that run's iterations plus the supports tried."""
+    guess, iters = br_run
     m1, m2 = agent_form.action_counts()
     supports_guess = [
         [tuple(a for a in range(m) if row[a] > 0) or tuple(range(m)) for row in rows]
@@ -411,35 +412,35 @@ def solve_behavioral(game: BayesianGame, options: SolveOptions | None = None) ->
 
     The exact LP handles two-player zero-sum agent forms; damped best response
     plus rational snapping handles the rest, with an exact support polish for
-    two-player general-sum games.  Non-convergence is reported, not raised.
+    two-player general-sum games.  Non-convergence is reported, not raised;
+    a method that is unknown, or ``lp`` or ``enum`` on a game of three or
+    more players, raises ``SchemaError``.
     """
     options = options or SolveOptions()
+    method, n = options.method, len(game.players)
+    if method not in ("auto", "lp", "br", "enum"):
+        raise SchemaError("--method", f"unknown method {method!r} (auto, lp, br or enum)")
+    if method in ("lp", "enum") and n != 2:
+        raise SchemaError("--method", f"{method} needs two players, the game has {n}")
     coarser = tuple(c.passes for c in coarser_info_check(game))
     agent_form = AgentForm(game)
-    method = options.method
     if method == "auto":
-        if len(game.players) == 2 and game.is_zero_sum():
-            method = "lp"
-        elif len(game.players) == 2:
-            method = "enum"
-        else:
-            method = "br"
+        method = "br" if n != 2 else "lp" if game.is_zero_sum() else "enum"
     value = None
     iterations = 0
     if method == "lp":
         mixtures, value = _solve_lp_zero_sum(agent_form)
     elif method == "enum":
-        mixtures, iterations = _solve_enum(agent_form, options)
+        mixtures, iterations = _solve_enum(agent_form, _solve_br(agent_form, options))
     else:
         mixtures, iterations = _solve_br(agent_form, options)
     profile, walk, eps = _verified(game, mixtures)
-    if max(eps) > options.epsilon and method == "br" and len(game.players) == 2:
-        mixtures2, extra = _solve_enum(agent_form, options, (mixtures, iterations))
+    if max(eps) > options.epsilon and method == "br" and n == 2:
+        mixtures2, iterations = _solve_enum(agent_form, (mixtures, iterations))
         profile2, walk2, eps2 = _verified(game, mixtures2)
         if max(eps2) < max(eps):
             mixtures, profile, eps, walk = mixtures2, profile2, eps2, walk2
             method = "enum"
-        iterations += extra
     report = EquilibriumReport(
         mixtures=tuple(tuple(tuple(w) for w in rows) for rows in mixtures),
         profile=profile,

@@ -36,6 +36,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .correspondences import MixedSelection, Selection
 from .errors import SchemaError
 from .piecewise import append_piece, clip_pieces, pack_pieces
+from .rationals import over_one_denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -146,14 +147,6 @@ class WeightedTable(NamedTuple):
 
     den: int
     entries: Mapping[tuple[int, ...], Mapping[tuple[int, ...], tuple[int, int, int | None]]]
-
-
-def over_one_denominator(rows: Iterable[Iterable[Fraction]]) -> tuple[int, list[list[int]]]:
-    """``(D, rows * D)``: rows of rationals as integers over their least
-    common denominator D."""
-    rows = [list(row) for row in rows]
-    D = math.lcm(*(v.denominator for row in rows for v in row))
-    return D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]
 
 
 @dataclass(frozen=True)

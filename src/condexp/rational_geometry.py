@@ -1,25 +1,25 @@
 """Exact polytope primitives over rational arithmetic.
 
-Polytopes are carried as finite vertex sets or, for Minkowski sums, through
-a linear-minimization oracle.  Nearest points come from Wolfe's
+Polytopes are carried as finite generating sets or, for Minkowski sums,
+through a linear-minimization oracle.  Nearest points come from Wolfe's
 min-norm-point algorithm, which needs only the oracle and is exact and
-finite in any dimension; a zero distance decides membership.  Planar
-hulls come from Andrew's monotone chain and hulls in space from gift
-wrapping on integer coordinates, both without a linear program.  The
-callers' linear programs, and the vertex filter from dimension 4 on, run
-through a small exact simplex solver (Bland's rule, so it terminates) that
-pivots on integer rows over one denominator each, fraction-free, and reads
-its answer as ``Fraction`` at the end.
+finite in any dimension; a zero distance decides membership.  Hull vertices
+in dimensions 1 to 3 come from one gift wrapping on integer coordinates,
+with no linear program.  A small exact simplex solver (Bland's rule, so it
+terminates) serves the callers' own programs only: the convexify witnesses,
+the support polish and the zero-sum solver.  It pivots on integer rows over
+one denominator each, fraction-free, and reads its answer as ``Fraction``
+at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Sequence
 
-from .errors import InfeasibleProgram, UnboundedProgram
-from .rationals import Vec, vec_add, vec_dot, vec_norm2, vec_sub
+from .errors import InfeasibleProgram, UnboundedProgram, UnsupportedDimension
+from .rationals import Vec, over_one_denominator, vec_add, vec_dot, vec_norm2, vec_sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -28,7 +28,9 @@ ONE = Fraction(1)
 def simplex_min(cost: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
     """Minimize cost.x over {x >= 0 : A x = b}, exactly.
 
-    Returns (value, x).  Raises InfeasibleProgram / UnboundedProgram.
+    Returns (value, x).  Raises InfeasibleProgram / UnboundedProgram.  It
+    serves the convexify witnesses (``attainable._branch_mixture``), the
+    support polish and the zero-sum solver; no hull runs it.
 
     Two-phase simplex with Bland's rule on a fraction-free tableau: each row
     is a list of ints over one positive denominator (columns: n structural,
@@ -72,8 +74,8 @@ def simplex_min(cost: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Se
 
 def _int_row(entries: Sequence[Fraction]) -> tuple[list[int], int]:
     """Rationals as ints over one positive denominator, in lowest terms."""
-    den = lcm(*(v.denominator for v in entries))
-    return _reduced([v.numerator * (den // v.denominator) for v in entries], den)
+    den, (row,) = over_one_denominator([entries])
+    return _reduced(row, den)
 
 
 def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
@@ -155,32 +157,21 @@ def dedupe_points(points: Sequence[Vec]) -> list[Vec]:
 def extreme_points(points: Sequence[Vec]) -> list[Vec]:
     """Vertices of the convex hull of a finite point set, sorted.
 
-    Dimension 2 uses Andrew's monotone chain, and dimension 3 gift wrapping
-    (Chand and Kapur 1970) on integer coordinates over one common
-    denominator, with no linear program; from dimension 4 on, every point
-    lying in the hull of the others is dropped (one exact LP each).  Points
-    in the relative interior of an edge or a face are not vertices and are
-    dropped.
+    One path for dimensions 1 to 3: gift wrapping (Chand and Kapur 1970) on
+    integer coordinates over one common denominator, with no linear program;
+    points of dimension 1 or 2 get zero coordinates, and the wrap takes them
+    as a collinear or coplanar set.  Points in the relative interior of an
+    edge or a face are not vertices and are dropped.  Higher dimensions
+    raise ``UnsupportedDimension``.
     """
     pts = dedupe_points(points)
-    if len(pts) <= 1:
+    if not pts:
         return pts
-    dim = len(pts[0])
-    if dim == 1:
-        return sorted({min(pts), max(pts)})
-    if dim == 2:
-        return sorted(_half_hull(pts) + _half_hull(reversed(pts)))
-    if dim == 3:
-        den = lcm(*(x.denominator for p in pts for x in p))
-        ints = [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts]
-        return [pts[i] for i in sorted(_wrap(ints))]
-    keep = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        A = [[q[d] for q in others] for d in range(dim)] + [[ONE] * len(others)]
-        if feasible_combination(A, list(p) + [ONE]) is None:
-            keep.append(p)
-    return keep
+    lift = 3 - len(pts[0])
+    if lift < 0:
+        raise UnsupportedDimension("vertex enumeration needs dimension <= 3")
+    _den, ints = over_one_denominator(p + (ZERO,) * lift for p in pts)
+    return [pts[i] for i in sorted(_wrap(ints))]
 
 
 def _half_hull(pts) -> list[Vec]:

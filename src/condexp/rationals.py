@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -31,3 +32,11 @@ def vec_norm2(a: Sequence[Fraction]) -> Fraction:
 
 def zero_vec(dim: int) -> Vec:
     return tuple(Fraction(0) for _ in range(dim))
+
+
+def over_one_denominator(rows: Iterable[Iterable[Fraction]]) -> tuple[int, list[list[int]]]:
+    """``(D, rows * D)``: rows of rationals as integers over their least
+    common denominator D."""
+    rows = [list(row) for row in rows]
+    D = lcm(*(v.denominator for row in rows for v in row))
+    return D, [[v.numerator * (D // v.denominator) for v in row] for row in rows]

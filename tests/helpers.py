@@ -566,8 +566,9 @@ def reference_uhc_audit(space_, cell_id, depth=8):
 # -- reference hull filter -------------------------------------------------------
 #
 # The one-LP-per-point vertex filter, kept as the oracle for
-# ``rational_geometry.extreme_points``, which wraps dimension 3 by integer
-# triple products and never solves a program.
+# ``rational_geometry.extreme_points``, which wraps dimensions 1-3 by integer
+# triple products and never solves a program, and for the block-set
+# summands, which keep every distinct branch value.
 
 
 def in_hull(x, points):

@@ -459,7 +459,7 @@ class TestCriterion3Escape:
                 "r": ((F(1), (F(0),)),),
             }
             tests.append(StepFunction(1, values))
-            _phi, report = rademacher_escape(space, "D", m, tests)
+            report = rademacher_escape(space, "D", m, tests)
             assert report.integral == F(1, 4)
             for entry in report.tests:
                 assert entry.lhs == entry.rhs

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 from condexp.attainable import (
     AtomObstruction,
     CondExpBlockSet,
+    RademacherReport,
     RademacherTestEntry,
     block_set,
     cond_exp_set,
     convexify_witness,
     derandomize_selection,
     dyadic_indicator,
+    dyadic_selection,
     indicator_correspondence,
     limit_escape_certificate,
     membership,
@@ -50,6 +53,7 @@ from helpers import (
     breakpoints,
     payload_at,
     point_cell,
+    reference_extreme_points,
     reference_rademacher_escape,
     reference_uhc_audit,
     refinement_on,
@@ -345,14 +349,14 @@ def _integral_over(cell, f, lo, hi):
 class TestRademacher:
     def test_m1_integral(self):
         sp = space(saturated_cell("D"))
-        phi, report = rademacher_escape(sp, "D", 1)
+        report = rademacher_escape(sp, "D", 1)
         assert report.integral == F(1, 2)
-        assert phi.plan["D"] == ((F(1, 2), 1), (F(1), 0))
+        assert dyadic_selection(sp, "D", 1).plan["D"] == ((F(1, 2), 1), (F(1), 0))
 
     def test_constant_test_function(self):
         sp = space(saturated_cell("D"))
         psi = step(sp, {"D": 1})
-        _, report = rademacher_escape(sp, "D", 5, tests=[psi])
+        report = rademacher_escape(sp, "D", 5, tests=[psi])
         entry = report.tests[0]
         assert entry.lhs == entry.rhs == F(1, 2)
 
@@ -362,7 +366,7 @@ class TestRademacher:
             sp,
             {"D": [(F(1, 4), 1), (F(1, 2), 2), (F(3, 4), 3), (1, 4)]},
         )
-        _, report = rademacher_escape(sp, "D", 3, tests=[psi])
+        report = rademacher_escape(sp, "D", 3, tests=[psi])
         entry = report.tests[0]
         assert entry.level == 2
         assert entry.lhs == F(5, 4)
@@ -381,7 +385,7 @@ class TestRademacher:
                 dyadic_indicator(sp, "D", F(i, denom), F(i + 1, denom))
                 for i in range(denom)
             ]
-            _, report = rademacher_escape(sp, "D", m, tests=tests)
+            report = rademacher_escape(sp, "D", m, tests=tests)
             for entry in report.tests:
                 assert entry.holds
 
@@ -391,7 +395,7 @@ class TestRademacher:
         sp = space(saturated_cell("D", F(1, 2)), rich_cell("r", F(1, 2)))
         third = step(sp, {"D": [(F(1, 3), 1), (1, 0)], "r": 0})
         half = dyadic_indicator(sp, "D", F(0), F(1, 2))
-        _, report = rademacher_escape(sp, "D", 12, tests=[third, half])
+        report = rademacher_escape(sp, "D", 12, tests=[third, half])
         assert report.tests[0] == RademacherTestEntry(None, F(683, 8192), F(1, 12))
         assert not report.tests[0].holds
         assert report.tests[1] == RademacherTestEntry(1, F(1, 8), F(1, 8))
@@ -452,9 +456,10 @@ def _escape_outcome(run):
         out = run()
     except CondexpError as exc:
         return type(exc), str(exc)
-    if isinstance(out, tuple):  # rademacher: (selection, report)
-        phi, report = out
-        return phi, json.dumps(dump_report(report))
+    if isinstance(out, tuple):  # the rademacher reference: (selection, report)
+        out = out[1]
+    if isinstance(out, RademacherReport):
+        return json.dumps(dump_report(out))
     return json.dumps(dump_uhc(out))
 
 
@@ -776,6 +781,67 @@ class TestBlockSetDistance:
         assert bs.distance(value) == min(
             reference_nearest_point(value, poly) for poly in bs.polytopes()
         )
+
+
+# -- block-set summands as generators against their vertices -------------------
+
+
+@st.composite
+def generator_blocks(draw, dims):
+    """A block of a rich cell with one or two constancy pieces and, half the
+    time, a point cell, whose branch values repeat and line up: they come
+    from three or four distinct integer multiples of one lattice direction
+    (so one lies inside a segment of two others) and up to two lattice
+    points.  Also a half-integer query point and a lattice direction."""
+    dim = draw(st.sampled_from(dims))
+    lattice = st.tuples(*[st.integers(-2, 2)] * dim)
+    u = draw(lattice.filter(any))
+    ts = draw(st.lists(st.integers(-2, 2), min_size=3, max_size=4, unique=True))
+    pool = [tuple(t * x for x in u) for t in ts] + draw(st.lists(lattice, max_size=2))
+    with_point = draw(st.booleans())
+    cells = [rich_cell("r", F(1, 2) if with_point else F(1), block="g")]
+    if with_point:
+        cells.append(point_cell("p", F(1, 2), block="g"))
+    sp = space(*cells)
+    pick = st.sampled_from(pool)
+
+    def branch(k):
+        # the first piece of the rich cell takes every pool value
+        per_cell = {"p": draw(pick)} if with_point else {}
+        first = pool[k % len(pool)]
+        per_cell["r"] = [(F(1, 3), first), (1, draw(pick))] if draw(st.booleans()) else first
+        return step(sp, per_cell, dim)
+
+    branches = range(draw(st.integers(len(pool), 6)))
+    Fc = FiniteIndexedCorrespondence(sp, tuple(branch(k) for k in branches))
+    query = draw(st.tuples(*[st.integers(-6, 6).map(lambda k: F(k, 2))] * dim))
+    return block_set(Fc, "g"), query, draw(lattice)
+
+
+def vertex_summands(bs):
+    """The block set with each summand cut down to its hull's vertices."""
+    summands = tuple((coeff, tuple(reference_extreme_points(pts))) for coeff, pts in bs.summands)
+    return dataclasses.replace(bs, summands=summands)
+
+
+class TestGeneratorSummands:
+    """A summand keeps every distinct branch value of its piece; every
+    reader of it sees only its hull."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(generator_blocks((1, 2, 3)))
+    def test_readers_match_vertex_summands(self, case):
+        bs, query, direction = case
+        hulls = vertex_summands(bs)
+        assert bs.distance(query) == hulls.distance(query)
+        assert bs.support(direction) == hulls.support(direction)
+        assert bs.polytopes() == hulls.polytopes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(generator_blocks((4, 5)))
+    def test_distance_matches_vertex_summands_beyond_dimension_3(self, case):
+        bs, query, _direction = case
+        assert bs.distance(query) == vertex_summands(bs).distance(query)
 
 
 # -- membership by distance against the LP feasibility test --------------------

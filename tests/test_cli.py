@@ -1,10 +1,14 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from condexp.cli import main
+from condexp.serialize import dump_game
+
+from game_factories import random_dominance_game
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -305,6 +309,17 @@ class TestAdditionalPaths:
         code, out = run(capsys, "solve", FIXTURES / "saturated_game.json")
         report = json.loads(out)
         assert report["coarser"] == [False, True]
+
+    @pytest.mark.parametrize("method", ["lp", "enum"])
+    def test_two_player_method_on_three_players_is_an_input_error(self, capsys, tmp_path, method):
+        # was a ValueError traceback where the agent form's action counts
+        # were unpacked as two
+        path = tmp_path / "game3.json"
+        path.write_text(json.dumps({"game": dump_game(random_dominance_game(random.Random(1), 3))}))
+        code = main(["solve", str(path), "--method", method])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"input error: --method: {method} needs two players, the game has 3\n"
 
 
 def dim4_fixture(tmp_path, kind, vertices, **extra):

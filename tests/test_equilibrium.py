@@ -542,8 +542,8 @@ class TestArrayLane:
 class TestBrFallback:
     def test_two_player_br_runs_the_iteration_once(self, monkeypatch):
         # a two-player br result that fails verification falls back to the
-        # support search, which reuses the first run; the reported count
-        # still adds that run twice plus the one support tried
+        # support search, which reuses the first run; the reported count is
+        # that run once plus the one support tried
         doc = json.loads((FIXTURES / "saturated_game.json").read_text())
         game = load_game(doc["game"])
         calls = []
@@ -556,4 +556,13 @@ class TestBrFallback:
         monkeypatch.setattr(equilibrium, "_solve_br", counted)
         report = solve_behavioral(game, SolveOptions(method="br", max_iters=300))
         assert calls == [300]
-        assert (report.method, report.iterations, report.converged) == ("enum", 601, True)
+        assert (report.method, report.iterations, report.converged) == ("enum", 301, True)
+
+
+class TestMethodCheck:
+    def test_unknown_method_is_a_schema_error(self, monkeypatch):
+        # was a silent br run, reported under the unknown name; the check
+        # comes before the agent form is built
+        monkeypatch.setattr(equilibrium, "AgentForm", None)
+        with pytest.raises(SchemaError, match=r"^--method: unknown method 'newton'"):
+            solve_behavioral(matching_pennies_game(), SolveOptions(method="newton"))

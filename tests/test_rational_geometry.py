@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from condexp.errors import InfeasibleProgram, UnboundedProgram
+from condexp.errors import InfeasibleProgram, UnboundedProgram, UnsupportedDimension
 from condexp.rational_geometry import (
     extreme_points,
     feasible_combination,
@@ -222,7 +222,7 @@ class TestAgainstScipy:
     def test_simplex_matches_linprog_on_random_programs(self):
         from scipy.optimize import linprog
 
-        from condexp.errors import InfeasibleProgram, UnboundedProgram
+        from condexp.errors import InfeasibleProgram, UnboundedProgram, UnsupportedDimension
 
         rng = random.Random(23)
         solved = 0
@@ -427,6 +427,16 @@ class TestAgainstReference:
     @example(RUN)
     def test_spatial_hull_matches_the_lp_filter(self, pts):
         assert extreme_points(pts) == reference_extreme_points(pts)
+
+    @GEOMETRY_SETTINGS
+    @given(points(1, 8))
+    @example([V(2), V(2)])
+    def test_line_hull_matches_the_lp_filter(self, pts):
+        assert extreme_points(pts) == reference_extreme_points(pts)
+
+    def test_dimension_4_is_unsupported(self):
+        with pytest.raises(UnsupportedDimension):
+            extreme_points([V(0, 0, 0, 0), V(1, 0, 0, 0)])
 
     def test_spatial_named_sets(self):
         corners = sorted(itertools.product([F(0), F(1)], repeat=3))
