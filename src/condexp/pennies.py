@@ -13,9 +13,11 @@ profile search that certifies no pure profile is close to equilibrium.
 
 On an r-grid strategy every value form has slope -1, 0 or 1 on each cell, in
 units of 1/r, so two forms cross inside a cell only at its midpoint and the
-search's gains are integers over 2r^2.  Its played values are float64 matrix
-products whose partial sums stay within 2r^2 <= 8192, exact far below 2^53;
-the minimising pair alone is re-certified on Fraction rows.
+search's gains are integers over 2r^2.  Its played values are float32 matrix
+products whose partial sums stay within 2r^2 <= 8192, exact below 2^24; the
+strategy family is one (S, r) array, its seeded sample unranked position by
+position across all picks at once, and the minimising pair alone is
+re-certified on Fraction rows.
 
 Both variants, the type-irrelevant game with the triangular prior and the
 independent-types game with density-weighted payoffs, share these integrals
@@ -377,51 +379,16 @@ def _tails(m: int, n: int, budget: int) -> list[list[int]]:
     return tails
 
 
-def grid_strategies(m: int, r: int, budget: int) -> list[tuple[int, ...]]:
-    """All r-grid step strategies with at most ``budget`` action changes, in
-    lexicographic order."""
+def grid_strategies(m: int, r: int, budget: int) -> np.ndarray:
+    """All r-grid step strategies with at most ``budget`` action changes, as
+    one (S, r) int64 array in lexicographic order."""
     tails = _tails(m, r - 1, budget)
     return _with_constants(m, r, budget, tails, range(m * tails[r - 1][budget] - m))
 
 
-def _unrank_changing(m: int, r: int, budget: int, tails, index: int) -> tuple[int, ...]:
-    """The index-th strategy, in lexicographic order, among the grid
-    strategies with between 1 and ``budget`` action changes.
-
-    At each position the candidates come in action order: every action below
-    the previous one (each a change), the previous action, every action above
-    it.  A change leaves tails[rest][left - 1] continuations; keeping the
-    action leaves tails[rest][left], less the constant strategy while no
-    change has happened yet.
-    """
-    prev, index = divmod(index, tails[r - 1][budget] - 1)
-    seq = [prev]
-    left = budget
-    for p in range(1, r):
-        if not left:
-            seq.extend([prev] * (r - p))
-            break
-        rest = r - 1 - p
-        diff = tails[rest][left - 1]
-        same = tails[rest][left] - (left == budget)
-        below = prev * diff
-        if index < below:
-            a, index = divmod(index, diff)
-        elif index < below + same:
-            a = prev
-            index -= below
-        else:
-            t, index = divmod(index - below - same, diff)
-            a = prev + 1 + t
-        if a != prev:
-            left -= 1
-            prev = a
-        seq.append(a)
-    return tuple(seq)
-
-
-def _sampled_strategies(m: int, r: int, budget: int, count: int, seed: int):
-    """The m constant strategies and a seeded sample of count - m others, sorted.
+def _sampled_strategies(m: int, r: int, budget: int, count: int, seed: int) -> np.ndarray:
+    """The m constant strategies and a seeded sample of count - m others, as
+    one (count, r) int64 array in lexicographic order.
 
     random.sample draws only indices, so sampling range(n) and unranking
     picks exactly the strategies that sampling the built lexicographic list
@@ -449,29 +416,80 @@ def _sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     return picks
 
 
-def _with_constants(m: int, r: int, budget: int, tails, indices) -> list[tuple[int, ...]]:
+def _with_constants(m: int, r: int, budget: int, tails, indices) -> np.ndarray:
     """The m constant strategies and the changing strategies at ``indices``,
-    sorted."""
-    constant = [(a,) * r for a in range(m)]
-    return sorted(constant + [_unrank_changing(m, r, budget, tails, j) for j in indices])
+    as one (S, r) int64 array in lexicographic order.
+
+    Index order is lexicographic order among the changing strategies, so the
+    sorted indices unrank to sorted rows.  Constant a goes after the changing
+    strategies below it: a * (tails[r - 1][budget] - 1) start below a, and
+    a * tails[rest][budget - 1] more start with a and first change down from
+    it with ``rest`` positions to go.  The indices are int64 while the
+    family fits, Python ints on an object array past that.
+    """
+    dtype = np.int64 if m * tails[r - 1][budget] <= sys.maxsize else object
+    picks = np.sort(np.array(indices, dtype=dtype))
+    rows = _unrank_changing(r, budget, tails, picks)
+    step = tails[r - 1][budget] - 1 + sum(tails[rest][budget - 1] for rest in range(r - 1))
+    ranks = [a * step if budget else 0 for a in range(m)]
+    constant = np.repeat(np.arange(m, dtype=np.int64)[:, None], r, axis=1)
+    return np.insert(rows, np.searchsorted(picks, ranks), constant, axis=0)
 
 
-def _gain_matrices(m: int, r: int, strategies: list[tuple[int, ...]]):
-    """gain1[i1, i2] and gain2[i1, i2] for all strategy pairs, as integer
-    numerators over 2r^2.
+def _unrank_changing(r: int, budget: int, tails, indices: np.ndarray) -> np.ndarray:
+    """The strategies at ``indices``, in lexicographic order among the grid
+    strategies with between 1 and ``budget`` action changes, as (K, r) rows.
+
+    One position at a time across all indices: the candidates come in
+    action order, every action below the previous one (each a change), the
+    previous action, every action above it.  A change leaves
+    tails[rest][left - 1] continuations, none once no change is left;
+    keeping the action leaves tails[rest][left], less the constant strategy
+    while no change has happened yet.  Taken with the changes above it
+    shifted down past the kept block, the u-th change is the u-th action
+    other than the previous one.
+    """
+    change = np.array([[0] + row[:-1] for row in tails], dtype=indices.dtype)
+    keep = np.array([row[:-1] + [row[-1] - 1] for row in tails], dtype=indices.dtype)
+    width = tails[r - 1][budget] - 1
+    prev, index = indices // width, indices % width
+    rows = np.empty((len(indices), r), dtype=np.int64)
+    rows[:, 0] = prev
+    left = np.full(len(indices), budget)
+    for p in range(1, r):
+        rest = r - 1 - p
+        diff = change[rest][left]
+        below = prev * diff
+        kept = keep[rest][left]
+        down = index < below
+        up = index >= below + kept
+        changed = down | up
+        shifted = index - up * kept
+        u = shifted // np.maximum(diff, 1)
+        index = np.where(changed, shifted - u * diff, index - below)
+        prev = np.where(changed, u + (u >= prev), prev)
+        left -= changed
+        rows[:, p] = prev
+    return rows
+
+
+def _gain_matrices(m: int, r: int, strategies: np.ndarray):
+    """gain1[i1, i2] and gain2[i1, i2] for all strategy pairs, as float32
+    arrays holding integer numerators over 2r^2.
 
     Value forms are held as integer counts at the grid points (units of
     1/r), so on a cell each has slope -1, 0 or 1 and two of them can cross
     only at the midpoint: the envelope's twice-integral over the cell is
     (max lo + max(lo + hi) + max hi) / (2r^2).  The played values are
-    one-hot products in float64 on integers: a form is at most k in size k
+    one-hot products in float32 on integers: a form is at most k in size k
     cells from its zero end, so any partial sum is at most 2r^2 <= 8192,
-    far below 2^53, and the products are exact.
+    below 2^24, and the products are exact.  Each best-response value is at
+    most 4r^2, so the gains are exact too.
     """
     S = len(strategies)
     # action-major, so that each max over the actions runs across whole slabs
-    onehot = np.arange(m)[:, None, None] == np.array(strategies, dtype=np.int64)  # (m, S, r)
-    cums = np.zeros((m, S, r + 1), dtype=np.int64)
+    onehot = np.arange(m)[:, None, None] == strategies  # (m, S, r)
+    cums = np.zeros((m, S, r + 1), dtype=np.float32)
     np.cumsum(onehot, axis=2, out=cums[:, :, 1:])
     # player-2 candidate c: eta_{c-1} - eta_c, from below
     G2 = np.roll(cums, 1, axis=0) - cums
@@ -483,14 +501,16 @@ def _gain_matrices(m: int, r: int, strategies: list[tuple[int, ...]]):
         top = G.max(axis=0)  # the envelope at the grid points
         sums = G[:, :, :-1] + G[:, :, 1:]  # twice each form at the cell midpoints
         best = top[:, :-1].sum(axis=1) + top[:, 1:].sum(axis=1) + sums.max(axis=0).sum(axis=1)
-        return best, (2 * sums).transpose(1, 0, 2).reshape(S, m * r).astype(float)
+        return best, (2 * sums).transpose(1, 0, 2).reshape(S, m * r)
 
     best2, played2 = best_and_played(G2)
     best1, played1 = best_and_played(G1)
     # the played value of a pair picks one form per cell
-    OH = onehot.transpose(1, 0, 2).reshape(S, m * r).astype(float)
-    gain2 = best2[:, None] - (played2 @ OH.T).astype(np.int64)
-    gain1 = best1[None, :] - (OH @ played1.T).astype(np.int64)
+    OH = onehot.transpose(1, 0, 2).reshape(S, m * r).astype(np.float32)
+    gain2 = played2 @ OH.T
+    np.subtract(best2[:, None], gain2, out=gain2)
+    gain1 = OH @ played1.T
+    np.subtract(best1[None, :], gain1, out=gain1)
     return gain1, gain2
 
 
@@ -506,9 +526,10 @@ def no_pure_equilibrium_search(
 
     The scan is exhaustive while the strategy family fits max_strategies;
     beyond that a seeded sample is drawn (always keeping the constant
-    strategies).  An integer lane scans every pair: each gain is a numerator
-    over 2r^2 (r the grid), exact because the value forms cross only at cell
-    midpoints and the played products stay below 2^53 in float64.  The first
+    strategies), and max_strategies below m is an input error.  An integer
+    lane scans every pair: each gain is a numerator over 2r^2 (r the grid),
+    exact because the value forms cross only at cell midpoints and the
+    played products stay below 2^24 in float32.  The first
     minimum in row-major order is re-certified once, by pure_profile_gain on
     Fraction rows, and both of its gains must equal the lane's.  PASS means
     the minimum exceeds epsilon, witnessing that no scanned pure profile is
@@ -520,6 +541,8 @@ def no_pure_equilibrium_search(
         raise SchemaError("budget", "must be at least 0")
     if grid < 1:
         raise SchemaError("grid", "must be at least 1")
+    if max_strategies < game.m:
+        raise SchemaError("max_strategies", f"must be at least m = {game.m}, for the constants")
     epsilon = Fraction(epsilon)
     size = family_size(game.m, grid, budget)
     exhaustive = size <= max_strategies
@@ -532,12 +555,13 @@ def no_pure_equilibrium_search(
     i1, i2 = np.unravel_index(np.argmin(np.maximum(gain1, gain2)), gain1.shape)
     denominator = 2 * grid * grid
     lane = (Fraction(int(gain1[i1, i2]), denominator), Fraction(int(gain2[i1, i2]), denominator))
-    f1 = IntervalUnionStrategy.from_grid(strategies[i1], game.m)
-    f2 = IntervalUnionStrategy.from_grid(strategies[i2], game.m)
+    s1, s2 = tuple(strategies[i1].tolist()), tuple(strategies[i2].tolist())
+    f1 = IntervalUnionStrategy.from_grid(s1, game.m)
+    f2 = IntervalUnionStrategy.from_grid(s2, game.m)
     exact = pure_profile_gain(game, f1, f2)
     if exact != lane:
         raise ArithmeticError(
-            f"integer lane disagrees on the pair {strategies[i1]}, {strategies[i2]}: "
+            f"integer lane disagrees on the pair {s1}, {s2}: "
             f"exact gains {exact[0]}, {exact[1]}, lane gains {lane[0]}, {lane[1]}"
         )
     min_gain = max(exact)
@@ -551,7 +575,7 @@ def no_pure_equilibrium_search(
         strategies=len(strategies),
         pairs=len(strategies) ** 2,
         min_gain=min_gain,
-        argmin=(strategies[i1], strategies[i2]),
+        argmin=(s1, s2),
         uniform_gains=uniform,
         passed=min_gain > epsilon,
         exhaustive=exhaustive,

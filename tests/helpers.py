@@ -586,3 +586,45 @@ def reference_extreme_points(points):
     """The points not in the hull of the others (one exact LP each), sorted."""
     pts = sorted(set(tuple(p) for p in points))
     return [p for i, p in enumerate(pts) if not in_hull(p, pts[:i] + pts[i + 1 :])]
+
+
+# -- reference pennies unranking -------------------------------------------------
+#
+# The one-index-at-a-time walk that ``pennies._unrank_changing`` replaced by
+# whole-array steps across all picks, kept as its oracle.
+
+
+def reference_unrank_changing(m, r, budget, tails, index):
+    """The index-th strategy, in lexicographic order, among the grid
+    strategies with between 1 and ``budget`` action changes.
+
+    At each position the candidates come in action order: every action below
+    the previous one (each a change), the previous action, every action above
+    it.  A change leaves tails[rest][left - 1] continuations; keeping the
+    action leaves tails[rest][left], less the constant strategy while no
+    change has happened yet.
+    """
+    prev, index = divmod(index, tails[r - 1][budget] - 1)
+    seq = [prev]
+    left = budget
+    for p in range(1, r):
+        if not left:
+            seq.extend([prev] * (r - p))
+            break
+        rest = r - 1 - p
+        diff = tails[rest][left - 1]
+        same = tails[rest][left] - (left == budget)
+        below = prev * diff
+        if index < below:
+            a, index = divmod(index, diff)
+        elif index < below + same:
+            a = prev
+            index -= below
+        else:
+            t, index = divmod(index - below - same, diff)
+            a = prev + 1 + t
+        if a != prev:
+            left -= 1
+            prev = a
+        seq.append(a)
+    return tuple(seq)

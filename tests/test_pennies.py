@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from condexp import pennies
 from condexp.errors import BoundaryPoint, BudgetExceeded, SchemaError
 from condexp.pennies import (
     IntervalUnionStrategy,
     PenniesGame,
     TrianglePrior,
     _gain_matrices,
+    _sample_indices,
     _sampled_strategies,
     _tails,
     _unrank_changing,
@@ -32,6 +34,7 @@ from condexp.pennies import (
     pure_profile_gain,
     uniform_rows,
 )
+from helpers import reference_unrank_changing
 
 F = Fraction
 
@@ -303,8 +306,8 @@ class TestSearch:
         for _ in range(15):
             i1 = rng.randrange(len(strategies))
             i2 = rng.randrange(len(strategies))
-            f1 = IntervalUnionStrategy.from_grid(strategies[i1], 2)
-            f2 = IntervalUnionStrategy.from_grid(strategies[i2], 2)
+            f1 = IntervalUnionStrategy.from_grid(strategies[i1].tolist(), 2)
+            f2 = IntervalUnionStrategy.from_grid(strategies[i2].tolist(), 2)
             g1, g2 = pure_profile_gain(game, f1, f2)
             assert g1 == F(int(gain1[i1, i2]), 2 * 8**2)
             assert g2 == F(int(gain2[i1, i2]), 2 * 8**2)
@@ -319,6 +322,15 @@ class TestSampledSearch:
         assert report.strategies == 220
         assert report.passed  # sampled family still has no near-equilibrium
         assert report.min_gain > F(1, 100)
+
+    def test_max_strategies_below_m_is_an_input_error(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the family was counted before the input check")
+
+        monkeypatch.setattr(pennies, "family_size", no_work)
+        with pytest.raises(SchemaError) as raised:
+            no_pure_equilibrium_search(PenniesGame(3), budget=3, grid=16, max_strategies=2)
+        assert raised.value.path == "max_strategies"
 
     def test_sampling_deterministic(self):
         a = no_pure_equilibrium_search(
@@ -483,6 +495,11 @@ def changes(strategy):
     return sum(a != b for a, b in zip(strategy, strategy[1:]))
 
 
+def as_tuples(strategies):
+    """An (S, r) strategy array as its list of rows, each a tuple of ints."""
+    return [tuple(s) for s in strategies.tolist()]
+
+
 @st.composite
 def family_shapes(draw):
     return draw(st.integers(2, 3)), draw(st.integers(1, 8)), draw(st.integers(0, 4))
@@ -495,7 +512,7 @@ def strategy_subsets(draw, max_size):
     picks = draw(
         st.lists(st.integers(0, len(family) - 1), min_size=1, max_size=max_size, unique=True)
     )
-    return m, r, [family[i] for i in sorted(picks)]
+    return m, r, family[sorted(picks)]
 
 
 FAMILY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -506,7 +523,7 @@ class TestStrategyFamily:
     @given(family_shapes())
     def test_lexicographic_family_of_the_counted_size(self, shape):
         m, r, budget = shape
-        family = grid_strategies(m, r, budget)
+        family = as_tuples(grid_strategies(m, r, budget))
         assert len(family) == family_size(m, r, budget)
         assert all(a < b for a, b in zip(family, family[1:]))
         assert all(len(s) == r and changes(s) <= budget for s in family)
@@ -518,7 +535,10 @@ class TestStrategyFamily:
         m, r, budget = shape
         rest = [s for s in reference_family(m, r, budget) if len(set(s)) > 1]
         tails = _tails(m, r - 1, budget)
-        assert [_unrank_changing(m, r, budget, tails, j) for j in range(len(rest))] == rest
+        assert [reference_unrank_changing(m, r, budget, tails, j) for j in range(len(rest))] == rest
+        rows = _unrank_changing(r, budget, tails, np.arange(len(rest), dtype=np.int64))
+        assert rows.dtype == np.int64 and rows.shape == (len(rest), r)
+        assert as_tuples(rows) == rest
 
     @FAMILY_SETTINGS
     @given(family_shapes(), st.integers(0, 2**32), st.data())
@@ -530,13 +550,19 @@ class TestStrategyFamily:
         rest = [s for s in family if len(set(s)) > 1]
         sampled = random.Random(seed).sample(rest, count - len(constant))
         expected = sorted(set(constant + sampled))
-        assert _sampled_strategies(m, r, budget, count, seed) == expected
+        assert as_tuples(_sampled_strategies(m, r, budget, count, seed)) == expected
 
     def test_sample_from_a_family_past_sys_maxsize(self):
-        # m=16, budget 8 on the 64-grid: about 1.6e20 strategies
+        # m=16, budget 8 on the 64-grid: about 1.6e20 strategies, so the
+        # indices are unranked as Python ints on an object array
         assert family_size(16, 64, 8) > sys.maxsize
-        sampled = _sampled_strategies(16, 64, 8, 600, 0)
-        assert sampled == _sampled_strategies(16, 64, 8, 600, 0)
+        sampled = as_tuples(_sampled_strategies(16, 64, 8, 600, 0))
+        assert sampled == as_tuples(_sampled_strategies(16, 64, 8, 600, 0))
+        tails = _tails(16, 63, 8)
+        picks = _sample_indices(random.Random(0), family_size(16, 64, 8) - 16, 600 - 16)
+        expected = [(a,) * 64 for a in range(16)]
+        expected += [reference_unrank_changing(16, 64, 8, tails, j) for j in picks]
+        assert sampled == sorted(expected)
         assert all(a < b for a, b in zip(sampled, sampled[1:]))
         assert len(sampled) == 600
         assert all(len(s) == 64 and changes(s) <= 8 for s in sampled)
@@ -547,9 +573,10 @@ def assert_every_pair_exact(m, r, strategies):
     """Every pair's integer-lane gains over 2r^2 equal pure_profile_gain."""
     game = PenniesGame(m)
     gain1, gain2 = _gain_matrices(m, r, strategies)
-    for i1, s1 in enumerate(strategies):
+    rows = strategies.tolist()
+    for i1, s1 in enumerate(rows):
         f1 = IntervalUnionStrategy.from_grid(s1, m)
-        for i2, s2 in enumerate(strategies):
+        for i2, s2 in enumerate(rows):
             f2 = IntervalUnionStrategy.from_grid(s2, m)
             lane = (F(int(gain1[i1, i2]), 2 * r * r), F(int(gain2[i1, i2]), 2 * r * r))
             assert pure_profile_gain(game, f1, f2) == lane
@@ -564,8 +591,9 @@ class TestIntegerLane:
         want = reference_gain_matrices(m, r, strategies)
         for g, w in zip(got, want):
             assert g.shape == w.shape
-            assert g.dtype == np.int64
-            assert np.max(np.abs(g / (2 * r * r) - w)) < 1e-12
+            assert g.dtype == np.float32
+            assert np.array_equal(g, np.rint(g))
+            assert np.max(np.abs(g.astype(np.float64) / (2 * r * r) - w)) < 1e-12
 
     # m=8 and m=12 have 28 and 66 pairwise crossings per cell for the
     # reference to cut at
@@ -577,7 +605,7 @@ class TestIntegerLane:
         got = _gain_matrices(m, r, strategies)
         want = reference_gain_matrices(m, r, strategies)
         for g, w in zip(got, want):
-            assert np.max(np.abs(g / (2 * r * r) - w)) < 1e-12
+            assert np.max(np.abs(g.astype(np.float64) / (2 * r * r) - w)) < 1e-12
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(strategy_subsets(max_size=30))
@@ -588,10 +616,16 @@ class TestIntegerLane:
         # r = 64, where the played products' partial sums are bounded by
         # 2r^2 = 8192
         assert_every_pair_exact(4, 64, _sampled_strategies(4, 64, 8, 14, 1))
+        # the constant strategies a and a + 1 reach the bound: against player
+        # 1's constant a, player 2's form for a + 1 is k at grid point k, and
+        # twice its cell midpoints sum to 2r^2
+        strategies = _sampled_strategies(16, 64, 8, 18, 2)
+        assert {(a,) * 64 for a in range(16)} <= set(as_tuples(strategies))
+        assert_every_pair_exact(16, 64, strategies)
 
     def test_search_reports_the_first_minimum_in_row_major_order(self):
         game = PenniesGame(3)
-        strategies = grid_strategies(3, 3, 2)
+        strategies = as_tuples(grid_strategies(3, 3, 2))
         assert len(strategies) ** 2 == 729
         best = None
         for s1, s2 in itertools.product(strategies, repeat=2):
