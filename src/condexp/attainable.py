@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .correspondences import (
     FiniteIndexedCorrespondence,
     MixedSelection,
@@ -501,9 +499,8 @@ def dyadic_selection(space: MeasureSpaceModel, cell_id: str, m: int) -> Selectio
     cell = space.cell(cell_id)
     if not cell.has_inner:
         raise NotSaturated("dyadic selections need an inner coordinate")
-    bits, _counts = _dyadic_lane(m)
-    denom = len(bits)
-    pieces = tuple((Fraction(i + 1, denom), k) for i, k in enumerate(bits.tolist()))
+    denom = 2**m
+    pieces = tuple((Fraction(i + 1, denom), 1 - i % 2) for i in range(denom))
     assignments: dict[str, object] = {}
     for c in space.cells:
         if c.id == cell_id:
@@ -513,22 +510,15 @@ def dyadic_selection(space: MeasureSpaceModel, cell_id: str, m: int) -> Selectio
     return Selection(assignments)
 
 
-def _dyadic_lane(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The level-m alternating selection on its cell as 0/1 ints over the
-    2^m dyadic pieces (1 on the even ones), and its prefix counts:
-    ``counts[k]`` is the number of ones among the first k pieces."""
-    bits = 1 - np.arange(2**m, dtype=np.int64) % 2
-    return bits, np.concatenate(([0], np.cumsum(bits)))
-
-
-def _lane_integral(bits: np.ndarray, counts: np.ndarray, t: Fraction) -> Fraction:
-    """Integral over [0, t) of the lane's 0/1 function on the unit interval:
-    the whole pieces below t by their prefix count, plus the covered part of
-    the piece holding t when t is not a multiple of 1/2^m."""
-    n = len(bits)
+def _alternating_integral(m: int, t: Fraction) -> Fraction:
+    """Integral over [0, t) of the level-m alternating selection on the unit
+    interval (1 on the even ones of its 2^m dyadic pieces), in closed form:
+    the k whole pieces below t hold (k + 1) // 2 ones, and piece k adds its
+    covered part when k is even."""
+    n = 2**m
     k, rest = divmod(t.numerator * n, t.denominator)
-    partial = rest * int(bits[k]) if rest else 0
-    return Fraction(int(counts[k]) * t.denominator + partial, t.denominator * n)
+    partial = rest if k % 2 == 0 else 0
+    return Fraction((k + 1) // 2 * t.denominator + partial, t.denominator * n)
 
 
 def _dyadic_level(h: StepFunction, cell: Cell) -> int | None:
@@ -574,32 +564,31 @@ def rademacher_escape(
     the selection integrates to exactly half of the cell-restricted integral,
     which is the finite-model form of the weak-limit computation.
 
-    The report reads the selection from its dyadic integer lane: the
-    integral from the lane's total count, and each test's left side from
-    the prefix counts at the test's own breakpoints (one ``Fraction`` per
-    breakpoint, whatever m).  The right sides come from ``inner_products``,
-    which also checks every test.
+    The report reads the selection in closed form, through
+    ``_alternating_integral``: the integral at 1, and each test's left side
+    at the test's own breakpoints (one ``Fraction`` per breakpoint, whatever
+    m).  The right sides come from ``inner_products``, which also checks
+    every test.
     """
     cell = space.cell(cell_id)
     if cell.kind is not CellKind.SATURATED:
         raise NotSaturated(f"cell {cell_id} is not saturated")
     ind = indicator_of_cells(space, [cell_id])
     rhs = [HALF * r for r in space.inner_products(ind, tests)]
-    bits, counts = _dyadic_lane(m)
     entries = []
     # the selection vanishes off the cell: a left side is the cell mass
-    # times the test's integral against the lane on the cell
+    # times the test's integral against the selection on the cell
     for psi, right in zip(tests, rhs):
         left = before = Fraction(0)
         for upto, (v,) in psi.pieces(cell):
-            after = _lane_integral(bits, counts, upto)
+            after = _alternating_integral(m, upto)
             left += v * (after - before)
             before = after
         entries.append(RademacherTestEntry(_dyadic_level(psi, cell), cell.mass * left, right))
     return RademacherReport(
         cell=cell_id,
         m=m,
-        integral=cell.mass * Fraction(int(counts[-1]), len(bits)),
+        integral=cell.mass * _alternating_integral(m, Fraction(1)),
         expected_integral=HALF * cell.mass,
         tests=tuple(entries),
     )
@@ -640,12 +629,11 @@ def uhc_audit(space: MeasureSpaceModel, cell_id: str, depth: int = 8) -> UhcAudi
     limit is attainable exactly when the designated cell is rich, and the
     defect on a saturated cell equals half its mass.
 
-    Each level m is read from its dyadic integer lane (0/1 over the 2^m
-    pieces and their prefix counts), not from a selection of 2^m
-    ``Fraction`` pieces: on a rich cell the block average (one ``Fraction``
-    per level, against the limit's conditional expectation), on a saturated
-    cell the canonical identities on the dyadic intervals of levels
-    0..min(3, m - 1), compared as integers.
+    Each level m is read in closed form through ``_alternating_integral``,
+    not from a selection of 2^m ``Fraction`` pieces: on a rich cell the
+    block average (against the limit's conditional expectation), on a
+    saturated cell the canonical identities on the dyadic intervals of
+    levels 0..min(3, m - 1), from the integrals at their ends.
     """
     cell = space.cell(cell_id)
     if not cell.has_inner:
@@ -659,19 +647,21 @@ def uhc_audit(space: MeasureSpaceModel, cell_id: str, depth: int = 8) -> UhcAudi
     averages_constant = True
     identities_ok = True
     for m in range(1, depth + 1):
-        _bits, counts = _dyadic_lane(m)
         if cell.kind is CellKind.RICH:
             # the selection vanishes off the cell: its block average is the
             # cell's share of the block times the cell average
-            if share * Fraction(int(counts[-1]), 2**m) != target:
+            if share * _alternating_integral(m, Fraction(1)) != target:
                 averages_constant = False
         else:
-            # the canonical identities at levels 0..min(3, m - 1): on each
-            # level-l dyadic interval, mass * ones / 2^m == mass / 2^(l + 1),
-            # that is 2 * ones == 2^(m - l)
-            for level in range(min(3, m - 1) + 1):
-                step = 2 ** (m - level)
-                if np.any(2 * np.diff(counts[::step]) != step):
+            # the canonical identities at levels 0..L = min(3, m - 1): the
+            # selection integrates to 1 / 2^(l + 1) on each level-l dyadic
+            # interval, whose ends are among level L's
+            L = min(3, m - 1)
+            ends = [_alternating_integral(m, Fraction(j, 2**L)) for j in range(2**L + 1)]
+            for level in range(L + 1):
+                level_ends = ends[:: 2 ** (L - level)]
+                half = Fraction(1, 2 ** (level + 1))
+                if any(b - a != half for a, b in zip(level_ends, level_ends[1:])):
                     identities_ok = False
 
     result = membership(F0, limit_g)

@@ -76,12 +76,16 @@ class EquilibriumReport:
 
 
 class AgentForm:
-    """Exact payoff tensors for (player, block) agents of ``game.info``."""
+    """Exact payoff tensors for the agents, one per (player, information
+    block), and the layout every solver reads: ``counts[i]`` is player i's
+    (agents, actions), ``agents`` every (i, b) in player-then-block order."""
 
     def __init__(self, game: BayesianGame):
         self.game = game
         info = game.info
         n = len(game.players)
+        self.counts = [(len(part.blocks), len(p.actions)) for part, p in zip(info, game.players)]
+        self.agents = [(i, b) for i, (B, _m) in enumerate(self.counts) for b in range(B)]
         self.others = [[j for j in range(n) if j != i] for i in range(n)]
         # coeff[i][(b, x_i)][(opp_blocks, opp_actions)] -> Fraction, summed in
         # integers: per unit tuple, M = (its mass, then its mass times the
@@ -116,12 +120,6 @@ class AgentForm:
             self.coeff.append(
                 {k: {opp: Fraction(v, D) for opp, v in slot.items()} for k, slot in sums.items()}
             )
-
-    def block_counts(self) -> list[int]:
-        return [len(part.blocks) for part in self.game.info]
-
-    def action_counts(self) -> list[int]:
-        return [len(p.actions) for p in self.game.players]
 
 
 def mixtures_to_profile(game: BayesianGame, mixtures) -> tuple[BehavioralStrategy, ...]:
@@ -173,58 +171,40 @@ def improving_deviation(
 
 
 def _solve_lp_zero_sum(agent_form: AgentForm):
-    """Exact minimax LP on the stacked block strategies of both players."""
-    m1, m2 = agent_form.action_counts()
-    B1, B2 = agent_form.block_counts()
-    pairs1 = [(b, a) for b in range(B1) for a in range(m1)]
-    pairs2 = [(b, a) for b in range(B2) for a in range(m2)]
-    M = {}
-    for (b1, a1) in pairs1:
-        slot = agent_form.coeff[0].get((b1, a1), {})
-        for (b2, a2) in pairs2:
-            M[(b1, a1, b2, a2)] = slot.get(((b2,), (a2,)), ZERO)
+    """Exact minimax LP on the stacked block strategies of both players:
+    each side maximises the sum of one value per opponent agent, each below
+    its payoff against every action of that agent, over one simplex per own
+    agent.  Player 2's side reads player 1's coefficients, negated and
+    transposed."""
+    counts, coeff = agent_form.counts, agent_form.coeff[0]
 
-    def solve_side(rows, cols, payoff):
-        # maximize sum_c v_c  s.t.  sum_r payoff[r, c] g_r >= v_c, per-block simplex
-        col_blocks = sorted({c[0] for c in cols})
-        nv = len(col_blocks)
-        ng = len(rows)
-        ns = len(cols)
-        nvar = ng + 2 * nv + ns
+    def solve_side(i, payoff):
+        (B, m), (nv, mc) = counts[i], counts[1 - i]
+        ng, ns = B * m, nv * mc
+        rows = [(b, a) for b in range(B) for a in range(m)]
         cost = [ZERO] * ng + [-ONE] * nv + [ONE] * nv + [ZERO] * ns
         A = []
-        b = []
-        for ci, (cb, ca) in enumerate(cols):
-            row = [ZERO] * nvar
-            for ri, r in enumerate(rows):
-                row[ri] = payoff(r, (cb, ca))
-            vi = col_blocks.index(cb)
-            row[ng + vi] = -ONE
-            row[ng + nv + vi] = ONE
+        for ci, col in enumerate((cb, ca) for cb in range(nv) for ca in range(mc)):
+            row = [payoff(r, col) for r in rows] + [ZERO] * (2 * nv + ns)
+            row[ng + col[0]] = -ONE
+            row[ng + nv + col[0]] = ONE
             row[ng + 2 * nv + ci] = -ONE
             A.append(row)
-            b.append(ZERO)
-        row_blocks = sorted({r[0] for r in rows})
-        for rb in row_blocks:
-            row = [ZERO] * nvar
-            for ri, r in enumerate(rows):
-                if r[0] == rb:
-                    row[ri] = ONE
+        for b in range(B):
+            row = [ZERO] * len(cost)
+            row[b * m : (b + 1) * m] = [ONE] * m
             A.append(row)
-            b.append(ONE)
-        value, x = simplex_min(cost, A, b)
-        g = {r: x[ri] for ri, r in enumerate(rows)}
-        return -value, g
+        value, x = simplex_min(cost, A, [ZERO] * ns + [ONE] * B)
+        return -value, [x[b * m : (b + 1) * m] for b in range(B)]
 
-    value1, g1 = solve_side(pairs1, pairs2, lambda r, c: M[(r[0], r[1], c[0], c[1])])
-    value2, g2 = solve_side(pairs2, pairs1, lambda r, c: -M[(c[0], c[1], r[0], r[1])])
+    def entry(r, c):
+        return coeff[r].get(((c[0],), (c[1],)), ZERO) if r in coeff else ZERO
+
+    value1, mixtures1 = solve_side(0, entry)
+    value2, mixtures2 = solve_side(1, lambda r, c: -entry(c, r))
     if value1 != -value2:
         raise ArithmeticError(f"zero-sum LP values disagree: {value1} vs {-value2}")
-    mixtures = [
-        [[g1[(b, a)] for a in range(m1)] for b in range(B1)],
-        [[g2[(b, a)] for a in range(m2)] for b in range(B2)],
-    ]
-    return mixtures, value1
+    return [mixtures1, mixtures2], value1
 
 
 def _br_lane(agent_form: AgentForm):
@@ -236,16 +216,14 @@ def _br_lane(agent_form: AgentForm):
     actions and terms have coefficient 0.0.  Also returned: ``pad``, -inf on
     padded actions, and the uniform start, 0.0 on them.
     """
-    game = agent_form.game
-    counts = agent_form.action_counts()
-    agents = [(i, b) for i, part in enumerate(game.info) for b in range(len(part.blocks))]
+    counts, agents = agent_form.counts, agent_form.agents
     row = {agent: g for g, agent in enumerate(agents)}
-    A = max(counts)
+    A = max(m for _B, m in counts)
     T = 1 + max((len(slot) for coeff in agent_form.coeff for slot in coeff.values()), default=0)
     pos, vals, idx = [], [], []
     for g, (i, b) in enumerate(agents):
         others = agent_form.others[i]
-        for a in range(counts[i]):
+        for a in range(counts[i][1]):
             slot = agent_form.coeff[i].get((b, a), {})
             for at, (opp, c) in enumerate(slot.items(), (g * A + a) * T + 1):
                 pos.append(at)
@@ -253,10 +231,10 @@ def _br_lane(agent_form: AgentForm):
                 idx.append([row[j, bj] * A + aj for j, bj, aj in zip(others, *opp)])
     coef = np.zeros((len(agents), A, T))
     coef.flat[pos] = vals
-    gather = np.zeros((len(game.players) - 1, *coef.shape), dtype=np.intp)
+    gather = np.zeros((len(counts) - 1, *coef.shape), dtype=np.intp)
     for s, opponent in enumerate(gather):
         opponent.flat[pos] = [f[s] for f in idx]
-    m = np.array([counts[i] for i, _b in agents])[:, None]
+    m = np.array([counts[i][1] for i, _b in agents])[:, None]
     real = np.arange(A) < m
     return coef, gather, np.where(real, 0.0, -np.inf), np.where(real, 1.0 / m, 0.0)
 
@@ -291,10 +269,7 @@ def _br_floats(agent_form: AgentForm, options: SolveOptions):
                 if not ((v + pad).max(axis=1) - played >= 1e-12).any():
                     break
     rows = iter(x.tolist())
-    mixtures = [
-        [next(rows)[:m] for _ in part.blocks]
-        for part, m in zip(agent_form.game.info, agent_form.action_counts())
-    ]
+    mixtures = [[next(rows)[:m] for _ in range(B)] for B, m in agent_form.counts]
     return mixtures, iterations
 
 
@@ -320,45 +295,35 @@ def _solve_br(agent_form: AgentForm, options: SolveOptions):
 
 def _support_polish(agent_form: AgentForm, supports):
     """Exact block mixtures matching given supports, or None (2 players)."""
-    counts = list(zip(agent_form.block_counts(), agent_form.action_counts()))
+    counts, agents = agent_form.counts, agent_form.agents
     # columns: the supported (player, block, action) weights, then one value
-    # and one negated value per (player, block), then one slack per
-    # off-support action, all in (player, block, action) order
-    gcol: dict[tuple[int, int, int], int] = {}
-    vcol: dict[tuple[int, int], int] = {}
-    for p, (B, _m) in enumerate(counts):
-        for b in range(B):
-            vcol[(p, b)] = len(vcol)
-            for a in supports[p][b]:
-                gcol[(p, b, a)] = len(gcol)
-    nv = len(gcol) + 2 * len(vcol)
-    width = nv + sum(m - len(s) for p, (_B, m) in enumerate(counts) for s in supports[p])
+    # and one negated value per agent, then one slack per off-support
+    # action, all in agent then action order
+    gcol = {k: col for col, k in enumerate((p, b, a) for p, b in agents for a in supports[p][b])}
+    nv = len(gcol) + 2 * len(agents)
+    width = nv + sum(counts[p][1] - len(supports[p][b]) for p, b in agents)
     slack = nv
     rows = []
-    for i, (B, m) in enumerate(counts):
-        other = 1 - i
-        for b in range(B):
-            v = len(gcol) + vcol[(i, b)]
-            for a in range(m):
-                row = [ZERO] * width
-                for ((ob,), (oa,)), c in agent_form.coeff[i].get((b, a), {}).items():
-                    col = gcol.get((other, ob, oa))
-                    if col is not None:
-                        row[col] += c
-                row[v] = -ONE
-                row[v + len(vcol)] = ONE
-                if a not in supports[i][b]:
-                    row[slack] = ONE
-                    slack += 1
-                rows.append(row)
-    rhs = [ZERO] * len(rows)
-    for p, (B, _m) in enumerate(counts):
-        for b in range(B):
+    for g, (i, b) in enumerate(agents):
+        v = len(gcol) + g
+        for a in range(counts[i][1]):
             row = [ZERO] * width
-            for a in supports[p][b]:
-                row[gcol[(p, b, a)]] = ONE
+            for ((ob,), (oa,)), c in agent_form.coeff[i].get((b, a), {}).items():
+                col = gcol.get((1 - i, ob, oa))
+                if col is not None:
+                    row[col] += c
+            row[v] = -ONE
+            row[v + len(agents)] = ONE
+            if a not in supports[i][b]:
+                row[slack] = ONE
+                slack += 1
             rows.append(row)
-            rhs.append(ONE)
+    rhs = [ZERO] * len(rows) + [ONE] * len(agents)
+    for p, b in agents:
+        row = [ZERO] * width
+        for a in supports[p][b]:
+            row[gcol[(p, b, a)]] = ONE
+        rows.append(row)
     sol = feasible_combination(rows, rhs)
     if sol is None:
         return None
@@ -370,35 +335,25 @@ def _support_polish(agent_form: AgentForm, supports):
 
 def _solve_enum(agent_form: AgentForm, br_run):
     """Support search for two-player agent forms, seeded by the damped run
-    ``br_run``; its count is that run's iterations plus the supports tried."""
+    ``br_run``; its count is that run's iterations plus the supports tried.
+    The candidates stream: the seeded supports, then, on at most 4 agents,
+    every support profile in agent order, until 3000 have been tried."""
     guess, iters = br_run
-    m1, m2 = agent_form.action_counts()
-    supports_guess = [
+    counts, agents = agent_form.counts, agent_form.agents
+    seeded = [
         [tuple(a for a in range(m) if row[a] > 0) or tuple(range(m)) for row in rows]
-        for rows, m in zip(guess, (m1, m2))
+        for rows, (_B, m) in zip(guess, counts)
     ]
-    tried = 0
-    candidates = [supports_guess]
-    all_subsets = [
-        [
-            tuple(sorted(s))
-            for size in range(m, 0, -1)
-            for s in itertools.combinations(range(m), size)
-        ]
-        for m in (m1, m2)
-    ]
-    agents = [(0, b) for b in range(agent_form.block_counts()[0])] + [
-        (1, b) for b in range(agent_form.block_counts()[1])
-    ]
+    candidates = iter([seeded])
     if len(agents) <= 4:
-        per_agent = [all_subsets[p] for p, _b in agents]
-        for combo in itertools.product(*per_agent):
-            sup = [[], []]
-            for (p, _b), s in zip(agents, combo):
-                sup[p].append(s)
-            candidates.append(sup)
-    for supports in candidates:
-        tried += 1
+        subsets = [
+            [s for size in range(m, 0, -1) for s in itertools.combinations(range(m), size)]
+            for _B, m in counts
+        ]
+        B0 = counts[0][0]
+        every = itertools.product(*(subsets[p] for p, _b in agents))
+        candidates = itertools.chain(candidates, ((c[:B0], c[B0:]) for c in every))
+    for tried, supports in enumerate(candidates, 1):
         if tried > 3000:
             break
         mixtures = _support_polish(agent_form, supports)

@@ -526,7 +526,8 @@ def no_pure_equilibrium_search(
 
     The scan is exhaustive while the strategy family fits max_strategies;
     beyond that a seeded sample is drawn (always keeping the constant
-    strategies), and max_strategies below m is an input error.  An integer
+    strategies).  A budget, grid or max_strategies that is not an int (or is
+    a bool), and max_strategies below m, are input errors.  An integer
     lane scans every pair: each gain is a numerator over 2r^2 (r the grid),
     exact because the value forms cross only at cell midpoints and the
     played products stay below 2^24 in float32.  The first
@@ -535,6 +536,9 @@ def no_pure_equilibrium_search(
     the minimum exceeds epsilon, witnessing that no scanned pure profile is
     close to equilibrium.
     """
+    for name, value in (("budget", budget), ("grid", grid), ("max_strategies", max_strategies)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(name, f"expected an integer, got {value!r}")
     if budget > 8 or grid > 64:
         raise BudgetExceeded("supported desk scale: budget <= 8, grid <= 64")
     if budget < 0:

@@ -433,10 +433,7 @@ def reference_solve_br(agent_form, options):
                 worst = max(worst, max(vals) - played)
         return worst
 
-    mixtures = [
-        [[1.0 / m for _ in range(m)] for _ in part.blocks]
-        for part, m in zip(game.info, agent_form.action_counts())
-    ]
+    mixtures = [[[1.0 / m for _ in range(m)] for _ in range(B)] for B, m in agent_form.counts]
     iterations = 0
     for iterations in range(1, options.max_iters + 1):
         target = best_response(mixtures)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -51,6 +52,7 @@ from helpers import (
     binary_F,
     branch_values,
     breakpoints,
+    constant_branches,
     payload_at,
     point_cell,
     reference_extreme_points,
@@ -183,6 +185,17 @@ class TestMembership:
         assert res.certificate.kind == "saturated"
         assert res.certificate.distance == F(1, 2)
 
+    def test_irrational_distance_on_saturated_cell(self):
+        # both branches lie sqrt(2) from h on D, so the certificate is the
+        # float mass * sqrt(2)
+        sp = space(saturated_cell("D", F(1, 2)), rich_cell("r", F(1, 2)))
+        Fc = constant_branches(sp, [(0, 0), (2, 0)], dim=2)
+        res = membership(Fc, step(sp, {"D": (1, 1), "r": (1, 0)}, dim=2))
+        assert not res.member
+        assert res.certificate.kind == "saturated"
+        assert isinstance(res.certificate.distance, float)
+        assert res.certificate.distance == math.sqrt(2) / 2
+
     def test_midpoint_on_point_block(self):
         sp = space(point_cell("p"))
         res = membership(binary_F(sp), step(sp, {"p": F(1, 2)}))
@@ -229,6 +242,18 @@ class TestConvexifyWitness:
         Fc = binary_F(sp)
         out = convexify_witness(Fc, sel(sp, {"D": 0}), sel(sp, {"D": 1}), F(1, 3))
         assert isinstance(out, AtomObstruction)
+
+    def test_saturated_block_blends_by_splice(self):
+        # s1 and s2 agree on the saturated cell D, so the blend there is a
+        # splice of the branches; the rich cell r is split proportionally
+        sp = space(Cell("D", F(1, 2), CellKind.SATURATED, "gD"), rich_cell("r", F(1, 2), block="g"))
+        Fc = binary_F(sp)
+        s1, s2 = sel(sp, {"D": 1, "r": 0}), sel(sp, {"D": 1, "r": 1})
+        s0 = convexify_witness(Fc, s1, s2, F(1, 4))
+        assert isinstance(s0, Selection)
+        assert s0.plan == {"D": ((F(1), 1),), "r": ((F(1, 4), 0), (F(1), 1))}
+        e = sp.conditional_expectation(selection_value(Fc, s0))
+        assert functions_equal(sp, e, step(sp, {"D": 1, "r": F(3, 4)}))
 
     def test_achievable_blend_on_atom_space(self):
         # mixed block where the target is reachable despite the point cell

@@ -259,6 +259,14 @@ class TestAdditionalPaths:
         ]
         assert report["membership"]["member"] is True  # 7/8 lies in [1/2, 1]
 
+    def test_float_mode_solve_runs_best_response(self, capsys):
+        # --mode float turns auto into br; on two players the damped run
+        # misses and the support search seeded by it finds the equilibrium
+        code, out = run(capsys, "solve", FIXTURES / "mp_game.json", "--mode", "float")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["method"], report["iterations"], report["converged"]) == ("enum", 4001, True)
+
     def test_float_mode_membership_tolerance(self, capsys, tmp_path):
         # nudge h off the region by far less than 1e-9; float mode accepts
         doc = json.loads((FIXTURES / "point_block.json").read_text())

@@ -491,10 +491,7 @@ class TestArrayLane:
         x = np.array([[rng.random() if p == 0 else 0.0 for p in row] for row in pad.tolist()])
         x /= x.sum(axis=1, keepdims=True)
         rows = iter(x.tolist())
-        mixtures = [
-            [next(rows)[:m] for _ in part.blocks]
-            for part, m in zip(agent_form.game.info, agent_form.action_counts())
-        ]
+        mixtures = [[next(rows)[:m] for _ in range(B)] for B, m in agent_form.counts]
         got = iter(equilibrium._lane_values(coef, gather, x).tolist())
         values = reference_values(agent_form)
         for i, part in enumerate(agent_form.game.info):
@@ -526,7 +523,7 @@ class TestArrayLane:
     def test_values_past_the_float_range(self, max_iters):
         agent_form = equilibrium.AgentForm(overflowing_game())
         biggest = F(sys.float_info.max)
-        counts = agent_form.action_counts()
+        counts = [m for _B, m in agent_form.counts]
         # at the uniform start some action value is above the float range on
         # player 0 and below it on player 1, so the lane sums to +inf and -inf
         # (and its regrets read inf - inf)

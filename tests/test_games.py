@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from condexp.games import (
 )
 
 from condexp.purification import random_behavioral
+from condexp.serialize import load_game
 from game_factories import random_coarser_game, random_profile
 from helpers import (
     entry_product,
@@ -423,6 +426,18 @@ class TestSubstitutionIdentity:
             for i in range(len(game.players)):
                 subbed = substitute_conditioned(game, profile, i)
                 assert expected_payoff(game, subbed)[i] == u[i]
+
+    def test_conditioning_keeps_saturated_units(self):
+        # every unit of player 0 is saturated: conditioning keeps the
+        # strategy's pieces inside each unit instead of the block average
+        doc = json.loads((Path(__file__).parent / "fixtures" / "saturated_game.json").read_text())
+        game = load_game(doc["game"])
+        assert set(game.info[0].kinds) == {"saturated"}
+        f = PureStrategy({"t1": ((F(1, 4), 0), (F(3, 4), 1), (F(1), 0))})
+        one, two = (F(1), F(0)), (F(0), F(1))
+        assert g_conditional(game, 0, f).plan == {
+            "t1": ((F(1, 4), one), (F(3, 4), two), (F(1), one))
+        }
 
     def test_conditioning_is_block_average(self):
         rng = random.Random(8)

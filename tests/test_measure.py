@@ -171,6 +171,13 @@ class TestLinearityProperties:
 
 
 class TestHelpers:
+    def test_functions_equal_needs_dimension_and_values(self):
+        sp = unit_rich_space()
+        f = step(sp, {"c": [(F(1, 2), 1), (1, 1)]})
+        assert functions_equal(sp, f, step(sp, {"c": 1}))
+        assert not functions_equal(sp, f, step(sp, {"c": (1, 1)}, dim=2))
+        assert not functions_equal(sp, f, step(sp, {"c": [(F(1, 2), 1), (1, 2)]}))
+
     def test_indicator(self):
         sp = space(rich_cell("a", F(1, 2)), point_cell("p", F(1, 2)))
         ind = indicator_of_cells(sp, ["p"])

@@ -332,6 +332,26 @@ class TestSampledSearch:
             no_pure_equilibrium_search(PenniesGame(3), budget=3, grid=16, max_strategies=2)
         assert raised.value.path == "max_strategies"
 
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("max_strategies", {"budget": 3, "grid": 16, "max_strategies": 600.5}),
+            ("budget", {"budget": 2.5}),
+            ("grid", {"grid": 8.0}),
+            ("grid", {"grid": "8"}),
+            ("budget", {"budget": True}),
+        ],
+        ids=["max-strategies-float", "budget-float", "grid-float", "grid-str", "budget-bool"],
+    )
+    def test_non_int_inputs_are_input_errors(self, monkeypatch, name, kwargs):
+        def no_work(*args):
+            raise AssertionError("the family was counted before the input check")
+
+        monkeypatch.setattr(pennies, "family_size", no_work)
+        with pytest.raises(SchemaError, match="expected an integer") as raised:
+            no_pure_equilibrium_search(PenniesGame(3), **kwargs)
+        assert raised.value.path == name
+
     def test_sampling_deterministic(self):
         a = no_pure_equilibrium_search(
             PenniesGame(2), budget=3, grid=16, max_strategies=150, seed=5
