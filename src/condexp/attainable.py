@@ -18,6 +18,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import add, mul
 from typing import Sequence
 
 from .correspondences import (
@@ -46,13 +48,14 @@ from .measure import (
 )
 from .piecewise import append_piece, pack_pieces, split_pieces
 from .rational_geometry import (
+    IntVec,
     dedupe_points,
     extreme_points,
     feasible_combination,
     min_norm_point,
     support_value,
 )
-from .rationals import Vec, vec_add, vec_dot, vec_norm2, vec_scale, vec_sub, zero_vec
+from .rationals import Vec, over_one_denominator, vec_add, vec_norm2, vec_scale, vec_sub, zero_vec
 
 HALF = Fraction(1, 2)
 _WHOLE = ((Fraction(0), Fraction(1), False),)  # one plain span over [0, 1)
@@ -82,6 +85,13 @@ class CondExpBlockSet:
     reader needs only their hull.  ``point_sets`` holds the
     mass-scaled finite value sets of the block's point cells.  Averages are
     the sums divided by the block mass.
+
+    The geometry runs on one integer lattice per block set, built once
+    (``_lattice``): D is the least common denominator of the
+    coefficient-scaled generators and the offsets, and both are kept as
+    integers over D.  Wolfe's nearest point, its Minkowski oracle and the
+    vertex sums run on those integers; values become ``Fraction`` only when
+    they are returned.
     """
 
     block: str
@@ -97,6 +107,16 @@ class CondExpBlockSet:
             acc = dedupe_points([vec_add(a, p) for a in acc for p in points])
         return acc
 
+    @cached_property
+    def _lattice(self) -> tuple[int, list[tuple[IntVec, ...]], list[IntVec]]:
+        """(D, the integer generators of each summand, the integer offsets):
+        every coefficient-scaled generator and every offset times D, the
+        offsets in ``offsets()`` order."""
+        groups = [[vec_scale(p, coeff) for p in points] for coeff, points in self.summands]
+        D, rows = over_one_denominator(p for group in groups + [self.offsets()] for p in group)
+        ints = iter(map(tuple, rows))
+        return D, [tuple(itertools.islice(ints, len(group))) for group in groups], list(ints)
+
     def contains(self, value: Vec, tolerance=Fraction(0)) -> bool:
         """Membership of a candidate block average, decided by ``distance``:
         exact for a tolerance <= 0, else within that L2 tolerance."""
@@ -104,22 +124,28 @@ class CondExpBlockSet:
 
     def rich_vertices(self) -> list[Vec]:
         """Vertices of the rich Minkowski sum (before offsets), dim <= 3."""
+        D = self._lattice[0]
+        return [tuple(Fraction(v, D) for v in p) for p in self._lattice_vertices()]
+
+    def _lattice_vertices(self) -> list[IntVec]:
+        """``rich_vertices`` over D: the integer generators summed one
+        summand at a time, each partial sum cut to its hull's vertices."""
         if self.dim > 3:
             raise UnsupportedDimension("vertex enumeration needs dimension <= 3")
-        acc: list[Vec] = [zero_vec(self.dim)]
-        for coeff, points in self.summands:
-            scaled = [vec_scale(p, coeff) for p in points]
-            acc = extreme_points([vec_add(a, s) for a in acc for s in scaled])
+        acc = [(0,) * self.dim]
+        for points in self._lattice[1]:
+            acc = extreme_points([tuple(map(add, a, s)) for a in acc for s in points])
         return acc
 
     def polytopes(self) -> list[tuple[Vec, ...]]:
         """The union as explicit vertex lists (in average scale), dim <= 3."""
-        rich = self.rich_vertices()
-        inv = Fraction(1) / self.block_mass
-        # a positive scaling plus a translation keeps the vertices and their order
-        return sorted(
-            {tuple(vec_scale(vec_add(v, offset), inv) for v in rich) for offset in self.offsets()}
-        )
+        rich = self._lattice_vertices()
+        D, _generators, offsets = self._lattice
+        # a positive scaling plus a translation keeps the vertices and their
+        # order, so the integer polytopes sort as the returned ones do
+        polys = sorted({tuple(tuple(map(add, v, offset)) for v in rich) for offset in offsets})
+        num, den = self.block_mass.denominator, D * self.block_mass.numerator
+        return [tuple(tuple(Fraction(w * num, den) for w in v) for v in poly) for poly in polys]
 
     def distance(self, value: Vec) -> tuple[Fraction, Vec]:
         """Min squared Euclidean distance to the union plus a nearest point.
@@ -130,29 +156,50 @@ class CondExpBlockSet:
         offset.  Any dimension, and no vertex enumeration.  Each polytope's
         nearest point is unique; across offsets the smaller distance, then
         the smaller point, wins.
-        """
-        target = vec_scale(value, self.block_mass)
-        inv = Fraction(1) / self.block_mass
-        start = self._rich_argmin(zero_vec(self.dim))
-        best: tuple[Fraction, Vec] | None = None
-        for offset in self.offsets():
-            shift = vec_sub(offset, target)
-            y = min_norm_point(
-                lambda c: vec_add(shift, self._rich_argmin(c)), vec_add(shift, start)
-            )
-            cand = (vec_norm2(y) * inv * inv, vec_scale(vec_add(target, y), inv))
-            if best is None or cand < best:
-                best = cand
-        assert best is not None
-        return best
 
-    def _rich_argmin(self, c: Vec) -> Vec:
-        """A point of the rich Minkowski sum minimizing c . x: each summand's
-        minimizing vertex (the smallest one on ties), scaled and added up."""
-        acc = zero_vec(self.dim)
-        for coeff, points in self.summands:
-            vertex = min(points, key=lambda q: (vec_dot(c, q), q))
-            acc = vec_add(acc, vec_scale(vertex, coeff))
+        It runs on the lattice with the target's denominator folded in: over
+        E = k D, with E * target integral, the shifted points are k times a
+        generator sum plus E * (offset - target), so every iterate is E times
+        the one over ``Fraction``s.  A common positive scale keeps the
+        oracle's argmin and tie order, the affine weights and the sign of
+        Wolfe's stopping test, so the answer is the same.
+        """
+        D, _generators, offsets = self._lattice
+        target = vec_scale(value, self.block_mass)
+        E = math.lcm(D, *(t.denominator for t in target))
+        k = E // D
+        T = [t.numerator * (E // t.denominator) for t in target]
+        start = self._argmin_sum((0,) * self.dim)
+        best = None
+        for offset in offsets:
+            shift = [k * o - t for o, t in zip(offset, T)]
+
+            def lift(acc):
+                return tuple(k * a + s for a, s in zip(acc, shift))
+
+            Y, q = min_norm_point(lambda c: lift(self._argmin_sum(c)), lift(start))
+            # y = Y / q here; (|y|^2, y) compare as cross products over q
+            norm = sum(map(mul, Y, Y))
+            if best is None or (norm * best[2] ** 2, [v * best[2] for v in Y]) < (
+                best[0] * q * q,
+                [v * q for v in best[1]],
+            ):
+                best = (norm, Y, q)
+        norm, Y, q = best
+        inv = Fraction(1) / self.block_mass
+        scale = q * E
+        return (
+            Fraction(norm, scale * scale) * inv * inv,
+            tuple(v + Fraction(w, scale) * inv for v, w in zip(value, Y)),
+        )
+
+    def _argmin_sum(self, c: IntVec) -> IntVec:
+        """The point of the rich Minkowski sum, over D, minimizing c . x:
+        each summand's minimizing integer generator (the smallest one on
+        ties) added up."""
+        acc = (0,) * self.dim
+        for points in self._lattice[1]:
+            acc = tuple(map(add, acc, min(points, key=lambda p: (sum(map(mul, c, p)), p))))
         return acc
 
     def support(self, direction: Vec) -> Fraction:

@@ -527,7 +527,8 @@ def no_pure_equilibrium_search(
     The scan is exhaustive while the strategy family fits max_strategies;
     beyond that a seeded sample is drawn (always keeping the constant
     strategies).  A budget, grid or max_strategies that is not an int (or is
-    a bool), and max_strategies below m, are input errors.  An integer
+    a bool), max_strategies below m, and an epsilon that is not a rational
+    at least 0, are input errors.  An integer
     lane scans every pair: each gain is a numerator over 2r^2 (r the grid),
     exact because the value forms cross only at cell midpoints and the
     played products stay below 2^24 in float32.  The first
@@ -547,7 +548,14 @@ def no_pure_equilibrium_search(
         raise SchemaError("grid", "must be at least 1")
     if max_strategies < game.m:
         raise SchemaError("max_strategies", f"must be at least m = {game.m}, for the constants")
-    epsilon = Fraction(epsilon)
+    try:
+        if isinstance(epsilon, bool):
+            raise TypeError
+        epsilon = Fraction(epsilon)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError("epsilon", f"expected a rational number, got {epsilon!r}") from None
+    if epsilon < 0:
+        raise SchemaError("epsilon", f"must be at least 0, got {epsilon}")
     size = family_size(game.m, grid, budget)
     exhaustive = size <= max_strategies
     if exhaustive:

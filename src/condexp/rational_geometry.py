@@ -3,26 +3,31 @@
 Polytopes are carried as finite generating sets or, for Minkowski sums,
 through a linear-minimization oracle.  Nearest points come from Wolfe's
 min-norm-point algorithm, which needs only the oracle and is exact and
-finite in any dimension; a zero distance decides membership.  Hull vertices
-in dimensions 1 to 3 come from one gift wrapping on integer coordinates,
-with no linear program.  A small exact simplex solver (Bland's rule, so it
-terminates) serves the callers' own programs only: the convexify witnesses,
-the support polish and the zero-sum solver.  It pivots on integer rows over
-one denominator each, fraction-free, and reads its answer as ``Fraction``
-at the end.
+finite in any dimension; a zero distance decides membership.  Wolfe runs on
+integer points, which its callers put over one common denominator (one per
+block set for the Minkowski sums), with exact ``Fraction`` weights from an
+integer Gram solve; values become ``Fraction`` only when returned.  Hull
+vertices in dimensions 1 to 3 come from one gift wrapping on integer
+coordinates, with no linear program.  A small exact simplex solver (Bland's
+rule, so it terminates) serves the callers' own programs only: the convexify
+witnesses, the support polish and the zero-sum solver.  It pivots on integer
+rows over one denominator each, fraction-free, and reads its answer as
+``Fraction`` at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import InfeasibleProgram, UnboundedProgram, UnsupportedDimension
-from .rationals import Vec, over_one_denominator, vec_add, vec_dot, vec_norm2, vec_sub
+from .rationals import Vec, over_one_denominator, vec_dot
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+IntVec = tuple[int, ...]
 
 
 def simplex_min(cost: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
@@ -289,59 +294,75 @@ def support_value(points: Sequence[Vec], direction: Vec) -> Fraction:
     return max(vec_dot(p, direction) for p in points)
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan elimination on a nonsingular square system."""
+def _solve_linear(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """Fraction-free Gauss-Jordan elimination on a nonsingular square integer
+    system: a row r is cleared of column c as p * row_r - q * row_c (p the
+    pivot, q its entry), then cut by its gcd; the solution is read as
+    ``Fraction``s of each row's right-hand side over its diagonal."""
     n = len(matrix)
     aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
     for col in range(n):
         pivot_row = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
+        prow = aug[col]
+        p = prow[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][-1] for r in range(n)]
+            q = aug[r][col]
+            if r != col and q != 0:
+                row = [p * v - q * w for v, w in zip(aug[r], prow)]
+                g = gcd(*row)
+                aug[r] = [v // g for v in row] if g > 1 else row
+    return [Fraction(aug[r][-1], aug[r][r]) for r in range(n)]
 
 
-def _affine_minimizer(corral: list[Vec]) -> list[Fraction]:
+def _idot(u: IntVec, v: IntVec) -> int:
+    return sum(map(mul, u, v))
+
+
+def _affine_minimizer(corral: list[IntVec]) -> list[Fraction]:
     """Weights, summing to 1, of the least-norm point of aff(corral).
 
     Writing the point as s0 + sum c_i (s_i - s0), the c_i solve the Gram
-    system of the differences; it is nonsingular because a corral is affinely
-    independent.
+    system of the differences, integer for an integer corral; it is
+    nonsingular because a corral is affinely independent.
     """
     base = corral[0]
-    dirs = [vec_sub(p, base) for p in corral[1:]]
-    gram = [[vec_dot(u, v) for v in dirs] for u in dirs]
-    coeffs = _solve_linear(gram, [-vec_dot(u, base) for u in dirs])
+    dirs = [tuple(a - b for a, b in zip(p, base)) for p in corral[1:]]
+    gram = [[_idot(u, v) for v in dirs] for u in dirs]
+    coeffs = _solve_linear(gram, [-_idot(u, base) for u in dirs])
     return [ONE - sum(coeffs, ZERO)] + coeffs
 
 
-def _combine(corral: list[Vec], weights: list[Fraction]) -> Vec:
-    return tuple(
-        sum((w * p[d] for w, p in zip(weights, corral)), ZERO) for d in range(len(corral[0]))
-    )
+def _combine(corral: list[IntVec], weights: list[Fraction]) -> tuple[IntVec, int]:
+    """The point sum w_i s_i as (Y, q) with y = Y / q: q the weights' least
+    common denominator and Y an integer vector."""
+    q = lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (q // w.denominator) for w in weights]
+    return tuple(_idot(scaled, coords) for coords in zip(*corral)), q
 
 
-def min_norm_point(oracle: Callable[[Vec], Vec], start: Vec) -> Vec:
-    """The least-norm point of a polytope, exactly (Wolfe 1976).
+def min_norm_point(oracle: Callable[[IntVec], IntVec], start: IntVec) -> tuple[IntVec, int]:
+    """The least-norm point of an integer polytope, exactly (Wolfe 1976).
 
-    ``oracle(c)`` returns a vertex of the polytope minimizing ``c . p``, and
-    ``start`` is any of its vertices.  The iterate y is always the least-norm
-    point of the affine hull of its corral, an affinely independent vertex
-    set carrying it with positive weights; y is optimal once no vertex p has
-    y.p < y.y.  Each major cycle strictly lowers |y| and no corral repeats, so
-    over rationals the loop is finite in any dimension.
+    ``oracle(c)`` returns a vertex (an integer tuple) of the polytope
+    minimizing ``c . p``, and ``start`` is any of its vertices.  The iterate
+    y is always the least-norm point of the affine hull of its corral, an
+    affinely independent vertex set carrying it with positive weights; y is
+    optimal once no vertex p has y.p < y.y.  Each major cycle strictly lowers
+    |y| and no corral repeats, so the loop is finite in any dimension.
+
+    The weights are exact ``Fraction``s from the integer Gram solve; the
+    iterate is kept as (Y, q) with y = Y / q, so the optimality test is
+    Y.Y - q (Y.p) <= 0 on integers and the oracle is handed Y, a positive
+    multiple of y.  Returns (Y, q) for the least-norm point.
     """
     corral = [tuple(start)]
     weights = [ONE]
-    y = corral[0]
+    Y, q = corral[0], 1
     while True:
-        p = oracle(y)
-        if vec_dot(y, y) - vec_dot(y, p) <= 0:
-            return y
+        p = oracle(Y)
+        if _idot(Y, Y) - q * _idot(Y, p) <= 0:
+            return Y, q
         corral.append(tuple(p))
         weights.append(ZERO)
         while True:
@@ -356,21 +377,26 @@ def min_norm_point(oracle: Callable[[Vec], Vec], start: Vec) -> Vec:
             kept = [i for i, w in enumerate(mixed) if w > 0]
             corral = [corral[i] for i in kept]
             weights = [mixed[i] for i in kept]
-        y = _combine(corral, weights)
+        Y, q = _combine(corral, weights)
 
 
 def nearest_point_in_hull(x: Vec, points: Sequence[Vec]) -> tuple[Fraction, Vec]:
     """Squared distance and nearest point of conv(points) from x, exact.
 
-    Wolfe's min-norm point of conv(points) - x, with the explicit points as
-    the oracle (ties to the smallest point); any dimension.
+    Wolfe's min-norm point of conv(points) - x on integers: x and the points
+    are put over one common denominator D once, the explicit shifted points
+    are the oracle (ties to the smallest point, which a positive scale keeps)
+    and the answer is read back over D as ``Fraction``s; any dimension.
     """
-    shifted = [vec_sub(p, x) for p in points]
-    if not shifted:
+    if not points:
         raise ValueError("empty point set")
+    D, (X, *rows) = over_one_denominator([x, *points])
+    shifted = [tuple(a - b for a, b in zip(row, X, strict=True)) for row in rows]
 
-    def oracle(c: Vec) -> Vec:
-        return min(shifted, key=lambda q: (vec_dot(c, q), q))
+    def oracle(c: IntVec) -> IntVec:
+        return min(shifted, key=lambda s: (_idot(c, s), s))
 
-    y = min_norm_point(oracle, shifted[0])
-    return vec_norm2(y), vec_add(x, y)
+    Y, q = min_norm_point(oracle, shifted[0])
+    scale = q * D
+    nearest = tuple(v + Fraction(w, scale) for v, w in zip(x, Y))
+    return Fraction(_idot(Y, Y), scale * scale), nearest

@@ -1,9 +1,12 @@
 """Shared fixture builders for the test suite."""
 
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 from condexp.correspondences import FiniteIndexedCorrespondence
 from condexp.measure import Cell, CellKind, MeasureSpaceModel, StepFunction
+from condexp.rationals import vec_add, vec_dot, vec_norm2, vec_scale, vec_sub, zero_vec
 
 F = Fraction
 
@@ -583,6 +586,151 @@ def reference_extreme_points(points):
     """The points not in the hull of the others (one exact LP each), sorted."""
     pts = sorted(set(tuple(p) for p in points))
     return [p for i, p in enumerate(pts) if not in_hull(p, pts[:i] + pts[i + 1 :])]
+
+
+# -- reference Wolfe over Fractions ---------------------------------------------
+#
+# Wolfe's min-norm point, its Minkowski oracle and the vertex sums as they ran
+# on ``Fraction`` points, kept as the oracles of the integer lattice that
+# ``rational_geometry.min_norm_point`` and ``attainable.CondExpBlockSet`` now
+# run on.  ``seen``, when given, collects the start and every oracle answer.
+
+
+def _reference_solve_linear(matrix, rhs):
+    """Gauss-Jordan elimination on a nonsingular square Fraction system."""
+    n = len(matrix)
+    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
+    for col in range(n):
+        pivot_row = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        inv = aug[col][col]
+        aug[col] = [v / inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][-1] for r in range(n)]
+
+
+def _reference_affine_minimizer(corral):
+    base = corral[0]
+    dirs = [vec_sub(p, base) for p in corral[1:]]
+    gram = [[vec_dot(u, v) for v in dirs] for u in dirs]
+    coeffs = _reference_solve_linear(gram, [-vec_dot(u, base) for u in dirs])
+    return [F(1) - sum(coeffs, F(0))] + coeffs
+
+
+def reference_min_norm_point(oracle, start, seen=None):
+    """The least-norm point of a polytope (Wolfe 1976) on Fraction points."""
+    if seen is None:
+        seen = []
+    corral = [tuple(start)]
+    seen.append(corral[0])
+    weights = [F(1)]
+    y = corral[0]
+    while True:
+        p = tuple(oracle(y))
+        seen.append(p)
+        if vec_dot(y, y) - vec_dot(y, p) <= 0:
+            return y
+        corral.append(p)
+        weights.append(F(0))
+        while True:
+            alpha = _reference_affine_minimizer(corral)
+            if all(a > 0 for a in alpha):
+                weights = alpha
+                break
+            theta = min(w / (w - a) for w, a in zip(weights, alpha) if a <= 0)
+            mixed = [(1 - theta) * w + theta * a for w, a in zip(weights, alpha)]
+            kept = [i for i, w in enumerate(mixed) if w > 0]
+            corral = [corral[i] for i in kept]
+            weights = [mixed[i] for i in kept]
+        y = tuple(
+            sum((w * p[d] for w, p in zip(weights, corral)), F(0)) for d in range(len(corral[0]))
+        )
+
+
+def reference_nearest_point_in_hull(x, points, seen=None):
+    """Squared distance and nearest point of conv(points) from x, by the
+    Fraction Wolfe on the shifted points (oracle ties to the smallest)."""
+    shifted = [vec_sub(p, x) for p in points]
+    y = reference_min_norm_point(
+        lambda c: min(shifted, key=lambda q: (vec_dot(c, q), q)), shifted[0], seen
+    )
+    return vec_norm2(y), vec_add(x, y)
+
+
+def reference_rich_argmin(bs, c):
+    """A point of the block set's rich Minkowski sum minimizing c . x: each
+    summand's minimizing point (the smallest one on ties), scaled, added up."""
+    acc = zero_vec(bs.dim)
+    for coeff, points in bs.summands:
+        vertex = min(points, key=lambda q: (vec_dot(c, q), q))
+        acc = vec_add(acc, vec_scale(vertex, coeff))
+    return acc
+
+
+def reference_distance(bs, value, seen=None):
+    """``CondExpBlockSet.distance`` on Fractions: per offset, the Fraction
+    Wolfe through ``reference_rich_argmin``; the least (d2, nearest) wins."""
+    target = vec_scale(value, bs.block_mass)
+    inv = F(1) / bs.block_mass
+    start = reference_rich_argmin(bs, zero_vec(bs.dim))
+    best = None
+    for offset in bs.offsets():
+        shift = vec_sub(offset, target)
+        y = reference_min_norm_point(
+            lambda c: vec_add(shift, reference_rich_argmin(bs, c)), vec_add(shift, start), seen
+        )
+        cand = (vec_norm2(y) * inv * inv, vec_scale(vec_add(target, y), inv))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def reference_rich_vertices(bs):
+    """The rich Minkowski sum's vertices: the Fraction sums of the
+    coefficient-scaled points, cut by the LP filter after each summand."""
+    acc = [zero_vec(bs.dim)]
+    for coeff, points in bs.summands:
+        acc = reference_extreme_points([vec_add(a, vec_scale(p, coeff)) for a in acc for p in points])
+    return acc
+
+
+def one_positive_scale(lattice, fractions):
+    """Whether the integer points are the Fraction points times one positive
+    constant, point for point and in the same order."""
+    if len(lattice) != len(fractions):
+        return False
+    ratios = set()
+    for p, r in zip(lattice, fractions):
+        for a, b in zip(p, r, strict=True):
+            if b == 0:
+                if a != 0:
+                    return False
+            else:
+                ratios.add(F(a) / b)
+    return len(ratios) <= 1 and all(ratio > 0 for ratio in ratios)
+
+
+@contextlib.contextmanager
+def recording_min_norm_point(module, seen):
+    """Within the block, ``module.min_norm_point`` appends its start and
+    every oracle answer to ``seen``."""
+    real = module.min_norm_point
+
+    def traced(oracle, start):
+        seen.append(tuple(start))
+
+        def answer(c):
+            p = oracle(c)
+            seen.append(tuple(p))
+            return p
+
+        return real(answer, start)
+
+    with mock.patch.object(module, "min_norm_point", traced):
+        yield
 
 
 # -- reference pennies unranking -------------------------------------------------

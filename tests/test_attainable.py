@@ -53,10 +53,14 @@ from helpers import (
     branch_values,
     breakpoints,
     constant_branches,
+    one_positive_scale,
     payload_at,
     point_cell,
+    recording_min_norm_point,
+    reference_distance,
     reference_extreme_points,
     reference_rademacher_escape,
+    reference_rich_vertices,
     reference_uhc_audit,
     refinement_on,
     rich_cell,
@@ -867,6 +871,108 @@ class TestGeneratorSummands:
     def test_distance_matches_vertex_summands_beyond_dimension_3(self, case):
         bs, query, _direction = case
         assert bs.distance(query) == vertex_summands(bs).distance(query)
+
+
+# -- block-set geometry on its integer lattice against the Fraction path -------
+
+
+def V(*coords):
+    return tuple(F(c) for c in coords)
+
+
+@st.composite
+def lattice_blocks(draw, dims):
+    """A block set drawn as data: 0-3 summands whose points include a
+    collinear run (up to three multiples of one direction) and repeats, with
+    coefficients, point values and a block mass of unlike denominators, 0-2
+    point sets, and a query over 1, 2 or 3."""
+    dim = draw(st.sampled_from(dims))
+    coord = st.integers(-2, 2).map(F) | st.sampled_from([F(1, 2), F(-1, 3), F(2, 3)])
+    point = st.tuples(*[coord] * dim)
+
+    def generators():
+        u = draw(point)
+        run = [tuple(t * x for x in u) for t in draw(st.lists(st.integers(-2, 2), max_size=3))]
+        pts = run + draw(st.lists(point, min_size=1, max_size=3))
+        return tuple(pts + draw(st.lists(st.sampled_from(pts), max_size=2)))
+
+    coeff = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 5), F(1)])
+    bs = CondExpBlockSet(
+        block="g",
+        dim=dim,
+        block_mass=draw(st.sampled_from([F(1), F(1, 2), F(3, 4), F(2, 3)])),
+        summands=tuple((draw(coeff), generators()) for _ in range(draw(st.integers(0, 3)))),
+        point_sets=tuple(
+            tuple(draw(st.lists(point, min_size=1, max_size=2, unique=True)))
+            for _ in range(draw(st.integers(0, 2)))
+        ),
+    )
+    query = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+    return bs, draw(st.tuples(*[query] * dim))
+
+
+# two offsets at distance 1 from the query: the smaller nearest point wins
+CROSS_OFFSET_TIE = (
+    CondExpBlockSet("g", 2, F(1), ((F(1, 2), (V(0, 0), V(1, 0))),), ((V(0, 1), V(0, -1)),)),
+    (F(1, 4), F(0)),
+)
+# no point cell; a collinear run with a repeat and a second summand
+COLLINEAR_RUN = (
+    CondExpBlockSet(
+        "g",
+        3,
+        F(2, 3),
+        (
+            (F(1, 3), (V(0, 0, 0), V(1, 1, 1), V(2, 2, 2), V(1, 1, 1))),
+            (F(1, 2), (V(1, 0, 0), V(0, 1, 0))),
+        ),
+        (),
+    ),
+    (F(2), F(0), F(-1)),
+)
+# no rich summand: the offsets alone, two of them equidistant
+NO_RICH = (CondExpBlockSet("g", 1, F(1), (), ((V(0), V(1)),)), (F(1, 2),))
+
+
+class TestLatticeGeometry:
+    """The block set's distance and vertices run on integers over one
+    denominator; they equal the Fraction path, iterate for iterate."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(lattice_blocks((1, 2, 3, 4, 5)))
+    @example(CROSS_OFFSET_TIE)
+    @example(COLLINEAR_RUN)
+    @example(NO_RICH)
+    def test_distance_matches_the_fraction_wolfe(self, case):
+        import condexp.attainable as attainable
+
+        bs, value = case
+        seen, want = [], []
+        with recording_min_norm_point(attainable, seen):
+            d2, nearest = bs.distance(value)
+        assert (d2, nearest) == reference_distance(bs, value, want)
+        assert all(type(v) is Fraction for v in (d2, *nearest))
+        # every start and oracle answer is the Fraction one times one scale
+        assert one_positive_scale(seen, want)
+
+    def test_named_cases(self):
+        assert CROSS_OFFSET_TIE[0].distance(CROSS_OFFSET_TIE[1]) == (F(1), V("1/4", -1))
+        assert NO_RICH[0].distance(NO_RICH[1]) == (F(1, 4), V(0))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(lattice_blocks((1, 2, 3)))
+    @example(COLLINEAR_RUN)
+    def test_vertices_match_the_fraction_minkowski_sum(self, case):
+        bs, _value = case
+        vertices = bs.rich_vertices()
+        assert vertices == reference_rich_vertices(bs)
+        assert all(type(v) is Fraction for p in vertices for v in p)
+        inv = 1 / bs.block_mass
+        want = sorted(
+            {tuple(tuple(inv * (a + o) for a, o in zip(v, offset)) for v in vertices)
+             for offset in bs.offsets()}
+        )
+        assert bs.polytopes() == want
 
 
 # -- membership by distance against the LP feasibility test --------------------

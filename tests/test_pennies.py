@@ -352,6 +352,25 @@ class TestSampledSearch:
             no_pure_equilibrium_search(PenniesGame(3), **kwargs)
         assert raised.value.path == name
 
+    @pytest.mark.parametrize(
+        "epsilon, message",
+        [
+            ("x", "expected a rational number"),
+            (None, "expected a rational number"),
+            (True, "expected a rational number"),
+            (-1, "must be at least 0"),
+        ],
+        ids=["str", "none", "bool", "negative"],
+    )
+    def test_bad_epsilon_is_an_input_error(self, monkeypatch, epsilon, message):
+        def no_work(*args):
+            raise AssertionError("the family was counted before the input check")
+
+        monkeypatch.setattr(pennies, "family_size", no_work)
+        with pytest.raises(SchemaError, match=message) as raised:
+            no_pure_equilibrium_search(PenniesGame(2), epsilon=epsilon)
+        assert raised.value.path == "epsilon"
+
     def test_sampling_deterministic(self):
         a = no_pure_equilibrium_search(
             PenniesGame(2), budget=3, grid=16, max_strategies=150, seed=5

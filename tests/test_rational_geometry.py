@@ -18,7 +18,14 @@ from condexp.rational_geometry import (
 )
 from condexp.rationals import vec_dot, vec_sub
 
-from helpers import in_hull, reference_extreme_points, reference_simplex_min
+from helpers import (
+    in_hull,
+    one_positive_scale,
+    recording_min_norm_point,
+    reference_extreme_points,
+    reference_nearest_point_in_hull,
+    reference_simplex_min,
+)
 
 F = Fraction
 
@@ -480,3 +487,39 @@ class TestAgainstReference:
         )
         # SLSQP stops about 3e-11 short in relative terms on distances near 40
         assert abs(res.fun - float(d2)) <= 1e-9 * max(1.0, float(d2))
+
+
+# -- Wolfe on integers against the Fraction Wolfe --------------------------------
+
+
+class TestLatticeWolfe:
+    """``nearest_point_in_hull`` runs Wolfe on the shifted points over one
+    denominator; its answer and every iterate are the Fraction Wolfe's."""
+
+    @GEOMETRY_SETTINGS
+    @given(queries((1, 2, 3, 4, 5), 7), st.sampled_from([1, 2, 6]))
+    @example((V(2, 2), [V(0, 0), V(2, 0), V(0, 2)]), 1)
+    @example((V(1, 0), [V(0, 1), V(2, 1), V(1, 1), V(0, 1)]), 2)  # collinear, repeated
+    def test_matches_the_fraction_wolfe(self, query, ints):
+        """With ``ints`` > 1 the query and points are passed as ints (times
+        ``ints``), else as Fractions; the answer is Fractions either way."""
+        import condexp.rational_geometry as rg
+
+        x, pts = query
+        if ints > 1:
+            x = tuple(int(ints * v) for v in x)
+            pts = [tuple(int(ints * v) for v in p) for p in pts]
+        seen, want = [], []
+        with recording_min_norm_point(rg, seen):
+            d2, y = nearest_point_in_hull(x, pts)
+        assert (d2, y) == reference_nearest_point_in_hull(x, pts, want)
+        assert isinstance(d2, Fraction) and all(isinstance(v, Fraction) for v in y)
+        assert one_positive_scale(seen, want)
+
+    def test_integer_input_gives_fractions(self):
+        d2, y = nearest_point_in_hull((0, 2), [(0, 0), (2, 1)])
+        assert (d2, y) == (F(16, 5), (F(4, 5), F(2, 5)))
+        assert all(type(v) is Fraction for v in (d2, *y))
+        d2, y = nearest_point_in_hull((1,), [(0,), (2,)])
+        assert (d2, y) == (0, (1,))
+        assert all(type(v) is Fraction for v in (d2, *y))
