@@ -164,6 +164,11 @@ class CondExpBlockSet:
         oracle's argmin and tie order, the affine weights and the sign of
         Wolfe's stopping test, so the answer is the same.
         """
+        return self._distance(value)[0]
+
+    def _distance(self, value: Vec) -> tuple[tuple[Fraction, Vec], list[bool]]:
+        """``distance`` and, per offset in ``offsets()`` order, whether the
+        target lies in that offset's polytope, from one Wolfe run each."""
         D, _generators, offsets = self._lattice
         target = vec_scale(value, self.block_mass)
         E = math.lcm(D, *(t.denominator for t in target))
@@ -171,6 +176,7 @@ class CondExpBlockSet:
         T = [t.numerator * (E // t.denominator) for t in target]
         start = self._argmin_sum((0,) * self.dim)
         best = None
+        at_zero = []
         for offset in offsets:
             shift = [k * o - t for o, t in zip(offset, T)]
 
@@ -180,6 +186,7 @@ class CondExpBlockSet:
             Y, q = min_norm_point(lambda c: lift(self._argmin_sum(c)), lift(start))
             # y = Y / q here; (|y|^2, y) compare as cross products over q
             norm = sum(map(mul, Y, Y))
+            at_zero.append(norm == 0)
             if best is None or (norm * best[2] ** 2, [v * best[2] for v in Y]) < (
                 best[0] * q * q,
                 [v * q for v in best[1]],
@@ -191,7 +198,7 @@ class CondExpBlockSet:
         return (
             Fraction(norm, scale * scale) * inv * inv,
             tuple(v + Fraction(w, scale) * inv for v, w in zip(value, Y)),
-        )
+        ), at_zero
 
     def _argmin_sum(self, c: IntVec) -> IntVec:
         """The point of the rich Minkowski sum, over D, minimizing c . x:
@@ -468,9 +475,12 @@ def _branch_mixture(F, rich_pieces, residual: Vec):
 
 
 def _mixed_block_blend(F, label, cells, value, alpha):
+    """The first point-cell choice, in product order, whose branch mixture
+    LP is feasible.  That LP is feasible exactly when the choice's offset is
+    at distance 0, so every other choice is skipped without one."""
     point_cells = [c for c in cells if c.kind is CellKind.POINT_MASS]
     region = cached_block_set(F, label)
-    d2, _nearest = region.distance(value)
+    (d2, _nearest), at_zero = region._distance(value)
     if d2 > 0:
         return AtomObstruction(
             point_cells[0].id,
@@ -478,6 +488,7 @@ def _mixed_block_blend(F, label, cells, value, alpha):
             "no point-cell choice makes the blend attainable",
             _mass_distance(region, d2),
         )
+    attained = {offset for offset, zero in zip(region.offsets(), at_zero) if zero}
     target = vec_scale(value, region.block_mass)
     rich_cells = [c for c in cells if c.kind is CellKind.RICH]
     rich_pieces = [(c, *piece) for c in rich_cells for piece in F.walk(c)]
@@ -487,15 +498,11 @@ def _mixed_block_blend(F, label, cells, value, alpha):
         offset = zero_vec(F.dim)
         for c, values, k in zip(point_cells, point_values, choice):
             offset = vec_add(offset, vec_scale(values[k], c.mass))
-        residual = vec_sub(target, offset)
-        if rich_pieces:
-            mixture = _branch_mixture(F, rich_pieces, residual)
-            if mixture is None:
-                continue
-        elif any(x != 0 for x in residual):
+        if offset not in attained:
             continue
-        else:
-            mixture = []
+        mixture = _branch_mixture(F, rich_pieces, vec_sub(target, offset)) if rich_pieces else []
+        if mixture is None:
+            continue
         assignments: dict[str, object] = {}
         for c, k in zip(point_cells, choice):
             assignments[c.id] = pack_pieces(c, ((Fraction(1), k),))

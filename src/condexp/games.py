@@ -9,13 +9,14 @@ density-weighted payoffs stay affine and every integral below is exact
 rational arithmetic).
 
 A game checks and compiles its tables in one pass each, the density first,
-reading each entry once.  The density-weighted payoffs become
-``BayesianGame.weighted``: each player's entries are integer (const, slope,
-coord) triples over one positive denominator, the products of the payoffs'
-and the density's numerators, with no Fraction per entry.  Interim forms sum
-integers over that denominator times the opponents' moment denominators and
-become Fractions once per form, and the agent form sums its coefficients the
-same way.
+with one integer row per distinct ``Entry`` (``serialize.load_game`` shares
+one ``Entry`` per distinct entry of a document).  The density-weighted
+payoffs become ``BayesianGame.weighted``: each player's entries are integer
+(const, slope, coord) triples over one positive denominator, the products of
+the payoffs' and the density's numerators, with no Fraction per entry.
+Interim forms sum integers over that denominator times the opponents' moment
+denominators and become Fractions once per form, and the agent form sums its
+coefficients the same way.
 
 The inter-player information of player i is derived, never declared: units of
 i are grouped by the full profile of opponents' density-weighted payoffs, and
@@ -170,7 +171,7 @@ class BayesianGame:
         coords: dict[tuple[int, ...], int] = {}  # each tuple's one affine coordinate
         density = self._entries("density", self.density, keys, coords)
         q_affine = set(coords)
-        q_den, q_rows = over_one_denominator((e.const, e.slope) for e in density)
+        q_den, q_rows = _int_rows(density)
         self._check_density(keys, density, q_den, q_rows)
         tables = []
         for i, payoff in enumerate(self.payoffs):
@@ -180,7 +181,7 @@ class BayesianGame:
                     raise SchemaError(f"payoffs[{i}][{x}]", "missing action profile")
                 flat += self._entries(f"payoffs[{i}][{x}]", payoff[x], keys, coords, q_affine)
             _no_stray(f"payoffs[{i}]", payoff, profiles, "not an action profile")
-            u_den, u_rows = over_one_denominator((e.const, e.slope) for e in flat)
+            u_den, u_rows = _int_rows(flat)
             it = zip(flat, u_rows)
             entries = {}
             for x in profiles:
@@ -212,7 +213,7 @@ class BayesianGame:
             e = table.get(key)
             if e is None:
                 raise SchemaError(f"{path}[{key}]", "missing entry")
-            if e.slope != 0:
+            if e.slope:
                 c = e.coord
                 if c is None or not 0 <= c < len(self.players):
                     raise SchemaError(f"{path}[{key}]", "bad affine coordinate")
@@ -283,6 +284,16 @@ def _no_stray(path: str, table: Mapping, keys: Sequence, message: str) -> None:
     if len(table) != len(keys):
         grid = set(keys)
         raise SchemaError(f"{path}[{next(k for k in table if k not in grid)}]", message)
+
+
+def _int_rows(entries: Sequence[Entry]) -> tuple[int, list[list[int]]]:
+    """``over_one_denominator`` of the entries' (const, slope) pairs, one
+    row per entry, each distinct Entry object converted once.  Objects are
+    told apart by id: hashing a Fraction costs more than converting it."""
+    distinct = {id(e): e for e in entries}
+    D, rows = over_one_denominator((e.const, e.slope) for e in distinct.values())
+    row_of = dict(zip(distinct, rows))
+    return D, [row_of[id(e)] for e in entries]
 
 
 def _splice(i: int, own: int, rest: tuple[int, ...]) -> tuple[int, ...]:

@@ -71,6 +71,17 @@ def _int(value: Any, path: str) -> int:
     return value
 
 
+def _int_tuple(value: Any, path: str, k: int, name: str) -> tuple[int, ...]:
+    """``value``, field ``name`` of item k of the list at ``path``, as a
+    tuple of JSON integers; its paths are built for a fault only."""
+    if not isinstance(value, list):
+        _expect(value, list, f"{path}[{k}].{name}")
+    out = tuple(value)
+    if not all(type(x) is int for x in out):
+        out = tuple(_int(x, f"{path}[{k}].{name}[{j}]") for j, x in enumerate(value))
+    return out
+
+
 def _vec(value: Any, path: str) -> tuple[Fraction, ...]:
     return tuple(_frac(x, path) for x in _expect(value, list, path))
 
@@ -236,6 +247,9 @@ def dump_selection(s: Selection, space: MeasureSpaceModel) -> dict:
 
 
 def load_game(doc: Any, path: str = "game") -> BayesianGame:
+    """The game of ``doc``, with one ``Entry`` per distinct (const, slope,
+    coord) of the document, so the game makes one integer row per distinct
+    entry.  A fault raises at its JSON path under ``path``."""
     parsed: dict[str, Fraction] = {}
 
     def frac(value: Any, p: str) -> Fraction:
@@ -274,22 +288,38 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
         except SchemaError as exc:  # at actions or cells
             raise SchemaError(f"{p}.{exc.path}", exc.message) from None
 
+    shared: dict[tuple, Entry] = {}  # one Entry per distinct raw (const, slope, coord)
+
     def load_entries(doc: Any, p: str) -> dict[tuple[int, ...], Entry]:
-        """A list of entries by unit tuple; the game checks their values."""
+        """A list of entries by unit tuple; the game checks their values.
+
+        The paths are built for a fault only.  A raw (const, slope, coord)
+        is shared only when it is exactly two strings and an int or None,
+        since 1, True and 1.0 compare equal and lists do not hash.
+        """
         entries = {}
         for k, ed in enumerate(_expect(doc, list, p)):
-            q = f"{p}[{k}]"
-            _expect(ed, dict, q)
-            units = _expect(ed.get("units"), list, f"{q}.units")
-            key = tuple(units)
-            if not all(type(u) is int for u in key):  # the paths are built for a fault only
-                key = tuple(_int(u, f"{q}.units[{j}]") for j, u in enumerate(units))
+            if not isinstance(ed, dict):
+                _expect(ed, dict, f"{p}[{k}]")
+            key = _int_tuple(ed.get("units"), p, k, "units")
             if key in entries:
-                raise SchemaError(f"{q}.units", f"repeats unit tuple {key}")
-            const = frac(ed.get("const", "0"), f"{q}.const")
-            slope = frac(ed.get("slope", "0"), f"{q}.slope")
-            coord = ed.get("coord")
-            entries[key] = Entry(const, slope, None if coord is None else _int(coord, f"{q}.coord"))
+                raise SchemaError(f"{p}[{k}].units", f"repeats unit tuple {key}")
+            raw = (ed.get("const", "0"), ed.get("slope", "0"), ed.get("coord"))
+            const, slope, coord = raw
+            shareable = type(const) is str and type(slope) is str and (
+                coord is None or type(coord) is int
+            )
+            e = shared.get(raw) if shareable else None
+            if e is None:
+                q = f"{p}[{k}]"
+                e = Entry(
+                    frac(const, f"{q}.const"),
+                    frac(slope, f"{q}.slope"),
+                    None if coord is None else _int(coord, f"{q}.coord"),
+                )
+                if shareable:
+                    shared[raw] = e
+            entries[key] = e
         return entries
 
     density = load_entries(doc.get("density"), f"{path}.density")
@@ -300,13 +330,12 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
         _expect(tables_doc, list, p)
         tables = {}
         for k, td in enumerate(tables_doc):
-            tp = f"{p}[{k}]"
-            _expect(td, dict, tp)
-            profile_doc = _expect(td.get("profile"), list, f"{tp}.profile")
-            profile = tuple(_int(a, f"{tp}.profile[{j}]") for j, a in enumerate(profile_doc))
+            if not isinstance(td, dict):
+                _expect(td, dict, f"{p}[{k}]")
+            profile = _int_tuple(td.get("profile"), p, k, "profile")
             if profile in tables:
-                raise SchemaError(f"{tp}.profile", f"repeats action profile {profile}")
-            tables[profile] = load_entries(td.get("entries"), f"{tp}.entries")
+                raise SchemaError(f"{p}[{k}].profile", f"repeats action profile {profile}")
+            tables[profile] = load_entries(td.get("entries"), f"{p}[{k}].entries")
         payoffs.append(tables)
     try:
         return BayesianGame(tuple(specs), density, tuple(payoffs))

@@ -773,3 +773,53 @@ def reference_unrank_changing(m, r, budget, tails, index):
             prev = a
         seq.append(a)
     return tuple(seq)
+
+
+# -- reference convexify blend over every point-cell choice ---------------------
+#
+# The mixed-block blend as it ran before it read the offsets at distance 0:
+# one branch mixture LP per point-cell choice, in ``itertools.product`` order,
+# until one is feasible.  It is the oracle of ``attainable._mixed_block_blend``,
+# which runs the LP only for choices whose offset is attained.
+
+
+def reference_mixed_block_blend(F_, label, cells, value, alpha):
+    import itertools
+
+    from condexp import attainable
+    from condexp.measure import CellKind
+    from condexp.piecewise import pack_pieces, split_pieces
+
+    point_cells = [c for c in cells if c.kind is CellKind.POINT_MASS]
+    region = attainable.cached_block_set(F_, label)
+    d2, _nearest = region.distance(value)
+    if d2 > 0:
+        return attainable.AtomObstruction(
+            point_cells[0].id,
+            alpha,
+            "no point-cell choice makes the blend attainable",
+            attainable._mass_distance(region, d2),
+        )
+    target = vec_scale(value, region.block_mass)
+    rich_cells = [c for c in cells if c.kind is CellKind.RICH]
+    rich_pieces = [(c, *piece) for c in rich_cells for piece in F_.walk(c)]
+    point_values = [values for c in point_cells for _lo, _hi, values in F_.walk(c)]
+    for choice in itertools.product(*[range(F_.branch_count) for _ in point_cells]):
+        offset = zero_vec(F_.dim)
+        for c, values, k in zip(point_cells, point_values, choice):
+            offset = vec_add(offset, vec_scale(values[k], c.mass))
+        residual = vec_sub(target, offset)
+        if rich_pieces:
+            mixture = attainable._branch_mixture(F_, rich_pieces, residual)
+            if mixture is None:
+                continue
+        elif any(x != 0 for x in residual):
+            continue
+        else:
+            mixture = []
+        assignments = {c.id: pack_pieces(c, ((F(1), k),)) for c, k in zip(point_cells, choice)}
+        for c in rich_cells:
+            mixed = [(hi, w) for (d, _lo, hi, _v), w in zip(rich_pieces, mixture) if d is c]
+            assignments[c.id] = pack_pieces(c, split_pieces(mixed, attainable._WHOLE))
+        return assignments
+    raise ArithmeticError(f"block {label} is at distance 0 but no point-cell choice attains it")

@@ -8,11 +8,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from condexp import attainable
 from condexp.attainable import (
     AtomObstruction,
     CondExpBlockSet,
@@ -59,6 +61,7 @@ from helpers import (
     recording_min_norm_point,
     reference_distance,
     reference_extreme_points,
+    reference_mixed_block_blend,
     reference_rademacher_escape,
     reference_rich_vertices,
     reference_uhc_audit,
@@ -1043,3 +1046,49 @@ class TestMembershipByDistance:
         result = membership(Fc, step(Fc.space, {c.id: value for c in Fc.space.cells}, Fc.dim))
         assert result.member == expected
         assert all(cert.distance > 0 for cert in result.failures)
+
+
+class TestAttainedChoices:
+    """The mixed-block blend runs its branch mixture LP only for point-cell
+    choices whose offset is at distance 0, and returns the witness of the
+    loop that ran one LP per choice in product order."""
+
+    @staticmethod
+    def counting_lps():
+        return mock.patch.object(attainable, "_branch_mixture", wraps=attainable._branch_mixture)
+
+    def test_first_choices_infeasible(self):
+        # r adds [0, 1/2] to the block sum and each point cell 0 or 1/2, so
+        # the blend 5/4 is reached by the last choice, (1, 1), only
+        sp = space(
+            rich_cell("r", F(1, 2), block="g"),
+            point_cell("p1", F(1, 4), block="g"),
+            point_cell("p2", F(1, 4), block="g"),
+        )
+        Fc = FiniteIndexedCorrespondence(
+            sp, (step(sp, {"r": 0, "p1": 0, "p2": 0}), step(sp, {"r": 1, "p1": 2, "p2": 2}))
+        )
+        s1 = sel(sp, {"r": 1, "p1": 1, "p2": 1})
+        s2 = sel(sp, {"r": 0, "p1": 1, "p2": 1})
+        with self.counting_lps() as lp:
+            witness = convexify_witness(Fc, s1, s2, F(1, 2))
+        assert lp.call_count == 1
+        with self.counting_lps() as lp, mock.patch.object(
+            attainable, "_mixed_block_blend", reference_mixed_block_blend
+        ):
+            expected = convexify_witness(Fc, s1, s2, F(1, 2))
+        assert lp.call_count == 4
+        assert witness == expected
+        assert witness.plan["p1"] == witness.plan["p2"] == 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(point_cell_blocks(), st.sampled_from([F(0), F(1, 3), F(1)]))
+    def test_matches_the_product_loop(self, case, alpha):
+        Fc, value = case
+        cells = Fc.space.blocks["g"]
+        with self.counting_lps() as lp:
+            got = attainable._mixed_block_blend(Fc, "g", cells, value, alpha)
+        expected = reference_mixed_block_blend(Fc, "g", cells, value, alpha)
+        assert got == expected
+        rich = any(c.has_inner for c in cells)
+        assert lp.call_count == (rich and not isinstance(got, AtomObstruction))

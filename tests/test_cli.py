@@ -428,6 +428,18 @@ class TestAuditEquivalenceInput:
         assert out == without
 
 
+def _entry_pair(first: dict, second: dict):
+    """An edit that updates the first entry of player 0's first two payoff
+    tables with ``first`` and ``second``."""
+
+    def edit(doc):
+        tables = doc["game"]["payoffs"][0]
+        tables[0]["entries"][0].update(first)
+        tables[1]["entries"][0].update(second)
+
+    return edit
+
+
 class TestLoaderInput:
     @staticmethod
     def purify_with(tmp_path, edit):
@@ -508,6 +520,23 @@ class TestLoaderInput:
                 ),
                 "game.payoffs[0][4].profile: not an action profile",
             ),
+            # a later entry equal to an earlier valid one up to a value's
+            # type (True == 1 == 1.0) is checked on its own, at its own path
+            (
+                _entry_pair({"const": 1}, {"const": True}),
+                "game.payoffs[0][1].entries[0].const: expected a rational like '3/4', got True",
+            ),
+            (
+                _entry_pair({"const": 1}, {"const": 1.0}),
+                "game.payoffs[0][1].entries[0].const: expected a rational like '3/4', got 1.0",
+            ),
+            (
+                _entry_pair(
+                    {"const": "1", "slope": "1", "coord": 1},
+                    {"const": "1", "slope": "1", "coord": True},
+                ),
+                "game.payoffs[0][1].entries[0].coord: expected an integer, got True",
+            ),
             # faults found while the game is built name the entry's JSON
             # path, or the game's own path under "game." where the document
             # has no such entry
@@ -545,7 +574,8 @@ class TestLoaderInput:
              "unit-float", "pure-action-not-integer", "point-not-bool",
              "profile-extra-entry", "profile-short", "coord-bool", "repeated-density-units",
              "repeated-payoff-units", "repeated-profile", "density-units-off-grid",
-             "density-units-short", "profile-off-grid", "density-negative",
+             "density-units-short", "profile-off-grid", "const-true-after-int",
+             "const-float-after-int", "coord-true-after-int", "density-negative",
              "payoff-bad-coordinate", "payoff-entry-missing", "density-total",
              "cell-mass-zero", "action-labels-repeated", "cell-grid-short"],
     )

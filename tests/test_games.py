@@ -28,7 +28,7 @@ from condexp.games import (
 )
 
 from condexp.purification import random_behavioral
-from condexp.serialize import load_game
+from condexp.serialize import dump_game, load_game
 from game_factories import random_coarser_game, random_profile
 from helpers import (
     entry_product,
@@ -726,3 +726,69 @@ class TestIntegerTables:
         # entries affine in an opponent's coordinate, which coarser games lack
         game = make()
         self.check_against_references(game, random_profile(random.Random(seed), game))
+
+
+@st.composite
+def loadable_games(draw):
+    """A random coarser game, own-affine or not, or a game whose density is
+    affine in an opponent's coordinate."""
+    family = draw(st.sampled_from(["coarser", "saturated-q", "both-saturated"]))
+    if family == "saturated-q":
+        return saturated_q_game(draw(st.integers(2, 3)))
+    if family == "both-saturated":
+        return both_saturated_game()
+    n = draw(st.integers(2, 3))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return random_coarser_game(rng, n, own_affine=draw(st.booleans()), max_actions=3 if n == 2 else 2)
+
+
+class TestSharedEntries:
+    """``load_game`` keeps one Entry per distinct (const, slope, coord) of
+    the document and the game converts each distinct Entry once: a loaded
+    game compiles as the same game built from a fresh Entry per key."""
+
+    @staticmethod
+    def fresh(game):
+        def copy(table):
+            return {key: Entry(e.const, e.slope, e.coord) for key, e in table.items()}
+
+        payoffs = tuple({x: copy(t) for x, t in tables.items()} for tables in game.payoffs)
+        return BayesianGame(game.players, copy(game.density), payoffs)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(loadable_games())
+    def test_loaded_game_compiles_as_fresh_entries(self, game):
+        self.check(game)
+
+    def test_entries_apart_by_coord_alone(self):
+        # every payoff is t0 while player 0 is on its first unit and t1 on
+        # its second: two entries of one const and one slope, apart by coord
+        cells = (TypeCell("t", F(1), (F(1, 2), F(1))),)
+        specs = (PlayerSpec(("a", "b"), cells), PlayerSpec(("a", "b"), cells))
+        pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]  # the unit tuples and the action profiles
+        density = {key: Entry(F(1)) for key in pairs}
+        payoffs = tuple(
+            {x: {key: Entry(F(0), F(1), key[0]) for key in pairs} for x in pairs} for _ in specs
+        )
+        loaded = self.check(BayesianGame(specs, density, payoffs))
+        assert [loaded.payoffs[0][(0, 0)][key].coord for key in pairs] == [0, 0, 1, 1]
+
+    @classmethod
+    def check(cls, game):
+        from condexp.equilibrium import AgentForm
+
+        loaded = load_game(json.loads(json.dumps(dump_game(game))))
+        fresh = cls.fresh(game)
+        entries = list(loaded.density.values())
+        entries += [e for tables in loaded.payoffs for t in tables.values() for e in t.values()]
+        # dump_game writes each value one way, so equal entries are one object
+        assert len({id(e) for e in entries}) == len(set(entries))
+        assert loaded.weighted == fresh.weighted
+        assert loaded.info == fresh.info
+
+        def ordered(coeff):
+            return [[(k, list(slot.items())) for k, slot in c.items()] for c in coeff]
+
+        assert ordered(AgentForm(loaded).coeff) == ordered(AgentForm(fresh).coeff)
+        assert_tables_match_entry_product(loaded)
+        return loaded
