@@ -202,13 +202,10 @@ def cmd_coarser_check(args) -> int:
 
 
 def _solve_options(args) -> equilibrium.SolveOptions:
-    method = args.method
-    if method == "auto" and args.mode == "float":
-        method = "br"
     return equilibrium.SolveOptions(
         epsilon=args.epsilon,
         max_iters=args.max_iters,
-        method=method,
+        method=args.method,
     )
 
 
@@ -302,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["rational", "float"],
         default="rational",
         help="numeric mode: exact membership (rational) or membership within 1e-9 "
-        "and the best-response solver for --method auto (float)",
+        "(float); solve takes its method from --method alone",
     )
     common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -231,33 +231,49 @@ class BayesianGame:
 
     def _check_density(self, keys, density, q_den, q_rows):
         """Nonnegativity, total mass 1 and every marginal identically 1, from
-        the density's integer rows over ``q_den`` in one loop over the tuples."""
-        # marginals[i][k] = (a, b): player i's marginal a + b*t on own unit k,
-        # times the unit's mass and q_den
-        marginals = [[[ZERO, ZERO] for _ in us] for us in self.units]
+        the density's integer rows over ``q_den`` in one loop over the tuples.
+
+        The loop runs on integers: each player's unit masses over one
+        denominator, every unit end over one denominator G, and an affine
+        entry's two ends summed rather than averaged, so nothing is divided.
+        A message builds its ``Fraction``s only on failure.
+        """
+        dens, masses = zip(*(over_one_denominator([u.mass] for u in us) for us in self.units))
+        G, flat = over_one_denominator((u.lo, u.hi) for us in self.units for u in us)
+        it = iter(flat)
+        ends = [[row for _, row in zip(us, it)] for us in self.units]
+        # a tuple's mass is an integer over prod(dens) and each end over G, so
+        # everything below is times S, and a sum of two ends times 2G
+        S = 2 * G * math.prod(dens)
+        # marginals[i][k] = [a, b]: player i's marginal a + b*t on own unit k,
+        # times the unit's mass, q_den and S
+        marginals = [[[0, 0] for _ in us] for us in self.units]
         for key, e, (qc, qs) in zip(keys, density, q_rows):
-            units = self.tuple_units(key)
-            ends = (qc + qs * units[e.coord].lo, qc + qs * units[e.coord].hi) if qs else (qc,)
-            if min(ends) < 0:
+            mass = math.prod(ms[k][0] for ms, k in zip(masses, key))
+            lo, hi = ends[e.coord][key[e.coord]] if qs else (0, 0)
+            if min(qc * G + qs * lo, qc * G + qs * hi) < 0:
                 raise SchemaError(f"density[{key}]", "density must be nonnegative")
-            mass = math.prod(u.mass for u in units)
-            weight = mass * sum(ends) / len(ends)
+            weight = mass * (2 * G * qc + qs * (lo + hi))
             for i, k in enumerate(key):
                 ab = marginals[i][k]
                 if qs and e.coord == i:
-                    ab[0] += mass * qc
-                    ab[1] += mass * qs
+                    ab[0] += 2 * G * mass * qc
+                    ab[1] += 2 * G * mass * qs
                 else:
                     ab[0] += weight
-        total = sum(a + b * u.mid for (a, b), u in zip(marginals[0], self.units[0]))
-        if total != q_den:
-            raise SchemaError("density", f"must integrate to 1, got {total / q_den}")
-        for i, us in enumerate(self.units):
-            for k, ((a, b), u) in enumerate(zip(marginals[i], us)):
-                scale = q_den * u.mass
-                if b or a != scale:
-                    raise SchemaError(f"density marginal[player {i}, unit {k}]",
-                                      f"must be identically 1, got {a / scale} + {b / scale}*t")
+        total = sum(2 * G * a + b * (lo + hi) for (a, b), (lo, hi) in zip(marginals[0], ends[0]))
+        if total != 2 * G * S * q_den:
+            got = Fraction(total, 2 * G * S * q_den)
+            raise SchemaError("density", f"must integrate to 1, got {got}")
+        for i, (den, ms) in enumerate(zip(dens, masses)):
+            for k, ((a, b), (m,)) in enumerate(zip(marginals[i], ms)):
+                scale = S * q_den * m  # the unit's mass times q_den, S and den
+                if b or a * den != scale:
+                    raise SchemaError(
+                        f"density marginal[player {i}, unit {k}]",
+                        f"must be identically 1, got {Fraction(a * den, scale)} + "
+                        f"{Fraction(b * den, scale)}*t",
+                    )
 
     @functools.cached_property
     def info(self) -> tuple[InfoPartition, ...]:

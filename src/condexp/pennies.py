@@ -17,7 +17,11 @@ search's gains are integers over 2r^2.  Its played values are float32 matrix
 products whose partial sums stay within 2r^2 <= 8192, exact below 2^24; the
 strategy family is one (S, r) array, its seeded sample unranked position by
 position across all picks at once, and the minimising pair alone is
-re-certified on Fraction rows.
+re-certified exactly on integer rows, independently of the lane's midpoint
+rule: both strategies over one denominator D, each opposing measure an
+integer form in x = t*D, and every crossing found by ``piecewise``'s cross
+products, so a ``Fraction`` appears only for a crossing strictly inside a
+piece and for the answer.
 
 Both variants, the type-irrelevant game with the triangular prior and the
 independent-types game with density-weighted payoffs, share these integrals
@@ -37,19 +41,20 @@ import numpy as np
 from .errors import BoundaryPoint, BudgetExceeded, SchemaError
 from .factories import cyclic_payoff
 from .piecewise import (
-    affine_at,
     append_piece,
     check_index,
     check_pieces,
     check_weights,
-    integrate_affine,
-    integrate_envelope,
+    inner_zero,
     intervals_clip,
     intervals_measure,
     merged_pieces,
     normalize_intervals,
+    twice_envelope_integral,
+    twice_integral,
     unit_vector,
 )
+from .rationals import over_one_denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -175,6 +180,7 @@ class IntervalUnionStrategy:
 
 
 BehavioralRows = Sequence[tuple[Fraction, tuple[Fraction, ...]]]
+IntegerRows = list[tuple[int, tuple[int, ...]]]  # the same rows times D
 
 
 def uniform_rows(m: int) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
@@ -191,18 +197,29 @@ def _validate_rows(rows: BehavioralRows, m: int) -> None:
     check_pieces("strategy", rows, lambda w: check_weights("strategy", w, m))
 
 
-def _opposing_segments(rows: BehavioralRows, m: int, side: int):
-    """(lo, hi, forms) per piece: affine forms of the opposing measures that
-    condition the player on ``side``.
+def _integer_rows(*row_lists: BehavioralRows) -> tuple[int, list[IntegerRows]]:
+    """(D, the row lists with every upto and weight times D): all of them as
+    integers over their one least common denominator D.  An upto t becomes
+    the integer x = t*D, so the last upto of every list is D."""
+    D, flat = over_one_denominator((upto, *w) for rows in row_lists for upto, w in rows)
+    it = iter(flat)
+    return D, [[(row[0], tuple(row[1:])) for _, row in zip(rows, it)] for rows in row_lists]
+
+
+def _opposing_segments(rows: IntegerRows, m: int, side: int):
+    """(lo, hi, forms) per piece of integer rows over one denominator D:
+    affine forms (a, b) of the opposing measures that condition the player on
+    ``side``, each measure being (a + b*x) / D^2 at x = t*D.
 
     Player 2 at l2 sees eta_j(l2) = integral_0^l2 weight_j of player 1's rows;
     player 1 at l1 sees eta'_j(l1) = integral_l1^1 weight_j of player 2's.
+    Each piece runs over integer ends lo, hi in x.
     """
     if side not in (1, 2):
         raise SchemaError("side", "must be 1 or 2")
     segments = []
-    acc = [ZERO] * m
-    prev = ZERO
+    acc = [0] * m
+    prev = 0
     for upto, w in rows:
         segments.append((prev, upto, tuple((acc[j] - w[j] * prev, w[j]) for j in range(m))))
         for j in range(m):
@@ -250,19 +267,25 @@ def interim_weight(
 def _gain_side(game: PenniesGame, side: int, rows1: BehavioralRows, rows2: BehavioralRows):
     """(best-response value, played value) for the player on ``side``, exact:
     twice the integrals of the envelope and of the played mix of the value
-    forms."""
+    forms.
+
+    Both rows are walked as integers over one denominator D.  The value
+    forms are over D^2 in x = t*D, so the doubled integrals are integers
+    over D^3, the played ones weighted by integers over D; a ``Fraction``
+    appears only where two forms cross strictly inside a piece, and once per
+    value for the answer.
+    """
     m = game.m
-    own, opposing = (rows1, rows2) if side == 1 else (rows2, rows1)
+    D, (own, opposing) = _integer_rows(*((rows1, rows2) if side == 1 else (rows2, rows1)))
     measures = [(hi, forms) for _lo, hi, forms in _opposing_segments(opposing, m, side)]
-    best = ZERO
-    played = ZERO
+    best = played = 0
     for lo, hi, (w, forms) in merged_pieces(own, measures):
         values = _value_forms(forms, side)
-        best += 2 * integrate_envelope(values, lo, hi)
+        best += twice_envelope_integral(values, lo, hi)
         for j in range(m):
             if w[j]:
-                played += 2 * w[j] * integrate_affine(values[j], lo, hi)
-    return best, played
+                played += w[j] * twice_integral(values[j], lo, hi)
+    return Fraction(best, D**3), Fraction(played, D**4)
 
 
 def _both_sides(game: PenniesGame, s1, s2):
@@ -303,20 +326,21 @@ def cyclic_deviation(game: PenniesGame, opponent: IntervalUnionStrategy, side: i
     """
     m = game.m
     order = [(j + side - 1) % m for j in range(m)]
+    D, (rows,) = _integer_rows(_as_rows(opponent))
     pieces: list[tuple[Fraction, int]] = []
-    for lo, hi, forms in _opposing_segments(_as_rows(opponent), m, side):
+    for lo, hi, forms in _opposing_segments(rows, m, side):
         values = _value_forms(forms, side)
         cuts = {lo, hi}
-        for a, b in values:
-            if b != 0:
-                t = -a / b
-                if lo < t < hi:
-                    cuts.add(t)
+        for form in values:
+            t = inner_zero(form, lo, hi)
+            if t is not None:
+                cuts.add(t)
         points = sorted(cuts)
         for s0, s1 in zip(points, points[1:]):
-            mid = (s0 + s1) / 2
-            action = next((c for c in order if affine_at(values[c], mid) > 0), 0)
-            append_piece(pieces, s1, action)
+            # the sign of each form at the midpoint, from twice its value there
+            span = s0 + s1
+            action = next((c for c in order if 2 * values[c][0] + values[c][1] * span > 0), 0)
+            append_piece(pieces, Fraction(s1, D), action)
     return IntervalUnionStrategy.from_pieces(pieces, m)
 
 
@@ -334,15 +358,16 @@ def balance_defect(partition, side: int = 2, m: int | None = None) -> Fraction:
         m = len(partition[0][1]) if partition else 0  # empty rows fail below
     rows = _as_rows(partition)
     _validate_rows(rows, m)
-    ((_lo, _hi, uniform),) = _opposing_segments(uniform_rows(m), m, side)
-    total = ZERO
+    D, (rows, uniform) = _integer_rows(rows, uniform_rows(m))
+    ((_lo, _hi, uniform),) = _opposing_segments(uniform, m, side)
+    total = 0
     for lo, hi, forms in _opposing_segments(rows, m, side):
         abs_forms = []
         for (a, b), (base_a, base_b) in zip(forms, uniform):
             abs_forms.append((a - base_a, b - base_b))
             abs_forms.append((base_a - a, base_b - b))
-        total += 2 * integrate_envelope(abs_forms, lo, hi)
-    return total
+        total += twice_envelope_integral(abs_forms, lo, hi)
+    return Fraction(total, D**3)
 
 
 # -- grid search --------------------------------------------------------------
@@ -533,7 +558,8 @@ def no_pure_equilibrium_search(
     exact because the value forms cross only at cell midpoints and the
     played products stay below 2^24 in float32.  The first
     minimum in row-major order is re-certified once, by pure_profile_gain on
-    Fraction rows, and both of its gains must equal the lane's.  PASS means
+    integer rows with no midpoint rule, float32 or lane code, and both of
+    its gains must equal the lane's.  PASS means
     the minimum exceeds epsilon, witnessing that no scanned pure profile is
     close to equilibrium.
     """

@@ -3,7 +3,10 @@
 Everything here works on partitions of [0, 1] (or a sub-interval) given by
 strictly increasing breakpoints, on affine forms ``A + B*t``, and on finite
 interval unions. These are the workhorses behind step-function refinement,
-proportional splits, and exact envelope integration.
+proportional splits, and exact envelope integration.  The affine-form
+helpers and ``merged_pieces`` are exact on int input as well: they never
+divide, so integer rows over one denominator stay integers, and a
+``Fraction`` appears only where two forms cross strictly inside a piece.
 
 This module owns the piece-list format shared by step functions, selections
 and strategies: a sequence of ``(upto, payload)`` pairs whose uptos increase
@@ -151,15 +154,18 @@ def merged_pieces(*piece_lists: Sequence[tuple[Fraction, object]]):
     """Walk several [(upto, payload)] partitions of [0, 1] in lockstep.
 
     Yields (lo, hi, payloads) on the common refinement in one linear pass.
+    The lists may instead partition [0, end] for any common last upto, such
+    as integer uptos over one denominator.
     This is the one walk over two or more piece lists; ``clip_pieces`` clips
     a single list to a span.
     """
     idx = [0] * len(piece_lists)
-    lo = Fraction(0)
+    end = piece_lists[0][-1][0]
+    lo = end * 0  # zero in the uptos' own type: int lists walk in ints
     while True:
         hi = min(pl[i][0] for pl, i in zip(piece_lists, idx))
         yield lo, hi, tuple(pl[i][1] for pl, i in zip(piece_lists, idx))
-        if hi >= 1:
+        if hi >= end:
             return
         for j, pl in enumerate(piece_lists):
             if pl[idx[j]][0] == hi:
@@ -196,13 +202,24 @@ def prefix_integral(pieces: Sequence[tuple[Fraction, Fraction]]) -> Callable[[Fr
     return at
 
 
-def integrate_affine(form: AffineForm, lo: Fraction, hi: Fraction) -> Fraction:
+def twice_integral(form: AffineForm, lo: Fraction, hi: Fraction) -> Fraction:
+    """Twice the integral of A + B*t over [lo, hi), with no division: an int
+    on int input."""
     a, b = form
-    return a * (hi - lo) + b * (hi * hi - lo * lo) / 2
+    return 2 * a * (hi - lo) + b * (hi * hi - lo * lo)
 
 
-def affine_at(form: AffineForm, t: Fraction) -> Fraction:
-    return form[0] + form[1] * t
+def inner_zero(form: AffineForm, lo: Fraction, hi: Fraction) -> Fraction | None:
+    """The zero of A + B*t when it lies strictly inside (lo, hi), else None.
+
+    The test is a cross product, so the ``Fraction`` is built only for a zero
+    strictly inside; int and ``Fraction`` input alike.
+    """
+    a, b = form
+    num, den = (-a, b) if b > 0 else (a, -b)
+    if lo * den < num < hi * den:  # never for B = 0, where den is 0
+        return Fraction(num, den)
+    return None
 
 
 def argmax_segments(
@@ -212,6 +229,9 @@ def argmax_segments(
 
     Crossing points of distinct forms become breakpoints, so within each open
     part any tie at the midpoint means the tied forms coincide on the part.
+    Exact on int or ``Fraction`` input: crossings come from ``inner_zero``,
+    and the forms are compared at each part's midpoint through twice their
+    value there, 2A + B*(lo + hi), so no division is taken.
     """
     if hi <= lo:
         return []
@@ -221,28 +241,34 @@ def argmax_segments(
         a1, b1 = forms[i]
         for j in range(i + 1, n):
             a2, b2 = forms[j]
-            if b1 == b2:
-                continue
-            t = (a2 - a1) / (b1 - b2)
-            if lo < t < hi:
-                cuts.add(t)
+            if b1 != b2:
+                t = inner_zero((a1 - a2, b1 - b2), lo, hi)
+                if t is not None:
+                    cuts.add(t)
     points = sorted(cuts)
     segments = []
     for slo, shi in zip(points, points[1:]):
-        mid = (slo + shi) / 2
-        values = [affine_at(f, mid) for f in forms]
+        span = slo + shi
+        values = [2 * a + b * span for a, b in forms]
         best = max(values)
         winners = tuple(k for k, v in enumerate(values) if v == best)
         segments.append((slo, shi, winners))
     return segments
 
 
-def integrate_envelope(forms: Sequence[AffineForm], lo: Fraction, hi: Fraction) -> Fraction:
-    """Exact integral of max of affine forms over [lo, hi)."""
-    total = Fraction(0)
+def twice_envelope_integral(forms: Sequence[AffineForm], lo: Fraction, hi: Fraction):
+    """Twice the integral of max of affine forms over [lo, hi), exact with no
+    division: an int on int input unless two forms cross strictly inside."""
+    total = 0
     for slo, shi, winners in argmax_segments(forms, lo, hi):
-        total += integrate_affine(forms[winners[0]], slo, shi)
+        total += twice_integral(forms[winners[0]], slo, shi)
     return total
+
+
+def integrate_envelope(forms: Sequence[AffineForm], lo: Fraction, hi: Fraction) -> Fraction:
+    """Exact integral of max of affine forms over [lo, hi), on int or
+    ``Fraction`` input."""
+    return Fraction(twice_envelope_integral(forms, lo, hi), 2)
 
 
 def proportional_subintervals(

@@ -22,6 +22,11 @@ from condexp.piecewise import pack_pieces
 
 F = Fraction
 
+# Every draw of the suite matches within 3 attempts, so no drawn game depends
+# on this bound; a table or derivation defect that never matches fails here
+# instead of hanging the run.
+MAX_ATTEMPTS = 50
+
 
 def _centered_block_values(rng, block_masses):
     raw = [F(rng.randint(-2, 2)) for _ in block_masses]
@@ -39,7 +44,7 @@ def random_coarser_game(
     max_units: int = 3,
     max_blocks: int = 3,
 ) -> BayesianGame:
-    while True:
+    for _ in range(MAX_ATTEMPTS):
         game, intended = _attempt_game(
             rng, n_players, zero_sum, own_affine, max_actions, max_units, max_blocks
         )
@@ -49,6 +54,7 @@ def random_coarser_game(
             for i, part in enumerate(info)
         ):
             return game
+    raise RuntimeError(f"no game with its intended information in {MAX_ATTEMPTS} attempts")
 
 
 def _attempt_game(rng, n_players, zero_sum, own_affine, max_actions, max_units, max_blocks):

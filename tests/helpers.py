@@ -823,3 +823,126 @@ def reference_mixed_block_blend(F_, label, cells, value, alpha):
             assignments[c.id] = pack_pieces(c, split_pieces(mixed, attainable._WHOLE))
         return assignments
     raise ArithmeticError(f"block {label} is at distance 0 but no point-cell choice attains it")
+
+
+# -- reference pennies recheck on Fraction rows -----------------------------------
+#
+# The exact recheck as it ran on ``Fraction`` rows, kept as the oracle for
+# ``pennies``' integer walk: the opposing measures accumulated in Fractions,
+# pieces found by the breakpoint union and a lookup per span (not by
+# ``merged_pieces``), and the envelope cut at every crossing, found by
+# division, with the forms compared at a divided midpoint.
+
+
+def reference_argmax_segments(forms, lo, hi):
+    """[(lo, hi, winners)] where the argmax set of the forms is constant."""
+    if hi <= lo:
+        return []
+    cuts = {lo, hi}
+    for i, (a1, b1) in enumerate(forms):
+        for a2, b2 in forms[i + 1:]:
+            if b1 != b2:
+                t = F(a2 - a1) / (b1 - b2)
+                if lo < t < hi:
+                    cuts.add(t)
+    points = sorted(cuts)
+    segments = []
+    for slo, shi in zip(points, points[1:]):
+        mid = F(slo + shi) / 2
+        values = [a + b * mid for a, b in forms]
+        best = max(values)
+        segments.append((slo, shi, tuple(k for k, v in enumerate(values) if v == best)))
+    return segments
+
+
+def reference_integrate_affine(form, lo, hi):
+    a, b = form
+    return a * (hi - lo) + F(b * (hi * hi - lo * lo)) / 2
+
+
+def reference_integrate_envelope(forms, lo, hi):
+    total = F(0)
+    for slo, shi, winners in reference_argmax_segments(forms, lo, hi):
+        total += reference_integrate_affine(forms[winners[0]], slo, shi)
+    return total
+
+
+def reference_opposing_segments(rows, m, side):
+    """(lo, hi, forms) per piece of Fraction rows: player 2 sees the measures
+    from 0 of player 1's weights, player 1 those up to 1 of player 2's."""
+    segments = []
+    acc = [F(0)] * m
+    prev = F(0)
+    for upto, w in rows:
+        segments.append((prev, upto, tuple((acc[j] - w[j] * prev, w[j]) for j in range(m))))
+        for j in range(m):
+            acc[j] += w[j] * (upto - prev)
+        prev = upto
+    if side == 2:
+        return segments
+    return [
+        (lo, hi, tuple((acc[j] - a, -b) for j, (a, b) in enumerate(forms)))
+        for lo, hi, forms in segments
+    ]
+
+
+def _reference_value_forms(forms, side):
+    m = len(forms)
+    out = []
+    for j in range(m):
+        (a0, b0), (a1, b1) = forms[(j - side + 1) % m], forms[(j - side + 2) % m]
+        out.append((a0 - a1, b0 - b1))
+    return out
+
+
+def reference_gain_side(game, side, rows1, rows2):
+    """(best-response value, played value) of the player on ``side``, twice
+    the integrals, on Fraction rows."""
+    m = game.m
+    own, opposing = (rows1, rows2) if side == 1 else (rows2, rows1)
+    measures = [(hi, forms) for _lo, hi, forms in reference_opposing_segments(opposing, m, side)]
+    uptos = common_refinement([upto for upto, _ in own], [hi for hi, _ in measures])
+    best = played = F(0)
+    for lo, hi in piece_bounds(uptos):
+        mid = (lo + hi) / 2
+        w = piece_payload(own, mid)
+        values = _reference_value_forms(piece_payload(measures, mid), side)
+        best += 2 * reference_integrate_envelope(values, lo, hi)
+        for j in range(m):
+            played += 2 * w[j] * reference_integrate_affine(values[j], lo, hi)
+    return best, played
+
+
+def reference_balance_defect(rows, m, side):
+    """Twice the L1 distance of the conditioning measures from the uniform
+    rows' ones, on Fraction rows."""
+    ((_lo, _hi, uniform),) = reference_opposing_segments(((F(1), (F(1, m),) * m),), m, side)
+    total = F(0)
+    for lo, hi, forms in reference_opposing_segments(rows, m, side):
+        abs_forms = []
+        for (a, b), (base_a, base_b) in zip(forms, uniform):
+            abs_forms += [(a - base_a, b - base_b), (base_a - a, base_b - b)]
+        total += 2 * reference_integrate_envelope(abs_forms, lo, hi)
+    return total
+
+
+def reference_cyclic_deviation(m, rows, side):
+    """[(upto, action)] of the cyclic better-response to Fraction rows, with
+    adjacent pieces of one action merged."""
+    order = [(j + side - 1) % m for j in range(m)]
+    pieces = []
+    for lo, hi, forms in reference_opposing_segments(rows, m, side):
+        values = _reference_value_forms(forms, side)
+        cuts = {lo, hi}
+        for a, b in values:
+            if b != 0 and lo < -F(a) / b < hi:
+                cuts.add(-F(a) / b)
+        points = sorted(cuts)
+        for s0, s1 in zip(points, points[1:]):
+            mid = (s0 + s1) / 2
+            action = next((c for c in order if values[c][0] + values[c][1] * mid > 0), 0)
+            if pieces and pieces[-1][1] == action:
+                pieces[-1] = (s1, action)
+            else:
+                pieces.append((s1, action))
+    return pieces

@@ -260,9 +260,19 @@ class TestAdditionalPaths:
         assert report["membership"]["member"] is True  # 7/8 lies in [1/2, 1]
 
     def test_float_mode_solve_runs_best_response(self, capsys):
-        # --mode float turns auto into br; on two players the damped run
-        # misses and the support search seeded by it finds the equilibrium
+        # --mode float leaves --method auto alone, so the zero-sum game keeps
+        # the exact LP; best response runs only when --method br asks for it
+        # (on two players the damped run misses and the support search
+        # seeded by it finds the equilibrium)
         code, out = run(capsys, "solve", FIXTURES / "mp_game.json", "--mode", "float")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["method"], report["converged"]) == ("lp", True)
+        code, exact = run(capsys, "solve", FIXTURES / "mp_game.json")
+        assert json.loads(exact) == report
+        code, out = run(
+            capsys, "solve", FIXTURES / "mp_game.json", "--mode", "float", "--method", "br"
+        )
         assert code == 0
         report = json.loads(out)
         assert (report["method"], report["iterations"], report["converged"]) == ("enum", 4001, True)

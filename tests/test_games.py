@@ -200,6 +200,11 @@ class TestConstructionFaults:
                 "density[(0, 0)]", "density must be nonnegative",
             ),
             (
+                # 1/2 - 3*t1 is negative at the unit's upper end only
+                lambda d, u: affine_density(d, F(1, 2), -3),
+                "density[(0, 0)]", "density must be nonnegative",
+            ),
+            (
                 lambda d, u: d.update({(2, 0): Entry(F(2))}),
                 "density", "must integrate to 1, got 3/2",
             ),
@@ -215,7 +220,8 @@ class TestConstructionFaults:
         ids=[
             "missing-density-entry", "bad-coordinate", "coordinate-on-point-cell",
             "missing-profile", "missing-payoff-entry", "payoff-and-density-affine",
-            "two-affine-coordinates", "negative-density", "total-not-one",
+            "two-affine-coordinates", "negative-density", "negative-density-at-upper-end",
+            "total-not-one",
             "marginal-not-one", "marginal-affine",
         ],
     )

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -34,7 +35,13 @@ from condexp.pennies import (
     pure_profile_gain,
     uniform_rows,
 )
-from helpers import reference_unrank_changing
+from helpers import (
+    reference_balance_defect,
+    reference_cyclic_deviation,
+    reference_gain_side,
+    reference_opposing_segments,
+    reference_unrank_changing,
+)
 
 F = Fraction
 
@@ -676,6 +683,92 @@ class TestIntegerLane:
         report = no_pure_equilibrium_search(game, budget=2, grid=3)
         assert report.exhaustive and report.pairs == 729
         assert (report.min_gain, report.argmin) == best
+
+
+# -- exact recheck on integer rows against the Fraction reference -------------
+
+
+@st.composite
+def weight_rows(draw, m):
+    """m weights summing to 1: uniform, one-hot, or over a denominator 2-12."""
+    kind = draw(st.sampled_from(("uniform", "one-hot", "random")))
+    if kind == "uniform":
+        return (F(1, m),) * m
+    if kind == "one-hot":
+        k = draw(st.integers(0, m - 1))
+        return tuple(F(int(j == k)) for j in range(m))
+    d = draw(st.integers(2, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=m - 1, max_size=m - 1)))
+    bounds = [0, *cuts, d]
+    return tuple(F(b - a, d) for a, b in zip(bounds, bounds[1:]))
+
+
+@st.composite
+def behavioral_rows(draw, m):
+    """Rows with uptos and weights over unlike denominators; one-piece rows
+    and repeated weights (coinciding forms) come up often."""
+    inner = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda t: 0 < t < 1)
+    uptos = sorted(draw(st.sets(inner, max_size=4))) + [F(1)]
+    rows = []
+    for upto in uptos:
+        repeat = rows and draw(st.booleans())
+        rows.append((upto, rows[-1][1] if repeat else draw(weight_rows(m))))
+    return tuple(rows)
+
+
+@st.composite
+def behavioral_profiles(draw):
+    m = draw(st.integers(2, 5))
+    return m, draw(behavioral_rows(m)), draw(behavioral_rows(m))
+
+
+RECHECK_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+# pure grid rows: the value forms cross at cell midpoints, strictly inside
+GRID_PROFILE = (
+    3,
+    IntervalUnionStrategy.from_grid((0, 2, 2, 1), 3).weight_rows(),
+    IntervalUnionStrategy.from_grid((1, 1, 0, 2), 3).weight_rows(),
+)
+
+
+class TestIntegerRecheck:
+    @RECHECK_SETTINGS
+    @given(behavioral_profiles())
+    @example(GRID_PROFILE)
+    def test_gain_side_matches_the_fraction_reference(self, case):
+        m, rows1, rows2 = case
+        game = PenniesGame(m)
+        for side in (1, 2):
+            got = pennies._gain_side(game, side, rows1, rows2)
+            assert got == reference_gain_side(game, side, rows1, rows2)
+            assert all(type(v) is Fraction for v in got)
+
+    @RECHECK_SETTINGS
+    @given(behavioral_profiles(), st.sampled_from((1, 2)))
+    @example(GRID_PROFILE, 1)
+    def test_opposing_segments_are_the_reference_over_one_denominator(self, case, side):
+        m, rows1, rows2 = case
+        D, (int1, _int2) = pennies._integer_rows(rows1, rows2)
+        values = [v for rows in (rows1, rows2) for upto, w in rows for v in (upto, *w)]
+        assert D == math.lcm(*(v.denominator for v in values))
+        got = pennies._opposing_segments(int1, m, side)
+        want = reference_opposing_segments(rows1, m, side)
+        assert len(got) == len(want)
+        for (lo, hi, forms), (flo, fhi, fforms) in zip(got, want):
+            assert all(type(v) is int for v in (lo, hi, *itertools.chain(*forms)))
+            assert (lo, hi) == (flo * D, fhi * D)
+            # (a + b*x) / D^2 at x = t*D is A + B*t
+            assert forms == tuple((a * D * D, b * D) for a, b in fforms)
+
+    @RECHECK_SETTINGS
+    @given(behavioral_profiles(), st.sampled_from((1, 2)))
+    @example(GRID_PROFILE, 2)
+    def test_balance_defect_and_cyclic_deviation_match_the_reference(self, case, side):
+        m, rows, _ = case
+        assert balance_defect(rows, side=side, m=m) == reference_balance_defect(rows, m, side)
+        deviation = cyclic_deviation(PenniesGame(m), rows, side=side)
+        assert deviation.pieces == tuple(reference_cyclic_deviation(m, rows, side))
+        assert all(type(upto) is Fraction for upto, _ in deviation.pieces)
 
 
 OPTIMIZED_CHECKS = """

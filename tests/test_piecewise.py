@@ -17,14 +17,17 @@ from condexp.measure import Cell, CellKind, StepFunction
 from condexp.pennies import IntervalUnionStrategy, _validate_rows
 from condexp.piecewise import (
     append_piece,
+    argmax_segments,
     check_index,
     check_pieces,
     check_weights,
     clip_pieces,
+    integrate_envelope,
     merged_pieces,
     pack_pieces,
     proportional_subintervals,
     split_pieces,
+    twice_envelope_integral,
     unit_vector,
 )
 
@@ -37,6 +40,8 @@ from helpers import (
     piece_bounds,
     piece_payload,
     point_cell,
+    reference_argmax_segments,
+    reference_integrate_envelope,
     refinement_on,
     rich_cell,
     space,
@@ -132,6 +137,67 @@ class TestMergedPieces:
         assert list(merged_pieces(point)) == [(F(0), F(1), (k,))]
         assert list(merged_pieces(pieces, point)) == self.oracle(pieces, point)
         assert list(merged_pieces(point, pieces)) == self.oracle(point, pieces)
+
+
+class TestIntegerPieceLists:
+    @SETTINGS
+    @given(st.lists(piece_lists(), min_size=1, max_size=4), st.integers(1, 12))
+    def test_walk_over_one_denominator_is_the_fraction_walk_scaled(self, lists, D):
+        ints = [[(int(u * D * 24), payload) for u, payload in pl] for pl in lists]
+        walked = list(merged_pieces(*ints))
+        assert walked == [
+            (lo * D * 24, hi * D * 24, payloads) for lo, hi, payloads in merged_pieces(*lists)
+        ]
+        assert all(type(lo) is int and type(hi) is int for lo, hi, _ in walked)
+
+
+small_ints = st.integers(min_value=-6, max_value=6)
+positive = st.fractions(min_value=F(1, 50), max_value=20).filter(lambda c: c > 0)
+
+
+class TestExactEnvelope:
+    """The envelope on int forms against the same forms as Fractions, and
+    against the reference that divides."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(small_ints, small_ints), min_size=1, max_size=6),
+        small_ints,
+        st.integers(min_value=0, max_value=7),
+        positive,
+        positive,
+    )
+    @example([(0, 1), (1, -1)], 0, 1, F(1), F(1))  # one crossing strictly inside
+    @example([(1, 2), (1, 2), (0, 0)], 0, 3, F(2), F(1, 3))  # coinciding forms
+    def test_int_forms_match_scaled_fraction_forms(self, forms, lo, width, c, s):
+        hi = lo + width
+        segments = argmax_segments(forms, lo, hi)
+        # G(t) = c * f(s * t) on [lo / s, hi / s]: the same parts, scaled
+        scaled = [(c * a, c * b * s) for a, b in forms]
+        flo, fhi = F(lo) / s, F(hi) / s
+        fraction_segments = argmax_segments(scaled, flo, fhi)
+        assert fraction_segments == reference_argmax_segments(scaled, flo, fhi)
+        assert [(a * s, b * s, w) for a, b, w in fraction_segments] == segments
+        value = integrate_envelope(forms, lo, hi)
+        assert type(value) is Fraction
+        assert value == reference_integrate_envelope(forms, F(lo), F(hi))
+        assert value * c / s == integrate_envelope(scaled, flo, fhi)
+        assert integrate_envelope(scaled, flo, fhi) == reference_integrate_envelope(
+            scaled, flo, fhi
+        )
+        twice = twice_envelope_integral(forms, lo, hi)
+        assert twice == 2 * value
+        # a Fraction appears only for a crossing strictly inside
+        assert segments == [] or type(segments[0][0]) is type(segments[-1][1]) is int
+        if all(type(end) is int for _, end, _ in segments):
+            assert type(twice) is int
+
+    def test_a_crossing_strictly_inside_is_the_one_fraction(self):
+        assert argmax_segments([(0, 1), (1, -1)], 0, 1) == [(0, F(1, 2), (1,)), (F(1, 2), 1, (0,))]
+        assert twice_envelope_integral([(0, 1), (1, -1)], 0, 1) == F(3, 2)
+        # a crossing at an end of the piece cuts nothing
+        assert argmax_segments([(0, 1), (1, 0)], 0, 1) == [(0, 1, (1,))]
+        assert argmax_segments([(0, 1), (1, 0)], 1, 3) == [(1, 3, (0,))]
 
 
 @st.composite
