@@ -14,15 +14,20 @@ one ``Entry`` per distinct entry of a document).  The density-weighted
 payoffs become ``BayesianGame.weighted``: each player's entries are integer
 (const, slope, coord) triples over one positive denominator, the products of
 the payoffs' and the density's numerators, with no Fraction per entry.
-Interim forms sum integers over that denominator times the opponents' moment
-denominators and become Fractions once per form, and the agent form sums its
-coefficients the same way.
+
+A profile walk stays in integers too.  A strategy's moments are integers
+over one denominator (``strategy_moments``); ``interim_affine`` reads player
+i's table in one pass against the opponents' moments and sums the forms of
+every own unit and action in integers over the table's denominator times
+the opponents' moment denominators; they become Fractions once per form in
+``interim_forms``.  The agent form sums its coefficients the same way.
 
 The inter-player information of player i is derived, never declared: units of
 i are grouped by the full profile of opponents' density-weighted payoffs, and
 a unit is saturated when some opponent-relevant entry is affine in i's own
 coordinate.  The game derives it on first use, as ``BayesianGame.info``,
-from the integer tables, where equal payoffs are equal integers.
+from the integer tables, where equal payoffs are equal integers, in one pass
+per opponent table.
 """
 
 from __future__ import annotations
@@ -312,11 +317,6 @@ def _int_rows(entries: Sequence[Entry]) -> tuple[int, list[list[int]]]:
     return D, [row_of[id(e)] for e in entries]
 
 
-def _splice(i: int, own: int, rest: tuple[int, ...]) -> tuple[int, ...]:
-    """The profile with ``own`` at position i and the others' ``rest`` in order."""
-    return rest[:i] + (own,) + rest[i:]
-
-
 # -- strategies -------------------------------------------------------------
 
 
@@ -345,93 +345,105 @@ def uniform_strategy(spec: PlayerSpec) -> BehavioralStrategy:
 
 
 def strategy_moments(spec: PlayerSpec, units: Sequence[Unit], f: Strategy):
-    """Per unit and action: (W0, W1) = integrals of f and t*f over the unit.
+    """``(D, rows)``: per unit and action, the integrals W0 of f and W1 of
+    t*f over the unit, as integers over one positive denominator D in lowest
+    terms, rows[unit] = (W0 * D, W1 * D).
 
     The one walk that integrates a strategy's pieces; payoffs read it too.
+    The cell masses, unit ends, piece ends and weights go over one
+    denominator E and each unit clips its cell's pieces in integers, so
+    each W0 sums integers over E^3 and each W1 over 2E^4 (the halved
+    midpoint); both are taken over 2E^4 and reduced by one gcd.
     """
     fb = as_behavioral(spec, f)
     m = len(spec.actions)
-    out = []
-    for u in units:
-        cell = spec.cells[u.cell_index]
-        w0 = [ZERO] * m
-        w1 = [ZERO] * m
-        for lo, hi, w in clip_pieces(fb.pieces(cell), u.lo, u.hi):
-            d0 = cell.mass * (hi - lo)
-            d1 = d0 * (hi + lo) / 2
-            for a, wa in enumerate(w):
-                if wa:  # pure strategies are one-hot
-                    w0[a] += d0 * wa
-                    w1[a] += d1 * wa
-        out.append((w0, w1))
-    return out
+    plans = [fb.pieces(cell) for cell in spec.cells]
+    E, flat = over_one_denominator(
+        itertools.chain(
+            ([cell.mass] for cell in spec.cells),
+            ((u.lo, u.hi) for u in units),
+            ((upto, *w) for pieces in plans for upto, w in pieces),
+        )
+    )
+    it = iter(flat)
+    masses = [mass for _, (mass,) in zip(spec.cells, it)]
+    ends = [row for _, row in zip(units, it)]
+    pieces = [[(upto, w) for _, (upto, *w) in zip(plan, it)] for plan in plans]
+    rows = []
+    for u, (lo, hi) in zip(units, ends):
+        M = masses[u.cell_index]
+        w0 = [0] * m
+        w1 = [0] * m
+        for a, b, w in clip_pieces(pieces[u.cell_index], lo, hi):
+            d0 = 2 * E * M * (b - a)
+            d1 = M * (b * b - a * a)
+            for k, q in enumerate(w):
+                if q:  # pure strategies are one-hot
+                    w0[k] += d0 * q
+                    w1[k] += d1 * q
+        rows.append((w0, w1))
+    N = 2 * E**4
+    g = math.gcd(N, *(v for w0_w1 in rows for w in w0_w1 for v in w))
+    return N // g, [([v // g for v in w0], [v // g for v in w1]) for w0, w1 in rows]
 
 
 # -- interim and expected payoffs --------------------------------------------
 
 
-def scaled_moments(moments) -> tuple[int, list[tuple[list[int], list[int]]]]:
-    """``(D, rows)``: a strategy's ``strategy_moments`` as integers over one
-    positive denominator D, rows[unit] = (W0 * D, W1 * D)."""
-    D, rows = over_one_denominator(w for w0_w1 in moments for w in w0_w1)
-    return D, list(zip(rows[0::2], rows[1::2]))
-
-
 def _opponent_moments(game: BayesianGame, i: int, profile: Sequence[Strategy]):
     return {
-        j: scaled_moments(strategy_moments(game.players[j], game.units[j], profile[j]))
+        j: strategy_moments(game.players[j], game.units[j], profile[j])
         for j in range(len(game.players))
         if j != i
     }
 
 
-def interim_affine(
-    game: BayesianGame,
-    i: int,
-    action: int,
-    own_unit: int,
-    profile: Sequence[Strategy],
-    moments=None,
-):
-    """Coefficients (A, B) of the interim payoff A + B*t on one own unit.
+def interim_affine(game: BayesianGame, i: int, moments) -> tuple[int, list[list[list[int]]]]:
+    """``(D, forms)``: the interim payoff A + B*t of player i on every own
+    unit and action, forms[own_unit][action] = [A * D, B * D], in one pass
+    over player i's weighted table.
 
-    ``moments[j]``, when given, is opponent j's ``scaled_moments``.  The sum
-    runs in integers over player i's table denominator times the opponents'
-    moment denominators, and becomes two Fractions at the end.
+    ``moments[j]`` is opponent j's ``strategy_moments`` (``moments[i]`` is
+    not read).  The sums run in integers over player i's table denominator
+    times the opponents' moment denominators D.
     """
     others = [j for j in range(len(game.players)) if j != i]
-    if moments is None:
-        moments = _opponent_moments(game, i, profile)
     den, table = game.weighted[i]
-    rows = [moments[j][1] for j in others]
-    A = B = 0
-    action_ranges = [range(len(game.players[j].actions)) for j in others]
-    unit_ranges = [range(len(game.units[j])) for j in others]
-    for x_rest in itertools.product(*action_ranges):
-        entries = table[_splice(i, action, x_rest)]
-        for mu in itertools.product(*unit_ranges):
-            c, s, coord = entries[_splice(i, own_unit, mu)]
+    m = len(game.players[i].actions)
+    forms = [[[0, 0] for _ in range(m)] for _ in game.units[i]]
+    # columns[j][a]: opponent j's W0 and W1 of action a, per unit of j
+    columns = {
+        j: [
+            ([w0[a] for w0, _w1 in moments[j][1]], [w1[a] for _w0, w1 in moments[j][1]])
+            for a in range(len(game.players[j].actions))
+        ]
+        for j in others
+    }
+    for x, row in table.items():
+        cols = [(j, *columns[j][x[j]]) for j in others]
+        a = x[i]
+        for key, (c, s, coord) in row.items():
             if not (c or s):
                 continue
             P0 = 1
-            for row, k, a in zip(rows, mu, x_rest):
-                P0 *= row[k][0][a]
+            for j, w0, _w1 in cols:
+                P0 *= w0[key[j]]
                 if not P0:
                     break
-            if not P0:
+            if not P0:  # W0 == 0 forces W1 == 0: the weights are nonnegative
                 continue
-            A += c * P0
+            ab = forms[key[i]][a]
+            ab[0] += c * P0
             if not s:
                 continue
             if coord == i:
-                B += s * P0
+                ab[1] += s * P0
             else:  # the opponent's coordinate: its W1 in place of its W0
                 partial = 1
-                for j, row, k, a in zip(others, rows, mu, x_rest):
-                    partial *= row[k][1 if j == coord else 0][a]
-                A += s * partial
-    D = den * math.prod(moments[j][0] for j in others)
-    return Fraction(A, D), Fraction(B, D)
+                for j, w0, w1 in cols:
+                    partial *= (w1 if j == coord else w0)[key[j]]
+                ab[0] += s * partial
+    return den * math.prod(moments[j][0] for j in others), forms
 
 
 def interim_forms(
@@ -443,17 +455,11 @@ def interim_forms(
     every own strategy of player i against the same opposing profile.
     ``moments[j]``, when given, is the ``strategy_moments`` of ``profile[j]``
     (``moments[i]`` is not read): one walk per strategy serves every player.
-    Each opponent's moments are scaled to integers once per call.
     """
     if moments is None:
-        scaled = _opponent_moments(game, i, profile)
-    else:
-        scaled = {j: scaled_moments(moments[j]) for j in range(len(game.players)) if j != i}
-    m = len(game.players[i].actions)
-    return [
-        [interim_affine(game, i, a, idx, profile, scaled) for a in range(m)]
-        for idx in range(len(game.units[i]))
-    ]
+        moments = _opponent_moments(game, i, profile)
+    D, forms = interim_affine(game, i, moments)
+    return [[(Fraction(A, D), Fraction(B, D)) for A, B in unit] for unit in forms]
 
 
 def walk_profile(game: BayesianGame, profile: Sequence[Strategy]):
@@ -473,7 +479,7 @@ def interim_payoff(
 ) -> Fraction:
     """Average interim payoff of one action over an own unit (or sub-piece)."""
     unit = game.units[i][own_unit]
-    A, B = interim_affine(game, i, action, own_unit, profile)
+    A, B = interim_forms(game, i, profile)[own_unit][action]
     lo, hi = sub if sub is not None else (unit.lo, unit.hi)
     return A + B * (lo + hi) / 2
 
@@ -498,13 +504,20 @@ def player_payoff(
 
 def moment_payoff(moments, forms) -> Fraction:
     """Sum of ``A*W0 + B*W1`` over a strategy's ``strategy_moments`` and (A, B)
-    forms: a payoff against interim forms, a payoff gap against their difference."""
-    total = ZERO
-    for (w0, w1), unit_forms in zip(moments, forms):
-        for W0, W1, (A, B) in zip(w0, w1, unit_forms):
-            if W0:  # W0 == 0 forces W1 == 0: the weights are nonnegative
-                total += A * W0 if B == 0 else A * W0 + B * W1
-    return total
+    forms: a payoff against interim forms, a payoff gap against their difference.
+
+    The forms met by a nonzero W0 go over one denominator L, so the sum runs
+    in integers over L times the moments' D.
+    """
+    D, rows = moments
+    played = [
+        (W0, W1, AB)
+        for (w0, w1), unit_forms in zip(rows, forms)
+        for W0, W1, AB in zip(w0, w1, unit_forms)
+        if W0  # W0 == 0 forces W1 == 0: the weights are nonnegative
+    ]
+    L, ints = over_one_denominator(AB for _W0, _W1, AB in played)
+    return Fraction(sum(A * W0 + B * W1 for (W0, W1, _), (A, B) in zip(played, ints)), L * D)
 
 
 def expected_payoff(game: BayesianGame, profile: Sequence[Strategy]) -> tuple[Fraction, ...]:
@@ -540,23 +553,24 @@ def derive_interplayer_info(game: BayesianGame) -> tuple[InfoPartition, ...]:
     block exactly when every opponent entry agrees on them as tagged values.
     """
     n = len(game.players)
-    profiles = list(game.action_profiles())
     partitions = []
     for i in range(n):
-        others = [j for j in range(n) if j != i]
-        rests = list(itertools.product(*[range(len(game.units[j])) for j in others]))
-        tables = [game.weighted[j].entries for j in others]
+        # one pass per opponent table, in table, profile and unit-tuple order,
+        # each entry appended to its own unit's signature: an entry's position
+        # there carries its (j, x, opponents' units), and all of player j's
+        # entries share one denominator, so equal rationals are equal triples
+        sigs: list[list[tuple[int, int, int | None]]] = [[] for _ in game.units[i]]
+        for j in range(n):
+            if j == i:
+                continue
+            for row in game.weighted[j].entries.values():
+                for key, entry in row.items():
+                    sigs[key[i]].append(entry)
         blocks: list[list[int]] = []
         block_of: list[int] = []
         kinds: list[str] = []
         sig_index: dict[tuple, int] = {}
-        for own_idx in range(len(game.units[i])):
-            # an entry's position in the signature carries its (j, x, mu); all
-            # of player j's entries share one denominator, so equal rationals
-            # are equal integer triples
-            sig = tuple(
-                table[x][_splice(i, own_idx, mu)] for table in tables for x in profiles for mu in rests
-            )
+        for own_idx, sig in enumerate(map(tuple, sigs)):
             saturated = any(coord == i for _c, _s, coord in sig)  # constant entries name no coord
             b = len(blocks) if saturated else sig_index.setdefault(sig, len(blocks))
             if b == len(blocks):
@@ -617,8 +631,11 @@ def unit_plan(
 def block_totals(game: BayesianGame, i: int, moments) -> list[list[Fraction]]:
     """Per information block of player i and per action: the integral of
     a strategy of player i over the block, read from its ``strategy_moments``."""
+    D, rows = moments
     actions = range(len(game.players[i].actions))
-    return [[sum((moments[u][0][a] for u in b), ZERO) for a in actions] for b in game.info[i].blocks]
+    return [
+        [Fraction(sum(rows[u][0][a] for u in b), D) for a in actions] for b in game.info[i].blocks
+    ]
 
 
 def g_conditional(game: BayesianGame, i: int, f: Strategy) -> BehavioralStrategy:

@@ -264,19 +264,19 @@ def interim_weight(
     raise SchemaError("side", "must be 1 or 2")
 
 
-def _gain_side(game: PenniesGame, side: int, rows1: BehavioralRows, rows2: BehavioralRows):
+def _gain_side(game: PenniesGame, side: int, D: int, rows1: IntegerRows, rows2: IntegerRows):
     """(best-response value, played value) for the player on ``side``, exact:
     twice the integrals of the envelope and of the played mix of the value
     forms.
 
-    Both rows are walked as integers over one denominator D.  The value
-    forms are over D^2 in x = t*D, so the doubled integrals are integers
-    over D^3, the played ones weighted by integers over D; a ``Fraction``
-    appears only where two forms cross strictly inside a piece, and once per
-    value for the answer.
+    Both rows are integers over one denominator D (``_integer_rows``).  The
+    value forms are over D^2 in x = t*D, so the doubled integrals are
+    integers over D^3, the played ones weighted by integers over D; a
+    ``Fraction`` appears only where two forms cross strictly inside a piece,
+    and once per value for the answer.
     """
     m = game.m
-    D, (own, opposing) = _integer_rows(*((rows1, rows2) if side == 1 else (rows2, rows1)))
+    own, opposing = (rows1, rows2) if side == 1 else (rows2, rows1)
     measures = [(hi, forms) for _lo, hi, forms in _opposing_segments(opposing, m, side)]
     best = played = 0
     for lo, hi, (w, forms) in merged_pieces(own, measures):
@@ -289,11 +289,13 @@ def _gain_side(game: PenniesGame, side: int, rows1: BehavioralRows, rows2: Behav
 
 
 def _both_sides(game: PenniesGame, s1, s2):
-    """_gain_side of player 1, then of player 2, on validated rows."""
+    """_gain_side of player 1, then of player 2, on validated rows put over
+    one denominator once for both."""
     rows1, rows2 = _as_rows(s1), _as_rows(s2)
     _validate_rows(rows1, game.m)
     _validate_rows(rows2, game.m)
-    return _gain_side(game, 1, rows1, rows2), _gain_side(game, 2, rows1, rows2)
+    D, (int1, int2) = _integer_rows(rows1, rows2)
+    return _gain_side(game, 1, D, int1, int2), _gain_side(game, 2, D, int1, int2)
 
 
 def profile_values(game: PenniesGame, s1, s2) -> tuple[Fraction, Fraction]:

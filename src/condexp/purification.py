@@ -183,7 +183,8 @@ def audit_equivalence(
     )
 
     def action_totals(moments):
-        return [sum(col, ZERO) for col in zip(*(w0 for w0, _w1 in moments))]
+        D, rows = moments
+        return [Fraction(sum(col), D) for col in zip(*(w0 for w0, _w1 in rows))]
 
     dist_defects = tuple(
         tuple(abs(x - y) for x, y in zip(action_totals(mom_f[i]), action_totals(mom_g[i])))

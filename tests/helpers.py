@@ -209,14 +209,14 @@ def reference_simplex_min(cost, A, b):
 
 def reference_residuals(game, f, g, deviations):
     """(payoff residuals, distribution defects, strong residuals) of f and g."""
-    from condexp.games import interim_forms, player_payoff, strategy_moments
+    from condexp.games import interim_forms, player_payoff
 
     n = len(game.players)
     forms_f = [interim_forms(game, i, f) for i in range(n)]
     forms_g = [interim_forms(game, i, g) for i in range(n)]
 
     def totals(i, s):
-        moments = strategy_moments(game.players[i], game.units[i], s)
+        moments = reference_strategy_moments(game.players[i], game.units[i], s)
         return [sum((w0[a] for w0, _w1 in moments), F(0)) for a in range(len(moments[0][0]))]
 
     payoff = tuple(
@@ -249,6 +249,107 @@ def reference_residuals(game, f, g, deviations):
 # ``BayesianGame.weighted``: there each player's entries are integers over
 # one denominator, and ``interim_affine`` sums integers over one
 # denominator per call.
+#
+# Beside them, the profile walk one value at a time, kept as the oracle for
+# the one-pass kernels: a strategy's moments as Fractions, one integer form
+# per (own unit, action) found by splicing the own unit and action into
+# every opponent profile, and one signature per own unit gathered the same
+# way.
+
+
+def reference_strategy_moments(spec, units, f):
+    """Per unit and action: (W0, W1) = integrals of f and t*f over the unit,
+    as Fractions."""
+    from condexp.games import as_behavioral
+    from condexp.piecewise import clip_pieces
+
+    fb = as_behavioral(spec, f)
+    m = len(spec.actions)
+    out = []
+    for u in units:
+        cell = spec.cells[u.cell_index]
+        w0 = [F(0)] * m
+        w1 = [F(0)] * m
+        for lo, hi, w in clip_pieces(fb.pieces(cell), u.lo, u.hi):
+            d0 = cell.mass * (hi - lo)
+            d1 = d0 * (hi + lo) / 2
+            for a, wa in enumerate(w):
+                if wa:
+                    w0[a] += d0 * wa
+                    w1[a] += d1 * wa
+        out.append((w0, w1))
+    return out
+
+
+def reference_scaled_moments(spec, units, f):
+    """``(D, rows)``: ``reference_strategy_moments`` over their least common
+    denominator D, rows[unit] = (W0 * D, W1 * D)."""
+    from condexp.rationals import over_one_denominator
+
+    moments = reference_strategy_moments(spec, units, f)
+    D, rows = over_one_denominator(w for w0_w1 in moments for w in w0_w1)
+    return D, list(zip(rows[0::2], rows[1::2]))
+
+
+def _splice(i, own, rest):
+    return rest[:i] + (own,) + rest[i:]
+
+
+def reference_spliced_affine(game, i, action, own_unit, moments):
+    """(A, B) of one interim form from the integer tables, the own unit and
+    action spliced into every opponent profile; ``moments[j]`` is opponent
+    j's ``reference_scaled_moments``."""
+    import itertools
+    import math
+
+    others = [j for j in range(len(game.players)) if j != i]
+    den, table = game.weighted[i]
+    rows = [moments[j][1] for j in others]
+    A = B = 0
+    for x_rest in itertools.product(*[range(len(game.players[j].actions)) for j in others]):
+        entries = table[_splice(i, action, x_rest)]
+        for mu in itertools.product(*[range(len(game.units[j])) for j in others]):
+            c, s, coord = entries[_splice(i, own_unit, mu)]
+            P0 = math.prod(row[k][0][a] for row, k, a in zip(rows, mu, x_rest))
+            A += c * P0
+            if coord == i:
+                B += s * P0
+            elif s:
+                A += s * math.prod(
+                    row[k][1 if j == coord else 0][a]
+                    for j, row, k, a in zip(others, rows, mu, x_rest)
+                )
+    D = den * math.prod(moments[j][0] for j in others)
+    return F(A, D), F(B, D)
+
+
+def reference_spliced_info(game):
+    """Per player: (blocks, kinds), each own unit's signature the integer
+    entries of every opponent table, spliced in table, profile and
+    opponent-unit order."""
+    import itertools
+
+    n = len(game.players)
+    out = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        rests = list(itertools.product(*[range(len(game.units[j])) for j in others]))
+        blocks, kinds, index = [], [], {}
+        for own in range(len(game.units[i])):
+            sig = tuple(
+                game.weighted[j].entries[x][_splice(i, own, mu)]
+                for j in others
+                for x in game.action_profiles()
+                for mu in rests
+            )
+            saturated = any(coord == i for _c, _s, coord in sig)
+            b = len(blocks) if saturated else index.setdefault(sig, len(blocks))
+            if b == len(blocks):
+                blocks.append([])
+            blocks[b].append(own)
+            kinds.append("saturated" if saturated else "rich")
+        out.append((tuple(tuple(b) for b in blocks), tuple(kinds)))
+    return out
 
 
 def entry_product(u, q):
@@ -283,11 +384,11 @@ def reference_interim_affine(game, i, action, own_unit, profile):
     """(A, B) of player i's interim payoff A + B*t on one own unit, in Fractions."""
     import itertools
 
-    from condexp.games import strategy_moments
-
     n = len(game.players)
     others = [j for j in range(n) if j != i]
-    moments = {j: strategy_moments(game.players[j], game.units[j], profile[j]) for j in others}
+    moments = {
+        j: reference_strategy_moments(game.players[j], game.units[j], profile[j]) for j in others
+    }
     A = B = F(0)
     for x_rest in itertools.product(*[range(len(game.players[j].actions)) for j in others]):
         x = x_rest[:i] + (action,) + x_rest[i:]

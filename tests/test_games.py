@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -398,14 +399,11 @@ class TestExpectedPayoff:
         for i in range(2):
             spec = game.players[i]
             fb = as_behavioral(spec, profile[i])
-            moments = _opponent_moments(game, i, profile)
+            D, unit_forms = interim_affine(game, i, _opponent_moments(game, i, profile))
             total = F(0)
             for idx, unit in enumerate(game.units[i]):
                 cell = spec.cells[unit.cell_index]
-                forms = [
-                    interim_affine(game, i, a, idx, profile, moments)
-                    for a in range(len(spec.actions))
-                ]
+                forms = [(F(A, D), F(B, D)) for A, B in unit_forms[idx]]
                 bounds = [unit.lo, unit.hi] if unit.lo > 0 else [unit.hi]
                 prev = F(0)
                 for hi in common_refinement(breakpoints(fb, cell), bounds):
@@ -454,13 +452,13 @@ class TestSubstitutionIdentity:
         from condexp.games import strategy_moments
 
         spec = game.players[0]
-        mom_f = strategy_moments(spec, game.units[0], profile[0])
-        mom_c = strategy_moments(spec, game.units[0], cond)
+        D_f, mom_f = strategy_moments(spec, game.units[0], profile[0])
+        D_c, mom_c = strategy_moments(spec, game.units[0], cond)
         part = info[0]
         for b, block in enumerate(part.blocks):
             for a in range(len(spec.actions)):
-                raw = sum((mom_f[u][0][a] for u in block), F(0))
-                averaged = sum((mom_c[u][0][a] for u in block), F(0))
+                raw = F(sum(mom_f[u][0][a] for u in block), D_f)
+                averaged = F(sum(mom_c[u][0][a] for u in block), D_c)
                 assert raw == averaged
 
 
@@ -732,6 +730,146 @@ class TestIntegerTables:
         # entries affine in an opponent's coordinate, which coarser games lack
         game = make()
         self.check_against_references(game, random_profile(random.Random(seed), game))
+
+
+def point_cell_game(rng):
+    """Player 1 with two interval units and a point cell, player 2 with two
+    interval units and three actions; every payoff entry affine in player
+    2's coordinate or constant, so player 1 reads an opponent's W1."""
+    specs = (
+        PlayerSpec(("a", "b"), (
+            TypeCell("t", F(1, 2), (F(1, 2), F(1))), TypeCell("p", F(1, 2), (), point=True),
+        )),
+        PlayerSpec(("a", "b", "c"), (TypeCell("s", F(1), (F(1, 3), F(1))),)),
+    )
+    keys = [(k, l) for k in range(3) for l in range(2)]
+    payoffs = tuple(
+        {
+            (x0, x1): {
+                key: Entry(F(rng.randint(-3, 3), 2), F(rng.randint(-2, 2)), 1) for key in keys
+            }
+            for x0 in range(2)
+            for x1 in range(3)
+        }
+        for _ in range(2)
+    )
+    return BayesianGame(specs, {key: Entry(F(1)) for key in keys}, payoffs)
+
+
+def permuted_signature_game():
+    """Player 1's two units see player 2's payoffs (1, 2) and (2, 1) over
+    player 2's units: the same entries in another order, so two blocks."""
+    cell = (F(1, 2), F(1))
+    specs = tuple(PlayerSpec(("a", "b"), (TypeCell(f"t{i + 1}", F(1), cell),)) for i in range(2))
+    keys = [(k, l) for k in range(2) for l in range(2)]
+    profiles = [(x0, x1) for x0 in range(2) for x1 in range(2)]
+    payoffs = (
+        {x: {key: Entry(F(0)) for key in keys} for x in profiles},
+        {x: {(k, l): Entry(F(1 if k == l else 2)) for k, l in keys} for x in profiles},
+    )
+    return BayesianGame(specs, {key: Entry(F(1)) for key in keys}, payoffs)
+
+
+def random_pure(spec, rng):
+    """A pure strategy with up to two cuts per interval cell."""
+    m = len(spec.actions)
+    plan = {}
+    for cell in spec.cells:
+        if cell.point:
+            plan[cell.id] = rng.randrange(m)
+        else:
+            cuts = sorted({F(rng.randint(1, 7), 8) for _ in range(rng.randint(0, 2))})
+            plan[cell.id] = tuple((u, rng.randrange(m)) for u in cuts + [F(1)])
+    return PureStrategy(plan)
+
+
+@st.composite
+def walk_cases(draw):
+    """A game and a profile mixing behavioral and one-hot pure strategies:
+    coarser games of 2-4 players with own-affine terms on or off, a density
+    affine in an opponent's coordinate, point cells, or two units whose
+    signatures hold the same entries in another order."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    family = draw(st.sampled_from(["coarser", "saturated-q", "point-cells", "permuted"]))
+    if family == "coarser":
+        n = draw(st.integers(2, 4))
+        if n == 4:
+            game = random_coarser_game(rng, 4, own_affine=draw(st.booleans()), max_actions=2,
+                                       max_units=2)
+        else:
+            game = random_coarser_game(rng, n, own_affine=draw(st.booleans()),
+                                       max_actions=3 if n == 2 else 2)
+    elif family == "saturated-q":
+        game = saturated_q_game(draw(st.integers(2, 3)))
+    elif family == "point-cells":
+        game = point_cell_game(rng)
+    else:
+        game = permuted_signature_game()
+    pures = draw(st.lists(st.booleans(), min_size=len(game.players), max_size=len(game.players)))
+    profile = tuple(
+        random_pure(spec, rng) if p else random_behavioral(spec, rng)
+        for spec, p in zip(game.players, pures)
+    )
+    return game, profile
+
+
+class TestOnePassWalk:
+    """``strategy_moments``, ``interim_affine`` and ``derive_interplayer_info``
+    read each strategy and each compiled table in one pass; they equal the
+    Fraction moments, the spliced per-form sums and the spliced signatures."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(walk_cases())
+    def test_kernels_match_the_spliced_references(self, case):
+        from condexp.games import block_totals, interim_affine, moment_payoff, strategy_moments
+        from helpers import (
+            reference_scaled_moments,
+            reference_spliced_affine,
+            reference_spliced_info,
+            reference_strategy_moments,
+        )
+
+        game, profile = case
+        n = len(game.players)
+        moments = [strategy_moments(game.players[j], game.units[j], profile[j]) for j in range(n)]
+        scaled = []
+        for j, (D, rows) in enumerate(moments):
+            spec, units = game.players[j], game.units[j]
+            assert (D, rows) == reference_scaled_moments(spec, units, profile[j])
+            assert all(type(v) is int for w0_w1 in rows for w in w0_w1 for v in w)
+            fractions = reference_strategy_moments(spec, units, profile[j])
+            assert [([F(v, D) for v in w0], [F(v, D) for v in w1]) for w0, w1 in rows] == fractions
+            scaled.append(reference_scaled_moments(spec, units, profile[j]))
+        for i in range(n):
+            D, forms = interim_affine(game, i, moments)
+            assert D == game.weighted[i].den * math.prod(scaled[j][0] for j in range(n) if j != i)
+            want = [
+                [reference_spliced_affine(game, i, a, idx, scaled)
+                 for a in range(len(game.players[i].actions))]
+                for idx in range(len(game.units[i]))
+            ]
+            assert [[(F(A, D), F(B, D)) for A, B in unit] for unit in forms] == want
+            assert interim_forms(game, i, profile) == want
+            # a payoff and the block integrals against the Fraction moments
+            fractions = reference_strategy_moments(game.players[i], game.units[i], profile[i])
+            assert moment_payoff(moments[i], want) == sum(
+                (A * W0 + B * W1 for (w0, w1), unit in zip(fractions, want)
+                 for W0, W1, (A, B) in zip(w0, w1, unit)),
+                F(0),
+            )
+            assert block_totals(game, i, moments[i]) == [
+                [sum((fractions[u][0][a] for u in b), F(0))
+                 for a in range(len(game.players[i].actions))]
+                for b in game.info[i].blocks
+            ]
+        info = derive_interplayer_info(game)
+        assert [(part.blocks, part.kinds) for part in info] == reference_spliced_info(game)
+        assert reference_spliced_info(game) == reference_info(game)
+
+    def test_permuted_signatures_stay_apart(self):
+        game = permuted_signature_game()
+        assert game.info[0].blocks == ((0,), (1,))
+        assert game.info[1].blocks == ((0, 1),)
 
 
 @st.composite

@@ -738,8 +738,9 @@ class TestIntegerRecheck:
     def test_gain_side_matches_the_fraction_reference(self, case):
         m, rows1, rows2 = case
         game = PenniesGame(m)
+        D, (int1, int2) = pennies._integer_rows(rows1, rows2)
         for side in (1, 2):
-            got = pennies._gain_side(game, side, rows1, rows2)
+            got = pennies._gain_side(game, side, D, int1, int2)
             assert got == reference_gain_side(game, side, rows1, rows2)
             assert all(type(v) is Fraction for v in got)
 
@@ -786,8 +787,8 @@ pennies._gain_matrices = original
 
 gain_side = pennies._gain_side
 
-def broken_side(game, side, rows1, rows2):
-    best, played = gain_side(game, side, rows1, rows2)
+def broken_side(game, side, *rows):
+    best, played = gain_side(game, side, *rows)
     return best, played + (side == 1)  # only player 1's played value is off
 
 pennies._gain_side = broken_side
