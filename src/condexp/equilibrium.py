@@ -32,9 +32,8 @@ from .games import (
     Strategy,
     block_totals,
     coarser_info_check,
-    interim_forms,
     moment_payoff,
-    player_payoff,
+    strategy_moments,
     unit_plan,
     walk_profile,
 )
@@ -139,16 +138,17 @@ def verify_equilibrium(
     """Exact per-player gain of the best pure deviation over the played profile.
 
     ``walk``, when given, is ``walk_profile(game, profile)``: the played
-    payoffs read its moments and the envelopes its forms.
+    payoffs read its moments and the envelopes its integer forms, each
+    player's envelope sum divided by their denominator D once.
     """
     moments, forms = walk or walk_profile(game, profile)
     eps = []
-    for i, (player_moments, player_forms) in enumerate(zip(moments, forms)):
+    for i, (D, player_forms) in enumerate(forms):
         best = ZERO
         for unit, unit_forms in zip(game.units[i], player_forms):
             cell = game.players[i].cells[unit.cell_index]
             best += cell.mass * integrate_envelope(unit_forms, unit.lo, unit.hi)
-        eps.append(best - moment_payoff(player_moments, player_forms))
+        eps.append(best / D - moment_payoff(moments[i], forms[i]))
     return tuple(eps)
 
 
@@ -156,15 +156,15 @@ def improving_deviation(
     game: BayesianGame, profile: Sequence[Strategy], i: int
 ) -> tuple[PureStrategy, Fraction]:
     """Pointwise best-response strategy for player i and its exact gain."""
-    forms = interim_forms(game, i, profile)
+    moments, forms = walk_profile(game, profile)
 
     def best(idx, u, _cell):
-        return [(hi, winners[0]) for _lo, hi, winners in argmax_segments(forms[idx], u.lo, u.hi)]
+        return [(hi, w[0]) for _lo, hi, w in argmax_segments(forms[i][1][idx], u.lo, u.hi)]
 
     deviation = PureStrategy(unit_plan(game, i, best))
     # swapping i's own strategy leaves the forms against the others unchanged
-    played = player_payoff(game, i, profile[i], profile, forms=forms)
-    return deviation, player_payoff(game, i, deviation, profile, forms=forms) - played
+    own = strategy_moments(game.players[i], game.units[i], deviation)
+    return deviation, moment_payoff(own, forms[i]) - moment_payoff(moments[i], forms[i])
 
 
 # -- solvers ------------------------------------------------------------------

@@ -17,10 +17,11 @@ the payoffs' and the density's numerators, with no Fraction per entry.
 
 A profile walk stays in integers too.  A strategy's moments are integers
 over one denominator (``strategy_moments``); ``interim_affine`` reads player
-i's table in one pass against the opponents' moments and sums the forms of
-every own unit and action in integers over the table's denominator times
-the opponents' moment denominators; they become Fractions once per form in
-``interim_forms``.  The agent form sums its coefficients the same way.
+i's table in one pass against the opponents' moments and returns the forms
+of every own unit and action as integers over one denominator, in lowest
+terms, so equal forms are equal integers.  Every reader takes that pair; a
+payoff becomes one Fraction at the end (``moment_payoff``).  The agent form
+sums its coefficients the same way.
 
 The inter-player information of player i is derived, never declared: units of
 i are grouped by the full profile of opponents' density-weighted payoffs, and
@@ -390,12 +391,15 @@ def strategy_moments(spec: PlayerSpec, units: Sequence[Unit], f: Strategy):
 # -- interim and expected payoffs --------------------------------------------
 
 
-def _opponent_moments(game: BayesianGame, i: int, profile: Sequence[Strategy]):
-    return {
-        j: strategy_moments(game.players[j], game.units[j], profile[j])
-        for j in range(len(game.players))
-        if j != i
-    }
+def _moments(game: BayesianGame, profile: Sequence[Strategy], skip: int | None = None):
+    """Each strategy's ``strategy_moments`` (None for player ``skip``), after
+    checking that the profile has one strategy per player."""
+    if len(profile) != len(game.players):
+        raise SchemaError("profile", f"expected {len(game.players)} strategies, got {len(profile)}")
+    return [
+        None if j == skip else strategy_moments(game.players[j], game.units[j], s)
+        for j, s in enumerate(profile)
+    ]
 
 
 def interim_affine(game: BayesianGame, i: int, moments) -> tuple[int, list[list[list[int]]]]:
@@ -405,7 +409,9 @@ def interim_affine(game: BayesianGame, i: int, moments) -> tuple[int, list[list[
 
     ``moments[j]`` is opponent j's ``strategy_moments`` (``moments[i]`` is
     not read).  The sums run in integers over player i's table denominator
-    times the opponents' moment denominators D.
+    times the opponents' moment denominators, and one gcd puts D and the
+    forms in lowest terms.  The forms depend only on the opponents'
+    strategies, so one set serves every own strategy of player i.
     """
     others = [j for j in range(len(game.players)) if j != i]
     den, table = game.weighted[i]
@@ -443,30 +449,16 @@ def interim_affine(game: BayesianGame, i: int, moments) -> tuple[int, list[list[
                 for j, w0, w1 in cols:
                     partial *= (w1 if j == coord else w0)[key[j]]
                 ab[0] += s * partial
-    return den * math.prod(moments[j][0] for j in others), forms
-
-
-def interim_forms(
-    game: BayesianGame, i: int, profile: Sequence[Strategy], moments=None
-) -> list[list[tuple[Fraction, Fraction]]]:
-    """The (A, B) form of every own unit and action: forms[own_unit][action].
-
-    The forms depend only on the opponents' strategies, so one set serves
-    every own strategy of player i against the same opposing profile.
-    ``moments[j]``, when given, is the ``strategy_moments`` of ``profile[j]``
-    (``moments[i]`` is not read): one walk per strategy serves every player.
-    """
-    if moments is None:
-        moments = _opponent_moments(game, i, profile)
-    D, forms = interim_affine(game, i, moments)
-    return [[(Fraction(A, D), Fraction(B, D)) for A, B in unit] for unit in forms]
+    D = den * math.prod(moments[j][0] for j in others)
+    g = math.gcd(D, *(v for unit in forms for ab in unit for v in ab))
+    return D // g, [[[A // g, B // g] for A, B in unit] for unit in forms]
 
 
 def walk_profile(game: BayesianGame, profile: Sequence[Strategy]):
     """``(moments, forms)``: each strategy's ``strategy_moments`` (one check and
-    one walk each), and every player's ``interim_forms`` built from them."""
-    moments = [strategy_moments(game.players[i], game.units[i], s) for i, s in enumerate(profile)]
-    return moments, [interim_forms(game, i, profile, moments) for i in range(len(game.players))]
+    one walk each), and every player's ``interim_affine`` built from them."""
+    moments = _moments(game, profile)
+    return moments, [interim_affine(game, i, moments) for i in range(len(game.players))]
 
 
 def interim_payoff(
@@ -479,53 +471,35 @@ def interim_payoff(
 ) -> Fraction:
     """Average interim payoff of one action over an own unit (or sub-piece)."""
     unit = game.units[i][own_unit]
-    A, B = interim_forms(game, i, profile)[own_unit][action]
+    D, forms = interim_affine(game, i, _moments(game, profile, i))
+    A, B = forms[own_unit][action]
     lo, hi = sub if sub is not None else (unit.lo, unit.hi)
-    return A + B * (lo + hi) / 2
+    return Fraction(2 * A + B * (lo + hi), 2 * D)
 
 
 def player_payoff(
-    game: BayesianGame,
-    i: int,
-    own: Strategy,
-    profile: Sequence[Strategy],
-    forms=None,
+    game: BayesianGame, i: int, own: Strategy, profile: Sequence[Strategy]
 ) -> Fraction:
-    """Ex-ante payoff of player i playing ``own`` against profile's others.
-
-    Pass the ``interim_forms`` of player i against the profile to amortize
-    repeated evaluations against the same opposing strategies.
-    """
+    """Ex-ante payoff of player i playing ``own`` against profile's others."""
     moments = strategy_moments(game.players[i], game.units[i], own)
-    if forms is None:
-        forms = interim_forms(game, i, profile)
-    return moment_payoff(moments, forms)
+    return moment_payoff(moments, interim_affine(game, i, _moments(game, profile, i)))
 
 
 def moment_payoff(moments, forms) -> Fraction:
-    """Sum of ``A*W0 + B*W1`` over a strategy's ``strategy_moments`` and (A, B)
-    forms: a payoff against interim forms, a payoff gap against their difference.
-
-    The forms met by a nonzero W0 go over one denominator L, so the sum runs
-    in integers over L times the moments' D.
-    """
-    D, rows = moments
-    played = [
-        (W0, W1, AB)
-        for (w0, w1), unit_forms in zip(rows, forms)
-        for W0, W1, AB in zip(w0, w1, unit_forms)
-        if W0  # W0 == 0 forces W1 == 0: the weights are nonnegative
-    ]
-    L, ints = over_one_denominator(AB for _W0, _W1, AB in played)
-    return Fraction(sum(A * W0 + B * W1 for (W0, W1, _), (A, B) in zip(played, ints)), L * D)
+    """Sum of ``A*W0 + B*W1`` over a strategy's ``strategy_moments`` and an
+    ``interim_affine`` form set: a payoff against interim forms, a payoff gap
+    against their difference, summed in integers over the two denominators."""
+    (D, rows), (L, unit_forms) = moments, forms
+    total = 0
+    for (w0, w1), unit in zip(rows, unit_forms):
+        total += sum(A * W0 + B * W1 for W0, W1, (A, B) in zip(w0, w1, unit))
+    return Fraction(total, L * D)
 
 
 def expected_payoff(game: BayesianGame, profile: Sequence[Strategy]) -> tuple[Fraction, ...]:
-    """Ex-ante payoffs, exact."""
-    return tuple(
-        player_payoff(game, i, profile[i], profile)
-        for i in range(len(game.players))
-    )
+    """Ex-ante payoffs, exact, from one ``walk_profile``."""
+    moments, forms = walk_profile(game, profile)
+    return tuple(map(moment_payoff, moments, forms))
 
 
 # -- derived inter-player information ----------------------------------------

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .attainable import AtomObstruction
-from .errors import AtomObstructionError
+from .errors import AtomObstructionError, SchemaError
 from .games import (
     BayesianGame,
     BehavioralStrategy,
@@ -106,12 +106,13 @@ def purify_player(
     Each piece of each unit is cut in proportion to its weights, in action
     order; units whose interim payoff is affine in the own coordinate get the
     centroid-preserving symmetric split, so the own payoff integral survives.
-    ``forms`` are player i's ``interim_forms`` against ``behavioral``.
+    ``forms`` is player i's ``interim_affine`` pair ``(D, forms)`` against
+    ``behavioral``, as ``walk_profile`` gives it.
     """
     own = behavioral[i]
 
     def split(idx, u, cell):
-        symmetric = any(B != 0 for _A, B in forms[idx])
+        symmetric = any(B for _A, B in forms[1][idx])
         return split_pieces(own.pieces(cell), ((u.lo, u.hi, symmetric),))
 
     return PureStrategy(unit_plan(game, i, split))
@@ -171,9 +172,10 @@ def audit_equivalence(
     f and g are walked once each (``walk_profile``, or ``walks`` from the
     caller), and every residual reads those moments.  A deviation's strong
     residual |sum((A_f - A_g)*W0 + (B_f - B_g)*W1)| is linear in its moments,
-    so each sample is walked once, against the difference forms; where those
-    are all zero, as after a split that keeps the block totals, every
-    residual is exactly 0 and the samples are checked but not walked.
+    so each sample is walked once, against the difference forms (integers
+    over the product of the two form denominators); where those are all
+    zero, as after a split that keeps the block totals, every residual is
+    exactly 0 and the samples are checked but not walked.
     """
     (mom_f, forms_f), (mom_g, forms_g) = walks or (walk_profile(game, f), walk_profile(game, g))
     n = len(game.players)
@@ -190,14 +192,17 @@ def audit_equivalence(
         tuple(abs(x - y) for x, y in zip(action_totals(mom_f[i]), action_totals(mom_g[i])))
         for i in range(n)
     )
+    if deviations and len(deviations) != n:
+        raise SchemaError("deviations", f"expected {n} rows, got {len(deviations)}")
     strong = []
     for i, spec in enumerate(game.players):
         devs = deviations[i] if deviations else ()
-        diff = [
-            [(Af - Ag, Bf - Bg) for (Af, Bf), (Ag, Bg) in zip(unit_f, unit_g)]
-            for unit_f, unit_g in zip(forms_f[i], forms_g[i])
+        (Df, units_f), (Dg, units_g) = forms_f[i], forms_g[i]
+        diff = Df * Dg, [
+            [(Af * Dg - Ag * Df, Bf * Dg - Bg * Df) for (Af, Bf), (Ag, Bg) in zip(unit_f, unit_g)]
+            for unit_f, unit_g in zip(units_f, units_g)
         ]
-        if any(A or B for unit in diff for A, B in unit):
+        if any(A or B for unit in diff[1] for A, B in unit):
             strong.append(tuple(
                 abs(moment_payoff(strategy_moments(spec, game.units[i], h), diff)) for h in devs
             ))

@@ -204,38 +204,28 @@ def reference_simplex_min(cost, A, b):
 # as the oracle for ``purification.audit_equivalence``: there each profile is
 # walked once and a deviation's strong residual is read against the
 # difference of the two profiles' interim forms.  Here each payoff is a
-# separate ``player_payoff`` call with forms built afresh from the profile.
+# separate ``player_payoff`` call, which builds its forms afresh.
 
 
 def reference_residuals(game, f, g, deviations):
     """(payoff residuals, distribution defects, strong residuals) of f and g."""
-    from condexp.games import interim_forms, player_payoff
+    from condexp.games import player_payoff
 
     n = len(game.players)
-    forms_f = [interim_forms(game, i, f) for i in range(n)]
-    forms_g = [interim_forms(game, i, g) for i in range(n)]
 
     def totals(i, s):
         moments = reference_strategy_moments(game.players[i], game.units[i], s)
         return [sum((w0[a] for w0, _w1 in moments), F(0)) for a in range(len(moments[0][0]))]
 
     payoff = tuple(
-        abs(
-            player_payoff(game, i, f[i], f, forms=forms_f[i])
-            - player_payoff(game, i, g[i], g, forms=forms_g[i])
-        )
-        for i in range(n)
+        abs(player_payoff(game, i, f[i], f) - player_payoff(game, i, g[i], g)) for i in range(n)
     )
     defects = tuple(
         tuple(abs(x - y) for x, y in zip(totals(i, f[i]), totals(i, g[i]))) for i in range(n)
     )
     strong = tuple(
         tuple(
-            abs(
-                player_payoff(game, i, h, f, forms=forms_f[i])
-                - player_payoff(game, i, h, g, forms=forms_g[i])
-            )
-            for h in deviations[i]
+            abs(player_payoff(game, i, h, f) - player_payoff(game, i, h, g)) for h in deviations[i]
         )
         for i in range(n)
     )

@@ -29,8 +29,8 @@ from condexp.games import (
     TypeCell,
     derive_interplayer_info,
     expected_payoff,
-    interim_forms,
     uniform_strategy,
+    walk_profile,
 )
 from condexp.purification import purify_player
 from condexp.serialize import load_game
@@ -273,9 +273,9 @@ class TestPurify:
             game = random_coarser_game(rng, 2, own_affine=own_affine)
             report = solve_behavioral(game)
             purified = purify_equilibrium(game, report)
+            _moments, forms = walk_profile(game, report.profile)
             assert purified.profile == tuple(
-                purify_player(game, i, report.profile, interim_forms(game, i, report.profile))
-                for i in range(2)
+                purify_player(game, i, report.profile, forms[i]) for i in range(2)
             )
             assert purified.mixtures_preserved
 

@@ -21,11 +21,14 @@ from condexp.games import (
     derive_interplayer_info,
     expected_payoff,
     g_conditional,
-    interim_forms,
+    interim_affine,
     interim_payoff,
+    moment_payoff,
     player_payoff,
+    strategy_moments,
     substitute_conditioned,
     uniform_strategy,
+    walk_profile,
 )
 
 from condexp.purification import random_behavioral
@@ -393,13 +396,13 @@ class TestExpectedPayoff:
         profile = random_profile(rng, game)
         u = expected_payoff(game, profile)
         # independent path: integrate interim payoffs against own weights
-        from condexp.games import as_behavioral, interim_affine, _opponent_moments
+        from condexp.games import as_behavioral, _moments
         from helpers import breakpoints, common_refinement, payload_at
 
         for i in range(2):
             spec = game.players[i]
             fb = as_behavioral(spec, profile[i])
-            D, unit_forms = interim_affine(game, i, _opponent_moments(game, i, profile))
+            D, unit_forms = interim_affine(game, i, _moments(game, profile, i))
             total = F(0)
             for idx, unit in enumerate(game.units[i]):
                 cell = spec.cells[unit.cell_index]
@@ -503,12 +506,13 @@ class TestCompiledTables:
         )
         assert_tables_match_entry_product(game)
         profile = random_profile(rng, game)
+        _moments, forms = walk_profile(game, profile)
         for i, spec in enumerate(game.players):
-            forms = interim_forms(game, i, profile)
+            # one form set serves every own strategy of player i
             for own in (profile[i], random_behavioral(spec, rng)):
-                assert player_payoff(game, i, own, profile, forms=forms) == player_payoff(
-                    game, i, own, profile
-                )
+                assert moment_payoff(
+                    strategy_moments(spec, game.units[i], own), forms[i]
+                ) == player_payoff(game, i, own, profile)
 
 
 class TestInterimSubPiece:
@@ -692,13 +696,14 @@ class TestIntegerTables:
         from condexp.equilibrium import AgentForm
 
         assert_tables_match_entry_product(game)
+        _moments, walked = walk_profile(game, profile)
         for i, spec in enumerate(game.players):
-            forms = interim_forms(game, i, profile)
+            D, forms = walked[i]
             for idx in range(len(game.units[i])):
                 for a in range(len(spec.actions)):
-                    got = forms[idx][a]
-                    assert got == reference_interim_affine(game, i, a, idx, profile)
-                    assert all(type(v) is F for v in got)
+                    A, B = forms[idx][a]
+                    assert type(A) is int and type(B) is int
+                    assert (F(A, D), F(B, D)) == reference_interim_affine(game, i, a, idx, profile)
         info = derive_interplayer_info(game)
         assert [(part.blocks, part.kinds) for part in info] == reference_info(game)
         coeff = AgentForm(game).coeff
@@ -821,7 +826,7 @@ class TestOnePassWalk:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(walk_cases())
     def test_kernels_match_the_spliced_references(self, case):
-        from condexp.games import block_totals, interim_affine, moment_payoff, strategy_moments
+        from condexp.games import block_totals
         from helpers import (
             reference_scaled_moments,
             reference_spliced_affine,
@@ -842,17 +847,18 @@ class TestOnePassWalk:
             scaled.append(reference_scaled_moments(spec, units, profile[j]))
         for i in range(n):
             D, forms = interim_affine(game, i, moments)
-            assert D == game.weighted[i].den * math.prod(scaled[j][0] for j in range(n) if j != i)
+            # lowest terms: D and the entries share no factor
+            assert D > 0 and math.gcd(D, *(v for unit in forms for ab in unit for v in ab)) == 1
             want = [
                 [reference_spliced_affine(game, i, a, idx, scaled)
                  for a in range(len(game.players[i].actions))]
                 for idx in range(len(game.units[i]))
             ]
             assert [[(F(A, D), F(B, D)) for A, B in unit] for unit in forms] == want
-            assert interim_forms(game, i, profile) == want
+            assert walk_profile(game, profile)[1][i] == (D, forms)
             # a payoff and the block integrals against the Fraction moments
             fractions = reference_strategy_moments(game.players[i], game.units[i], profile[i])
-            assert moment_payoff(moments[i], want) == sum(
+            assert moment_payoff(moments[i], (D, forms)) == sum(
                 (A * W0 + B * W1 for (w0, w1), unit in zip(fractions, want)
                  for W0, W1, (A, B) in zip(w0, w1, unit)),
                 F(0),
@@ -870,6 +876,52 @@ class TestOnePassWalk:
         game = permuted_signature_game()
         assert game.info[0].blocks == ((0,), (1,))
         assert game.info[1].blocks == ((0, 1),)
+
+
+class TestLowestTermsForms:
+    """``interim_affine`` returns its forms in lowest terms, so two walks give
+    equal ``(D, forms)`` exactly when their Fraction forms are equal."""
+
+    @staticmethod
+    def reference_forms(game, profile):
+        return [
+            [
+                [reference_interim_affine(game, i, a, idx, profile) for a in range(m)]
+                for idx in range(len(game.units[i]))
+            ]
+            for i, m in enumerate(len(spec.actions) for spec in game.players)
+        ]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=2, max_value=3),
+        st.booleans(),
+        st.sampled_from(["random", "purified", "conditioned"]),
+    )
+    def test_equal_forms_are_equal_integers(self, seed, n, own_affine, pair):
+        from condexp.purification import purification
+
+        rng = random.Random(seed)
+        game = random_coarser_game(
+            rng, n, own_affine=own_affine, max_actions=3 if n == 2 else 2
+        )
+        f = random_profile(rng, game)
+        if pair == "random":
+            g = random_profile(rng, game)
+        elif pair == "purified":
+            g = purification(game, f)[1]
+        else:
+            g = substitute_conditioned(game, f, 0)
+        forms_f, forms_g = walk_profile(game, f)[1], walk_profile(game, g)[1]
+        ref_f, ref_g = self.reference_forms(game, f), self.reference_forms(game, g)
+        for i in range(n):
+            assert (forms_f[i] == forms_g[i]) == (ref_f[i] == ref_g[i])
+        if pair == "purified":
+            # the split keeps every block total: no player's forms move
+            assert forms_f == forms_g
+        elif pair == "conditioned":
+            assert forms_f[0] == forms_g[0]
 
 
 @st.composite

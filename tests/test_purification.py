@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condexp import games, purification
-from condexp.equilibrium import purify_equilibrium, solve_behavioral
-from condexp.errors import AtomObstructionError
+from condexp.equilibrium import purify_equilibrium, solve_behavioral, verify_equilibrium
+from condexp.errors import AtomObstructionError, SchemaError
 from condexp.factories import matching_pennies_game
 from condexp.games import BehavioralStrategy, PureStrategy, uniform_strategy
 from condexp.purification import (
@@ -377,3 +377,26 @@ class TestPermutationEquivariance:
         for unit in range(len(game.units[0])):
             for a in range(m0):
                 assert F(mom_p[unit][0][a], D_p) == F(mom[unit][0][perm[a]], D)
+
+
+class TestProfileLength:
+    """A profile or a deviation list of the wrong length is a typed error."""
+
+    def test_wrong_lengths_raise_schema_errors(self):
+        from condexp.games import expected_payoff
+
+        game = matching_pennies_game(2)
+        f = [uniform_strategy(spec) for spec in game.players]
+        deviations = [[uniform_strategy(game.players[0])]]
+        one = ("profile", "expected 2 strategies, got 1")
+        calls = [
+            (lambda: verify_equilibrium(game, f[:1]), one),
+            (lambda: verify_equilibrium(game, f + f[:1]), ("profile", "expected 2 strategies, got 3")),
+            (lambda: expected_payoff(game, f[:1]), one),
+            (lambda: strong_purify(game, f[:1]), one),
+            (lambda: audit_equivalence(game, f, f, deviations), ("deviations", "expected 2 rows, got 1")),
+        ]
+        for call, want in calls:
+            with pytest.raises(SchemaError) as exc:
+                call()
+            assert (exc.value.path, exc.value.message) == want
