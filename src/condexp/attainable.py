@@ -373,10 +373,11 @@ def convexify_witness(
 ):
     """A selection whose conditional expectation blends those of s1 and s2.
 
-    On atom-free spaces the proportional split always succeeds and the blend
-    identity holds exactly.  With saturated or point cells present, the blend
-    is realized per block when achievable; otherwise an AtomObstruction names
-    the obstructing cell, the failing alpha, and the defect.
+    Every block is realized on its own: all-rich blocks (every block of an
+    atom-free space) by the proportional split, which always succeeds; other
+    blocks when achievable, else an AtomObstruction names the obstructing
+    cell, the failing alpha and the defect.  Every witness, on every space, is
+    checked against the blended conditional expectation (ArithmeticError if not).
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
@@ -384,10 +385,6 @@ def convexify_witness(
     s1.validate(F.space.cells, F.branch_count, "s1")
     s2.validate(F.space.cells, F.branch_count, "s2")
     space = F.space
-    has_atom, _ = space.has_g_atom()
-    if not has_atom:
-        return _proportional_blend(F, s1, s2, alpha, space.cells)
-
     v1 = selection_value(F, s1)
     v2 = selection_value(F, s2)
     blend = linear_combination(space, [(alpha, v1), (Fraction(1) - alpha, v2)])
@@ -401,8 +398,7 @@ def convexify_witness(
                 return result
             assignments[cells[0].id] = result
         elif all(c.kind is CellKind.RICH for c in cells):
-            part = _proportional_blend(F, s1, s2, alpha, cells)
-            assignments.update(part.plan)
+            assignments.update(_proportional_blend(F, s1, s2, alpha, cells))
         else:
             value = _block_value(space, target_fn, cells)
             result = _mixed_block_blend(F, label, cells, value, alpha)
@@ -416,7 +412,7 @@ def convexify_witness(
     return witness
 
 
-def _proportional_blend(F, s1, s2, alpha, cells) -> Selection:
+def _proportional_blend(F, s1, s2, alpha, cells) -> dict[str, object]:
     """Cut every constancy piece of the (rich) cells at alpha of its length."""
     assignments: dict[str, object] = {}
     for c in cells:
@@ -431,7 +427,7 @@ def _proportional_blend(F, s1, s2, alpha, cells) -> Selection:
                 append_piece(pieces, cut, k1)
                 append_piece(pieces, hi, k2)
         assignments[c.id] = pack_pieces(c, pieces)
-    return Selection(assignments)
+    return assignments
 
 
 def _saturated_blend(F, cell, blend_fn, alpha):

@@ -128,23 +128,12 @@ def cmd_convexify(args) -> int:
     if isinstance(out, attainable.AtomObstruction):
         _emit({"obstruction": serialize.dump_obstruction(out)}, args.out)
         return EXIT_NEGATIVE
-    from .correspondences import selection_value
-    from .measure import functions_equal, linear_combination
-
-    space = F.space
-    achieved = space.conditional_expectation(selection_value(F, out))
-    target = linear_combination(
-        space,
-        [
-            (args.alpha, space.conditional_expectation(selection_value(F, s1))),
-            (1 - args.alpha, space.conditional_expectation(selection_value(F, s2))),
-        ],
-    )
     _emit(
         {
-            "selection": serialize.dump_selection(out, space),
+            "selection": serialize.dump_selection(out, F.space),
             "alpha": serialize.frac_str(args.alpha),
-            "identity_verified": functions_equal(space, achieved, target),
+            # convexify_witness raises unless the blend identity holds
+            "identity_verified": True,
         },
         args.out,
     )

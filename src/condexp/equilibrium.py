@@ -30,8 +30,10 @@ from .games import (
     BehavioralStrategy,
     PureStrategy,
     Strategy,
+    _moments,
     block_totals,
     coarser_info_check,
+    interim_affine,
     moment_payoff,
     strategy_moments,
     unit_plan,
@@ -156,15 +158,16 @@ def improving_deviation(
     game: BayesianGame, profile: Sequence[Strategy], i: int
 ) -> tuple[PureStrategy, Fraction]:
     """Pointwise best-response strategy for player i and its exact gain."""
-    moments, forms = walk_profile(game, profile)
+    moments = _moments(game, profile)
+    forms = interim_affine(game, i, moments)
 
     def best(idx, u, _cell):
-        return [(hi, w[0]) for _lo, hi, w in argmax_segments(forms[i][1][idx], u.lo, u.hi)]
+        return [(hi, w[0]) for _lo, hi, w in argmax_segments(forms[1][idx], u.lo, u.hi)]
 
     deviation = PureStrategy(unit_plan(game, i, best))
     # swapping i's own strategy leaves the forms against the others unchanged
     own = strategy_moments(game.players[i], game.units[i], deviation)
-    return deviation, moment_payoff(own, forms[i]) - moment_payoff(moments[i], forms[i])
+    return deviation, moment_payoff(own, forms) - moment_payoff(moments[i], forms)
 
 
 # -- solvers ------------------------------------------------------------------

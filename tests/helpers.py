@@ -916,6 +916,33 @@ def reference_mixed_block_blend(F_, label, cells, value, alpha):
     raise ArithmeticError(f"block {label} is at distance 0 but no point-cell choice attains it")
 
 
+# -- reference atom-free blend ----------------------------------------------------
+#
+# The proportional split as ``convexify_witness`` once returned it on an
+# atom-free space: one cut over the whole space at once, with no block loop
+# and no check of the witness.  It is the oracle of the per-block path, whose
+# cut of each cell must not depend on how the cells are grouped into blocks.
+
+
+def reference_proportional_blend(F_, s1, s2, alpha):
+    from condexp.correspondences import Selection
+    from condexp.piecewise import append_piece, pack_pieces
+
+    assignments = {}
+    for c in F_.space.cells:
+        pieces = []
+        for lo, hi, _values, k1, k2 in F_.walk(c, s1.pieces(c), s2.pieces(c)):
+            if k1 == k2 or alpha == 1:
+                append_piece(pieces, hi, k1)
+            elif alpha == 0:
+                append_piece(pieces, hi, k2)
+            else:
+                append_piece(pieces, lo + alpha * (hi - lo), k1)
+                append_piece(pieces, hi, k2)
+        assignments[c.id] = pack_pieces(c, pieces)
+    return Selection(assignments)
+
+
 # -- reference pennies recheck on Fraction rows -----------------------------------
 #
 # The exact recheck as it ran on ``Fraction`` rows, kept as the oracle for

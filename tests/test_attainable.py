@@ -62,6 +62,7 @@ from helpers import (
     reference_distance,
     reference_extreme_points,
     reference_mixed_block_blend,
+    reference_proportional_blend,
     reference_rademacher_escape,
     reference_rich_vertices,
     reference_uhc_audit,
@@ -732,6 +733,20 @@ try:
 except ArithmeticError as exc:
     print("convexify:", exc)
 
+# convexify on an atom-free space: the proportional split takes s2's branch
+# where s1's belongs and vice versa, so the witness blends at 1 - alpha
+Fa = binary([Cell("r", F(1, 2), CellKind.RICH, "g"), Cell("q", F(1, 2), CellKind.RICH, "h")])
+proportional = attainable._proportional_blend
+attainable._proportional_blend = lambda F_, s1, s2, alpha, cells: proportional(
+    F_, s2, s1, alpha, cells
+)
+s1 = Selection({"r": ((F(1), 0),), "q": ((F(1), 0),)})
+s2 = Selection({"r": ((F(1), 1),), "q": ((F(1), 1),)})
+try:
+    attainable.convexify_witness(Fa, s1, s2, F(1, 4))
+except ArithmeticError as exc:
+    print("convexify:", exc)
+
 # derandomize: every piece goes to branch 0, whatever its weights
 Fr = binary([Cell("r", F(1), CellKind.RICH, "r")])
 attainable.split_pieces = lambda pieces, spans: [(hi, 0) for _lo, hi, _symmetric in spans]
@@ -771,6 +786,7 @@ class TestChecksSurviveOptimize:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == [
+            "convexify: convexify witness misses the blended conditional expectation",
             "convexify: convexify witness misses the blended conditional expectation",
             "derandomize: derandomized selection misses the mixture's conditional expectation",
             "lp: zero-sum LP values disagree: -1 vs 1",
@@ -1046,6 +1062,46 @@ class TestMembershipByDistance:
         result = membership(Fc, step(Fc.space, {c.id: value for c in Fc.space.cells}, Fc.dim))
         assert result.member == expected
         assert all(cert.distance > 0 for cert in result.failures)
+
+
+@st.composite
+def atom_free_blends(draw):
+    """A correspondence on 1-3 blocks of 1-2 rich cells each, in dimension
+    1-2 with 2-3 branches of up to three pieces per cell, two random
+    selections of up to three pieces per cell, and an alpha in [0, 1]."""
+    dim = draw(st.integers(1, 2))
+    n_branches = draw(st.integers(2, 3))
+    blocks = range(draw(st.integers(1, 3)))
+    ids = [(f"c{b}{k}", f"g{b}") for b in blocks for k in range(draw(st.integers(1, 2)))]
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(ids), max_size=len(ids)))
+    cells = [rich_cell(cid, F(w, sum(weights)), block) for (cid, block), w in zip(ids, weights)]
+    sp = space(*cells)
+
+    def pieces(payload):
+        cut = st.sampled_from([F(1, 5), F(1, 3), F(1, 2), F(3, 4)])
+        cuts = draw(st.lists(cut, max_size=2, unique=True))
+        return [(upto, draw(payload)) for upto in sorted(cuts) + [F(1)]]
+
+    value = st.tuples(*[st.integers(-3, 3)] * dim)
+    branches = tuple(
+        step(sp, {c.id: pieces(value) for c in cells}, dim) for _ in range(n_branches)
+    )
+    index = st.integers(0, n_branches - 1)
+    s1, s2 = (sel(sp, {c.id: pieces(index) for c in cells}) for _ in range(2))
+    alpha = draw(st.sampled_from([F(0), F(1), F(1, 2)]) | st.fractions(0, 1, max_denominator=12))
+    return FiniteIndexedCorrespondence(sp, branches), s1, s2, alpha
+
+
+class TestAtomFreeBlend:
+    """On an atom-free space every block is all rich, so the per-block path
+    gives each cell the cut that one split over the whole space gives it."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(atom_free_blends())
+    def test_matches_the_whole_space_cut(self, case):
+        Fc, s1, s2, alpha = case
+        expected = reference_proportional_blend(Fc, s1, s2, alpha)
+        assert convexify_witness(Fc, s1, s2, alpha) == expected
 
 
 class TestAttainedChoices:

@@ -872,15 +872,17 @@ class TestParserReuse:
 class TestSubprocessDeterminism:
     def test_separate_processes_byte_identical(self, tmp_path):
         # separate interpreter runs rule out per-process ordering effects
+        import os
         import subprocess
         import sys
 
+        # the child imports condexp from this tree's src/, whatever the
+        # caller's PYTHONPATH
+        src = str(Path(__file__).resolve().parents[1] / "src")
         env_variants = [{"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "42"}]
         outputs = []
         for extra in env_variants:
-            import os
-
-            env = dict(os.environ, **extra)
+            env = dict(os.environ, PYTHONPATH=src, **extra)
             proc = subprocess.run(
                 [
                     sys.executable,

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condexp import games, purification
-from condexp.equilibrium import purify_equilibrium, solve_behavioral, verify_equilibrium
+from condexp.equilibrium import (
+    improving_deviation,
+    purify_equilibrium,
+    solve_behavioral,
+    verify_equilibrium,
+)
 from condexp.errors import AtomObstructionError, SchemaError
 from condexp.factories import matching_pennies_game
 from condexp.games import BehavioralStrategy, PureStrategy, uniform_strategy
@@ -218,6 +223,21 @@ class TestInterimFormReuse:
         purified = purify_equilibrium(game, report)
         assert purified.payoffs_preserved and purified.mixtures_preserved
         assert len(calls) == 2 + 2
+
+    def test_improving_deviation_builds_one_form_set(self, monkeypatch):
+        # the deviator's forms need every opponent's moments but no other
+        # player's forms: one interim_affine call, not one per player.  Its
+        # gain is the one the whole walk's forms give
+        rng = random.Random(3)
+        game = random_coarser_game(rng, 3, max_actions=2)
+        profile = random_profile(rng, game)
+        moments, forms = games.walk_profile(game, profile)
+        calls = self.count_interim_affine(monkeypatch)
+        dev, gain = improving_deviation(game, profile, 1)
+        assert len(calls) == 1
+        own = games.strategy_moments(game.players[1], game.units[1], dev)
+        assert gain == games.moment_payoff(own, forms[1]) - games.moment_payoff(moments[1], forms[1])
+        assert gain == verify_equilibrium(game, profile)[1]
 
     def test_solve_and_purify_walk_each_strategy_once(self, monkeypatch):
         # solve verifies from one walk of the solved profile and hands it
