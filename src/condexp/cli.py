@@ -22,7 +22,11 @@ from .games import coarser_info_check
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NEGATIVE = 2
-MAX_LEVEL = 16  # caps rademacher/pennies --m and uhc-audit --depth, whose work grows fast
+# Caps rademacher/pennies --m and uhc-audit --depth.  The escape audits read
+# each level in closed form, so for them it bounds the size of the numbers
+# (denominators up to 2^m) and the levels uhc-audit walks; for pennies, the
+# action count, which the lab's work grows with.
+MAX_LEVEL = 16
 
 
 def _read(path: str):
@@ -41,7 +45,7 @@ def _read(path: str):
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = serialize.report_text(report) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)

@@ -2,12 +2,13 @@
 
 Rationals travel as strings ("3/4", "2"); loaders raise SchemaError with a
 JSON-style path to the offending element, and dumpers emit plain dict/list
-trees that serialize byte-identically under sorted-keys JSON.
+trees that ``report_text`` writes as indented sorted-keys JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 from fractions import Fraction
 from typing import Any, Sequence
@@ -55,7 +56,7 @@ def _frac(value: Any, path: str) -> Fraction:
 
 
 def frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x) if isinstance(x, Fraction) else str(Fraction(x))
 
 
 def _expect(obj: Any, kind: type, path: str):
@@ -301,7 +302,11 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
         for k, ed in enumerate(_expect(doc, list, p)):
             if not isinstance(ed, dict):
                 _expect(ed, dict, f"{p}[{k}]")
-            key = _int_tuple(ed.get("units"), p, k, "units")
+            units = ed.get("units")
+            if type(units) is list and all(type(x) is int for x in units):
+                key = tuple(units)
+            else:
+                key = _int_tuple(units, p, k, "units")
             if key in entries:
                 raise SchemaError(f"{p}[{k}].units", f"repeats unit tuple {key}")
             raw = (ed.get("const", "0"), ed.get("slope", "0"), ed.get("coord"))
@@ -467,6 +472,56 @@ def dump_report(obj: Any, **fields) -> dict:
     out = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.repr}
     out.update(fields)
     return {key: _encode(value) for key, value in out.items()}
+
+
+_quote = json.encoder.encode_basestring_ascii  # CPython's C string escaper
+
+
+def report_text(tree: Any) -> str:
+    """``json.dumps(tree, indent=2, sort_keys=True)``, byte for byte.
+
+    Dicts with string keys, lists and tuples are walked here, strings are
+    escaped by ``json``'s own C escaper and ints, bools and None written as
+    ``json`` writes them; anything else (a float, an object ``json`` refuses)
+    goes through ``json.dumps`` itself, re-indented to its depth, which is
+    exact since JSON text never holds a raw newline inside a string.
+    """
+    parts: list[str] = []
+    append = parts.append
+
+    def write(value: Any, newline: str) -> None:
+        t = type(value)
+        if t is str:
+            append(_quote(value))
+        elif t is dict and all(type(key) is str for key in value):
+            inner = newline + "  "
+            sep = "{" + inner
+            for key in sorted(value):
+                append(sep + _quote(key) + ": ")
+                write(value[key], inner)
+                sep = "," + inner
+            append(newline + "}" if value else "{}")
+        elif t is list or t is tuple:
+            inner = newline + "  "
+            sep = "[" + inner
+            for x in value:
+                append(sep)
+                write(x, inner)
+                sep = "," + inner
+            append(newline + "]" if value else "[]")
+        elif t is int:
+            append(int.__repr__(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        else:
+            append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
+
+    write(tree, "\n")
+    return "".join(parts)
 
 
 def dump_block_set(bs: CondExpBlockSet) -> dict:

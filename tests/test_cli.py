@@ -470,6 +470,28 @@ class TestLoaderInput:
                 lambda d: d["game"]["density"][0].update(units=["x", 0]),
                 "game.density[0].units[0]: expected an integer, got 'x'",
             ),
+            # a unit tuple holds ints only (True == 1 is refused) and is a
+            # JSON list, on the density and on a payoff entry alike
+            (
+                lambda d: d["game"]["density"][0].update(units=[True, 0]),
+                "game.density[0].units[0]: expected an integer, got True",
+            ),
+            (
+                lambda d: d["game"]["density"][0].update(units="0,0"),
+                "game.density[0].units: expected list, got str",
+            ),
+            (
+                lambda d: d["game"]["density"][0].pop("units"),
+                "game.density[0].units: expected list, got NoneType",
+            ),
+            (
+                lambda d: d["game"]["payoffs"][0][0]["entries"][0].update(units=[0, True]),
+                "game.payoffs[0][0].entries[0].units[1]: expected an integer, got True",
+            ),
+            (
+                lambda d: d["game"]["payoffs"][0][0]["entries"][0].update(units={"0": 0}),
+                "game.payoffs[0][0].entries[0].units: expected list, got dict",
+            ),
             (
                 lambda d: d["game"]["payoffs"][0][0].update(profile=[0, "1"]),
                 "game.payoffs[0][0].profile[1]: expected an integer, got '1'",
@@ -580,7 +602,9 @@ class TestLoaderInput:
                 "game.players[0].cells[0].grid: grid must end at 1",
             ),
         ],
-        ids=["piece-not-object", "unit-not-integer", "profile-action-not-integer",
+        ids=["piece-not-object", "unit-not-integer", "density-unit-bool",
+             "density-units-not-list", "density-units-missing", "payoff-unit-bool",
+             "payoff-units-not-list", "profile-action-not-integer",
              "unit-float", "pure-action-not-integer", "point-not-bool",
              "profile-extra-entry", "profile-short", "coord-bool", "repeated-density-units",
              "repeated-payoff-units", "repeated-profile", "density-units-off-grid",

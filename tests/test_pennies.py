@@ -260,6 +260,23 @@ class TestGains:
                 )
                 assert gains == (F(0), F(0))
 
+    def test_caller_rows_are_checked(self):
+        # only an m-action IntervalUnionStrategy skips the row check, its
+        # partition being checked when it is built
+        game = PenniesGame(2)
+        good = uniform_rows(2)
+        falling = ((F(1, 2), (F(1), F(0))), (F(1, 4), (F(0), F(1))), (F(1), (F(1), F(0))))
+        unsummed = ((F(1), (F(1, 2), F(1, 4))),)
+        three = strategy(3, [(0, 1)], [], [])
+        for bad, message in (
+            (falling, "strategy: breakpoints must increase"),
+            (unsummed, "strategy: weights must be >= 0 and sum to 1"),
+            (three, "strategy: expected 2 weights"),
+        ):
+            for profile in ((bad, good), (good, bad)):
+                with pytest.raises(SchemaError, match=message):
+                    behavioral_profile_gain(game, *profile)
+
     def test_best_response_gain_is_zero(self):
         game = PenniesGame(2)
         rng = random.Random(5)
