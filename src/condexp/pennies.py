@@ -288,20 +288,12 @@ def _gain_side(game: PenniesGame, side: int, D: int, rows1: IntegerRows, rows2: 
     return Fraction(best, D**3), Fraction(played, D**4)
 
 
-def _checked_rows(strategy, m: int) -> BehavioralRows:
-    """The strategy's rows, validated unless they are the one-hot rows of an
-    m-action ``IntervalUnionStrategy``, a partition checked when it was built."""
-    if isinstance(strategy, IntervalUnionStrategy) and len(strategy.actions) == m:
-        return strategy.weight_rows()
-    rows = _as_rows(strategy)
-    _validate_rows(rows, m)
-    return rows
-
-
 def _both_sides(game: PenniesGame, s1, s2):
-    """_gain_side of player 1, then of player 2, on checked rows put over
+    """_gain_side of player 1, then of player 2, on validated rows put over
     one denominator once for both."""
-    rows1, rows2 = _checked_rows(s1, game.m), _checked_rows(s2, game.m)
+    rows1, rows2 = _as_rows(s1), _as_rows(s2)
+    _validate_rows(rows1, game.m)
+    _validate_rows(rows2, game.m)
     D, (int1, int2) = _integer_rows(rows1, rows2)
     return _gain_side(game, 1, D, int1, int2), _gain_side(game, 2, D, int1, int2)
 
@@ -366,7 +358,8 @@ def balance_defect(partition, side: int = 2, m: int | None = None) -> Fraction:
         m = len(partition.actions)
     elif m is None:
         m = len(partition[0][1]) if partition else 0  # empty rows fail below
-    rows = _checked_rows(partition, m)
+    rows = _as_rows(partition)
+    _validate_rows(rows, m)
     D, (rows, uniform) = _integer_rows(rows, uniform_rows(m))
     ((_lo, _hi, uniform),) = _opposing_segments(uniform, m, side)
     total = 0

@@ -302,11 +302,7 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
         for k, ed in enumerate(_expect(doc, list, p)):
             if not isinstance(ed, dict):
                 _expect(ed, dict, f"{p}[{k}]")
-            units = ed.get("units")
-            if type(units) is list and all(type(x) is int for x in units):
-                key = tuple(units)
-            else:
-                key = _int_tuple(units, p, k, "units")
+            key = _int_tuple(ed.get("units"), p, k, "units")
             if key in entries:
                 raise SchemaError(f"{p}[{k}].units", f"repeats unit tuple {key}")
             raw = (ed.get("const", "0"), ed.get("slope", "0"), ed.get("coord"))

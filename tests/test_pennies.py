@@ -261,8 +261,8 @@ class TestGains:
                 assert gains == (F(0), F(0))
 
     def test_caller_rows_are_checked(self):
-        # only an m-action IntervalUnionStrategy skips the row check, its
-        # partition being checked when it is built
+        # raw rows with falling breakpoints or unsummed weights, and a
+        # strategy with the wrong action count, fail on either side
         game = PenniesGame(2)
         good = uniform_rows(2)
         falling = ((F(1, 2), (F(1), F(0))), (F(1, 4), (F(0), F(1))), (F(1), (F(1), F(0))))
