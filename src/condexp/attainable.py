@@ -729,19 +729,3 @@ def uhc_audit(space: MeasureSpaceModel, cell_id: str, depth: int = 8) -> UhcAudi
         identities_ok=identities_ok,
     )
 
-
-def dyadic_indicator(
-    space: MeasureSpaceModel, cell_id: str, lo: Fraction, hi: Fraction
-) -> StepFunction:
-    """Scalar indicator of a sub-interval of one cell's inner coordinate."""
-    pieces = []
-    if lo > 0:
-        pieces.append((lo, (Fraction(0),)))
-    pieces.append((hi, (Fraction(1),)))
-    if hi < 1:
-        pieces.append((Fraction(1), (Fraction(0),)))
-    zero = ((Fraction(1), (Fraction(0),)),)
-    values: dict[str, object] = {}
-    for c in space.cells:
-        values[c.id] = pack_pieces(c, pieces if c.id == cell_id else zero)
-    return StepFunction(1, values)

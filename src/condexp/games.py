@@ -626,13 +626,3 @@ def g_conditional(game: BayesianGame, i: int, f: Strategy) -> BehavioralStrategy
 
     return BehavioralStrategy(unit_plan(game, i, conditioned))
 
-
-def substitute_conditioned(
-    game: BayesianGame, profile: Sequence[Strategy], keep: int
-) -> list[Strategy]:
-    """Replace every opponent of ``keep`` by its conditioned strategy."""
-    out = list(profile)
-    for j in range(len(game.players)):
-        if j != keep:
-            out[j] = g_conditional(game, j, profile[j])
-    return out

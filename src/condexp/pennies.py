@@ -13,8 +13,8 @@ profile search that certifies no pure profile is close to equilibrium.
 
 On an r-grid strategy every value form has slope -1, 0 or 1 on each cell, in
 units of 1/r, so two forms cross inside a cell only at its midpoint and the
-search's gains are integers over 2r^2.  Its played values are float32 matrix
-products whose partial sums stay within 2r^2 <= 8192, exact below 2^24; the
+search's gains are integers over 2r^2, from one float32 difference product per
+row block (partial sums within 4r^2 <= 16384 < 2^24, never an S x S array); the
 strategy family is one (S, r) array, its seeded sample unranked position by
 position across all picks at once, and the minimising pair alone is
 re-certified exactly on integer rows, independently of the lane's midpoint
@@ -500,18 +500,21 @@ def _unrank_changing(r: int, budget: int, tails, indices: np.ndarray) -> np.ndar
     return rows
 
 
-def _gain_matrices(m: int, r: int, strategies: np.ndarray):
-    """gain1[i1, i2] and gain2[i1, i2] for all strategy pairs, as float32
-    arrays holding integer numerators over 2r^2.
+ROW_BLOCK = 64  # player-1 strategies per block: 150 KB of gains per block at S = 600
+
+
+def _gain_lane(m: int, r: int, strategies: np.ndarray):
+    """(best1, best2, base, diffs, ones), the per-strategy parts of the gains
+    that ``_block_gains`` combines, as integers over 2r^2 in float32.
 
     Value forms are held as integer counts at the grid points (units of
     1/r), so on a cell each has slope -1, 0 or 1 and two of them can cross
     only at the midpoint: the envelope's twice-integral over the cell is
-    (max lo + max(lo + hi) + max hi) / (2r^2).  The played values are
-    one-hot products in float32 on integers: a form is at most k in size k
-    cells from its zero end, so any partial sum is at most 2r^2 <= 8192,
-    below 2^24, and the products are exact.  Each best-response value is at
-    most 4r^2, so the gains are exact too.
+    (max lo + max(lo + hi) + max hi) / (2r^2), at most 4r^2 in all.  The
+    game is zero sum, so only player 2's forms are played: per player-1
+    strategy, action 0's twice-integral ``base`` and, cell by cell, the
+    other actions' differences from it (``diffs``, laid out as ``ones``, the
+    one-hot rows of actions 1 to m - 1).
     """
     S = len(strategies)
     # action-major, so that each max over the actions runs across whole slabs
@@ -524,21 +527,29 @@ def _gain_matrices(m: int, r: int, strategies: np.ndarray):
     above = cums[:, :, -1:] - cums
     G1 = above - np.roll(above, -1, axis=0)
 
-    def best_and_played(G):
+    def best_and_midpoints(G):
         top = G.max(axis=0)  # the envelope at the grid points
-        sums = G[:, :, :-1] + G[:, :, 1:]  # twice each form at the cell midpoints
-        best = top[:, :-1].sum(axis=1) + top[:, 1:].sum(axis=1) + sums.max(axis=0).sum(axis=1)
-        return best, (2 * sums).transpose(1, 0, 2).reshape(S, m * r)
+        mid = G[:, :, :-1] + G[:, :, 1:]  # twice each form at the cell midpoints
+        return top[:, :-1].sum(axis=1) + top[:, 1:].sum(axis=1) + mid.max(axis=0).sum(axis=1), mid
 
-    best2, played2 = best_and_played(G2)
-    best1, played1 = best_and_played(G1)
-    # the played value of a pair picks one form per cell
-    OH = onehot.transpose(1, 0, 2).reshape(S, m * r).astype(np.float32)
-    gain2 = played2 @ OH.T
-    np.subtract(best2[:, None], gain2, out=gain2)
-    gain1 = OH @ played1.T
-    np.subtract(best1[None, :], gain1, out=gain1)
-    return gain1, gain2
+    best1, _ = best_and_midpoints(G1)
+    best2, mid = best_and_midpoints(G2)
+    diffs = 2 * (mid[1:] - mid[0]).transpose(1, 0, 2).reshape(S, (m - 1) * r)
+    ones = onehot[1:].transpose(1, 0, 2).reshape(S, (m - 1) * r).astype(np.float32)
+    return best1, best2, 2 * mid[0].sum(axis=1), diffs, ones
+
+
+def _block_gains(parts, rows: slice):
+    """(gain1, gain2) of the player-1 strategies in ``rows`` against every
+    player-2 strategy, as float32 integers over 2r^2: player 2's played value
+    is base[i1] + diffs[i1] @ ones[i2] and player 1's its negative.  Two
+    forms differ by at most 2k in size k cells from their zero end, so the
+    product's partial sums stay within 4r^2 <= 16384 < 2^24: exact."""
+    best1, best2, base, diffs, ones = parts
+    played = diffs[rows] @ ones.T
+    played += base[rows, None]
+    gain2 = best2[rows, None] - played
+    return np.add(played, best1, out=played), gain2
 
 
 def no_pure_equilibrium_search(
@@ -555,14 +566,15 @@ def no_pure_equilibrium_search(
     beyond that a seeded sample is drawn (always keeping the constant
     strategies).  A budget, grid or max_strategies that is not an int (or is
     a bool), max_strategies below m, and an epsilon that is not a rational
-    at least 0, are input errors.  An integer
-    lane scans every pair: each gain is a numerator over 2r^2 (r the grid),
-    exact because the value forms cross only at cell midpoints and the
-    played products stay below 2^24 in float32.  The first
-    minimum in row-major order is re-certified once, by pure_profile_gain on
-    integer rows with no midpoint rule, float32 or lane code, and both of
-    its gains must equal the lane's.  PASS means
-    the minimum exceeds epsilon, witnessing that no scanned pure profile is
+    at least 0, are input errors.  An integer lane scans every pair, one
+    float32 difference product per ROW_BLOCK rows, in O(ROW_BLOCK * S)
+    floats: each gain is a numerator over 2r^2 (r the grid), exact because
+    the value forms cross only at cell midpoints and the partial sums stay
+    within 4r^2 < 2^24.  The first minimum in row-major order (a later block
+    moves it only when strictly smaller) is re-certified once, by
+    pure_profile_gain on integer rows with no midpoint rule, float32 or lane
+    code, and both of its gains must equal the lane's.  PASS means the
+    minimum exceeds epsilon, witnessing that no scanned pure profile is
     close to equilibrium.
     """
     for name, value in (("budget", budget), ("grid", grid), ("max_strategies", max_strategies)):
@@ -590,11 +602,17 @@ def no_pure_equilibrium_search(
         strategies = grid_strategies(game.m, grid, budget)
     else:
         strategies = _sampled_strategies(game.m, grid, budget, max_strategies, seed)
-    gain1, gain2 = _gain_matrices(game.m, grid, strategies)
-    # the first minimum in row-major order
-    i1, i2 = np.unravel_index(np.argmin(np.maximum(gain1, gain2)), gain1.shape)
+    S, low = len(strategies), np.inf
+    parts = _gain_lane(game.m, grid, strategies)
+    for lo in range(0, S, ROW_BLOCK):
+        gains = _block_gains(parts, slice(lo, lo + ROW_BLOCK))
+        worst = np.maximum(*gains, out=gains[0])
+        row, col = divmod(int(worst.argmin()), S)
+        if worst[row, col] < low:
+            low, i1, i2 = worst[row, col], lo + row, col
+    gain1, gain2 = _block_gains(parts, slice(i1, i1 + 1))
     denominator = 2 * grid * grid
-    lane = (Fraction(int(gain1[i1, i2]), denominator), Fraction(int(gain2[i1, i2]), denominator))
+    lane = (Fraction(int(gain1[0, i2]), denominator), Fraction(int(gain2[0, i2]), denominator))
     s1, s2 = tuple(strategies[i1].tolist()), tuple(strategies[i2].tolist())
     f1 = IntervalUnionStrategy.from_grid(s1, game.m)
     f2 = IntervalUnionStrategy.from_grid(s2, game.m)
@@ -612,8 +630,8 @@ def no_pure_equilibrium_search(
         budget=budget,
         grid=grid,
         epsilon=epsilon,
-        strategies=len(strategies),
-        pairs=len(strategies) ** 2,
+        strategies=S,
+        pairs=S**2,
         min_gain=min_gain,
         argmin=(s1, s2),
         uniform_gains=uniform,

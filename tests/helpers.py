@@ -61,6 +61,32 @@ def binary_F(space_):
     return constant_branches(space_, [0, 1])
 
 
+def dyadic_indicator(space_, cell_id, lo, hi):
+    """Scalar indicator of a sub-interval of one cell's inner coordinate."""
+    from condexp.piecewise import pack_pieces
+
+    pieces = []
+    if lo > 0:
+        pieces.append((lo, (F(0),)))
+    pieces.append((hi, (F(1),)))
+    if hi < 1:
+        pieces.append((F(1), (F(0),)))
+    zero = ((F(1), (F(0),)),)
+    values = {c.id: pack_pieces(c, pieces if c.id == cell_id else zero) for c in space_.cells}
+    return StepFunction(1, values)
+
+
+def substitute_conditioned(game, profile, keep):
+    """Replace every opponent of ``keep`` by its conditioned strategy."""
+    from condexp.games import g_conditional
+
+    out = list(profile)
+    for j in range(len(game.players)):
+        if j != keep:
+            out[j] = g_conditional(game, j, profile[j])
+    return out
+
+
 # -- reference lookups ----------------------------------------------------------
 #
 # Test-only oracles for piece lists: the union of the breakpoints cut into
@@ -603,7 +629,6 @@ def reference_uhc_audit(space_, cell_id, depth=8):
     from condexp.attainable import (
         HALF,
         UhcAuditReport,
-        dyadic_indicator,
         dyadic_selection,
         indicator_correspondence,
         limit_escape_certificate,

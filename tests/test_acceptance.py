@@ -29,7 +29,6 @@ from condexp.attainable import (
     block_set,
     convexify_witness,
     derandomize_selection,
-    dyadic_indicator,
     indicator_correspondence,
     limit_escape_certificate,
     membership,
@@ -50,10 +49,7 @@ from condexp.equilibrium import (
     solve_behavioral,
     verify_equilibrium,
 )
-from condexp.games import (
-    expected_payoff,
-    substitute_conditioned,
-)
+from condexp.games import expected_payoff
 from condexp.measure import (
     Cell,
     CellKind,
@@ -73,7 +69,14 @@ from condexp.pennies import (
 from condexp.purification import strong_purify
 
 from game_factories import random_coarser_game, random_dominance_game, random_profile
-from helpers import branch_values, breakpoints, payload_at, refinement_on
+from helpers import (
+    branch_values,
+    breakpoints,
+    dyadic_indicator,
+    payload_at,
+    refinement_on,
+    substitute_conditioned,
+)
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"

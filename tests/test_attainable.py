@@ -24,7 +24,6 @@ from condexp.attainable import (
     cond_exp_set,
     convexify_witness,
     derandomize_selection,
-    dyadic_indicator,
     dyadic_selection,
     indicator_correspondence,
     limit_escape_certificate,
@@ -55,6 +54,7 @@ from helpers import (
     branch_values,
     breakpoints,
     constant_branches,
+    dyadic_indicator,
     one_positive_scale,
     payload_at,
     point_cell,

@@ -26,7 +26,6 @@ from condexp.games import (
     moment_payoff,
     player_payoff,
     strategy_moments,
-    substitute_conditioned,
     uniform_strategy,
     walk_profile,
 )
@@ -39,6 +38,7 @@ from helpers import (
     reference_agent_coeff,
     reference_info,
     reference_interim_affine,
+    substitute_conditioned,
 )
 
 F = Fraction

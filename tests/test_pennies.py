@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,8 +19,10 @@ from condexp.errors import BoundaryPoint, BudgetExceeded, SchemaError
 from condexp.pennies import (
     IntervalUnionStrategy,
     PenniesGame,
+    ROW_BLOCK,
     TrianglePrior,
-    _gain_matrices,
+    _block_gains,
+    _gain_lane,
     _sample_indices,
     _sampled_strategies,
     _tails,
@@ -325,7 +328,7 @@ class TestSearch:
     def test_float_matches_exact_on_sample(self):
         game = PenniesGame(2)
         strategies = grid_strategies(2, 8, 1)
-        gain1, gain2 = _gain_matrices(2, 8, strategies)
+        gain1, gain2 = lane_gain_matrices(2, 8, strategies)
         rng = random.Random(9)
         for _ in range(15):
             i1 = rng.randrange(len(strategies))
@@ -554,6 +557,15 @@ def reference_gain_matrices(m, r, strategies):
     return gain1, gain2
 
 
+def lane_gain_matrices(m, r, strategies):
+    """gain1 and gain2 for every pair, stacked from the lane's row blocks."""
+    parts = _gain_lane(m, r, strategies)
+    blocks = [
+        _block_gains(parts, slice(lo, lo + ROW_BLOCK)) for lo in range(0, len(strategies), ROW_BLOCK)
+    ]
+    return tuple(np.concatenate(side) for side in zip(*blocks))
+
+
 def changes(strategy):
     return sum(a != b for a, b in zip(strategy, strategy[1:]))
 
@@ -635,7 +647,7 @@ class TestStrategyFamily:
 def assert_every_pair_exact(m, r, strategies):
     """Every pair's integer-lane gains over 2r^2 equal pure_profile_gain."""
     game = PenniesGame(m)
-    gain1, gain2 = _gain_matrices(m, r, strategies)
+    gain1, gain2 = lane_gain_matrices(m, r, strategies)
     rows = strategies.tolist()
     for i1, s1 in enumerate(rows):
         f1 = IntervalUnionStrategy.from_grid(s1, m)
@@ -650,7 +662,7 @@ class TestIntegerLane:
     @given(strategy_subsets(max_size=40))
     def test_matches_scalar_float_reference(self, case):
         m, r, strategies = case
-        got = _gain_matrices(m, r, strategies)
+        got = lane_gain_matrices(m, r, strategies)
         want = reference_gain_matrices(m, r, strategies)
         for g, w in zip(got, want):
             assert g.shape == w.shape
@@ -665,7 +677,7 @@ class TestIntegerLane:
     )
     def test_matches_scalar_float_reference_for_many_actions(self, m, r, budget, count, seed):
         strategies = _sampled_strategies(m, r, budget, count, seed)
-        got = _gain_matrices(m, r, strategies)
+        got = lane_gain_matrices(m, r, strategies)
         want = reference_gain_matrices(m, r, strategies)
         for g, w in zip(got, want):
             assert np.max(np.abs(g.astype(np.float64) / (2 * r * r) - w)) < 1e-12
@@ -676,12 +688,13 @@ class TestIntegerLane:
         assert_every_pair_exact(*case)
 
     def test_every_pair_matches_exact_gains_on_the_largest_grid(self):
-        # r = 64, where the played products' partial sums are bounded by
-        # 2r^2 = 8192
+        # r = 64, where the partial sums of the one difference product per
+        # row block are bounded by 4r^2 = 16384
         assert_every_pair_exact(4, 64, _sampled_strategies(4, 64, 8, 14, 1))
-        # the constant strategies a and a + 1 reach the bound: against player
-        # 1's constant a, player 2's form for a + 1 is k at grid point k, and
-        # twice its cell midpoints sum to 2r^2
+        # the constant strategies 0 and 1 reach the bound: against player 1's
+        # constant 0, player 2's forms for 1 and 0 are k and -k at grid point
+        # k, so their difference row is 4(2k + 1) in cell k, and player 2's
+        # constant 1 sums it over every cell to 4r^2
         strategies = _sampled_strategies(16, 64, 8, 18, 2)
         assert {(a,) * 64 for a in range(16)} <= set(as_tuples(strategies))
         assert_every_pair_exact(16, 64, strategies)
@@ -700,6 +713,49 @@ class TestIntegerLane:
         report = no_pure_equilibrium_search(game, budget=2, grid=3)
         assert report.exhaustive and report.pairs == 729
         assert (report.min_gain, report.argmin) == best
+
+    # 1000 sampled strategies are 15 blocks of ROW_BLOCK = 64 rows and one of
+    # 40; at seed 0 the minimum of (2, 16, 3) and of (3, 16, 2) repeats in a
+    # later block than its first one, and that of (3, 32, 4) is unique
+    @pytest.mark.parametrize(
+        "m, grid, budget, repeats", [(2, 16, 3, True), (3, 16, 2, True), (3, 32, 4, False)]
+    )
+    def test_block_walk_reports_the_first_minimum_of_the_full_matrices(
+        self, monkeypatch, m, grid, budget, repeats
+    ):
+        strategies = _sampled_strategies(m, grid, budget, 1000, 0)
+        assert len(strategies) % ROW_BLOCK
+        gain1, gain2 = lane_gain_matrices(m, grid, strategies)
+        worst = np.maximum(gain1, gain2)
+        i1, i2 = np.unravel_index(np.argmin(worst), worst.shape)
+        later = worst[(i1 // ROW_BLOCK + 1) * ROW_BLOCK :]
+        assert (later == worst[i1, i2]).any() == repeats
+        visited = []
+
+        def recording(parts, rows):
+            visited.extend(range(len(strategies))[rows])
+            return _block_gains(parts, rows)
+
+        monkeypatch.setattr(pennies, "_block_gains", recording)
+        game = PenniesGame(m)
+        report = no_pure_equilibrium_search(game, budget, grid, max_strategies=1000)
+        # every row once, in order, then the chosen row again for its gains
+        assert visited == [*range(len(strategies)), i1]
+        assert report.argmin == (tuple(strategies[i1].tolist()), tuple(strategies[i2].tolist()))
+        lane = (F(int(gain1[i1, i2]), 2 * grid**2), F(int(gain2[i1, i2]), 2 * grid**2))
+        assert report.min_gain == max(lane)
+        f1, f2 = (IntervalUnionStrategy.from_grid(s, m) for s in report.argmin)
+        assert pure_profile_gain(game, f1, f2) == lane
+
+    def test_search_holds_no_pair_matrix(self):
+        # one 2000 x 2000 float32 matrix alone is 16 MB
+        tracemalloc.start()
+        try:
+            no_pure_equilibrium_search(PenniesGame(2), budget=3, grid=64, max_strategies=2000)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2000 * 4
 
 
 # -- exact recheck on integer rows against the Fraction reference -------------
@@ -794,13 +850,13 @@ from condexp import pennies
 
 if __debug__:
     raise SystemExit("expected to run under python -O")
-original = pennies._gain_matrices
-pennies._gain_matrices = lambda m, r, s: [g + 1 for g in original(m, r, s)]
+original = pennies._block_gains
+pennies._block_gains = lambda parts, rows: [g + 1 for g in original(parts, rows)]
 try:
     pennies.no_pure_equilibrium_search(pennies.PenniesGame(2), budget=1, grid=4)
 except ArithmeticError as exc:
     print("search:", exc)
-pennies._gain_matrices = original
+pennies._block_gains = original
 
 gain_side = pennies._gain_side
 
