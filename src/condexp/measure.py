@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, SchemaError
-from .piecewise import PiecePlan, merged_pieces, pack_pieces, prefix_integral
+from .piecewise import PiecePlan, merged_pieces, pack_pieces
 from .rationals import Vec, vec_add, vec_scale, zero_vec
 
 
@@ -54,12 +55,8 @@ class MeasureSpaceModel:
         if sum((c.mass for c in self.cells), Fraction(0)) != 1:
             raise SchemaError("cells", "cell masses must sum to 1 exactly")
         for c in self.cells:
-            if c.kind is CellKind.SATURATED:
-                sharing = [d for d in self.cells if d.g_block == c.g_block]
-                if len(sharing) != 1:
-                    raise SchemaError(
-                        f"cells[{c.id}]", "a saturated cell must sit alone in its block"
-                    )
+            if c.kind is CellKind.SATURATED and len(self.blocks[c.g_block]) != 1:
+                raise SchemaError(f"cells[{c.id}]", "a saturated cell must sit alone in its block")
 
     def cell(self, cell_id: str) -> Cell:
         for c in self.cells:
@@ -67,7 +64,7 @@ class MeasureSpaceModel:
                 return c
         raise SchemaError("cell", f"no cell {cell_id!r} in the space")
 
-    @property
+    @cached_property
     def blocks(self) -> dict[str, tuple[Cell, ...]]:
         out: dict[str, list[Cell]] = {}
         for c in self.cells:
@@ -92,29 +89,20 @@ class MeasureSpaceModel:
         return total
 
     def inner_products(self, f: "StepFunction", tests: Sequence["StepFunction"]) -> list[Fraction]:
-        """Exact integral of psi * f for each scalar test psi.
-
-        ``f`` is validated once and turned into per-cell prefix integrals, so
-        each test costs one bisect per piece of its own: k tests against an
-        n-piece ``f`` take O(n + k log n), not O(k n).
-        """
+        """Exact integral of psi * f for each scalar test psi, on the
+        ``merged_pieces`` walk of ``f`` and psi per cell.  The dimensions are
+        checked first, then ``f`` once, then each test as it is reached."""
         if f.dim != 1 or any(psi.dim != 1 for psi in tests):
             raise DimensionMismatch("inner_products needs dimension-1 functions")
         f.validate(self)
-        prefix = [
-            (c, prefix_integral([(upto, v) for upto, (v,) in f.pieces(c)])) for c in self.cells
-        ]
         out = []
         for psi in tests:
             psi.validate(self)
             total = Fraction(0)
-            for c, integral_to in prefix:
+            for c in self.cells:
                 on_cell = Fraction(0)
-                before = Fraction(0)
-                for upto, (v,) in psi.pieces(c):
-                    after = integral_to(upto)
-                    on_cell += v * (after - before)
-                    before = after
+                for lo, hi, ((fv,), (v,)) in merged_pieces(f.pieces(c), psi.pieces(c)):
+                    on_cell += fv * v * (hi - lo)
                 total += c.mass * on_cell
             out.append(total)
         return out

@@ -521,19 +521,24 @@ def _gain_lane(m: int, r: int, strategies: np.ndarray):
     onehot = np.arange(m)[:, None, None] == strategies  # (m, S, r)
     cums = np.zeros((m, S, r + 1), dtype=np.float32)
     np.cumsum(onehot, axis=2, out=cums[:, :, 1:])
-    # player-2 candidate c: eta_{c-1} - eta_c, from below
-    G2 = np.roll(cums, 1, axis=0) - cums
-    # player-1 candidate c: eta'_c - eta'_{c+1}, from above
-    above = cums[:, :, -1:] - cums
-    G1 = above - np.roll(above, -1, axis=0)
 
     def best_and_midpoints(G):
         top = G.max(axis=0)  # the envelope at the grid points
         mid = G[:, :, :-1] + G[:, :, 1:]  # twice each form at the cell midpoints
         return top[:, :-1].sum(axis=1) + top[:, 1:].sum(axis=1) + mid.max(axis=0).sum(axis=1), mid
 
+    # Each (m, S, r + 1) array is dropped once read, player 1's side before
+    # player 2's is built.  Player-1 candidate c: eta'_c - eta'_{c+1}, from above
+    above = cums[:, :, -1:] - cums
+    G1 = above - np.roll(above, -1, axis=0)
+    del above
     best1, _ = best_and_midpoints(G1)
+    del G1
+    # player-2 candidate c: eta_{c-1} - eta_c, from below
+    G2 = np.roll(cums, 1, axis=0) - cums
+    del cums
     best2, mid = best_and_midpoints(G2)
+    del G2
     diffs = 2 * (mid[1:] - mid[0]).transpose(1, 0, 2).reshape(S, (m - 1) * r)
     ones = onehot[1:].transpose(1, 0, 2).reshape(S, (m - 1) * r).astype(np.float32)
     return best1, best2, 2 * mid[0].sum(axis=1), diffs, ones

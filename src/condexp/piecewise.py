@@ -10,12 +10,13 @@ divide, so integer rows over one denominator stay integers, and a
 
 This module owns the piece-list format shared by step functions, selections
 and strategies: a sequence of ``(upto, payload)`` pairs whose uptos increase
-strictly and end at 1, piece k covering ``[upto_{k-1}, upto_k)``.  Walking,
-clipping, merging and checking such lists happens only here, and so does the
-one storage rule for cells without an inner coordinate (see ``PiecePlan``).
-The two payload rules live here too: an index payload is checked by
-``check_index``, a weights payload by ``check_weights``, and an index turns
-into its weights by ``unit_vector``.
+strictly and end at 1, piece k covering ``[upto_{k-1}, upto_k)``.  Only this
+module walks, merges and checks such lists: ``merged_pieces`` is the one walk
+(``clip_pieces`` clips one list to a span) and ``append_piece`` the one merge.
+The one storage rule for cells without an inner coordinate (see
+``PiecePlan``) and the two payload rules live here too: an index payload is
+checked by ``check_index``, a weights payload by ``check_weights``, and an
+index turns into its weights by ``unit_vector``.
 """
 
 from __future__ import annotations
@@ -173,35 +174,6 @@ def merged_pieces(*piece_lists: Sequence[tuple[Fraction, object]]):
         lo = hi
 
 
-def prefix_integral(pieces: Sequence[tuple[Fraction, Fraction]]) -> Callable[[Fraction], Fraction]:
-    """``t -> integral over [0, t)`` of scalar [(upto, value)] pieces.
-
-    The running sums are taken in one walk; each call is then one bisect on
-    the breakpoints plus the covering piece's partial length.
-    """
-    lows: list[Fraction] = []
-    sums: list[Fraction] = []
-    values: list[Fraction] = []
-    lo = acc = Fraction(0)
-    for upto, value in pieces:
-        lows.append(lo)
-        sums.append(acc)
-        values.append(value)
-        if value:
-            acc += value * (upto - lo)
-        lo = upto
-    lows.append(lo)
-    sums.append(acc)
-
-    def at(t: Fraction) -> Fraction:
-        k = bisect_right(lows, t) - 1
-        if t == lows[k]:
-            return sums[k]
-        return sums[k] + values[k] * (t - lows[k])
-
-    return at
-
-
 def twice_integral(form: AffineForm, lo: Fraction, hi: Fraction) -> Fraction:
     """Twice the integral of A + B*t over [lo, hi), with no division: an int
     on int input."""
@@ -283,7 +255,8 @@ def proportional_subintervals(
     mode gives index k a mirrored pair of intervals about the midpoint, so the
     piece assigned to each index keeps the centroid of the whole interval;
     that preserves the integral of every affine function, not just constants.
-    Zero weights get no interval.
+    Zero weights get no interval.  The sub-intervals come back sorted and
+    unmerged; callers merge equal neighbours with ``append_piece``.
     """
     total = sum(weights, Fraction(0))
     if total != 1 or any(w < 0 for w in weights):
@@ -308,14 +281,8 @@ def proportional_subintervals(
         out.append((lo + c0 * length, lo + c1 * length, k))
         out.append((hi - c1 * length, hi - c0 * length, k))
         acc += w
-    out.sort(key=lambda seg: seg[0])
-    merged: list[tuple[Fraction, Fraction, int]] = []
-    for seg in out:
-        if merged and merged[-1][1] == seg[0] and merged[-1][2] == seg[2]:
-            merged[-1] = (merged[-1][0], seg[1], seg[2])
-        else:
-            merged.append(seg)
-    return merged
+    out.sort(key=itemgetter(0))
+    return out
 
 
 def split_pieces(

@@ -281,7 +281,8 @@ def load_game(doc: Any, path: str = "game") -> BayesianGame:
                 grid = tuple(frac(x, f"{cp}.grid") for x in grid_doc)
             mass = frac(cd.get("mass"), f"{cp}.mass")
             try:
-                cells.append(TypeCell(str(cd.get("id", f"t{i}")), mass, grid, point))
+                default = f"t{i}" if k == 0 else f"t{i}_{k}"  # player i's cell k
+                cells.append(TypeCell(str(cd.get("id", default)), mass, grid, point))
             except SchemaError as exc:  # at cells[<id>].<field>
                 raise SchemaError(f"{cp}.{exc.path.rsplit('.', 1)[1]}", exc.message) from None
         try:

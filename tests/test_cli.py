@@ -328,6 +328,26 @@ class TestAdditionalPaths:
         report = json.loads(out)
         assert report["coarser"] == [False, True]
 
+    def test_id_less_cells_of_one_player_get_distinct_ids(self, capsys, tmp_path):
+        # a missing id defaulted to t<player> for every cell of the player, so
+        # two id-less cells clashed: "cell ids must be unique", exit 1
+        doc = json.loads((FIXTURES / "mp_game.json").read_text())
+        game = doc["game"]
+        game["players"][0]["cells"] = [{"grid": ["1"], "mass": "1/2"}] * 2
+
+        def both_units(entries):
+            return entries + [{**e, "units": [1, 0]} for e in entries]
+
+        game["density"] = both_units(game["density"])
+        for rows in game["payoffs"]:
+            for row in rows:
+                row["entries"] = both_units(row["entries"])
+        path = tmp_path / "id_less.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "solve", path)
+        assert code == 0
+        assert list(json.loads(out)["profile"][0]["plan"]) == ["t0", "t0_1"]
+
     @pytest.mark.parametrize("method", ["lp", "enum"])
     def test_two_player_method_on_three_players_is_an_input_error(self, capsys, tmp_path, method):
         # was a ValueError traceback where the agent form's action counts

@@ -38,6 +38,27 @@ class TestSpaceValidation:
                 Cell("b", F(1, 2), CellKind.RICH, "g"),
             )
 
+    def test_first_lone_saturated_fault_in_cell_order_is_named(self):
+        # block a comes first and sorts first, yet s2 is the first offending
+        # saturated cell in cell order
+        with pytest.raises(SchemaError) as err:
+            space(
+                rich_cell("r", F(1, 4), block="a"),
+                Cell("s2", F(1, 4), CellKind.SATURATED, "b"),
+                rich_cell("x", F(1, 4), block="b"),
+                Cell("s1", F(1, 4), CellKind.SATURATED, "a"),
+            )
+        assert (err.value.path, err.value.message) == (
+            "cells[s2]",
+            "a saturated cell must sit alone in its block",
+        )
+
+    def test_blocks_are_derived_once(self):
+        sp = space(rich_cell("r", F(1, 2), block="g"), point_cell("p", F(1, 2), block="g"))
+        assert sp.blocks is sp.blocks
+        assert [c.id for c in sp.blocks["g"]] == ["r", "p"]
+        assert sp.block_mass("g") == 1
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(SchemaError):
             space(rich_cell("a", F(1, 2)), rich_cell("a", F(1, 2)))
@@ -189,7 +210,7 @@ class TestHelpers:
         assert sp.integrate(f) == (F(2), F(3))
 
 
-# -- inner products from prefix integrals against the pointwise product --------
+# -- inner products on the merged walk against the pointwise product ----------
 
 
 @st.composite

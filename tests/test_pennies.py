@@ -757,6 +757,20 @@ class TestIntegerLane:
             tracemalloc.stop()
         assert peak < 2000 * 2000 * 4
 
+    def test_lane_drops_its_temporaries(self):
+        # at m = 16 each (m, S, r + 1) float32 array of the lane is 8.3 MB;
+        # holding all six of them to the end peaked at 70.0 MB
+        tracemalloc.start()
+        try:
+            report = no_pure_equilibrium_search(
+                PenniesGame(16), budget=8, grid=64, max_strategies=2000
+            )
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 45_000_000
+        assert report.min_gain == F(891, 4096)
+
 
 # -- exact recheck on integer rows against the Fraction reference -------------
 

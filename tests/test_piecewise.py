@@ -404,6 +404,32 @@ class TestSplitPieces:
                     assert moment == measure * (a + b) / 2
 
 
+class TestSymmetricSplitByHand:
+    """Hand-computed symmetric splits, independent of the reference loops
+    above: the last index's two mirrored halves meet at the midpoint, and
+    ``append_piece`` merges them."""
+
+    @pytest.mark.parametrize(
+        "weights, want",
+        [
+            ((F(1, 4), F(3, 4)), [(F(1, 8), 0), (F(7, 8), 1), (F(1), 0)]),
+            ((F(1, 2), F(1, 2)), [(F(1, 4), 0), (F(3, 4), 1), (F(1), 0)]),
+            ((F(0), F(1)), [(F(1), 1)]),
+        ],
+    )
+    def test_one_symmetric_piece(self, weights, want):
+        assert split_pieces([(F(1), weights)], [(F(0), F(1), True)]) == want
+
+    def test_halves_come_back_unmerged(self):
+        halves = proportional_subintervals(F(0), F(1), (F(1, 4), F(3, 4)), symmetric=True)
+        assert halves == [
+            (F(0), F(1, 8), 0),
+            (F(1, 8), F(1, 2), 1),
+            (F(1, 2), F(7, 8), 1),
+            (F(7, 8), F(1), 0),
+        ]
+
+
 class TestPiecePlan:
     RICH = Cell("r", F(1, 2), CellKind.RICH, "g")
     POINT = Cell("p", F(1, 2), CellKind.POINT_MASS, "g")
