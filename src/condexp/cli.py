@@ -44,11 +44,18 @@ def _read(path: str):
     return doc
 
 
+def _write(path: str, flag: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:  # a missing directory, a directory, or no permission
+        raise SchemaError(flag, f"cannot write {path}: {exc.strerror}")
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = serialize.report_text(report) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, "--out", text)
     else:
         sys.stdout.write(text)
 
@@ -171,17 +178,7 @@ def cmd_uhc_audit(args) -> int:
 def cmd_derive_info(args) -> int:
     doc = _read(args.fixture)
     game = serialize.load_game(doc.get("game", doc))
-    report = {
-        "players": [
-            {
-                "blocks": [list(b) for b in part.blocks],
-                "kinds": list(part.kinds),
-                "block_masses": [serialize.frac_str(x) for x in part.block_masses],
-            }
-            for part in game.info
-        ]
-    }
-    _emit(report, args.out)
+    _emit({"players": [serialize.dump_report(part) for part in game.info]}, args.out)
     return EXIT_OK
 
 
@@ -265,14 +262,9 @@ def cmd_pennies(args) -> int:
     if args.csv:
         f1 = pennies.IntervalUnionStrategy.from_grid(report.argmin[0], report.m)
         rows = pennies.interim_weight_rows(f1, samples=args.samples)
-        with open(args.csv, "w") as fh:
-            header = ",".join(["l2"] + [f"w{j + 1}" for j in range(report.m)])
-            fh.write(header + "\n")
-            for l2, weights in rows:
-                fh.write(
-                    ",".join([format(l2, ".12g")] + [format(w, ".12g") for w in weights])
-                    + "\n"
-                )
+        lines = [",".join(["l2"] + [f"w{j + 1}" for j in range(report.m)])]
+        lines += [",".join(format(v, ".12g") for v in (l2, *weights)) for l2, weights in rows]
+        _write(args.csv, "--csv", "\n".join(lines) + "\n")
     _emit(payload, args.out)
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 

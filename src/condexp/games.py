@@ -509,7 +509,7 @@ def expected_payoff(game: BayesianGame, profile: Sequence[Strategy]) -> tuple[Fr
 class InfoPartition:
     blocks: tuple[tuple[int, ...], ...]
     kinds: tuple[str, ...]  # per unit: "rich" | "saturated"
-    block_of_unit: tuple[int, ...]
+    block_of_unit: tuple[int, ...] = field(repr=False)  # derived from blocks, not reported
     block_masses: tuple[Fraction, ...]
 
 

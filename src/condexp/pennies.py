@@ -46,10 +46,7 @@ from .piecewise import (
     check_pieces,
     check_weights,
     inner_zero,
-    intervals_clip,
-    intervals_measure,
     merged_pieces,
-    normalize_intervals,
     twice_envelope_integral,
     twice_integral,
     unit_vector,
@@ -256,12 +253,16 @@ def interim_weight(
     point = Fraction(point)
     if point <= 0 or point >= 1:
         raise BoundaryPoint(f"conditioning point {point} is on the boundary")
-    ivs = normalize_intervals(intervals)
-    if side == 2:
-        return intervals_measure(intervals_clip(ivs, ZERO, point)) / point
-    if side == 1:
-        return intervals_measure(intervals_clip(ivs, point, ONE)) / (1 - point)
-    raise SchemaError("side", "must be 1 or 2")
+    if side not in (1, 2):
+        raise SchemaError("side", "must be 1 or 2")
+    # one sweep by left end over [0, l2] or [l1, 1], each point counted once
+    lo, hi = (ZERO, point) if side == 2 else (point, ONE)
+    covered, reach = ZERO, lo
+    for a, b in sorted(intervals):
+        a, b = max(a, reach), min(b, hi)
+        if b > a:
+            covered, reach = covered + b - a, b
+    return covered / (hi - lo)
 
 
 def _gain_side(game: PenniesGame, side: int, D: int, rows1: IntegerRows, rows2: IntegerRows):

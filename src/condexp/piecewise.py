@@ -1,12 +1,12 @@
 """One-dimensional piecewise utilities over exact rationals.
 
 Everything here works on partitions of [0, 1] (or a sub-interval) given by
-strictly increasing breakpoints, on affine forms ``A + B*t``, and on finite
-interval unions. These are the workhorses behind step-function refinement,
-proportional splits, and exact envelope integration.  The affine-form
-helpers and ``merged_pieces`` are exact on int input as well: they never
-divide, so integer rows over one denominator stay integers, and a
-``Fraction`` appears only where two forms cross strictly inside a piece.
+strictly increasing breakpoints, and on affine forms ``A + B*t``. These are
+the workhorses behind step-function refinement, proportional splits, and
+exact envelope integration.  The affine-form helpers and ``merged_pieces``
+are exact on int input as well: they never divide, so integer rows over one
+denominator stay integers, and a ``Fraction`` appears only where two forms
+cross strictly inside a piece.
 
 This module owns the piece-list format shared by step functions, selections
 and strategies: a sequence of ``(upto, payload)`` pairs whose uptos increase
@@ -303,30 +303,3 @@ def split_pieces(
             for _lo, upto, k in proportional_subintervals(a, b, weights, symmetric):
                 append_piece(out, upto, k)
     return out
-
-
-def normalize_intervals(intervals: Iterable[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Sort, drop empty, and merge adjacent/overlapping intervals."""
-    ivs = sorted((lo, hi) for lo, hi in intervals if hi > lo)
-    merged: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in ivs:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return tuple(merged)
-
-
-def intervals_measure(intervals: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
-    return sum((hi - lo for lo, hi in intervals), Fraction(0))
-
-
-def intervals_clip(
-    intervals: Iterable[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction
-) -> tuple[tuple[Fraction, Fraction], ...]:
-    out = []
-    for a, b in intervals:
-        a2, b2 = max(a, lo), min(b, hi)
-        if b2 > a2:
-            out.append((a2, b2))
-    return tuple(out)

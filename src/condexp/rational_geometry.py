@@ -10,9 +10,10 @@ integer Gram solve; values become ``Fraction`` only when returned.  Hull
 vertices in dimensions 1 to 3 come from one gift wrapping on integer
 coordinates, with no linear program.  A small exact simplex solver (Bland's
 rule, so it terminates) serves the callers' own programs only: the convexify
-witnesses, the support polish and the zero-sum solver.  It pivots on integer
-rows over one denominator each, fraction-free, and reads its answer as
-``Fraction`` at the end.
+witnesses, the support polish and the zero-sum solver.  Its tableau rows are
+built as integers once, each over one denominator, and it reads its answer
+as ``Fraction`` at the end.  The simplex and Wolfe's Gram solve share one
+fraction-free pivot, ``_pivot``.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ def simplex_min(cost: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Se
     n = len(cost)
     rows, dens = [], []
     for i in range(m):
-        entries = [Fraction(v) for v in A[i]] + [ONE if k == i else ZERO for k in range(m)]
-        entries.append(Fraction(b[i]))
-        if entries[-1] < 0:
-            entries = [-v for v in entries]
-        row, den = _int_row(entries)
+        den, (row,) = over_one_denominator([[*A[i], b[i]]])
+        if row[-1] < 0:
+            row = [-v for v in row]
+        row[n:n] = [den if k == i else 0 for k in range(m)]
+        row, den = _reduced(row, den)
         rows.append(row)
         dens.append(den)
     basis = list(range(n, n + m))
@@ -75,12 +76,6 @@ def simplex_min(cost: Sequence[Fraction], A: Sequence[Sequence[Fraction]], b: Se
             x[basis[i]] = Fraction(rows[i][-1], dens[i])
     value = sum(cost[j] * x[j] for j in range(n))
     return value, tuple(x)
-
-
-def _int_row(entries: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Rationals as ints over one positive denominator, in lowest terms."""
-    den, (row,) = over_one_denominator([entries])
-    return _reduced(row, den)
 
 
 def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
@@ -295,24 +290,16 @@ def support_value(points: Sequence[Vec], direction: Vec) -> Fraction:
 
 
 def _solve_linear(matrix: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Fraction-free Gauss-Jordan elimination on a nonsingular square integer
-    system: a row r is cleared of column c as p * row_r - q * row_c (p the
-    pivot, q its entry), then cut by its gcd; the solution is read as
-    ``Fraction``s of each row's right-hand side over its diagonal."""
+    """Solve a nonsingular square integer system with ``_pivot``: column c
+    pivots on the first unpivoted row with a nonzero entry there, and each
+    unknown is read as its row's right-hand side over the row's
+    denominator."""
     n = len(matrix)
-    aug = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    for col in range(n):
-        pivot_row = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        prow = aug[col]
-        p = prow[col]
-        for r in range(n):
-            q = aug[r][col]
-            if r != col and q != 0:
-                row = [p * v - q * w for v, w in zip(aug[r], prow)]
-                g = gcd(*row)
-                aug[r] = [v // g for v in row] if g > 1 else row
-    return [Fraction(aug[r][-1], aug[r][r]) for r in range(n)]
+    rows, dens, basis = [[*row, r] for row, r in zip(matrix, rhs)], [1] * n, [-1] * n
+    for c in range(n):
+        row = next(r for r in range(n) if basis[r] < 0 and rows[r][c] != 0)
+        _pivot(rows, dens, basis, row, c)
+    return [Fraction(rows[r][-1], dens[r]) for r in sorted(range(n), key=basis.__getitem__)]
 
 
 def _idot(u: IntVec, v: IntVec) -> int:

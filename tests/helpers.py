@@ -891,6 +891,53 @@ def reference_unrank_changing(m, r, budget, tails, index):
     return tuple(seq)
 
 
+# -- reference interim weight ------------------------------------------------------
+#
+# The interval-union arithmetic that ``pennies.interim_weight`` replaced by one
+# sweep over the intervals sorted by left end: sort, drop the empty ones and
+# merge, clip to the conditioning side, then sum; kept as its oracle.
+
+
+def normalize_intervals(intervals):
+    """Sort, drop empty, and merge adjacent/overlapping intervals."""
+    ivs = sorted((lo, hi) for lo, hi in intervals if hi > lo)
+    merged = []
+    for lo, hi in ivs:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def intervals_measure(intervals):
+    return sum((hi - lo for lo, hi in intervals), F(0))
+
+
+def intervals_clip(intervals, lo, hi):
+    out = []
+    for a, b in intervals:
+        a2, b2 = max(a, lo), min(b, hi)
+        if b2 > a2:
+            out.append((a2, b2))
+    return tuple(out)
+
+
+def reference_interim_weight(intervals, point, side=2):
+    """Conditional weight of a set of types, on interval-union arithmetic."""
+    from condexp.errors import BoundaryPoint, SchemaError
+
+    point = F(point)
+    if point <= 0 or point >= 1:
+        raise BoundaryPoint(f"conditioning point {point} is on the boundary")
+    ivs = normalize_intervals(intervals)
+    if side == 2:
+        return intervals_measure(intervals_clip(ivs, F(0), point)) / point
+    if side == 1:
+        return intervals_measure(intervals_clip(ivs, point, F(1))) / (1 - point)
+    raise SchemaError("side", "must be 1 or 2")
+
+
 # -- reference convexify blend over every point-cell choice ---------------------
 #
 # The mixed-block blend as it ran before it read the offsets at distance 0:

@@ -360,6 +360,26 @@ class TestAdditionalPaths:
         assert captured.err == f"input error: --method: {method} needs two players, the game has 3\n"
 
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("missing/x", "No such file or directory"), ("", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path, flag, target, reason):
+        # both writes opened their file unguarded: a FileNotFoundError or an
+        # IsADirectoryError traceback
+        path = tmp_path / target
+        if flag == "--out":
+            argv = ["g-atom", FIXTURES / "saturated.json"]
+        else:
+            argv = ["pennies", "--budget", "1", "--grid", "4"]
+        code = main([str(a) for a in [*argv, flag, path]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"input error: {flag}: cannot write {path}: {reason}\n"
+        assert "Traceback" not in captured.err
+
 def dim4_fixture(tmp_path, kind, vertices, **extra):
     """One-cell block g in dimension 4 with one constant branch per vertex."""
     def value(v):

@@ -42,6 +42,7 @@ from helpers import (
     reference_balance_defect,
     reference_cyclic_deviation,
     reference_gain_side,
+    reference_interim_weight,
     reference_opposing_segments,
     reference_unrank_changing,
 )
@@ -133,6 +134,31 @@ class TestInterimWeight:
             )
             got = interim_weight(E, l1, side=1)
             assert abs(float(got) - expected) < 1e-10
+
+    # sets of types as unsorted interval lists on the grid of eighths: empty,
+    # reversed, overlapping, nested and touching intervals all occur
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 8).map(lambda k: F(k, 8))] * 2), max_size=6),
+        st.integers(1, 15).map(lambda k: F(k, 16)),
+        st.sampled_from([1, 2]),
+    )
+    @example(iv(("1/2", "3/4"), (0, "1/4"), ("1/4", "1/2")), F(5, 8), 2)  # touching, unsorted
+    @example(iv((0, "3/4"), ("1/4", "1/2"), ("1/8", 1)), F(1, 3), 1)  # nested, overlapping
+    @example(iv(("3/4", "1/4"), ("1/2", "1/2")), F(1, 2), 2)  # reversed, empty
+    @example((), F(1, 2), 1)
+    def test_one_sweep_matches_the_interval_union_reference(self, intervals, point, side):
+        got = interim_weight(intervals, point, side)
+        assert got == reference_interim_weight(intervals, point, side)
+        assert type(got) is Fraction
+
+    def test_errors_keep_their_order(self):
+        # a boundary point is named before a bad side, as in the reference
+        for fn in (interim_weight, reference_interim_weight):
+            with pytest.raises(BoundaryPoint):
+                fn(iv((0, 1)), F(1), side=3)
+            with pytest.raises(SchemaError, match="side"):
+                fn(iv((0, 1)), F(1, 2), side=3)
 
 
 class TestIntervalUnionStrategy:

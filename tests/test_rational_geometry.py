@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from condexp.errors import InfeasibleProgram, UnboundedProgram, UnsupportedDimension
 from condexp.rational_geometry import (
+    _solve_linear,
     extreme_points,
     feasible_combination,
     nearest_point_in_hull,
@@ -19,6 +20,7 @@ from condexp.rational_geometry import (
 from condexp.rationals import vec_dot, vec_sub
 
 from helpers import (
+    _reference_solve_linear,
     in_hull,
     one_positive_scale,
     recording_min_norm_point,
@@ -138,6 +140,44 @@ class TestSimplexAgainstFractionTableau:
         if isinstance(want, tuple):
             assert type(got[0]) is type(want[0])
             assert all(type(v) is Fraction for v in got[1])
+
+
+@st.composite
+def square_systems(draw):
+    """A nonsingular integer system of size 1 to 4 and its right-hand side."""
+    n = draw(st.integers(1, 4))
+    entries = st.integers(-6, 6)
+    row = st.lists(entries, min_size=n, max_size=n)
+    matrix = draw(
+        st.lists(row, min_size=n, max_size=n).filter(
+            lambda m: abs(np.linalg.det(np.array(m, dtype=float))) > 0.5
+        )
+    )
+    return matrix, draw(row)
+
+
+class TestGramSolve:
+    """Wolfe's Gram solve pivots through the simplex's ``_pivot`` and gives
+    the Fraction elimination's answer."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(square_systems())
+    @example(([[3]], [-7]))
+    @example(([[-4]], [6]))
+    # a zero leading diagonal: column 0 pivots on row 1
+    @example(([[0, 1], [1, 0]], [2, 5]))
+    @example(([[0, 0, 1], [0, -2, 0], [-3, 0, 0]], [1, 2, 3]))
+    # negative pivots
+    @example(([[-2, 1], [1, -3]], [1, -1]))
+    def test_matches_the_fraction_elimination(self, system):
+        matrix, rhs = system
+        got = _solve_linear(matrix, rhs)
+        want = _reference_solve_linear(
+            [[F(v) for v in row] for row in matrix], [F(v) for v in rhs]
+        )
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+        assert [sum(a * x for a, x in zip(row, got)) for row in matrix] == rhs
 
 
 def _brute_in_hull(x, pts, steps=8):
