@@ -246,8 +246,10 @@ def cmd_audit_equivalence(args) -> int:
     game = serialize.load_game(doc.get("game", doc))
     f = serialize.load_profile(doc.get("f", []), game.players, "f")
     g = serialize.load_profile(doc.get("g", []), game.players, "g")
-    rows = doc.get("deviations") or None  # an empty list means no samples
-    deviations = None if rows is None else serialize.load_samples(rows, game.players, "deviations")
+    rows = doc.get("deviations")
+    deviations = None  # an absent key, null or an empty list means no samples
+    if rows not in (None, []):
+        deviations = serialize.load_samples(rows, game.players, "deviations")
     report = purification.audit_equivalence(game, f, g, deviations)
     _emit(serialize.dump_report(report, all_zero=report.all_zero), args.out)
     return EXIT_OK if report.all_zero else EXIT_NEGATIVE

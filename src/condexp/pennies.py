@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -119,85 +119,56 @@ class PenniesGame:
 
 @dataclass(frozen=True)
 class IntervalUnionStrategy:
-    """A pure strategy on [0, 1]: per action, a finite union of intervals.
+    """A pure strategy on [0, 1] over m actions, in ``(upto, action)`` step
+    form: the uptos increase to 1, every action is in range(m), and adjacent
+    pieces of one action are merged.  ``actions`` reads it as, per action,
+    the union of the intervals it plays on."""
 
-    ``pieces`` holds the same strategy in ``(upto, action)`` step form, with
-    adjacent pieces of one action merged.
-    """
-
-    actions: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
-    pieces: tuple[tuple[Fraction, int], ...] = field(init=False, compare=False)
+    pieces: tuple[tuple[Fraction, int], ...]
+    m: int
 
     def __post_init__(self):
-        spans = sorted(
-            (lo, hi, a)
-            for a, intervals in enumerate(self.actions)
-            for lo, hi in intervals
-            if lo != hi
-        )
+        check_pieces("pieces", self.pieces, lambda a: check_index("pieces", a, self.m, "action"))
         pieces: list[tuple[Fraction, int]] = []
-        prev = ZERO
-        for lo, hi, a in spans:
-            if lo != prev or hi < lo:
-                raise SchemaError("actions", "interval unions must partition [0, 1]")
-            append_piece(pieces, hi, a)
-            prev = hi
-        if prev != ONE:
-            raise SchemaError("actions", "interval unions must partition [0, 1]")
+        for upto, action in self.pieces:
+            append_piece(pieces, upto, action)
         object.__setattr__(self, "pieces", tuple(pieces))
-
-    @classmethod
-    def from_pieces(cls, pieces: Sequence[tuple[Fraction, int]], m: int):
-        """Build from [(upto, action)] step form: the uptos must increase to 1
-        and every action must be in [0, m)."""
-        check_pieces("pieces", pieces, lambda action: check_index("pieces", action, m, "action"))
-        buckets: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(m)]
-        lo = ZERO
-        for upto, action in pieces:
-            bucket = buckets[action]
-            if bucket and bucket[-1][1] == lo:
-                bucket[-1] = (bucket[-1][0], upto)
-            else:
-                bucket.append((lo, upto))
-            lo = upto
-        return cls(tuple(tuple(b) for b in buckets))
 
     @classmethod
     def from_grid(cls, assignment: Sequence[int], m: int):
         r = len(assignment)
-        pieces: list[tuple[Fraction, int]] = []
-        for k, a in enumerate(assignment):
-            append_piece(pieces, Fraction(k + 1, r), a)
-        return cls.from_pieces(pieces, m)
+        return cls(tuple((Fraction(k + 1, r), a) for k, a in enumerate(assignment)), m)
 
-    def weight_rows(self) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-        """One-hot piecewise weights, [(upto, weights)]."""
-        m = len(self.actions)
-        return [(upto, unit_vector(m, a)) for upto, a in self.pieces]
+    @property
+    def actions(self) -> tuple[tuple[tuple[Fraction, Fraction], ...], ...]:
+        intervals: list[list[tuple[Fraction, Fraction]]] = [[] for _ in range(self.m)]
+        lo = ZERO
+        for upto, action in self.pieces:
+            intervals[action].append((lo, upto))
+            lo = upto
+        return tuple(map(tuple, intervals))
 
 
-BehavioralRows = Sequence[tuple[Fraction, tuple[Fraction, ...]]]
-IntegerRows = list[tuple[int, tuple[int, ...]]]  # the same rows times D
+IntegerRows = list[tuple[int, tuple[int, ...]]]  # (upto, weights) rows times D
 
 
 def uniform_rows(m: int) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
     return ((ONE, tuple(Fraction(1, m) for _ in range(m))),)
 
 
-def _as_rows(strategy) -> BehavioralRows:
-    if isinstance(strategy, IntervalUnionStrategy):
-        return strategy.weight_rows()
-    return strategy
-
-
-def _validate_rows(rows: BehavioralRows, m: int) -> None:
-    check_pieces("strategy", rows, lambda w: check_weights("strategy", w, m))
-
-
-def _integer_rows(*row_lists: BehavioralRows) -> tuple[int, list[IntegerRows]]:
-    """(D, the row lists with every upto and weight times D): all of them as
-    integers over their one least common denominator D.  An upto t becomes
-    the integer x = t*D, so the last upto of every list is D."""
+def _integer_rows(m: int, *strategies) -> tuple[int, list[IntegerRows]]:
+    """The one entry of every exact path: (D, each strategy's rows with
+    every upto and weight times D).  An IntervalUnionStrategy gives its
+    one-hot rows; every row list must pass the pieces and weights rules
+    against m, and all of them go over their one least common denominator D.
+    An upto t becomes the integer x = t*D, so the last upto of every list
+    is D."""
+    row_lists = []
+    for rows in strategies:
+        if isinstance(rows, IntervalUnionStrategy):
+            rows = [(upto, unit_vector(rows.m, a)) for upto, a in rows.pieces]
+        check_pieces("strategy", rows, lambda w: check_weights("strategy", w, m))
+        row_lists.append(rows)
     D, flat = over_one_denominator((upto, *w) for rows in row_lists for upto, w in rows)
     it = iter(flat)
     return D, [[(row[0], tuple(row[1:])) for _, row in zip(rows, it)] for rows in row_lists]
@@ -290,12 +261,9 @@ def _gain_side(game: PenniesGame, side: int, D: int, rows1: IntegerRows, rows2: 
 
 
 def _both_sides(game: PenniesGame, s1, s2):
-    """_gain_side of player 1, then of player 2, on validated rows put over
-    one denominator once for both."""
-    rows1, rows2 = _as_rows(s1), _as_rows(s2)
-    _validate_rows(rows1, game.m)
-    _validate_rows(rows2, game.m)
-    D, (int1, int2) = _integer_rows(rows1, rows2)
+    """_gain_side of player 1, then of player 2, on both strategies' rows
+    checked and put over one denominator by the one entry, _integer_rows."""
+    D, (int1, int2) = _integer_rows(game.m, s1, s2)
     return _gain_side(game, 1, D, int1, int2), _gain_side(game, 2, D, int1, int2)
 
 
@@ -329,7 +297,7 @@ def cyclic_deviation(game: PenniesGame, opponent: IntervalUnionStrategy, side: i
     """
     m = game.m
     order = [(j + side - 1) % m for j in range(m)]
-    D, (rows,) = _integer_rows(_as_rows(opponent))
+    D, (rows,) = _integer_rows(m, opponent)
     pieces: list[tuple[Fraction, int]] = []
     for lo, hi, forms in _opposing_segments(rows, m, side):
         values = _value_forms(forms, side)
@@ -344,24 +312,23 @@ def cyclic_deviation(game: PenniesGame, opponent: IntervalUnionStrategy, side: i
             span = s0 + s1
             action = next((c for c in order if 2 * values[c][0] + values[c][1] * span > 0), 0)
             append_piece(pieces, Fraction(s1, D), action)
-    return IntervalUnionStrategy.from_pieces(pieces, m)
+    return IntervalUnionStrategy(tuple(pieces), m)
 
 
-def balance_defect(partition, side: int = 2, m: int | None = None) -> Fraction:
+def balance_defect(partition, side: int = 2) -> Fraction:
     """L1 defect of the equal-conditional-weights identity, exact.
 
     Zero only when every set carries conditional weight 1/m at almost every
     opposing type, as under the uniform rows; for interval unions with m >= 2
     it is strictly positive because near the relevant endpoint each set has
-    conditional weight 0 or 1.
+    conditional weight 0 or 1.  m is the strategy's own, or the width of the
+    first row of raw rows.
     """
     if isinstance(partition, IntervalUnionStrategy):
-        m = len(partition.actions)
-    elif m is None:
+        m = partition.m
+    else:
         m = len(partition[0][1]) if partition else 0  # empty rows fail below
-    rows = _as_rows(partition)
-    _validate_rows(rows, m)
-    D, (rows, uniform) = _integer_rows(rows, uniform_rows(m))
+    D, (rows, uniform) = _integer_rows(m, partition, uniform_rows(m))
     ((_lo, _hi, uniform),) = _opposing_segments(uniform, m, side)
     total = 0
     for lo, hi, forms in _opposing_segments(rows, m, side):
@@ -650,10 +617,10 @@ def interim_weight_rows(
     f1: IntervalUnionStrategy, samples: int = 99
 ) -> list[tuple[float, list[float]]]:
     """(l2, conditional weights per action) rows for plotting."""
-    m = len(f1.actions)
+    actions = f1.actions
     out = []
     for k in range(1, samples + 1):
         l2 = Fraction(k, samples + 1)
-        weights = [float(interim_weight(f1.actions[j], l2, side=2)) for j in range(m)]
+        weights = [float(interim_weight(intervals, l2, side=2)) for intervals in actions]
         out.append((float(l2), weights))
     return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -145,6 +146,26 @@ class TestSubcommands:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "l2,w1,w2"
         assert len(lines) == 100
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "--m 2 --variant type-irrelevant --budget 2 --grid 8 --epsilon 1/100",
+                "6414ec001be30ffbde0aee64e84a3e39b3ea4d82303e12e544371e625a0fa01c",
+            ),
+            (
+                "--m 3 --variant independent-types --budget 3 --grid 16 --samples 7 --seed 2",
+                "c32edd090b55be0318667300c33916048525e8fc00eeebca34a7a219d31cf252",
+            ),
+        ],
+        ids=["readme", "sampled"],
+    )
+    def test_pennies_csv_bytes_are_pinned(self, capsys, tmp_path, argv, digest):
+        # the conditional weights of the reported strategy, read off its actions view
+        csv_path = tmp_path / "weights.csv"
+        run(capsys, "pennies", *argv.split(), "--csv", csv_path)
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
     def test_input_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -444,8 +465,16 @@ class TestAuditEquivalenceInput:
             ("f", 1000000, "f: expected list, got int"),  # was a TypeError from len
             ("deviations", [5, 6], "deviations[0]: expected list, got int"),  # int not iterable
             ("f", {"a": 1, "b": 2}, "f: expected list, got dict"),  # was reported at f[0]
+            # falsy non-lists were read as no samples
+            ("deviations", {}, "deviations: expected list, got dict"),
+            ("deviations", 0, "deviations: expected list, got int"),
+            ("deviations", "", "deviations: expected list, got str"),
+            ("deviations", False, "deviations: expected list, got bool"),
         ],
-        ids=["f-int", "deviation-rows-int", "f-dict"],
+        ids=[
+            "f-int", "deviation-rows-int", "f-dict",
+            "deviations-dict", "deviations-zero", "deviations-str", "deviations-false",
+        ],
     )
     def test_list_shapes_are_input_errors(self, capsys, tmp_path, key, given, err):
         doc = json.loads((FIXTURES / "mp_audit.json").read_text())
@@ -470,12 +499,13 @@ class TestAuditEquivalenceInput:
     def test_empty_deviations_means_no_samples(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "mp_audit.json").read_text())
         _code, without = run(capsys, "audit-equivalence", FIXTURES / "mp_audit.json")
-        doc["deviations"] = []
-        fixture = tmp_path / "empty.json"
-        fixture.write_text(json.dumps(doc))
-        code, out = run(capsys, "audit-equivalence", fixture)
-        assert code == 0
-        assert out == without
+        for empty in ([], None):
+            doc["deviations"] = empty
+            fixture = tmp_path / "empty.json"
+            fixture.write_text(json.dumps(doc))
+            code, out = run(capsys, "audit-equivalence", fixture)
+            assert code == 0
+            assert out == without
 
 
 def _entry_pair(first: dict, second: dict):

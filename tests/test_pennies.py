@@ -38,6 +38,7 @@ from condexp.pennies import (
     pure_profile_gain,
     uniform_rows,
 )
+from condexp.piecewise import unit_vector
 from helpers import (
     reference_balance_defect,
     reference_cyclic_deviation,
@@ -54,8 +55,8 @@ def iv(*pairs):
     return tuple((F(a), F(b)) for a, b in pairs)
 
 
-def strategy(m, *unions):
-    return IntervalUnionStrategy(tuple(iv(*u) for u in unions))
+def strategy(m, *steps):
+    return IntervalUnionStrategy(tuple((F(upto), action) for upto, action in steps), m)
 
 
 class TestTrianglePrior:
@@ -163,18 +164,16 @@ class TestInterimWeight:
 
 class TestIntervalUnionStrategy:
     def test_pieces_merge_adjacent_intervals_of_one_action(self):
-        part = strategy(2, [("1/2", "3/4"), (0, "1/4"), ("1/4", "1/2")], [("3/4", 1)])
+        part = strategy(2, ("1/4", 0), ("1/2", 0), ("3/4", 0), (1, 1))
         assert part.pieces == ((F(3, 4), 0), (F(1), 1))
-        assert part.weight_rows() == [(F(3, 4), (F(1), F(0))), (F(1), (F(0), F(1)))]
-
-    def test_empty_intervals_are_skipped(self):
-        part = strategy(2, [(0, 1), ("1/2", "1/2")], [(2, 2)])
-        assert part.pieces == ((F(1), 0),)
+        assert part.actions == (iv((0, "3/4")), iv(("3/4", 1)))
+        assert pennies._integer_rows(2, part) == (4, [[(3, (4, 0)), (4, (0, 4))]])
 
     def test_from_grid_round_trips_through_pieces(self):
         part = IntervalUnionStrategy.from_grid([1, 1, 0, 2], 3)
         assert part.pieces == ((F(1, 2), 1), (F(3, 4), 0), (F(1), 2))
-        assert IntervalUnionStrategy.from_pieces(part.pieces, 3) == part
+        assert part.actions == (iv(("1/2", "3/4")), iv((0, "1/2")), iv(("3/4", 1)))
+        assert IntervalUnionStrategy(part.pieces, 3) == part
 
     @pytest.mark.parametrize(
         "pieces",
@@ -185,7 +184,7 @@ class TestIntervalUnionStrategy:
     )
     def test_from_pieces_rejects_actions_out_of_range(self, pieces):
         with pytest.raises(SchemaError, match=r"pieces: action -?\d+ is not in range\(2\)"):
-            IntervalUnionStrategy.from_pieces(pieces, 2)
+            IntervalUnionStrategy(pieces, 2)
 
     @pytest.mark.parametrize(
         "pieces",
@@ -198,48 +197,31 @@ class TestIntervalUnionStrategy:
     )
     def test_from_pieces_rejects_broken_breakpoints(self, pieces):
         with pytest.raises(SchemaError, match="pieces: breakpoints must increase"):
-            IntervalUnionStrategy.from_pieces(pieces, 2)
+            IntervalUnionStrategy(pieces, 2)
 
     def test_from_pieces_rejects_pieces_short_of_one(self):
         with pytest.raises(SchemaError, match="pieces: pieces must end at 1"):
-            IntervalUnionStrategy.from_pieces([(F(1, 2), 0)], 2)
-
-    @pytest.mark.parametrize(
-        "unions",
-        [
-            # a reversed interval whose negative length hid an overlap: once
-            # accepted, with interim weights 6/7 and 3/7 at 7/8
-            ([(0, "3/4")], [("1/2", 1), ("1/4", 0)]),
-            ([(0, "1/2")], [("1/4", 1)]),  # overlapping
-            ([(0, "1/4")], [("1/2", 1)]),  # gapped
-            ([("1/4", "1/2")], [("1/2", 1)]),  # not starting at 0
-            ([(0, "1/2")], [("1/2", "3/4")]),  # not reaching 1
-            ([(0, "1/2")], [("1/2", 2)]),  # past 1
-        ],
-    )
-    def test_non_partitions_raise(self, unions):
-        with pytest.raises(SchemaError, match="interval unions must partition"):
-            strategy(2, *unions)
+            IntervalUnionStrategy(((F(1, 2), 0),), 2)
 
 
 class TestBalanceDefect:
     def test_halves_for_two_actions(self):
-        part = strategy(2, [(0, "1/2")], [("1/2", 1)])
+        part = strategy(2, ("1/2", 0), (1, 1))
         assert balance_defect(part, side=2) == F(1, 4)
 
     def test_halves_side_one(self):
         # mirror computation: integrand 2*max|eta'_j - (1-l)/2| gives l/2 on
         # the left half and (1-l)/2 on the right, total 1/4
-        part = strategy(2, [(0, "1/2")], [("1/2", 1)])
+        part = strategy(2, ("1/2", 0), (1, 1))
         assert balance_defect(part, side=1) == F(1, 4)
 
     def test_degenerate_single_action(self):
-        part = IntervalUnionStrategy((iv((0, 1)),))
+        part = strategy(1, (1, 0))
         assert balance_defect(part, side=2) == 0
         assert balance_defect(part, side=1) == 0
 
     def test_side_other_than_one_or_two_raises(self):
-        part = strategy(2, [(0, "1/2")], [("1/2", 1)])
+        part = strategy(2, ("1/2", 0), (1, 1))
         with pytest.raises(SchemaError, match="side"):
             balance_defect(part, side=3)
         with pytest.raises(SchemaError, match="side"):
@@ -263,8 +245,8 @@ class TestBalanceDefect:
 class TestGains:
     def test_all_first_action_pair(self):
         game = PenniesGame(2)
-        f1 = strategy(2, [(0, 1)], [])
-        f2 = strategy(2, [(0, 1)], [])
+        f1 = strategy(2, (1, 0))
+        f2 = strategy(2, (1, 0))
         g1, g2 = pure_profile_gain(game, f1, f2)
         assert g2 == 2
         assert g1 == 0  # player 1 is already matching everywhere
@@ -296,7 +278,7 @@ class TestGains:
         good = uniform_rows(2)
         falling = ((F(1, 2), (F(1), F(0))), (F(1, 4), (F(0), F(1))), (F(1), (F(1), F(0))))
         unsummed = ((F(1), (F(1, 2), F(1, 4))),)
-        three = strategy(3, [(0, 1)], [], [])
+        three = strategy(3, (1, 0))
         for bad, message in (
             (falling, "strategy: breakpoints must increase"),
             (unsummed, "strategy: weights must be >= 0 and sum to 1"),
@@ -305,6 +287,11 @@ class TestGains:
             for profile in ((bad, good), (good, bad)):
                 with pytest.raises(SchemaError, match=message):
                     behavioral_profile_gain(game, *profile)
+            with pytest.raises(SchemaError, match=message):
+                cyclic_deviation(game, bad)
+        # a 2-action opponent in a 3-action game: was a bare IndexError
+        with pytest.raises(SchemaError, match="strategy: expected 3 weights"):
+            cyclic_deviation(PenniesGame(3), strategy(2, (1, 0)))
 
     def test_best_response_gain_is_zero(self):
         game = PenniesGame(2)
@@ -836,12 +823,16 @@ def behavioral_profiles(draw):
 
 
 RECHECK_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def grid_rows(assignment, m):
+    """The one-hot rows of a grid strategy, equal neighbours merged."""
+    pieces = IntervalUnionStrategy.from_grid(assignment, m).pieces
+    return tuple((upto, unit_vector(m, a)) for upto, a in pieces)
+
+
 # pure grid rows: the value forms cross at cell midpoints, strictly inside
-GRID_PROFILE = (
-    3,
-    IntervalUnionStrategy.from_grid((0, 2, 2, 1), 3).weight_rows(),
-    IntervalUnionStrategy.from_grid((1, 1, 0, 2), 3).weight_rows(),
-)
+GRID_PROFILE = (3, grid_rows((0, 2, 2, 1), 3), grid_rows((1, 1, 0, 2), 3))
 
 
 class TestIntegerRecheck:
@@ -851,7 +842,7 @@ class TestIntegerRecheck:
     def test_gain_side_matches_the_fraction_reference(self, case):
         m, rows1, rows2 = case
         game = PenniesGame(m)
-        D, (int1, int2) = pennies._integer_rows(rows1, rows2)
+        D, (int1, int2) = pennies._integer_rows(m, rows1, rows2)
         for side in (1, 2):
             got = pennies._gain_side(game, side, D, int1, int2)
             assert got == reference_gain_side(game, side, rows1, rows2)
@@ -862,7 +853,7 @@ class TestIntegerRecheck:
     @example(GRID_PROFILE, 1)
     def test_opposing_segments_are_the_reference_over_one_denominator(self, case, side):
         m, rows1, rows2 = case
-        D, (int1, _int2) = pennies._integer_rows(rows1, rows2)
+        D, (int1, _int2) = pennies._integer_rows(m, rows1, rows2)
         values = [v for rows in (rows1, rows2) for upto, w in rows for v in (upto, *w)]
         assert D == math.lcm(*(v.denominator for v in values))
         got = pennies._opposing_segments(int1, m, side)
@@ -879,7 +870,7 @@ class TestIntegerRecheck:
     @example(GRID_PROFILE, 2)
     def test_balance_defect_and_cyclic_deviation_match_the_reference(self, case, side):
         m, rows, _ = case
-        assert balance_defect(rows, side=side, m=m) == reference_balance_defect(rows, m, side)
+        assert balance_defect(rows, side=side) == reference_balance_defect(rows, m, side)
         deviation = cyclic_deviation(PenniesGame(m), rows, side=side)
         assert deviation.pieces == tuple(reference_cyclic_deviation(m, rows, side))
         assert all(type(upto) is Fraction for upto, _ in deviation.pieces)

@@ -14,7 +14,7 @@ from condexp.errors import IndexOutOfRange, SchemaError, WeightInvalid
 from condexp.factories import matching_pennies_game
 from condexp.games import BehavioralStrategy, PlayerSpec, PureStrategy, TypeCell, as_behavioral
 from condexp.measure import Cell, CellKind, StepFunction
-from condexp.pennies import IntervalUnionStrategy, _validate_rows
+from condexp.pennies import IntervalUnionStrategy, _integer_rows
 from condexp.piecewise import (
     append_piece,
     argmax_segments,
@@ -521,12 +521,12 @@ def player(m):
 WEIGHT_CHECKS = [
     (old_mixed_selection_weights, lambda w, m: MixedSelection({"p": w}).validate([POINT_CELL], m)),
     (old_behavioral_weights, lambda w, m: as_behavioral(player(m), BehavioralStrategy({"p": w}))),
-    (old_pennies_weights, lambda w, m: _validate_rows([(F(1), w)], m)),
+    (old_pennies_weights, lambda w, m: _integer_rows(m, [(F(1), w)])),
 ]
 INDEX_CHECKS = [
     (old_selection_index, lambda k, m: Selection({"p": k}).validate([POINT_CELL], m)),
     (old_pure_action, lambda k, m: as_behavioral(player(m), PureStrategy({"p": k}))),
-    (old_pennies_action, lambda k, m: IntervalUnionStrategy.from_pieces([(F(1), k)], m)),
+    (old_pennies_action, lambda k, m: IntervalUnionStrategy(((F(1), k),), m)),
 ]
 
 numbers = st.one_of(
